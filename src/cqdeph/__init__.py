@@ -16,7 +16,7 @@ device        circuit parameters -> effective couplings, regime checks
 hamiltonians  every stage of the reduction chain as an explicit matrix
 spectrum      diagonal-model levels and degenerate (protected) subspaces
 bath          spectral densities and the two dephasing integrals
-kernels       quadrature and multiplier hot loops (numba or numpy)
+kernels       quadrature and multiplier hot loops (vectorized numpy)
 dynamics      closed-form reduced evolution plus brute-force oracles
 validation    cross-module invariant suite
 cli           config-driven command line front end

@@ -32,7 +32,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -56,7 +56,7 @@ from .device import (
     effective_couplings,
     regime_report,
 )
-from .dynamics import evolve_reduced, observables
+from .dynamics import check_snapshot_capacity, evolve_reduced, observables
 from .errors import (
     CapacityError,
     ConfigError,
@@ -99,29 +99,9 @@ _KINDS = {
     "flux": _FLUX, "temperature": _TEMPERATURE,
 }
 
-# (kind, required) per key; kind None means dimensionless
-_DEVICE_KEYS = {
-    "E_C": ("energy", True),
-    "E_J_max": ("energy", True),
-    "omega_a": ("frequency", True),
-    "omega_b": ("frequency", True),
-    "L_a": ("length", True),
-    "L_b": ("length", True),
-    "c_cap": ("capacitance_per_length", True),
-    "l_ind": ("inductance_per_length", True),
-    "C_g": ("capacitance", True),
-    "C_a": ("capacitance", True),
-    "V_g_dc": ("voltage", True),
-    "S_loop": ("area", True),
-    "d_dist": ("length", True),
-    "Phi_e": ("flux", False),
-    "tau": ("time", False),
-}
-
-_EFFECTIVE_KEYS = {
-    "g_a": "frequency", "phi_b": None, "phi_e": None, "n_g_dc": None,
-    "omega_a": "frequency", "omega_a_prime": "frequency", "chi": "frequency",
-}
+# base-unit suffix of each kind: the one whose factor is exactly 1
+_BASE_SUFFIX = {kind: next(s for s, f in table.items() if f == 1.0)
+                for kind, table in _KINDS.items()}
 
 _SECTIONS_BY_SCENARIO = {
     "device": {"device", "effective"},
@@ -159,6 +139,105 @@ class RunConfig:
     pairs: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = ()
     ratio: Fraction | None = None
     cluster_tol: float | None = None
+
+
+# ---------------------------------------------------------------- key table
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: where it lives, how its value reads, what it fills.
+
+    ``kind`` is a unit kind of _KINDS, or number (dimensionless), integer,
+    word (one of ``choices``), rational, path, beta (a time or ``inf``),
+    amplitude (``m n i : re im``) or pair (``m n i : m n i``).  Amplitude
+    and pair keys are indexed: the file spells them ``amp_0``, ``amp_1``, ...
+    ``field`` is the RunConfig field filled; ``group.attr`` fills one part of
+    a compound field (see _COMPOUND), and None marks a key that only a
+    cross-key rule reads.  ``when = (key, value)`` accepts the key only when
+    that other key of the section holds that value.
+    """
+
+    section: str
+    key: str
+    kind: str
+    field: str | None
+    required: bool = False
+    choices: tuple[str, ...] = ()
+    when: tuple[str, str] | None = None
+
+    @property
+    def indexed(self) -> bool:
+        return self.kind in ("amplitude", "pair")
+
+
+_OHMIC = ("family", "ohmic")
+_TABULATED = ("family", "tabulated")
+_LABELS = ("kind", "labels")
+_COHERENT = ("kind", "coherent")
+
+# sections are parsed and echoed in this order, keys within a section too
+_SCHEMA = (
+    _Key("", "scenario", "word", "scenario", True, SCENARIOS),
+    _Key("device", "E_C", "energy", "device.E_C", True),
+    _Key("device", "E_J_max", "energy", "device.E_J_max", True),
+    _Key("device", "omega_a", "frequency", "device.omega_a", True),
+    _Key("device", "omega_b", "frequency", "device.omega_b", True),
+    _Key("device", "L_a", "length", "device.L_a", True),
+    _Key("device", "L_b", "length", "device.L_b", True),
+    _Key("device", "c_cap", "capacitance_per_length", "device.c_cap", True),
+    _Key("device", "l_ind", "inductance_per_length", "device.l_ind", True),
+    _Key("device", "C_g", "capacitance", "device.C_g", True),
+    _Key("device", "C_a", "capacitance", "device.C_a", True),
+    _Key("device", "V_g_dc", "voltage", "device.V_g_dc", True),
+    _Key("device", "S_loop", "area", "device.S_loop", True),
+    _Key("device", "d_dist", "length", "device.d_dist", True),
+    _Key("device", "Phi_e", "flux", "device.Phi_e"),
+    _Key("device", "tau", "time", "tau"),
+    # alphabetical, the order in which eff_overrides is stored and echoed
+    _Key("effective", "chi", "frequency", "eff_overrides.chi"),
+    _Key("effective", "g_a", "frequency", "eff_overrides.g_a"),
+    _Key("effective", "n_g_dc", "number", "eff_overrides.n_g_dc"),
+    _Key("effective", "omega_a", "frequency", "eff_overrides.omega_a"),
+    _Key("effective", "omega_a_prime", "frequency", "eff_overrides.omega_a_prime"),
+    _Key("effective", "phi_b", "number", "eff_overrides.phi_b"),
+    _Key("effective", "phi_e", "number", "eff_overrides.phi_e"),
+    _Key("cutoff", "n_max_a", "integer", "cutoff.n_max_a", True),
+    _Key("cutoff", "n_max_b", "integer", "cutoff.n_max_b", True),
+    _Key("bath", "family", "word", "bath_family", True, ("ohmic", "tabulated")),
+    _Key("bath", "coupling", "number", "bath_coupling", when=_OHMIC),
+    _Key("bath", "exponent", "number", "bath_exponent", when=_OHMIC),
+    _Key("bath", "omega_c", "frequency", "bath_omega_c", when=_OHMIC),
+    _Key("bath", "table", "path", "bath_table", when=_TABULATED),
+    _Key("bath", "beta", "beta", "beta"),
+    _Key("bath", "temperature", "temperature", None),
+    _Key("grid", "t_start", "time", "grid_start"),
+    _Key("grid", "t_stop", "time", "grid_stop", True),
+    _Key("grid", "t_count", "integer", "grid_count", True),
+    _Key("grid", "spacing", "word", "grid_spacing", choices=("linear", "log")),
+    _Key("state", "kind", "word", "state_kind", True, ("labels", "coherent")),
+    _Key("state", "amp", "amplitude", "state_labels", when=_LABELS),
+    _Key("state", "mode", "word", "state_mode", choices=("A", "B"), when=_COHERENT),
+    _Key("state", "alpha_re", "number", "state_alpha.real", when=_COHERENT),
+    _Key("state", "alpha_im", "number", "state_alpha.imag", when=_COHERENT),
+    _Key("state", "qubit_level", "integer", "state_qubit", when=_COHERENT),
+    _Key("pairs", "pair", "pair", "pairs"),
+    _Key("spectrum", "ratio", "rational", "ratio"),
+    _Key("spectrum", "tol", "number", "cluster_tol"),
+)
+
+_SECTIONS = tuple(dict.fromkeys(row.section for row in _SCHEMA))
+_ROWS = {s: tuple(row for row in _SCHEMA if row.section == s) for s in _SECTIONS}
+_ROW = {(row.section, row.key): row for row in _SCHEMA}
+
+# compound fields: (build from {attr: value}, read one attr back)
+_COMPOUND = {
+    "device": (lambda parts: DeviceParams(**parts), getattr),
+    "cutoff": (lambda parts: FockCutoff(**parts), getattr),
+    "eff_overrides": (lambda parts: tuple(sorted(parts.items())),
+                      lambda overrides, key: dict(overrides).get(key)),
+    "state_alpha": (lambda parts: complex(parts.get("real", 0.0),
+                                          parts.get("imag", 0.0)), getattr),
+}
 
 
 # ------------------------------------------------------------------ parsing
@@ -251,17 +330,6 @@ def _label_triplet(raw: str, key: str, line: int) -> tuple[int, int, int]:
     return m, n, i
 
 
-def _take(entries: dict, section: str, key: str):
-    return entries.pop((section, key), (None, None))
-
-
-def _reject_leftovers(entries: dict, section: str, known: str) -> None:
-    for (sec, key), (_, line) in entries.items():
-        if sec == section:
-            raise ConfigError(
-                f"unknown key {key!r} in [{section}] (known: {known})", line)
-
-
 def _indexed_lines(entries: dict, section: str, prefix: str):
     """Collect prefix_0, prefix_1, ... keys sorted by their integer index."""
     found = []
@@ -275,248 +343,144 @@ def _indexed_lines(entries: dict, section: str, prefix: str):
     return found
 
 
-def _parse_device(entries: dict, headers: dict):
-    if "device" not in headers:
-        return None, None
-    values = {}
-    tau = None
-    for key, (kind, required) in _DEVICE_KEYS.items():
-        raw, line = _take(entries, "device", key)
-        if raw is None:
-            if required:
-                raise ConfigError(
-                    f"[device] is missing required key {key!r}",
-                    headers["device"])
-            continue
-        val = _dimensional(raw, kind, key, line)
-        if key == "tau":
-            tau = val
-        else:
-            values[key] = val
-    _reject_leftovers(entries, "device", ", ".join(sorted(_DEVICE_KEYS)))
-    return DeviceParams(**values), tau
-
-
-def _parse_effective(entries: dict, headers: dict):
-    if "effective" not in headers:
-        return ()
-    overrides = []
-    for key, kind in _EFFECTIVE_KEYS.items():
-        raw, line = _take(entries, "effective", key)
-        if raw is None:
-            continue
-        if kind is None:
-            overrides.append((key, _dimensionless(raw, key, line)))
-        else:
-            overrides.append((key, _dimensional(raw, kind, key, line)))
-    _reject_leftovers(entries, "effective", ", ".join(sorted(_EFFECTIVE_KEYS)))
-    return tuple(sorted(overrides))
-
-
-def _parse_cutoff(entries: dict, headers: dict):
-    if "cutoff" not in headers:
-        return None
-    vals = {}
-    for key in ("n_max_a", "n_max_b"):
-        raw, line = _take(entries, "cutoff", key)
-        if raw is None:
-            raise ConfigError(f"[cutoff] is missing required key {key!r}",
-                              headers["cutoff"])
-        vals[key] = _integer(raw, key, line)
-    _reject_leftovers(entries, "cutoff", "n_max_a, n_max_b")
-    return FockCutoff(**vals)
-
-
-def _parse_bath(entries: dict, headers: dict, config_dir: str):
-    if "bath" not in headers:
-        return {}
-    out = {}
-    raw, line = _take(entries, "bath", "family")
-    if raw is None:
-        raise ConfigError("[bath] is missing required key 'family'",
-                          headers["bath"])
-    out["bath_family"] = _word(raw, "family", line, ("ohmic", "tabulated"))
-
-    raw, line = _take(entries, "bath", "coupling")
-    if raw is not None:
-        out["bath_coupling"] = _dimensionless(raw, "coupling", line)
-    raw, line = _take(entries, "bath", "exponent")
-    if raw is not None:
-        out["bath_exponent"] = _dimensionless(raw, "exponent", line)
-    raw, line = _take(entries, "bath", "omega_c")
-    if raw is not None:
-        out["bath_omega_c"] = _dimensional(raw, "frequency", "omega_c", line)
-    raw, line = _take(entries, "bath", "table")
-    if raw is not None:
-        path = raw if os.path.isabs(raw) else os.path.join(config_dir, raw)
-        path = os.path.abspath(path)
-        if not os.path.isfile(path):
-            raise ConfigError(f"table: no such file: {path}", line)
-        out["bath_table"] = path
-
-    raw_beta, line_beta = _take(entries, "bath", "beta")
-    raw_temp, line_temp = _take(entries, "bath", "temperature")
-    if raw_beta is not None and raw_temp is not None:
-        raise ConfigError("give either 'beta' or 'temperature', not both",
-                          line_temp)
-    if raw_beta is not None:
-        if raw_beta == "inf":
-            out["beta"] = math.inf
-        else:
-            out["beta"] = _dimensional(raw_beta, "time", "beta", line_beta)
-    elif raw_temp is not None:
-        t_kelvin = _dimensional(raw_temp, "temperature", "temperature",
-                                line_temp)
-        if t_kelvin < 0:
-            raise ConfigError("temperature must be >= 0", line_temp)
-        # beta multiplies angular frequency, so it is hbar/(k_B T), seconds
-        out["beta"] = math.inf if t_kelvin == 0 else HBAR_SI / (K_B_SI * t_kelvin)
-    _reject_leftovers(entries, "bath",
-                      "family, coupling, exponent, omega_c, beta, "
-                      "temperature, table")
-
-    if out["bath_family"] == "ohmic":
-        for key in ("bath_coupling", "bath_omega_c"):
-            if key not in out:
-                raise ConfigError(
-                    f"ohmic bath requires key {key.removeprefix('bath_')!r}",
-                    headers["bath"])
-    elif "bath_table" not in out:
-        raise ConfigError("tabulated bath requires key 'table'",
-                          headers["bath"])
-    return out
-
-
-def _parse_grid(entries: dict, headers: dict):
-    if "grid" not in headers:
-        return {}
-    out = {}
-    raw, line = _take(entries, "grid", "t_start")
-    if raw is not None:
-        out["grid_start"] = _dimensional(raw, "time", "t_start", line)
-    for key, dest in (("t_stop", "grid_stop"), ("t_count", "grid_count")):
-        raw, line = _take(entries, "grid", key)
-        if raw is None:
-            raise ConfigError(f"[grid] is missing required key {key!r}",
-                              headers["grid"])
-        out[dest] = (_dimensional(raw, "time", key, line) if key == "t_stop"
-                     else _integer(raw, key, line))
-    raw, line = _take(entries, "grid", "spacing")
-    if raw is not None:
-        out["grid_spacing"] = _word(raw, "spacing", line, ("linear", "log"))
-    _reject_leftovers(entries, "grid", "t_start, t_stop, t_count, spacing")
-    if out["grid_count"] < 1:
-        raise ConfigError("t_count must be >= 1", headers["grid"])
-    return out
-
-
-def _parse_state(entries: dict, headers: dict):
-    if "state" not in headers:
-        return {}
-    out = {}
-    raw, line = _take(entries, "state", "kind")
-    if raw is None:
-        raise ConfigError("[state] is missing required key 'kind'",
-                          headers["state"])
-    kind = _word(raw, "kind", line, ("labels", "coherent"))
-    out["state_kind"] = kind
-
-    if kind == "labels":
-        amps = []
-        for _, key, value, line in _indexed_lines(entries, "state", "amp"):
-            if ":" not in value:
-                raise ConfigError(
-                    f"{key}: expected 'm n i : re im', got {value!r}", line)
-            left, right = value.split(":", 1)
-            m, n, i = _label_triplet(left.strip(), key, line)
-            parts = right.split()
-            if len(parts) != 2:
-                raise ConfigError(
-                    f"{key}: expected two amplitude components, got {value!r}",
-                    line)
-            re_part = _number(parts[0], key, line)
-            im_part = _number(parts[1], key, line)
-            amps.append((m, n, i, re_part, im_part))
-        if not amps:
-            raise ConfigError(
-                "state kind 'labels' needs at least one amp_<k> line",
-                headers["state"])
-        out["state_labels"] = tuple(amps)
-    else:
-        raw, line = _take(entries, "state", "mode")
-        if raw is None:
-            raise ConfigError("coherent state requires key 'mode'",
-                              headers["state"])
-        out["state_mode"] = _word(raw, "mode", line, ("A", "B"))
-        re_part = im_part = 0.0
-        raw, line = _take(entries, "state", "alpha_re")
-        if raw is not None:
-            re_part = _dimensionless(raw, "alpha_re", line)
-        raw, line = _take(entries, "state", "alpha_im")
-        if raw is not None:
-            im_part = _dimensionless(raw, "alpha_im", line)
-        out["state_alpha"] = complex(re_part, im_part)
-        raw, line = _take(entries, "state", "qubit_level")
-        if raw is not None:
-            level = _integer(raw, "qubit_level", line)
-            if level not in (0, 1):
-                raise ConfigError(f"qubit_level must be 0 or 1, got {level}",
-                                  line)
-            out["state_qubit"] = level
-    _reject_leftovers(entries, "state",
-                      "kind, amp_<k>, mode, alpha_re, alpha_im, qubit_level")
-    return out
-
-
-def _parse_pairs(entries: dict, headers: dict):
-    if "pairs" not in headers:
-        return ()
-    pairs = []
-    for _, key, value, line in _indexed_lines(entries, "pairs", "pair"):
-        if ":" not in value:
-            raise ConfigError(
-                f"{key}: expected 'm n i : m n i', got {value!r}", line)
-        left, right = value.split(":", 1)
-        pairs.append((_label_triplet(left.strip(), key, line),
-                      _label_triplet(right.strip(), key, line)))
-    _reject_leftovers(entries, "pairs", "pair_<k>")
-    if not pairs:
-        raise ConfigError("[pairs] needs at least one pair_<k> line",
-                          headers["pairs"])
-    return tuple(pairs)
-
-
-def _parse_spectrum_opts(entries: dict, headers: dict):
-    if "spectrum" not in headers:
-        return {}
-    out = {}
-    raw, line = _take(entries, "spectrum", "ratio")
-    if raw is not None:
+def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str):
+    """Read one value of ``row``; ``key`` is the key as spelled (``amp_3``)."""
+    kind = row.kind
+    if kind in _KINDS:
+        return _dimensional(raw, kind, key, line)
+    if kind == "number":
+        return _dimensionless(raw, key, line)
+    if kind == "integer":
+        return _integer(raw, key, line)
+    if kind == "word":
+        return _word(raw, key, line, row.choices)
+    if kind == "beta":
+        return math.inf if raw == "inf" else _dimensional(raw, "time", key, line)
+    if kind == "rational":
         try:
-            out["ratio"] = Fraction(raw)
+            return Fraction(raw)
         except (ValueError, ZeroDivisionError):
             raise ConfigError(
-                f"ratio: not a rational number: {raw!r}", line) from None
-    raw, line = _take(entries, "spectrum", "tol")
-    if raw is not None:
-        tol = _dimensionless(raw, "tol", line)
-        if tol <= 0:
-            raise ConfigError(f"tol must be > 0, got {tol}", line)
-        out["cluster_tol"] = tol
-    _reject_leftovers(entries, "spectrum", "ratio, tol")
-    return out
+                f"{key}: not a rational number: {raw!r}", line) from None
+    if kind == "path":
+        path = os.path.abspath(os.path.join(config_dir, raw))
+        if not os.path.isfile(path):
+            raise ConfigError(f"{key}: no such file: {path}", line)
+        return path
+    shape = "m n i : re im" if kind == "amplitude" else "m n i : m n i"
+    if ":" not in raw:
+        raise ConfigError(f"{key}: expected '{shape}', got {raw!r}", line)
+    left, right = raw.split(":", 1)
+    label = _label_triplet(left.strip(), key, line)
+    if kind == "pair":
+        return label, _label_triplet(right.strip(), key, line)
+    parts = right.split()
+    if len(parts) != 2:
+        raise ConfigError(
+            f"{key}: expected two amplitude components, got {raw!r}", line)
+    return (*label, _number(parts[0], key, line), _number(parts[1], key, line))
+
+
+def _cross_key_rules(section: str, vals: dict, lines: dict, header) -> None:
+    """The checks that a single row of the key table cannot express."""
+    if section == "bath":
+        if "beta" in vals and "temperature" in vals:
+            raise ConfigError("give either 'beta' or 'temperature', not both",
+                              lines["temperature"])
+        if "temperature" in vals:
+            t_kelvin = vals["temperature"]
+            if t_kelvin < 0:
+                raise ConfigError("temperature must be >= 0",
+                                  lines["temperature"])
+            # beta multiplies angular frequency, so it is hbar/(k_B T), seconds
+            vals["beta"] = (math.inf if t_kelvin == 0
+                            else HBAR_SI / (K_B_SI * t_kelvin))
+        family = vals["family"]
+        for key in ("coupling", "omega_c") if family == "ohmic" else ("table",):
+            if key not in vals:
+                raise ConfigError(f"{family} bath requires key {key!r}", header)
+    elif section == "grid":
+        if vals["t_count"] < 1:
+            raise ConfigError("t_count must be >= 1", header)
+    elif section == "state":
+        if vals["kind"] == "labels":
+            if not vals["amp"]:
+                raise ConfigError(
+                    "state kind 'labels' needs at least one amp_<k> line",
+                    header)
+        elif "mode" not in vals:
+            raise ConfigError("coherent state requires key 'mode'", header)
+        elif vals.get("qubit_level", 0) not in (0, 1):
+            raise ConfigError(
+                f"qubit_level must be 0 or 1, got {vals['qubit_level']}",
+                lines["qubit_level"])
+    elif section == "pairs":
+        if not vals["pair"]:
+            raise ConfigError("[pairs] needs at least one pair_<k> line",
+                              header)
+    elif section == "spectrum":
+        if vals.get("tol", 1.0) <= 0:
+            raise ConfigError(f"tol must be > 0, got {vals['tol']}",
+                              lines["tol"])
+
+
+def _parse_section(section: str, entries: dict, headers: dict,
+                   config_dir: str) -> dict:
+    """Pop and check one section's keys; returns the RunConfig fields."""
+    header = headers.get(section)
+    vals: dict = {}
+    lines: dict = {}
+    accepted = []
+    for row in _ROWS[section]:
+        if row.when is not None and vals.get(row.when[0]) != row.when[1]:
+            continue
+        accepted.append(row)
+        if row.indexed:
+            vals[row.key] = tuple(
+                _convert(row, value, key, line, config_dir)
+                for _, key, value, line in _indexed_lines(entries, section,
+                                                          row.key))
+            continue
+        raw, line = entries.pop((section, row.key), (None, None))
+        if raw is None:
+            if row.required:
+                where = f"[{section}] is " if section else ""
+                raise ConfigError(f"{where}missing required key {row.key!r}",
+                                  header)
+            continue
+        vals[row.key] = _convert(row, raw, row.key, line, config_dir)
+        lines[row.key] = line
+
+    known = ", ".join(f"{row.key}_<k>" if row.indexed else row.key
+                      for row in accepted)
+    for (sec, key), (_, line) in entries.items():
+        if sec == section:
+            raise ConfigError(
+                f"unknown key {key!r} in [{section}] (known: {known})", line)
+    _cross_key_rules(section, vals, lines, header)
+
+    fields: dict = {}
+    parts: dict = {}
+    for row in accepted:
+        if row.field is None or row.key not in vals:
+            continue
+        name, _, attr = row.field.partition(".")
+        if attr:
+            parts.setdefault(name, {})[attr] = vals[row.key]
+        else:
+            fields[name] = vals[row.key]
+    for name, attrs in parts.items():
+        fields[name] = _COMPOUND[name][0](attrs)
+    return fields
 
 
 def load_config(path: str) -> RunConfig:
     """Parse and normalize a config file; every problem is a ConfigError."""
     entries, headers = _tokenize(path)
+    config_dir = os.path.dirname(os.path.abspath(path))
 
-    raw, line = _take(entries, "", "scenario")
-    if raw is None:
-        raise ConfigError("missing required key 'scenario'")
-    scenario = _word(raw, "scenario", line, SCENARIOS)
-    _reject_leftovers(entries, "", "scenario")
-
+    fields = _parse_section("", entries, headers, config_dir)
+    scenario = fields["scenario"]
     allowed = _SECTIONS_BY_SCENARIO[scenario]
     for section, line in headers.items():
         if section not in allowed:
@@ -525,22 +489,10 @@ def load_config(path: str) -> RunConfig:
                 + (f" (allowed: {', '.join(sorted(allowed))})" if allowed
                    else " (it takes no sections)"), line)
 
-    device, tau = _parse_device(entries, headers)
-    fields: dict = {
-        "scenario": scenario,
-        "device": device,
-        "tau": tau,
-        "eff_overrides": _parse_effective(entries, headers),
-        "cutoff": _parse_cutoff(entries, headers),
-    }
-    fields.update(_parse_bath(entries, headers, os.path.dirname(os.path.abspath(path))))
-    fields.update(_parse_grid(entries, headers))
-    fields.update(_parse_state(entries, headers))
-    fields["pairs"] = _parse_pairs(entries, headers)
-    fields.update(_parse_spectrum_opts(entries, headers))
-
-    for (sec, key), (_, line) in entries.items():
-        raise ConfigError(f"unknown key {key!r} in section [{sec}]", line)
+    # the top level "" is never a header, so it is not parsed twice
+    for section in _SECTIONS:
+        if section in headers:
+            fields.update(_parse_section(section, entries, headers, config_dir))
 
     cfg = RunConfig(**fields)
     _require_scenario_inputs(cfg)
@@ -585,98 +537,60 @@ def _g17(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _format(kind: str, value) -> str:
+    if kind in _KINDS:
+        return f"{_g17(value)} {_BASE_SUFFIX[kind]}"
+    if kind == "number":
+        return _g17(value)
+    if kind == "beta":
+        return "inf" if math.isinf(value) else f"{_g17(value)} s"
+    if kind == "amplitude":
+        m, n, i, re_part, im_part = value
+        return f"{m} {n} {i} : {_g17(re_part)} {_g17(im_part)}"
+    if kind == "pair":
+        (m, n, i), (m2, n2, i2) = value
+        return f"{m} {n} {i} : {m2} {n2} {i2}"
+    return str(value)
+
+
+def _read(cfg: RunConfig, row: _Key):
+    """The value ``row`` filled in ``cfg``, or None."""
+    if row.field is None:
+        return None
+    name, _, attr = row.field.partition(".")
+    value = getattr(cfg, name)
+    if attr and value is not None:
+        value = _COMPOUND[name][1](value, attr)
+    return value
+
+
 def render_config(cfg: RunConfig) -> str:
     """Echo a RunConfig as normalized config text; load_config inverts it."""
-    lines = [f"scenario = {cfg.scenario}", ""]
-    if cfg.device is not None:
-        p = cfg.device
-        lines.append("[device]")
-        lines.append(f"E_C = {_g17(p.E_C)} J")
-        lines.append(f"E_J_max = {_g17(p.E_J_max)} J")
-        lines.append(f"omega_a = {_g17(p.omega_a)} Hz_rad")
-        lines.append(f"omega_b = {_g17(p.omega_b)} Hz_rad")
-        lines.append(f"L_a = {_g17(p.L_a)} m")
-        lines.append(f"L_b = {_g17(p.L_b)} m")
-        lines.append(f"c_cap = {_g17(p.c_cap)} F_per_m")
-        lines.append(f"l_ind = {_g17(p.l_ind)} H_per_m")
-        lines.append(f"C_g = {_g17(p.C_g)} F")
-        lines.append(f"C_a = {_g17(p.C_a)} F")
-        lines.append(f"V_g_dc = {_g17(p.V_g_dc)} V")
-        lines.append(f"S_loop = {_g17(p.S_loop)} m2")
-        lines.append(f"d_dist = {_g17(p.d_dist)} m")
-        lines.append(f"Phi_e = {_g17(p.Phi_e)} Wb")
-        if cfg.tau is not None:
-            lines.append(f"tau = {_g17(cfg.tau)} s")
-        lines.append("")
-    if cfg.eff_overrides:
-        lines.append("[effective]")
-        for key, value in cfg.eff_overrides:
-            if _EFFECTIVE_KEYS[key] is None:
-                lines.append(f"{key} = {_g17(value)}")
+    lines = []
+    for section in _SECTIONS:
+        rows = _ROWS[section]
+        anchors = [row for row in rows if row.required] or rows
+        if all(_read(cfg, row) in (None, ()) for row in anchors):
+            continue
+        if section:
+            lines.append(f"[{section}]")
+        for row in rows:
+            if row.when is not None and \
+                    _read(cfg, _ROW[section, row.when[0]]) != row.when[1]:
+                continue
+            value = _read(cfg, row)
+            if value is None:
+                continue
+            if row.indexed:
+                lines += [f"{row.key}_{k} = {_format(row.kind, item)}"
+                          for k, item in enumerate(value)]
             else:
-                lines.append(f"{key} = {_g17(value)} Hz_rad")
-        lines.append("")
-    if cfg.cutoff is not None:
-        lines.append("[cutoff]")
-        lines.append(f"n_max_a = {cfg.cutoff.n_max_a}")
-        lines.append(f"n_max_b = {cfg.cutoff.n_max_b}")
-        lines.append("")
-    if cfg.bath_family is not None:
-        lines.append("[bath]")
-        lines.append(f"family = {cfg.bath_family}")
-        if cfg.bath_coupling is not None:
-            lines.append(f"coupling = {_g17(cfg.bath_coupling)}")
-        if cfg.bath_family == "ohmic":
-            lines.append(f"exponent = {_g17(cfg.bath_exponent)}")
-            lines.append(f"omega_c = {_g17(cfg.bath_omega_c)} Hz_rad")
-        if cfg.bath_table is not None:
-            lines.append(f"table = {cfg.bath_table}")
-        if math.isinf(cfg.beta):
-            lines.append("beta = inf")
-        else:
-            lines.append(f"beta = {_g17(cfg.beta)} s")
-        lines.append("")
-    if cfg.grid_count is not None:
-        lines.append("[grid]")
-        lines.append(f"t_start = {_g17(cfg.grid_start)} s")
-        lines.append(f"t_stop = {_g17(cfg.grid_stop)} s")
-        lines.append(f"t_count = {cfg.grid_count}")
-        lines.append(f"spacing = {cfg.grid_spacing}")
-        lines.append("")
-    if cfg.state_kind is not None:
-        lines.append("[state]")
-        lines.append(f"kind = {cfg.state_kind}")
-        if cfg.state_kind == "labels":
-            for k, (m, n, i, re_part, im_part) in enumerate(cfg.state_labels):
-                lines.append(
-                    f"amp_{k} = {m} {n} {i} : {_g17(re_part)} {_g17(im_part)}")
-        else:
-            lines.append(f"mode = {cfg.state_mode}")
-            lines.append(f"alpha_re = {_g17(cfg.state_alpha.real)}")
-            lines.append(f"alpha_im = {_g17(cfg.state_alpha.imag)}")
-            lines.append(f"qubit_level = {cfg.state_qubit}")
-        lines.append("")
-    if cfg.pairs:
-        lines.append("[pairs]")
-        for k, (hi, lo) in enumerate(cfg.pairs):
-            lines.append(
-                f"pair_{k} = {hi[0]} {hi[1]} {hi[2]} : {lo[0]} {lo[1]} {lo[2]}")
-        lines.append("")
-    if cfg.ratio is not None or cfg.cluster_tol is not None:
-        lines.append("[spectrum]")
-        if cfg.ratio is not None:
-            lines.append(f"ratio = {cfg.ratio}")
-        if cfg.cluster_tol is not None:
-            lines.append(f"tol = {_g17(cfg.cluster_tol)}")
+                lines.append(f"{row.key} = {_format(row.kind, value)}")
         lines.append("")
     return "\n".join(lines)
 
 
 # --------------------------------------------------------------- execution
-
-_EFF_FIELDS = ("g_a", "phi_b", "phi_e", "n_g_dc", "omega_a", "omega_a_prime",
-               "chi")
-
 
 def resolve_effective(cfg: RunConfig) -> EffectiveParams:
     """Device map plus overrides, or pure effective parameters.
@@ -687,7 +601,7 @@ def resolve_effective(cfg: RunConfig) -> EffectiveParams:
     over = dict(cfg.eff_overrides)
     if cfg.device is not None:
         base = effective_couplings(cfg.device)
-        vals = {name: getattr(base, name) for name in _EFF_FIELDS}
+        vals = asdict(base)
         vals.update(over)
         if {"g_a", "phi_b", "omega_a"} & over.keys():
             if "chi" not in over:
@@ -764,7 +678,7 @@ def _run_device(cfg: RunConfig, out_dir: str) -> dict:
     eff = resolve_effective(cfg)
     rep = regime_report(cfg.device, eff)
     payload = {
-        "effective": {name: getattr(eff, name) for name in _EFF_FIELDS},
+        "effective": asdict(eff),
         "regime": {
             "phi_b": rep.phi_b,
             "phi_b_flag": rep.phi_b_flag,
@@ -835,11 +749,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
 def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
     # refuse before materializing a dim x dim density matrix
-    if cfg.grid_count * cfg.cutoff.dim ** 2 > 50_000_000:
-        raise CapacityError(
-            f"trajectory would hold {cfg.grid_count} snapshots of a "
-            f"{cfg.cutoff.dim}x{cfg.cutoff.dim} matrix; shrink the grid "
-            "or cutoff")
+    check_snapshot_capacity(cfg.grid_count, cfg.cutoff.dim)
     rho0 = _initial_state(cfg).density()
     model = _bath_model(cfg)
     state = BathState(beta=cfg.beta)
@@ -990,9 +900,6 @@ def main(argv=None) -> int:
                        help="tolerance override: quadrature rtol (dephasing), "
                             "clustering tol (spectrum), tolerance scale "
                             "(validate)")
-        p.add_argument("--workers", type=int, default=1,
-                       help="reserved; evaluation is single-threaded at the "
-                            "problem sizes this package supports")
     args = parser.parse_args(argv)
 
     try:

@@ -43,6 +43,17 @@ from .hilbert import (
 
 OBSERVABLE_NAMES = ("purity", "qubit_coherence", "fidelity_to_initial")
 
+# largest number of complex elements a trajectory's snapshots may hold
+SNAPSHOT_CAP = 50_000_000
+
+
+def check_snapshot_capacity(n_times: int, dim: int) -> None:
+    """Raise CapacityError when n_times dim x dim snapshots exceed SNAPSHOT_CAP."""
+    if n_times * dim ** 2 > SNAPSHOT_CAP:
+        raise CapacityError(
+            f"trajectory would hold {n_times} snapshots of a "
+            f"{dim}x{dim} matrix; shrink the grid or cutoff")
+
 
 @dataclass(frozen=True)
 class PairRecord:
@@ -106,10 +117,7 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     """
     cutoff = _need_cutoff(rho0)
     t = _check_t_grid(t_grid)
-    if t.size * cutoff.dim ** 2 > 50_000_000:
-        raise CapacityError(
-            f"trajectory would hold {t.size} snapshots of a "
-            f"{cutoff.dim}x{cutoff.dim} matrix; shrink the grid or cutoff")
+    check_snapshot_capacity(t.size, cutoff.dim)
     require_density_matrix(rho0)
     rho = np.array(rho0.mat, dtype=complex)
 

@@ -1,65 +1,29 @@
 """Numeric hot paths: oscillatory panel quadrature and dephasing multipliers.
 
-Two implementations live here.  The default is a set of numba @njit kernels;
-a pure-numpy path provides identical math for environments without numba.
-Selection is made once at import time from the environment variable
-
-    CQDEPH_NUMBA = 1/true  force numba (falls back with a warning if missing)
-                   0/false force the numpy path
-                   unset   auto: numba if importable
-
-The reservoir integrals are evaluated on panels that resolve the oscillation
-scale 2*pi/t: the head [0, w_c] is integrated directly, the tail is mapped to
-u in [0, 1) through w = w_c / (1 - u), and every panel is no wider than half
-an oscillation period.  Each panel uses the 15-point Gauss-Kronrod rule with
-the embedded 7-point Gauss value as the error estimate; the worst panels are
-bisected until the summed estimate meets the relative tolerance.
+Everything here is vectorized numpy.  The reservoir integrals are evaluated
+on panels that resolve the oscillation scale 2*pi/t: the head [0, w_c] is
+integrated directly, the tail is mapped to u in [0, 1) through
+w = w_c / (1 - u), and every panel is no wider than half an oscillation
+period.  Each panel uses the 15-point Gauss-Kronrod rule with the embedded
+7-point Gauss value as the error estimate; the worst panels are bisected
+until the summed estimate meets the relative tolerance.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import warnings
 
 import numpy as np
 
 from .errors import NumericsError
 
-__all__ = ["HAS_NUMBA", "USE_NUMBA", "active_backend", "quad_ohmic",
-           "quad_tabulated", "dephasing_multipliers", "initial_panels",
-           "PANEL_CAP"]
-
-try:
-    import numba
-    from numba import njit, prange
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def deco(f):
-            return f
-        return deco
-
-    def prange(*args):
-        return range(*args)
-
-_env = os.environ.get("CQDEPH_NUMBA", "").strip().lower()
-if _env in ("0", "false", "no", "off"):
-    USE_NUMBA = False
-elif _env in ("1", "true", "yes", "on"):
-    if not HAS_NUMBA:
-        warnings.warn("CQDEPH_NUMBA requested numba but it is not importable; using numpy")
-    USE_NUMBA = HAS_NUMBA
-else:
-    USE_NUMBA = HAS_NUMBA
+__all__ = ["active_backend", "quad_ohmic", "quad_tabulated",
+           "dephasing_multipliers", "initial_panels", "PANEL_CAP"]
 
 
 def active_backend() -> str:
-    """Name of the kernel backend chosen at import time."""
-    return "numba" if USE_NUMBA else "numpy"
+    """Name of the kernel backend; numpy is the only one."""
+    return "numpy"
 
 
 # 15-point Kronrod nodes/weights with the embedded 7-point Gauss weights,
@@ -120,130 +84,31 @@ def initial_panels(t: float, omega_c: float) -> tuple[np.ndarray, np.ndarray, np
     return a, b, in_u
 
 
-# ---------------------------------------------------------------------------
-# numba path (scalar loops; compiled lazily on first use, cached on disk)
-# ---------------------------------------------------------------------------
+def _times_kernel(dens_over_w2, w, kind, beta, zero_t, t):
+    """Multiply D(w)/w^2 by the kernel of reservoir integral ``kind``.
 
-@njit(cache=True)
-def _ohmic_point_nb(w, kind, s, alpha, omega_c, beta, zero_t, t):
-    # merged exponent avoids inf * 0 at the extremes of the mapped tail
-    expo = (s - 2.0) * math.log(w) - w / omega_c
-    env = alpha * omega_c ** (1.0 - s) * math.exp(expo)
+    kind 1: sin(w t); kind 2: 2 sin^2(w t / 2) coth(beta w / 2), where the
+    coth factor is 1 at zero temperature.
+    """
     if kind == 1:
-        return env * math.sin(w * t)
-    half = math.sin(0.5 * w * t)
-    osc = 2.0 * half * half
+        return dens_over_w2 * np.sin(w * t)
+    out = dens_over_w2 * (2.0 * np.sin(0.5 * w * t) ** 2)
     if zero_t:
-        return env * osc
+        return out
     x = 0.5 * beta * w
-    if x < 1e-4:
-        cth = 1.0 / x + x / 3.0
-    else:
-        cth = 1.0 / math.tanh(x)
-    return env * osc * cth
+    cth = np.where(x < 1e-4, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
+                   1.0 / np.tanh(np.where(x > 0, x, 1.0)))
+    return out * cth
 
 
-@njit(cache=True)
-def _gk15_ohmic_nb(a, b, in_u, kind, s, alpha, omega_c, beta, zero_t, t):
-    mid = 0.5 * (a + b)
-    hw = 0.5 * (b - a)
-    acc15 = 0.0
-    acc7 = 0.0
-    for j in range(15):
-        x = mid + hw * _X15[j]
-        if in_u:
-            rem = 1.0 - x
-            w = omega_c / rem
-            jac = omega_c / (rem * rem)
-        else:
-            w = x
-            jac = 1.0
-        f = _ohmic_point_nb(w, kind, s, alpha, omega_c, beta, zero_t, t) * jac
-        acc15 += _W15[j] * f
-        acc7 += _W7[j] * f
-    return acc15 * hw, abs((acc15 - acc7) * hw)
-
-
-@njit(cache=True)
-def _adaptive_ohmic_nb(a0, b0, u0, kind, s, alpha, omega_c, beta, zero_t, t, rtol, cap):
-    n = a0.size
-    a = np.empty(cap)
-    b = np.empty(cap)
-    in_u = np.empty(cap, dtype=np.bool_)
-    vals = np.empty(cap)
-    errs = np.empty(cap)
-    a[:n] = a0
-    b[:n] = b0
-    in_u[:n] = u0
-    total = 0.0
-    err_total = 0.0
-    abs_sum = 0.0
-    for p in range(n):
-        v, e = _gk15_ohmic_nb(a[p], b[p], in_u[p], kind, s, alpha, omega_c, beta, zero_t, t)
-        vals[p] = v
-        errs[p] = e
-        total += v
-        err_total += e
-        abs_sum += abs(v)
-    # refine the worst panel until the summed estimate meets tolerance or we
-    # reach the roundoff floor of the accumulated panel values
-    while n < cap:
-        target = rtol * abs(total)
-        floor = 30.0 * 2.220446049250313e-16 * abs_sum
-        if err_total <= max(target, floor):
-            break
-        worst = 0
-        emax = errs[0]
-        for p in range(1, n):
-            if errs[p] > emax:
-                emax = errs[p]
-                worst = p
-        am, bm, um = a[worst], b[worst], in_u[worst]
-        mid = 0.5 * (am + bm)
-        v1, e1 = _gk15_ohmic_nb(am, mid, um, kind, s, alpha, omega_c, beta, zero_t, t)
-        v2, e2 = _gk15_ohmic_nb(mid, bm, um, kind, s, alpha, omega_c, beta, zero_t, t)
-        total += v1 + v2 - vals[worst]
-        err_total += e1 + e2 - errs[worst]
-        abs_sum += abs(v1) + abs(v2) - abs(vals[worst])
-        a[worst], b[worst], vals[worst], errs[worst] = am, mid, v1, e1
-        a[n], b[n], in_u[n], vals[n], errs[n] = mid, bm, um, v2, e2
-        n += 1
-    return total, err_total, n
-
-
-@njit(cache=True, parallel=True)
-def _multipliers_nb(energies, t, q1t, q2t):
-    d = energies.shape[0]
-    out = np.empty((d, d), dtype=np.complex128)
-    for j in prange(d):
-        ej = energies[j]
-        for k in range(d):
-            ek = energies[k]
-            de = ej - ek
-            phase = de * t + (ej * ej - ek * ek) * q1t
-            amp = math.exp(-de * de * q2t)
-            out[j, k] = complex(amp * math.cos(phase), -amp * math.sin(phase))
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numpy path (same panels and rule, batched across panels)
-# ---------------------------------------------------------------------------
-
-def _ohmic_values_np(w, kind, s, alpha, omega_c, beta, zero_t, t):
+def _ohmic_values(w, kind, s, alpha, omega_c, beta, zero_t, t):
+    # merged exponent avoids inf * 0 at the extremes of the mapped tail
     expo = (s - 2.0) * np.log(w) - w / omega_c
     env = alpha * omega_c ** (1.0 - s) * np.exp(expo)
-    if kind == 1:
-        return env * np.sin(w * t)
-    osc = 2.0 * np.sin(0.5 * w * t) ** 2
-    if zero_t:
-        return env * osc
-    x = 0.5 * beta * w
-    cth = np.where(x < 1e-4, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0, 1.0 / np.tanh(np.where(x > 0, x, 1.0)))
-    return env * osc * cth
+    return _times_kernel(env, w, kind, beta, zero_t, t)
 
 
-def _gk15_batch_np(f, a, b, in_u, omega_c):
+def _gk15_batch(f, a, b, in_u, omega_c):
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
     x = mid[:, None] + hw[:, None] * _X15[None, :]
@@ -259,11 +124,11 @@ def _gk15_batch_np(f, a, b, in_u, omega_c):
     return vals, errs
 
 
-def _adaptive_np(f, a, b, in_u, omega_c, rtol, cap=PANEL_CAP, max_rounds=60):
+def _adaptive(f, a, b, in_u, omega_c, rtol, cap=PANEL_CAP, max_rounds=60):
     a = a.copy()
     b = b.copy()
     in_u = in_u.copy()
-    vals, errs = _gk15_batch_np(f, a, b, in_u, omega_c)
+    vals, errs = _gk15_batch(f, a, b, in_u, omega_c)
     for _ in range(max_rounds):
         total = float(vals.sum())
         err_total = float(errs.sum())
@@ -286,7 +151,7 @@ def _adaptive_np(f, a, b, in_u, omega_c, rtol, cap=PANEL_CAP, max_rounds=60):
         na = np.concatenate([a[~split], am, mids])
         nb = np.concatenate([b[~split], mids, bm])
         nu = np.concatenate([in_u[~split], um, um])
-        new_vals, new_errs = _gk15_batch_np(f, np.concatenate([am, mids]),
+        new_vals, new_errs = _gk15_batch(f, np.concatenate([am, mids]),
                                             np.concatenate([mids, bm]),
                                             np.concatenate([um, um]), omega_c)
         vals = np.concatenate([vals[~split], new_vals])
@@ -294,10 +159,6 @@ def _adaptive_np(f, a, b, in_u, omega_c, rtol, cap=PANEL_CAP, max_rounds=60):
         a, b, in_u = na, nb, nu
     return float(vals.sum()), float(errs.sum()), a.size
 
-
-# ---------------------------------------------------------------------------
-# public dispatchers
-# ---------------------------------------------------------------------------
 
 def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
                zero_t: bool, t: float, rtol: float) -> tuple[float, float]:
@@ -311,22 +172,18 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
     t = 0 and the odd/even symmetry in sign of t.
     """
     a, b, in_u = initial_panels(t, omega_c)
-    if USE_NUMBA:
-        val, err, _ = _adaptive_ohmic_nb(a, b, in_u, kind, s, alpha, omega_c,
-                                         beta, zero_t, t, rtol, PANEL_CAP)
-        return val, err
 
     def f(w):
-        return _ohmic_values_np(w, kind, s, alpha, omega_c, beta, zero_t, t)
+        return _ohmic_values(w, kind, s, alpha, omega_c, beta, zero_t, t)
 
-    val, err, _ = _adaptive_np(f, a, b, in_u, omega_c, rtol)
+    val, err, _ = _adaptive(f, a, b, in_u, omega_c, rtol)
     return val, err
 
 
 def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
                    beta: float, zero_t: bool, t: float,
                    rtol: float) -> tuple[float, float]:
-    """Reservoir integral for a tabulated density (numpy path only).
+    """Reservoir integral for a tabulated density.
 
     The density is linearly interpolated between samples and taken as zero
     outside the tabulated range, so the integral runs over
@@ -345,18 +202,9 @@ def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
 
     def f(w):
         dens = np.interp(w, omega_s, density_s)
-        out = dens / w**2
-        if kind == 1:
-            return out * np.sin(w * t)
-        out = out * 2.0 * np.sin(0.5 * w * t) ** 2
-        if zero_t:
-            return out
-        x = 0.5 * beta * w
-        cth = np.where(x < 1e-4, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
-                       1.0 / np.tanh(np.where(x > 0, x, 1.0)))
-        return out * cth
+        return _times_kernel(dens / w**2, w, kind, beta, zero_t, t)
 
-    val, err, _ = _adaptive_np(f, a, b, in_u, 1.0, rtol)
+    val, err, _ = _adaptive(f, a, b, in_u, 1.0, rtol)
     return val, err
 
 
@@ -364,8 +212,6 @@ def dephasing_multipliers(energies: np.ndarray, t: float, q1t: float,
                           q2t: float) -> np.ndarray:
     """Matrix M[j, k] = exp(-i (E_j - E_k) t - i (E_j^2 - E_k^2) q1 - (E_j - E_k)^2 q2)."""
     energies = np.ascontiguousarray(energies, dtype=np.float64)
-    if USE_NUMBA:
-        return _multipliers_nb(energies, float(t), float(q1t), float(q2t))
     de = energies[:, None] - energies[None, :]
     sq = energies[:, None] ** 2 - energies[None, :] ** 2
     return np.exp(-1j * (de * t + sq * q1t) - de**2 * q2t)

@@ -6,7 +6,6 @@ the recorded lines.
 """
 
 import math
-import os
 import subprocess
 import sys
 import warnings
@@ -324,14 +323,13 @@ kind = labels
 amp_0 = 0 0 0 : 0.7071067811865476 0
 amp_1 = 1 2 1 : 0 0.7071067811865476
 """)
-    env = dict(os.environ, CQDEPH_NUMBA="0")
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name
         res = subprocess.run(
             [sys.executable, "-m", "cqdeph", "dephasing",
              "--config", str(cfg), "--out", str(out)],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True,
         )
         assert res.returncode == 0, res.stderr
         outs.append(out)

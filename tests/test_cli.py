@@ -94,9 +94,8 @@ def _write(tmp_path, text, name="run.cfg"):
 
 
 def _cli(args, cwd=None):
-    env = dict(os.environ, CQDEPH_NUMBA="0")
     return subprocess.run([sys.executable, "-m", "cqdeph", *args],
-                          capture_output=True, text=True, env=env, cwd=cwd)
+                          capture_output=True, text=True, cwd=cwd)
 
 
 # ------------------------------------------------------------------ parsing
@@ -209,6 +208,26 @@ def test_table_path_resolves_relative_to_config(tmp_path):
     cfg = load_config(_write(tmp_path, body))
     assert os.path.isabs(cfg.bath_table)
     assert os.path.isfile(cfg.bath_table)
+
+
+def test_tabulated_bath_rejects_ohmic_keys(tmp_path):
+    w = np.linspace(0.01, 20.0, 50)
+    np.savetxt(tmp_path / "dens.txt", np.column_stack([w, 0.1 * w]))
+    body = DEPHASING_BODY.replace(
+        "family = ohmic\ncoupling = 0.1\nomega_c = 1 Hz_rad",
+        "family = tabulated\ntable = dens.txt\nomega_c = 5 Hz_rad\n"
+        "exponent = 3")
+    with pytest.raises(ConfigError, match=r"line 16: unknown key 'omega_c'"):
+        load_config(_write(tmp_path, body))
+
+
+def test_ohmic_bath_rejects_table(tmp_path):
+    w = np.linspace(0.01, 20.0, 50)
+    np.savetxt(tmp_path / "dens.txt", np.column_stack([w, 0.1 * w]))
+    body = DEPHASING_BODY.replace("omega_c = 1 Hz_rad",
+                                  "omega_c = 1 Hz_rad\ntable = dens.txt")
+    with pytest.raises(ConfigError, match=r"line 17: unknown key 'table'"):
+        load_config(_write(tmp_path, body))
 
 
 # ------------------------------------------------------- echo and resolution

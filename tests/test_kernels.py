@@ -1,4 +1,4 @@
-"""Quadrature and multiplier kernels; numba and numpy paths must agree."""
+"""Quadrature and multiplier kernels."""
 
 import math
 
@@ -8,13 +8,9 @@ import pytest
 from cqdeph import kernels
 from cqdeph.errors import NumericsError
 
-needs_numba = pytest.mark.skipif(not kernels.HAS_NUMBA,
-                                 reason="numba not installed")
-
 
 def test_active_backend_consistent():
-    assert kernels.active_backend() == (
-        "numba" if kernels.USE_NUMBA else "numpy")
+    assert kernels.active_backend() == "numpy"
 
 
 def test_initial_panels_structure():
@@ -58,37 +54,6 @@ def test_multipliers_hermitian_up_to_conjugate():
     e = rng.normal(size=8)
     m = kernels.dephasing_multipliers(e, 1.3, 0.05, 0.02)
     assert np.allclose(m, m.conj().T)
-
-
-@needs_numba
-def test_backends_agree_on_quadrature(monkeypatch):
-    cases = [
-        (1, 1.0, math.inf, True, 0.7),
-        (2, 1.0, math.inf, True, 2.0),
-        (2, 1.0, 1.0, False, 5.0),
-        (1, 3.0, math.inf, True, 12.0),
-        (2, 0.5, 2.0, False, 0.3),
-    ]
-    for kind, s, beta, zero_t, t in cases:
-        monkeypatch.setattr(kernels, "USE_NUMBA", True)
-        v_nb, e_nb = kernels.quad_ohmic(kind, s, 0.1, 1.0, beta, zero_t, t,
-                                        1e-9)
-        monkeypatch.setattr(kernels, "USE_NUMBA", False)
-        v_np, e_np = kernels.quad_ohmic(kind, s, 0.1, 1.0, beta, zero_t, t,
-                                        1e-9)
-        assert v_nb == pytest.approx(v_np, rel=1e-10, abs=1e-14)
-        assert e_nb >= 0 and e_np >= 0
-
-
-@needs_numba
-def test_backends_agree_on_multipliers(monkeypatch):
-    rng = np.random.default_rng(11)
-    e = rng.normal(size=30)
-    monkeypatch.setattr(kernels, "USE_NUMBA", True)
-    m_nb = kernels.dephasing_multipliers(e, 0.9, 0.07, 0.03)
-    monkeypatch.setattr(kernels, "USE_NUMBA", False)
-    m_np = kernels.dephasing_multipliers(e, 0.9, 0.07, 0.03)
-    assert np.max(np.abs(m_nb - m_np)) < 1e-14
 
 
 def test_quad_tabulated_matches_interpolant():
