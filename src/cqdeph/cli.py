@@ -14,11 +14,12 @@ error, as is any unknown key or section.  All quantities are normalized to
 SI at load time: angular frequencies in rad/s, times in seconds, energies in
 Joules (entered as frequencies, i.e. E/hbar, or directly in J).
 
-Every run writes ``report.json`` plus ``config_echo.cfg`` into the output
-directory; the echo is normalized to base units and loads back into the
-identical RunConfig.  Scenario payloads: ``device`` adds nothing else,
-``spectrum`` adds ``levels.csv``, ``dephasing`` adds ``trajectory.csv`` and
-``observables.csv``.  CSV cells are printed with 17 significant digits so
+Every successful run writes ``report.json`` plus ``config_echo.cfg`` into
+the output directory; the echo is normalized to base units and loads back
+into the identical RunConfig, and the report lists the warnings the run
+raised under ``warnings``.  Scenario payloads: ``device`` adds nothing
+else, ``spectrum`` adds ``levels.csv``, ``dephasing`` adds
+``trajectory.csv`` and ``observables.csv``.  CSV cells are printed with 17 significant digits so
 repeated runs are byte-identical.
 
 Exit codes: 0 success, 1 config or argument error, 2 capacity or numeric
@@ -32,6 +33,7 @@ import json
 import math
 import os
 import sys
+import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 
@@ -381,17 +383,29 @@ def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str):
     return (*label, _number(parts[0], key, line), _number(parts[1], key, line))
 
 
+# lower bounds of single keys; the model enforces them too, but only the
+# parser knows the line
+_LOWER_BOUNDS = {
+    "bath": (("beta", ">"), ("coupling", ">="), ("exponent", ">"),
+             ("omega_c", ">"), ("temperature", ">=")),
+    "grid": (("t_start", ">="),),
+    "spectrum": (("tol", ">"),),
+}
+
+
 def _cross_key_rules(section: str, vals: dict, lines: dict, header) -> None:
-    """The checks that a single row of the key table cannot express."""
+    """Value bounds, and the checks that one row of the key table cannot
+    express."""
+    if section == "bath" and "beta" in vals and "temperature" in vals:
+        raise ConfigError("give either 'beta' or 'temperature', not both",
+                          lines["temperature"])
+    for key, op in _LOWER_BOUNDS.get(section, ()):
+        value = vals.get(key, 1.0)
+        if not (value > 0 if op == ">" else value >= 0):
+            raise ConfigError(f"{key} must be {op} 0, got {value}", lines[key])
     if section == "bath":
-        if "beta" in vals and "temperature" in vals:
-            raise ConfigError("give either 'beta' or 'temperature', not both",
-                              lines["temperature"])
         if "temperature" in vals:
             t_kelvin = vals["temperature"]
-            if t_kelvin < 0:
-                raise ConfigError("temperature must be >= 0",
-                                  lines["temperature"])
             # beta multiplies angular frequency, so it is hbar/(k_B T), seconds
             vals["beta"] = (math.inf if t_kelvin == 0
                             else HBAR_SI / (K_B_SI * t_kelvin))
@@ -418,10 +432,6 @@ def _cross_key_rules(section: str, vals: dict, lines: dict, header) -> None:
         if not vals["pair"]:
             raise ConfigError("[pairs] needs at least one pair_<k> line",
                               header)
-    elif section == "spectrum":
-        if vals.get("tol", 1.0) <= 0:
-            raise ConfigError(f"tol must be > 0, got {vals['tol']}",
-                              lines["tol"])
 
 
 def _parse_section(section: str, entries: dict, headers: dict,
@@ -836,25 +846,36 @@ def _run_validate(cfg: RunConfig, out_dir: str, tol) -> tuple[dict, list]:
 def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
     """Execute one scenario, writing report.json and config_echo.cfg.
 
-    Returns the report tree.  A failed validate scenario raises
-    ValidationFailure after all files are written.
+    Returns the report tree.  Both files are written only after the
+    scenario has computed its payload, so a run that raises leaves neither.
+    The messages of the warnings raised on the way are kept, in order,
+    under ``warnings``; a run that raises shows them on stderr instead.
     """
     os.makedirs(out_dir, exist_ok=True)
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            # "always": a repeated run in one process records the same list
+            warnings.simplefilter("always")
+            if cfg.scenario == "device":
+                payload = _run_device(cfg, out_dir)
+            elif cfg.scenario == "spectrum":
+                payload = _run_spectrum(cfg, out_dir, tol)
+            elif cfg.scenario == "dephasing":
+                payload = _run_dephasing(cfg, out_dir, tol)
+            else:
+                payload, _ = _run_validate(cfg, out_dir, tol)
+    except Exception:
+        # no report will list them, so show them as Python would have
+        for w in caught:
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        raise
     _write_text(os.path.join(out_dir, "config_echo.cfg"), render_config(cfg))
-
-    if cfg.scenario == "device":
-        payload = _run_device(cfg, out_dir)
-    elif cfg.scenario == "spectrum":
-        payload = _run_spectrum(cfg, out_dir, tol)
-    elif cfg.scenario == "dephasing":
-        payload = _run_dephasing(cfg, out_dir, tol)
-    else:
-        payload, _ = _run_validate(cfg, out_dir, tol)
 
     report = {
         "scenario": cfg.scenario,
         "version": __version__,
         "provenance": {"config_echo": "config_echo.cfg"},
+        "warnings": [str(w.message) for w in caught],
     }
     report.update(payload)
     _write_text(
@@ -909,6 +930,8 @@ def main(argv=None) -> int:
                 f"config declares scenario {cfg.scenario!r} but subcommand "
                 f"{args.command!r} was invoked")
         report = run(cfg, args.out, tol=args.tol)
+        for message in report["warnings"]:
+            print(f"cqdeph: warning: {message}", file=sys.stderr)
         print(f"{args.command}: {_summary_line(report)}")
         print(f"report: {os.path.join(args.out, 'report.json')}")
         if cfg.scenario == "validate" and not report["all_passed"]:

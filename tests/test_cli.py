@@ -86,6 +86,15 @@ amp_1 = 0 1 0 : 0 0.7071067811865476
 pair_0 = 0 1 0 : 0 0 0
 """
 
+# the truncation tail of alpha = 1.5 at n_max_a = 1 raises a warning
+COHERENT_BODY = DEPHASING_BODY.replace(
+    "kind = labels\namp_0 = 0 0 0 : 0.7071067811865476 0\n"
+    "amp_1 = 0 1 0 : 0 0.7071067811865476\n",
+    "kind = coherent\nmode = A\nalpha_re = 1.5\n")
+
+SHIPPED_DEPHASING = os.path.join(os.path.dirname(__file__), os.pardir,
+                                 "configs", "dephasing_dfs.cfg")
+
 
 def _write(tmp_path, text, name="run.cfg"):
     p = tmp_path / name
@@ -189,6 +198,20 @@ def test_temperature_converts_to_beta(tmp_path):
 def test_comments_and_blank_lines_ignored(tmp_path):
     body = "# top\nscenario = validate  # trailing\n\n# done\n"
     assert load_config(_write(tmp_path, body)).scenario == "validate"
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("beta", "-2 s"), ("t_start", "-1 s"), ("coupling", "-0.1"),
+    ("exponent", "0"), ("omega_c", "0 Hz_rad"),
+])
+def test_model_bounds_rejected_at_their_line(tmp_path, key, bad):
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(key + " "))
+    lines[at] = f"{key} = {bad}"
+    with pytest.raises(ConfigError, match=f"{key} must be") as err:
+        load_config(_write(tmp_path, "\n".join(lines) + "\n"))
+    assert err.value.line == at + 1
 
 
 def test_missing_table_file(tmp_path):
@@ -343,6 +366,17 @@ def test_run_validate_report(tmp_path):
     assert report["check_count"] == report["passed_count"]
 
 
+def test_run_records_warnings_in_report(tmp_path):
+    cfg = load_config(_write(tmp_path, COHERENT_BODY))
+    texts = []
+    for name in ("a", "b"):
+        report = run(cfg, str(tmp_path / name))
+        assert len(report["warnings"]) == 1
+        assert "coherent state truncation tail" in report["warnings"][0]
+        texts.append((tmp_path / name / "report.json").read_bytes())
+    assert texts[0] == texts[1]
+
+
 # --------------------------------------------------------------- subprocess
 
 def test_cli_spectrum_subprocess(tmp_path):
@@ -374,6 +408,17 @@ def test_cli_capacity_exit_2(tmp_path):
     res = _cli(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.returncode == 2
     assert "numeric error" in res.stderr
+    assert not (tmp_path / "o" / "config_echo.cfg").exists()
+
+
+def test_cli_failed_run_still_shows_its_warnings(tmp_path):
+    # the coherent state warns, then t = 1000 exceeds the quadrature panel cap
+    body = COHERENT_BODY.replace("t_stop = 20 s", "t_stop = 1000 s")
+    cfg = _write(tmp_path, body)
+    res = _cli(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.returncode == 2
+    assert "coherent state truncation tail" in res.stderr
+    assert not (tmp_path / "o" / "config_echo.cfg").exists()
 
 
 def test_cli_validation_failure_exit_3(tmp_path):

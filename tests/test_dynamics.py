@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from cqdeph.bath import BathState, OhmicSpectralDensity, q1, q2
+from cqdeph.bath import (
+    BathState,
+    OhmicSpectralDensity,
+    q1,
+    q1_grid,
+    q2,
+    q2_grid,
+)
 from cqdeph.device import EffectiveParams
 from cqdeph.dynamics import (
     FiniteBathSpec,
@@ -14,7 +21,8 @@ from cqdeph.dynamics import (
 )
 from cqdeph.errors import CapacityError, InvalidArgumentError
 from cqdeph.hilbert import FockCutoff, StateVector, TensorBasisLabel
-from cqdeph.spectrum import eigenvalue
+from cqdeph.kernels import dephasing_multipliers
+from cqdeph.spectrum import eigenvalue, energies_vector
 
 OHMIC = OhmicSpectralDensity(coupling=0.1, exponent=1.0, omega_c=1.0)
 
@@ -182,14 +190,98 @@ def test_finite_bath_oracle_warns_on_large_displacement(rng):
         finite_bath_oracle(psi.density(), eff, spec, np.array([1.0]))
 
 
-def test_finite_bath_capacity():
+def _dense_reduced(rho0, eff, spec, t_grid):
+    """Reference propagation: diagonalize the dense composite Hamiltonian."""
+    rho_s = np.array(rho0.mat, dtype=complex)
+    energies = energies_vector(eff, rho0.cutoff)
+    dim_s = rho_s.shape[0]
+    dims_b = [c + 1 for c in spec.cutoffs]
+    dim_b = int(np.prod(dims_b))
+    renorm = sum(c * c / w for c, w in zip(spec.couplings, spec.frequencies))
+    h = np.kron(np.diag(energies + energies**2 * renorm), np.eye(dim_b))
+    rho_b = np.ones((1, 1))
+    for k, nbar in enumerate(spec.mean_occupations()):
+        b = np.diag(np.sqrt(np.arange(1, dims_b[k], dtype=float)), k=1)
+        left = np.eye(int(np.prod(dims_b[:k])))
+        right = np.eye(int(np.prod(dims_b[k + 1:])))
+        num = np.kron(np.kron(left, b.T @ b), right)
+        x = np.kron(np.kron(left, b + b.T), right)
+        h = h + spec.frequencies[k] * np.kron(np.eye(dim_s), num)
+        h = h + spec.couplings[k] * np.kron(np.diag(energies), x)
+        # 0.0 ** 0 == 1: the vacuum at nbar = 0
+        p = (nbar / (1.0 + nbar)) ** np.arange(dims_b[k])
+        rho_b = np.kron(rho_b, np.diag(p / p.sum()))
+    w, v = np.linalg.eigh(h)
+    rho_tilde = v.conj().T @ np.kron(rho_s, rho_b) @ v
+    out = []
+    for t in t_grid:
+        vt = v * np.exp(-1j * w * t)
+        rho_t = vt @ rho_tilde @ vt.conj().T
+        out.append(np.einsum("abcb->ac",
+                             rho_t.reshape(dim_s, dim_b, dim_s, dim_b)))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("spec, t_grid", [
+    (FiniteBathSpec((1.3, 2.7), (0.06, 0.12), (nb, nb)),
+     np.linspace(2.0, 20.0, 5)) for nb in (2, 3, 4)
+] + [(FiniteBathSpec((1.3,), (0.05,), (7,), occupations=(0.2,)),
+      np.linspace(1.0, 10.0, 4))])
+def test_finite_bath_oracle_matches_dense_reference(spec, t_grid):
+    cut = FockCutoff(1, 1)
+    eff = _eff(omega_a_prime=1.0, chi=0.3)
+    gen = np.random.default_rng(7)
+    rho0 = StateVector.normalized(
+        gen.normal(size=cut.dim) + 1j * gen.normal(size=cut.dim),
+        cut).density()
+    rep = finite_bath_oracle(rho0, eff, spec, t_grid)
+    dense = _dense_reduced(rho0, eff, spec, t_grid)
+    assert np.max(np.abs(rep.reduced - dense)) <= 1e-12
+
+
+def test_finite_bath_no_composite_cap():
+    # composite dimension 32000; the factored propagation never forms it
     cut = FockCutoff(3, 3)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0),
+                             TensorBasisLabel(1, 0, 0)]).density()
     spec = FiniteBathSpec(frequencies=(1.0, 2.0, 3.0),
                           couplings=(0.01, 0.01, 0.01),
                           cutoffs=(9, 9, 9))
-    with pytest.raises(CapacityError):
-        finite_bath_oracle(rho0, _eff(), spec, np.array([1.0]))
+    rep = finite_bath_oracle(rho0, _eff(), spec, np.array([1.0]))
+    assert rep.total_dim == 32000
+    assert rep.max_deviation < 1e-6
+
+
+def test_finite_bath_continuum_limit():
+    # 120 Gauss-Legendre modes sample D(w) on [0, 40]; the discrete sums and
+    # the exact propagation must reproduce the adaptive quadrature of Q1/Q2
+    model = OhmicSpectralDensity(0.05, exponent=3.0, omega_c=1.0)
+    nodes, weights = np.polynomial.legendre.leggauss(120)
+    ws = 20.0 * (nodes + 1.0)
+    cs = np.sqrt(model.density(ws) * 20.0 * weights)
+    spec = FiniteBathSpec(tuple(ws), tuple(cs), (3,) * 120)
+    cut = FockCutoff(1, 1)
+    eff = _eff(omega_a_prime=1.0, chi=0.3)
+    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0),
+                             TensorBasisLabel(1, 1, 0),
+                             TensorBasisLabel(1, 0, 1)]).density()
+    t = np.linspace(0.5, 6.0, 6)
+    rep = finite_bath_oracle(rho0, eff, spec, t)
+    assert rep.total_dim == cut.dim * 4 ** 120
+    q1_vals = q1_grid(model, t)
+    q2_vals = q2_grid(model, BathState(), t)
+    assert np.max(np.abs(rep.q1_vals - q1_vals)) < 1e-12
+    assert np.max(np.abs(rep.q2_vals - q2_vals)) < 1e-12
+    energies = energies_vector(eff, cut)
+    closed = np.array([
+        rho0.mat * dephasing_multipliers(energies, tk, a, b)
+        for tk, a, b in zip(t, q1_vals, q2_vals)])
+    assert np.max(np.abs(rep.reduced - closed)) < 1e-6
+
+
+def test_finite_bath_spec_needs_a_mode():
+    with pytest.raises(InvalidArgumentError, match="mode count"):
+        FiniteBathSpec((), (), ())
 
 
 def test_dispersive_check_fidelity_high_in_regime():
