@@ -39,7 +39,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import __version__, validation
+from . import __version__, hilbert, validation
 from .bath import (
     DEFAULT_RTOL,
     BathState,
@@ -58,7 +58,7 @@ from .device import (
     effective_couplings,
     regime_report,
 )
-from .dynamics import check_snapshot_capacity, evolve_reduced, observables
+from .dynamics import evolve_reduced, observables
 from .errors import (
     CapacityError,
     ConfigError,
@@ -280,9 +280,12 @@ def _tokenize(path: str) -> tuple[dict, dict]:
 
 def _number(raw: str, key: str, line: int) -> float:
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError(f"{key}: not a number: {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {raw!r}", line)
+    return value
 
 
 def _integer(raw: str, key: str, line: int) -> int:
@@ -759,7 +762,7 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
 def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
     # refuse before materializing a dim x dim density matrix
-    check_snapshot_capacity(cfg.grid_count, cfg.cutoff.dim)
+    hilbert.check_dense_dim(cfg.cutoff)
     rho0 = _initial_state(cfg).density()
     model = _bath_model(cfg)
     state = BathState(beta=cfg.beta)
@@ -777,10 +780,9 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     legend = []
     for k, rec in enumerate(traj.pairs):
         name = f"p{k}"
-        element = traj.snapshots[:, rec.row, rec.col]
         header += [f"abs_{name}", f"arg_{name}", f"gamma_{name}",
                    f"dphi_{name}"]
-        columns += [np.abs(element), np.angle(element), rec.damping,
+        columns += [np.abs(rec.element), np.angle(rec.element), rec.damping,
                     rec.phase]
         legend.append({
             "column": name,

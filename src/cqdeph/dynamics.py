@@ -7,7 +7,8 @@ multiplies each density-matrix element by
     exp(-i dE t) * exp(-i (E'^2 - E^2) Q1(t)) * exp(-(dE)^2 Q2(t))
 
 with the level energies from :mod:`cqdeph.spectrum` used for all three
-factors.  Populations are exactly frozen; only coherences move.
+factors.  Populations are exactly frozen; only coherences move, and a zero
+of rho0 stays zero, so `evolve_reduced` works on the support of rho0 alone.
 
 Two independent validators live here as well: a finite-mode bath propagated
 exactly, one displaced oscillator per mode and system energy
@@ -44,16 +45,8 @@ from .hilbert import (
 
 OBSERVABLE_NAMES = ("purity", "qubit_coherence", "fidelity_to_initial")
 
-# largest number of complex elements a trajectory's snapshots may hold
+# largest number of complex elements DephasingTrajectory.snapshots may hold
 SNAPSHOT_CAP = 50_000_000
-
-
-def check_snapshot_capacity(n_times: int, dim: int) -> None:
-    """Raise CapacityError when n_times dim x dim snapshots exceed SNAPSHOT_CAP."""
-    if n_times * dim ** 2 > SNAPSHOT_CAP:
-        raise CapacityError(
-            f"trajectory would hold {n_times} snapshots of a "
-            f"{dim}x{dim} matrix; shrink the grid or cutoff")
 
 
 @dataclass(frozen=True)
@@ -68,28 +61,58 @@ class PairRecord:
     square_diff: float
     phase: np.ndarray     # dphi(t) = (E_row^2 - E_col^2) Q1(t)
     damping: np.ndarray   # Gamma(t) = (E_row - E_col)^2 Q2(t)
+    element: np.ndarray   # rho[row, col](t)
 
 
 @dataclass(frozen=True)
 class DephasingTrajectory:
+    """Observables of rho(t) = rho0 * M(t) at each grid time.
+
+    rho(t) itself is not stored; ``snapshots`` rebuilds it on each access.
+    """
+
     cutoff: FockCutoff
     t_grid: np.ndarray
     rho0: np.ndarray
-    snapshots: np.ndarray       # (nt, dim, dim)
     energies: np.ndarray
     q1_vals: np.ndarray
     q2_vals: np.ndarray
     pairs: tuple[PairRecord, ...]
+    purity: np.ndarray
+    qubit_coherence: np.ndarray
+    fidelity_to_initial: np.ndarray
 
     @property
     def dim(self) -> int:
         return self.rho0.shape[0]
+
+    @property
+    def snapshots(self) -> np.ndarray:
+        """rho(t) at every grid time, (nt, dim, dim), built on each access."""
+        return _closed_form(self.rho0, self.energies, self.t_grid,
+                            self.q1_vals, self.q2_vals)
+
+
+def _closed_form(rho0: np.ndarray, energies: np.ndarray, t: np.ndarray,
+                 q1_vals: np.ndarray, q2_vals: np.ndarray) -> np.ndarray:
+    """rho0 * M(t) for every grid time, filled into one (nt, dim, dim) array."""
+    dim = rho0.shape[0]
+    if t.size * dim ** 2 > SNAPSHOT_CAP:
+        raise CapacityError(f"{t.size} snapshots of a {dim}x{dim} matrix "
+                            "exceed SNAPSHOT_CAP; shrink the grid or cutoff")
+    out = np.empty((t.size, dim, dim), dtype=complex)
+    for k in range(t.size):
+        out[k] = rho0 * kernels.dephasing_multipliers(
+            energies, float(t[k]), float(q1_vals[k]), float(q2_vals[k]))
+    return out
 
 
 def _check_t_grid(t_grid) -> np.ndarray:
     t = np.asarray(t_grid, dtype=float)
     if t.ndim != 1 or t.size == 0:
         raise InvalidArgumentError("t_grid must be a nonempty 1-D array")
+    if not np.all(np.isfinite(t)):
+        raise InvalidArgumentError("t_grid entries must be finite")
     if t[0] < 0 or np.any(np.diff(t) <= 0):
         raise InvalidArgumentError(
             "t_grid must be strictly increasing and non-negative"
@@ -113,12 +136,16 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
 
     Q1/Q2 are evaluated once per grid time and shared by all element pairs.
     ``pairs`` selects which coherences get PairRecords (defaults to every
-    nonzero element above the diagonal of rho0); the snapshots always cover
-    the full matrix.
+    nonzero element above the diagonal of rho0).  One pass over the grid
+    evolves the block of rho0 on its support S (the rows with a nonzero
+    entry) and keeps the observables.  Uhlmann's fidelity
+    (Tr sqrt(sqrt(rho0) rho sqrt(rho0)))^2 is taken on the range of rho0:
+    with the eigenpairs (w, V) of rho0 above w_max |S| eps and
+    W = V sqrt(w), sqrt(rho0) rho sqrt(rho0) has the eigenvalues of
+    W^dag rho W.  For a pure state that is <psi|rho|psi>, so F(0) = 1.
     """
     cutoff = _need_cutoff(rho0)
     t = _check_t_grid(t_grid)
-    check_snapshot_capacity(t.size, cutoff.dim)
     require_density_matrix(rho0)
     rho = np.array(rho0.mat, dtype=complex)
 
@@ -126,16 +153,25 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     q1_vals = bath.q1_grid(model, t, rtol)
     q2_vals = bath.q2_grid(model, state, t, rtol)
 
-    snaps = np.empty((t.size, rho.shape[0], rho.shape[0]), dtype=complex)
+    support = np.flatnonzero(np.any(rho != 0, axis=1))
+    rho_s, e_s = rho[np.ix_(support, support)], energies[support]
+    # the qubit coherence sums rho[x, x + dim_a dim_b] over x
+    qubit = np.subtract.outer(support, support) == -cutoff.dim_a * cutoff.dim_b
+    w, v = np.linalg.eigh(rho_s)
+    keep = w > w[-1] * support.size * np.finfo(float).eps
+    root = v[:, keep] * np.sqrt(w[keep])
+    series = []
     for k in range(t.size):
-        mult = kernels.dephasing_multipliers(
-            energies, float(t[k]), float(q1_vals[k]), float(q2_vals[k])
-        )
-        snaps[k] = rho * mult
+        blk = rho_s * kernels.dephasing_multipliers(
+            e_s, float(t[k]), float(q1_vals[k]), float(q2_vals[k]))
+        lam = np.clip(np.linalg.eigvalsh(root.conj().T @ blk @ root), 0.0, None)
+        series.append((np.einsum("ij,ji->", blk, blk).real,
+                       blk[qubit].sum(), np.sum(np.sqrt(lam)) ** 2))
+    purity, coherence, fidelity = (np.array(x) for x in zip(*series))
 
     if pairs is None:
-        rows, cols = np.nonzero(np.triu(np.abs(rho), k=1))
-        req = list(zip(rows.tolist(), cols.tolist()))
+        rows, cols = np.nonzero(np.triu(np.abs(rho_s), k=1))
+        req = list(zip(support[rows].tolist(), support[cols].tolist()))
     else:
         req = []
         for pa, pb in pairs:
@@ -147,32 +183,23 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
 
     records = []
     for row, col in req:
+        # from_flat rejects an index outside the space before it is used
+        label_row = TensorBasisLabel.from_flat(row, cutoff)
+        label_col = TensorBasisLabel.from_flat(col, cutoff)
         de = float(energies[row] - energies[col])
         sq = float(energies[row] ** 2 - energies[col] ** 2)
+        phase = sq * q1_vals
+        damping = de * de * q2_vals
         records.append(PairRecord(
-            row=row, col=col,
-            label_row=TensorBasisLabel.from_flat(row, cutoff),
-            label_col=TensorBasisLabel.from_flat(col, cutoff),
-            delta_e=de, square_diff=sq,
-            phase=sq * q1_vals, damping=de * de * q2_vals,
+            row=row, col=col, label_row=label_row, label_col=label_col,
+            delta_e=de, square_diff=sq, phase=phase, damping=damping,
+            element=rho[row, col] * np.exp(-1j * (de * t + phase) - damping),
         ))
     return DephasingTrajectory(
-        cutoff=cutoff, t_grid=t, rho0=rho, snapshots=snaps,
-        energies=energies, q1_vals=q1_vals, q2_vals=q2_vals,
-        pairs=tuple(records),
+        cutoff=cutoff, t_grid=t, rho0=rho, energies=energies,
+        q1_vals=q1_vals, q2_vals=q2_vals, pairs=tuple(records),
+        purity=purity, qubit_coherence=coherence, fidelity_to_initial=fidelity,
     )
-
-
-def _sqrtm_psd(rho: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh(rho)
-    w = np.clip(w, 0.0, None)
-    return (v * np.sqrt(w)) @ v.conj().T
-
-
-def _uhlmann(rho_a: np.ndarray, rho_b: np.ndarray) -> float:
-    s = _sqrtm_psd(rho_a)
-    lam = np.linalg.eigvalsh(s @ rho_b @ s)
-    return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))) ** 2)
 
 
 def observables(traj: DephasingTrajectory, which: str) -> np.ndarray:
@@ -185,21 +212,10 @@ def observables(traj: DephasingTrajectory, which: str) -> np.ndarray:
                          against rho(0) -- the three-factor system is itself
                          the subsystem left after the reservoir trace
     """
-    snaps = traj.snapshots
-    if which == "purity":
-        return np.einsum("tij,tji->t", snaps, snaps).real
-    if which == "qubit_coherence":
-        dab = traj.cutoff.dim_a * traj.cutoff.dim_b
-        qubit = np.einsum(
-            "tiaja->tij", snaps.reshape(-1, 2, dab, 2, dab)
-        )
-        return qubit[:, 0, 1]
-    if which == "fidelity_to_initial":
-        return np.array([_uhlmann(traj.rho0, snaps[k])
-                         for k in range(snaps.shape[0])])
-    raise InvalidArgumentError(
-        f"unknown observable {which!r}; expected one of {OBSERVABLE_NAMES}"
-    )
+    if which not in OBSERVABLE_NAMES:
+        raise InvalidArgumentError(
+            f"unknown observable {which!r}; expected one of {OBSERVABLE_NAMES}")
+    return getattr(traj, which)
 
 
 @dataclass(frozen=True)
@@ -363,13 +379,7 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
         [2.0 * np.sum(weight * np.sin(0.5 * ws * tk) ** 2 * coth) for tk in t]
     )
 
-    analytic = np.empty_like(reduced)
-    for k, tk in enumerate(t):
-        mult = kernels.dephasing_multipliers(
-            energies, float(tk), float(q1_vals[k]), float(q2_vals[k])
-        )
-        analytic[k] = rho_s * mult
-
+    analytic = _closed_form(rho_s, energies, t, q1_vals, q2_vals)
     deviation = np.max(np.abs(reduced - analytic), axis=(1, 2))
     return FiniteBathReport(
         t_grid=t, reduced=reduced, analytic=analytic, deviation=deviation,

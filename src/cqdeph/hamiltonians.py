@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .device import DeviceParams, EffectiveParams, qubit_frequency
-from .errors import CapacityError, InvalidArgumentError, NumericsError
+from .errors import InvalidArgumentError, NumericsError
 from .hilbert import (
     SIGMA_MINUS,
     SIGMA_PLUS,
@@ -45,6 +45,7 @@ from .hilbert import (
     FockCutoff,
     OperatorMatrix,
     annihilation,
+    check_dense_dim,
     hermiticity_defect,
     tensor3,
 )
@@ -90,13 +91,6 @@ class HamiltonianStage:
         return self.matrix.dim
 
 
-def _guard(cutoff: FockCutoff) -> None:
-    if cutoff.dim > 5000:
-        raise CapacityError(
-            f"stage dimension {cutoff.dim} exceeds the dense-matrix cap 5000"
-        )
-
-
 def _checked(stage: str, mat: np.ndarray, cutoff: FockCutoff) -> OperatorMatrix:
     defect = hermiticity_defect(mat)
     if defect >= _HERM_TOL:
@@ -128,7 +122,7 @@ def build_full(p: DeviceParams, eff: EffectiveParams,
     series expansion), so the only approximation at this stage is the Fock
     cutoff itself.
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     a = annihilation(cutoff.n_max_a).mat
     b = annihilation(cutoff.n_max_b).mat
     i2 = np.eye(2, dtype=complex)
@@ -159,7 +153,7 @@ def build_rotated(p: DeviceParams, eff: EffectiveParams,
     H'/hbar = w_a n_a + w_b n_b - g_a (a + a^dag) sigma_x
               + (E_J_max/hbar) cos[phi_b (b + b^dag)] sigma_z
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     if abs(eff.n_g_dc - 0.5) > 1e-12:
         raise InvalidArgumentError(
             f"build_rotated needs the charge degeneracy point n_g_dc = 1/2, "
@@ -207,7 +201,7 @@ def build_quadratic(p: DeviceParams, eff: EffectiveParams,
     The discarded remainder is O(phi_b^4 E_J_max); a warning is emitted for
     phi_b >= 0.2 where that is no longer comfortably small.
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     if eff.phi_b >= 0.2:
         warnings.warn(
             f"phi_b = {eff.phi_b:.3g} >= 0.2: quadratic expansion error "
@@ -252,7 +246,7 @@ def build_jc(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff, *,
     * the non-secular squeeze term (E_J phi_b^2 / 2hbar)(b^2 + b^dag^2) sigma_z
       removed by the mode-B interaction picture.
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     a = annihilation(cutoff.n_max_a).mat
     ia = np.eye(cutoff.dim_a, dtype=complex)
     ib = np.eye(cutoff.dim_b, dtype=complex)
@@ -314,7 +308,7 @@ def build_dispersive(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
     Valid for |omega_q - omega_a| >> g_a; a warning reports the worst
     g_a/|detuning| over the kept n_b range.
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     wq = _wq_grid(eff, e_j_max, cutoff, hbar)
     lam = (eff.g_a**2 / eff.omega_a) * (1.0 + wq / eff.omega_a)
     m = np.arange(cutoff.dim_a, dtype=float)
@@ -350,7 +344,7 @@ def build_diagonal(eff: EffectiveParams, cutoff: FockCutoff) -> HamiltonianStage
     eigenvalue formula, which lives in :mod:`cqdeph.spectrum` as the
     independent route).
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     m = np.arange(cutoff.dim_a, dtype=float)[:, None]
     n = np.arange(cutoff.dim_b, dtype=float)[None, :]
     h0 = eff.omega_a_prime * m - eff.chi * m * n
@@ -367,7 +361,7 @@ def frame_free_part(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
     frame of the diagonal stage; adding it to the diagonal stage lands back
     in the mode-B picture of the jc/dispersive stages.
     """
-    _guard(cutoff)
+    check_dense_dim(cutoff)
     wq = _wq_grid(eff, e_j_max, cutoff, hbar)
     m = np.arange(cutoff.dim_a, dtype=float)
     sz = np.array([-1.0, 1.0])

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import CapacityError, InvalidArgumentError
 
 __all__ = [
     "FockCutoff",
@@ -82,6 +82,16 @@ class FockCutoff:
     def dim(self) -> int:
         """Total composite dimension 2 * (n_max_a + 1) * (n_max_b + 1)."""
         return 2 * self.dim_a * self.dim_b
+
+
+DENSE_DIM_CAP = 5000  # largest dim of which a dense dim x dim matrix is built
+
+
+def check_dense_dim(cutoff: FockCutoff) -> None:
+    """Raise CapacityError when cutoff.dim exceeds DENSE_DIM_CAP."""
+    if cutoff.dim > DENSE_DIM_CAP:
+        raise CapacityError(
+            f"dimension {cutoff.dim} exceeds the dense-matrix cap {DENSE_DIM_CAP}")
 
 
 @dataclass(frozen=True, order=True)
@@ -301,7 +311,7 @@ def require_density_matrix(
     """Raise unless rho is hermitian, unit trace, positive semidefinite.
 
     Tolerances: trace within trace_tol of 1, hermiticity defect below 1e-10,
-    eigenvalues above -eig_tol.
+    eigenvalues above -eig_tol, taken on the block of the nonzero rows.
     """
     mat = rho.mat
     if hermiticity_defect(mat) > 1e-10:
@@ -309,7 +319,9 @@ def require_density_matrix(
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > trace_tol:
         raise InvalidArgumentError(f"density matrix trace {tr} deviates from 1")
-    evals = np.linalg.eigvalsh((mat + mat.conj().T) / 2.0)
+    herm = (mat + mat.conj().T) / 2.0
+    on = np.flatnonzero(np.any(herm != 0, axis=1))
+    evals = np.linalg.eigvalsh(herm[np.ix_(on, on)])
     if float(evals.min()) < -eig_tol:
         raise InvalidArgumentError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 

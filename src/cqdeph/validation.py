@@ -485,7 +485,7 @@ def _check_factorization() -> CheckResult:
             lamb = cmath.exp(-1j * bath.phase_shift(e_hi, e_lo, _OHMIC, t))
             damp = math.exp(-bath.damping(e_hi, e_lo, _OHMIC, t0, t))
             rebuilt = traj.rho0[rec.row, rec.col] * free * lamb * damp
-            worst = max(worst, abs(traj.snapshots[k][rec.row, rec.col] - rebuilt))
+            worst = max(worst, abs(rec.element[k] - rebuilt))
     return _row("factorization_reconstruction", worst, 1e-12,
                 "every evolved coherence factorizes into free phase x "
                 "reservoir phase x damping, rebuilt element by element")
@@ -503,7 +503,7 @@ def _check_dfs_constant_modulus() -> CheckResult:
     rho0 = StateVector.normalized(amp, cut).density()
     traj = evolve_reduced(rho0, eff, _OHMIC, bath.BathState(),
                           np.linspace(0.0, 50.0, 9), pairs=[(ia, ib)])
-    mods = np.abs(traj.snapshots[:, ia, ib])
+    mods = np.abs(traj.pairs[0].element)
     resid = np.max(np.abs(mods - mods[0]))
     return _row("dfs_constant_modulus", resid, 1e-12,
                 f"coherence between degenerate labels ({lab_a.m},{lab_a.n},"
@@ -518,9 +518,10 @@ def _check_offdiag_contraction() -> CheckResult:
     traj = evolve_reduced(rho0, eff, _OHMIC, bath.BathState(),
                           np.linspace(0.0, 10.0, 6))
     diag0 = np.diagonal(traj.rho0).real
+    snaps = traj.snapshots
     worst = max(
-        float(np.max(np.abs(np.diagonal(traj.snapshots, axis1=1, axis2=2) - diag0))),
-        max(0.0, float(np.max(np.abs(traj.snapshots) - np.abs(traj.rho0)))),
+        float(np.max(np.abs(np.diagonal(snaps, axis1=1, axis2=2) - diag0))),
+        max(0.0, float(np.max(np.abs(snaps) - np.abs(traj.rho0)))),
     )
     for rec in traj.pairs:
         worst = max(worst, max(0.0, float(np.max(rec.damping[:-1] - rec.damping[1:]))))

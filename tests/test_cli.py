@@ -10,7 +10,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cqdeph.cli import load_config, render_config, resolve_effective, run
+from cqdeph.cli import (
+    load_config,
+    main,
+    render_config,
+    resolve_effective,
+    run,
+)
 from cqdeph.device import HBAR_SI, K_B_SI
 from cqdeph.errors import ConfigError
 
@@ -212,6 +218,23 @@ def test_model_bounds_rejected_at_their_line(tmp_path, key, bad):
     with pytest.raises(ConfigError, match=f"{key} must be") as err:
         load_config(_write(tmp_path, "\n".join(lines) + "\n"))
     assert err.value.line == at + 1
+
+
+@pytest.mark.parametrize("key, bad", [
+    ("amp_0", "0 0 0 : nan 0"), ("chi", "nan Hz_rad"), ("coupling", "inf"),
+    ("t_stop", "inf s"), ("t_stop", "nan s"), ("omega_a", "inf Hz_rad"),
+])
+def test_non_finite_numbers_rejected_at_their_line(tmp_path, capsys, key,
+                                                   bad):
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(key + " "))
+    lines[at] = f"{key} = {bad}"
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"line {at + 1}: {key}: not a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "report.json").exists()
 
 
 def test_missing_table_file(tmp_path):

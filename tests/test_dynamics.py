@@ -20,7 +20,13 @@ from cqdeph.dynamics import (
     observables,
 )
 from cqdeph.errors import CapacityError, InvalidArgumentError
-from cqdeph.hilbert import FockCutoff, StateVector, TensorBasisLabel
+from cqdeph.hilbert import (
+    FockCutoff,
+    OperatorMatrix,
+    StateVector,
+    TensorBasisLabel,
+    coherent_state,
+)
 from cqdeph.kernels import dephasing_multipliers
 from cqdeph.spectrum import eigenvalue, energies_vector
 
@@ -124,12 +130,31 @@ def test_t_grid_validation():
         evolve_reduced(rho0, _eff(), OHMIC, BathState(), np.array([-1.0, 1.0]))
 
 
+def test_t_grid_rejects_non_finite_entries():
+    cut = FockCutoff(1, 1)
+    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    for bad in ([0.0, np.nan], [0.0, np.inf]):
+        with pytest.raises(InvalidArgumentError, match="finite"):
+            evolve_reduced(rho0, _eff(), OHMIC, BathState(), bad)
+
+
+def test_pair_index_outside_space_rejected():
+    cut = FockCutoff(1, 1)
+    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    with pytest.raises(InvalidArgumentError, match="outside dimension 8"):
+        evolve_reduced(rho0, _eff(), OHMIC, BathState(), [1.0],
+                       pairs=[(0, 8)])
+
+
 def test_capacity_guard_on_snapshots():
+    # 40 snapshots of dim 1250 exceed the cap; only reading them allocates
     cut = FockCutoff(24, 24)
     rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(),
+                          np.linspace(0.0, 1.0, 40))
+    assert np.allclose(traj.purity, 1.0)
     with pytest.raises(CapacityError):
-        evolve_reduced(rho0, _eff(), OHMIC, BathState(),
-                       np.linspace(0.0, 1.0, 40))
+        traj.snapshots
 
 
 def test_observables_behave():
@@ -151,6 +176,78 @@ def test_observables_behave():
     assert abs(coh[-1]) < 0.5
     with pytest.raises(InvalidArgumentError):
         observables(traj, "entropy")
+
+
+def _uhlmann(rho_a, rho_b):
+    """Reference fidelity: full-space matrix square root of rho_a."""
+    w, v = np.linalg.eigh(rho_a)
+    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    lam = np.linalg.eigvalsh(s @ rho_b @ s)
+    return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))) ** 2)
+
+
+def _mixed(cut, rng, rank, labels=None):
+    """Random density matrix of the given rank on labels (default: all)."""
+    idx = (np.arange(cut.dim) if labels is None
+           else [lab.flat_index(cut) for lab in labels])
+    g = np.zeros((cut.dim, rank), dtype=complex)
+    g[idx] = rng.normal(size=(len(idx), rank)) \
+        + 1j * rng.normal(size=(len(idx), rank))
+    rho = g @ g.conj().T
+    return OperatorMatrix(rho / np.trace(rho).real, cut)
+
+
+def test_pure_state_fidelity_exact_at_dim_512():
+    cut = FockCutoff(15, 15)
+    with pytest.warns(UserWarning, match="coherent state truncation"):
+        psi = coherent_state("A", 1.5, cut)
+    state = BathState(beta=2.0)
+    t = np.linspace(0.0, 50.0, 150)
+    traj = evolve_reduced(psi.density(), _eff(), OHMIC, state, t)
+    fid = observables(traj, "fidelity_to_initial")
+    assert abs(fid[0] - 1.0) <= 1e-14
+    assert np.all(fid <= 1.0 + 1e-14)
+    # <psi|rho(t)|psi> = Re sum_jk p_j p_k M_jk(t) with p = |psi|^2
+    p = np.abs(psi.vec) ** 2
+    on = p > 0
+    energies = energies_vector(_eff(), cut)[on]
+    want = [np.real(p[on] @ dephasing_multipliers(
+        energies, tk, q1k, q2k) @ p[on])
+        for tk, q1k, q2k in zip(t, traj.q1_vals, traj.q2_vals)]
+    assert np.max(np.abs(fid - want)) <= 1e-13
+
+
+def test_mixed_state_fidelity_matches_reference(rng):
+    cut = FockCutoff(1, 1)
+    t = np.linspace(0.0, 10.0, 6)
+    full = _mixed(cut, rng, rank=cut.dim)
+    traj = evolve_reduced(full, _eff(), OHMIC, BathState(), t)
+    ref = [_uhlmann(traj.rho0, snap) for snap in traj.snapshots]
+    assert np.max(np.abs(traj.fidelity_to_initial - ref)) <= 1e-12
+
+    rank2 = _mixed(cut, rng, rank=2)
+    traj = evolve_reduced(rank2, _eff(), OHMIC, BathState(), t)
+    assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-14
+
+
+def test_support_restriction_matches_snapshots(rng):
+    cut = FockCutoff(2, 3)
+    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
+              TensorBasisLabel(2, 1, 0), TensorBasisLabel(0, 0, 1),
+              TensorBasisLabel(1, 2, 1)]
+    rho0 = _mixed(cut, rng, rank=3, labels=labels)
+    traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
+                          np.linspace(0.0, 20.0, 9))
+    snaps = traj.snapshots
+    assert len(traj.pairs) == len(labels) * (len(labels) - 1) // 2
+    purity = np.einsum("tij,tji->t", snaps, snaps).real
+    dab = cut.dim_a * cut.dim_b
+    coherence = np.einsum("tiaja->tij", snaps.reshape(-1, 2, dab, 2, dab))
+    assert np.max(np.abs(traj.purity - purity)) <= 1e-14
+    assert np.max(np.abs(traj.qubit_coherence - coherence[:, 0, 1])) <= 1e-14
+    assert np.abs(traj.qubit_coherence[0]) > 0.01
+    for rec in traj.pairs:
+        assert np.max(np.abs(rec.element - snaps[:, rec.row, rec.col])) <= 1e-14
 
 
 def test_finite_bath_oracle_quick_agreement(rng):

@@ -15,6 +15,7 @@ from cqdeph.hilbert import (
     number_operator,
     number_state,
     partial_trace,
+    require_density_matrix,
     tensor3,
 )
 
@@ -124,6 +125,19 @@ def test_density_is_projector():
     rho = psi.density()
     assert np.allclose(rho.mat @ rho.mat, rho.mat)
     assert np.trace(rho.mat) == pytest.approx(1.0)
+
+
+def test_density_check_on_sparse_support():
+    # a block on labels 2 and 5 of dim 8; the other rows are zero
+    cut = FockCutoff(1, 1)
+    for off, ok in ((0.3, True), (0.7, False)):   # eigenvalues 0.5 +- off
+        mat = np.zeros((cut.dim, cut.dim))
+        mat[np.ix_([2, 5], [2, 5])] = [[0.5, off], [off, 0.5]]
+        if ok:
+            require_density_matrix(OperatorMatrix(mat, cut))
+        else:
+            with pytest.raises(InvalidArgumentError, match="negative eigen"):
+                require_density_matrix(OperatorMatrix(mat, cut))
 
 
 def test_coherent_state_poisson_weights():
