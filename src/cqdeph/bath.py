@@ -13,6 +13,12 @@ levels E1 and E2 (hbar = 1) then picks up the factor
 so energies, frequencies, 1/t, and 1/beta must share one frequency unit and
 the coupling strength is dimensionless in that system.
 
+Ohmic densities are integrated along the complex ray w = r e^{i pi/4}
+(``kernels.quad_ohmic``), whose cost barely grows with t, so they have no
+limit on t; tabulated densities keep real-axis panels that resolve the
+oscillation of sin(w t) and stop at ``kernels.PANEL_CAP``.  Every call
+checks that t is finite and that rtol is finite and positive.
+
 Closed forms (arctan / log for the strictly ohmic case) are deliberately NOT
 used here: the quadrature is the product, and tests compare it against those
 forms independently.
@@ -144,6 +150,10 @@ class QuadratureResult:
 
 def _dispatch(model, kind: int, beta: float, zero_t: bool, t: float,
               rtol: float) -> QuadratureResult:
+    if not math.isfinite(t):
+        raise InvalidArgumentError(f"t must be finite, got {t}")
+    if not (math.isfinite(rtol) and rtol > 0):
+        raise InvalidArgumentError(f"rtol must be finite and > 0, got {rtol}")
     # symmetry: q1 is odd in t, q2 even; both vanish at t = 0
     if t == 0.0:
         return QuadratureResult(0.0, 0.0)

@@ -675,15 +675,14 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], columns: list) -> None:
-    rows = len(columns[0]) if columns else 0
-    lines = [",".join(header)]
-    for k in range(rows):
-        cells = []
-        for col in columns:
-            v = col[k]
-            cells.append(str(v) if isinstance(v, (int, np.integer))
-                         else _g17(float(v)))
-        lines.append(",".join(cells))
+    # integer columns as plain ints, every other column as %.17g floats
+    cells = []
+    for col in columns:
+        arr = np.asarray(col)
+        values = arr.tolist()
+        cells.append([str(v) for v in values] if arr.dtype.kind in "iu"
+                     else [f"{v:.17g}" for v in values])
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
     _write_text(path, "\n".join(lines) + "\n")
 
 
@@ -852,7 +851,10 @@ def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
     scenario has computed its payload, so a run that raises leaves neither.
     The messages of the warnings raised on the way are kept, in order,
     under ``warnings``; a run that raises shows them on stderr instead.
+    A ``tol`` override must be finite and > 0, whatever the scenario.
     """
+    if tol is not None and not (math.isfinite(tol) and tol > 0):
+        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     os.makedirs(out_dir, exist_ok=True)
     try:
         with warnings.catch_warnings(record=True) as caught:

@@ -1,12 +1,14 @@
-"""Numeric hot paths: oscillatory panel quadrature and dephasing multipliers.
+"""Numeric hot paths: reservoir-integral quadrature and dephasing multipliers.
 
-Everything here is vectorized numpy.  The reservoir integrals are evaluated
-on panels that resolve the oscillation scale 2*pi/t: the head [0, w_c] is
-integrated directly, the tail is mapped to u in [0, 1) through
-w = w_c / (1 - u), and every panel is no wider than half an oscillation
-period.  Each panel uses the 15-point Gauss-Kronrod rule with the embedded
-7-point Gauss value as the error estimate; the worst panels are bisected
-until the summed estimate meets the relative tolerance.
+Everything here is vectorized numpy.  Panels get the 15-point Gauss-Kronrod
+rule with the embedded 7-point Gauss value as the error estimate, and the
+worst panels are bisected until the summed estimate meets the relative
+tolerance.  Ohmic densities are integrated along the ray w = r e^{i pi/4},
+where nothing oscillates (numerical steepest descent; Huybrechs and
+Vandewalle, SIAM J. Numer. Anal. 44, 1026 (2006)), on fixed-width panels in
+ln r, so their cost grows like ln(omega_c t) and t has no limit.  Tabulated
+densities are piecewise linear, not analytic, and keep real-axis panels of
+at most half an oscillation period, at most PANEL_CAP of them.
 """
 
 from __future__ import annotations
@@ -51,37 +53,29 @@ _W7 = np.array([
 for _arr in (_X15, _W15, _W7):
     _arr.flags.writeable = False
 
-PANEL_CAP = 16384
-_TAIL_STOP = 60.0  # integrate the mapped tail out to w = _TAIL_STOP * w_c, then one panel to u = 1
+PANEL_CAP = 16384  # real-axis panels of a tabulated density; see quad_tabulated
+
+_ROT = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, the integration ray
+_RAY_WIDTH = 0.6  # width of the initial ray panels in x = ln r
+_X_MIN = math.log(np.finfo(float).tiny)  # below this r = e^x is no longer a normal float
 
 
-def initial_panels(t: float, omega_c: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Panel edges (a, b, in_u) resolving oscillations of period 2*pi/t.
+def initial_panels(t: float, omega_c: float, s: float,
+                   rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Panel edges (a, b) in x = ln r along the ray w = r e^{i pi/4}.
 
-    Head panels live in w on [0, omega_c]; tail panels live in u with
-    w = omega_c / (1 - u).  Raises NumericsError when the oscillation scale
-    would need more panels than the refinement cap allows.
+    The panels have width _RAY_WIDTH and run from the head cut, where the
+    integrand has fallen to 1e-3 * rtol of its size at the scale
+    min(1/t, omega_c), to Re w = (40 + 2 s) omega_c, where exp(-w/omega_c)
+    ends it.  Their count grows like ln(omega_c t), not like t.
     """
     if t <= 0.0:
         raise NumericsError("initial_panels needs t > 0")
-    half_period = math.pi / t
-    head_w = min(half_period, omega_c / 4.0)
-    n_head = max(4, int(math.ceil(omega_c / head_w)))
-    tail_w = min(half_period, omega_c / 2.0)
-    n_tail = int(math.ceil((_TAIL_STOP - 1.0) * omega_c / tail_w))
-    if n_head + n_tail + 1 > PANEL_CAP // 2:
-        raise NumericsError(
-            f"t = {t:g} needs {n_head + n_tail + 1} oscillation-resolved panels, "
-            f"beyond the capacity {PANEL_CAP // 2}; reduce t or omega_c * t"
-        )
-    head_edges = np.linspace(0.0, omega_c, n_head + 1)
-    omega_edges = omega_c + tail_w * np.arange(n_tail + 1)
-    u_edges = 1.0 - omega_c / omega_edges
-    a = np.concatenate([head_edges[:-1], u_edges[:-1], [u_edges[-1]]])
-    b = np.concatenate([head_edges[1:], u_edges[1:], [1.0]])
-    in_u = np.zeros(a.size, dtype=np.bool_)
-    in_u[n_head:] = True
-    return a, b, in_u
+    lo = max(math.log(min(1.0 / t, omega_c)) + math.log(1e-3 * rtol) / s, _X_MIN)
+    hi = math.log((40.0 + 2.0 * s) * omega_c / _ROT.real)
+    n = max(1, math.ceil((hi - lo) / _RAY_WIDTH))
+    edges = lo + _RAY_WIDTH * np.arange(n + 1)
+    return edges[:-1], edges[1:]
 
 
 def _times_kernel(dens_over_w2, w, kind, beta, zero_t, t):
@@ -101,34 +95,17 @@ def _times_kernel(dens_over_w2, w, kind, beta, zero_t, t):
     return out * cth
 
 
-def _ohmic_values(w, kind, s, alpha, omega_c, beta, zero_t, t):
-    # merged exponent avoids inf * 0 at the extremes of the mapped tail
-    expo = (s - 2.0) * np.log(w) - w / omega_c
-    env = alpha * omega_c ** (1.0 - s) * np.exp(expo)
-    return _times_kernel(env, w, kind, beta, zero_t, t)
-
-
-def _gk15_batch(f, a, b, in_u, omega_c):
+def _gk15_batch(f, a, b):
     mid = 0.5 * (a + b)
     hw = 0.5 * (b - a)
-    x = mid[:, None] + hw[:, None] * _X15[None, :]
-    jac = np.ones_like(x)
-    w = x.copy()
-    if in_u.any():
-        rem = 1.0 - x[in_u]
-        w[in_u] = omega_c / rem
-        jac[in_u] = omega_c / rem**2
-    fv = f(w) * jac
+    fv = f(mid[:, None] + hw[:, None] * _X15[None, :])
     vals = (fv * _W15).sum(axis=1) * hw
     errs = np.abs((fv * (_W15 - _W7)).sum(axis=1) * hw)
     return vals, errs
 
 
-def _adaptive(f, a, b, in_u, omega_c, rtol, cap=PANEL_CAP, max_rounds=60):
-    a = a.copy()
-    b = b.copy()
-    in_u = in_u.copy()
-    vals, errs = _gk15_batch(f, a, b, in_u, omega_c)
+def _adaptive(f, a, b, rtol, cap, max_rounds=60):
+    vals, errs = _gk15_batch(f, a, b)
     for _ in range(max_rounds):
         total = float(vals.sum())
         err_total = float(errs.sum())
@@ -146,18 +123,15 @@ def _adaptive(f, a, b, in_u, omega_c, rtol, cap=PANEL_CAP, max_rounds=60):
             split[idx] = True
             if not split.any():
                 break
-        am, bm, um = a[split], b[split], in_u[split]
+        am, bm = a[split], b[split]
         mids = 0.5 * (am + bm)
-        na = np.concatenate([a[~split], am, mids])
-        nb = np.concatenate([b[~split], mids, bm])
-        nu = np.concatenate([in_u[~split], um, um])
         new_vals, new_errs = _gk15_batch(f, np.concatenate([am, mids]),
-                                            np.concatenate([mids, bm]),
-                                            np.concatenate([um, um]), omega_c)
+                                         np.concatenate([mids, bm]))
+        a = np.concatenate([a[~split], am, mids])
+        b = np.concatenate([b[~split], mids, bm])
         vals = np.concatenate([vals[~split], new_vals])
         errs = np.concatenate([errs[~split], new_errs])
-        a, b, in_u = na, nb, nu
-    return float(vals.sum()), float(errs.sum()), a.size
+    return float(vals.sum()), float(errs.sum())
 
 
 def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
@@ -168,16 +142,38 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
     kind 2: integral of 2 D(w)/w^2 * sin^2(w t / 2) * coth(beta w / 2)
     with D(w) = alpha * w^s * omega_c^(1-s) * exp(-w / omega_c).
 
-    Returns (value, error_estimate).  t must be positive here; callers handle
-    t = 0 and the odd/even symmetry in sign of t.
+    g = D/w^2 is analytic in the open first quadrant and the poles of coth
+    lie on the imaginary axis, so both are integrals along w = r e^{i pi/4}:
+    kind 1: Im of the integral of g(w) expm1(i w t) dw,
+    kind 2: Re of the integral of g(w) coth(beta w / 2) (h(w) - expm1(i w t)) dw
+    with h = i w t / (1 + w^2 t^2).  On the real axis h is imaginary and
+    drops out; on the ray it cancels the 2/(beta w) pole of coth at the
+    origin, and it decays beyond w ~ 1/t, so no large cancelling term is
+    left where the panels are wide.  Returns (value, error); the error
+    includes the bound |f(x_lo)| / s on the ray below the first panel.
+    t must be positive; callers handle t = 0 and the symmetry in t.
     """
-    a, b, in_u = initial_panels(t, omega_c)
+    a, b = initial_panels(t, omega_c, s, rtol)
+    scale = alpha * omega_c ** (1.0 - s)
+    # in x = ln r, dw = w dx: f is w g(w) = scale w^(s-1) exp(-w/omega_c),
+    # with ln w = x + i pi/4, times the kernel
+    log_phase = 1j * (s - 1.0) * (math.pi / 4.0)
 
-    def f(w):
-        return _ohmic_values(w, kind, s, alpha, omega_c, beta, zero_t, t)
+    def f(x):
+        w = np.exp(x) * _ROT
+        wg = scale * np.exp((s - 1.0) * x + log_phase - w / omega_c)
+        iwt = (1j * t) * w
+        e = np.expm1(iwt)
+        if kind == 1:
+            return (wg * e).imag
+        v = wg * (iwt / (1.0 - iwt * iwt) - e)  # h - expm1(i w t)
+        if not zero_t:
+            v *= -1.0 - 2.0 / np.expm1(-beta * w)  # coth(beta w / 2)
+        return v.real
 
-    val, err, _ = _adaptive(f, a, b, in_u, omega_c, rtol)
-    return val, err
+    # six bisections of every panel: far more than the analytic integrand needs
+    val, err = _adaptive(f, a, b, rtol, cap=64 * a.size)
+    return val, err + abs(float(f(a[:1])[0])) / s
 
 
 def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
@@ -198,14 +194,12 @@ def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
         raise NumericsError(f"t = {t:g} needs {n} panels over the tabulated range, beyond capacity")
     edges = np.linspace(lo, hi, n + 1)
     a, b = edges[:-1], edges[1:]
-    in_u = np.zeros(a.size, dtype=np.bool_)
 
     def f(w):
         dens = np.interp(w, omega_s, density_s)
         return _times_kernel(dens / w**2, w, kind, beta, zero_t, t)
 
-    val, err, _ = _adaptive(f, a, b, in_u, 1.0, rtol)
-    return val, err
+    return _adaptive(f, a, b, rtol, cap=PANEL_CAP)
 
 
 def dephasing_multipliers(energies: np.ndarray, t: float, q1t: float,

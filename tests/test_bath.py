@@ -64,18 +64,83 @@ def test_ohmic_rejects_bad_parameters():
 
 
 def test_q1_ohmic_closed_form():
-    # T-independent: Q1 = alpha arctan(w_c t)
-    for t in np.geomspace(0.01, 80.0, 50):
-        assert q1(OHMIC, float(t)) == pytest.approx(
-            0.1 * math.atan(t), rel=1e-7)
+    # T-independent: Q1 = alpha arctan(w_c t), over nine decades of w_c t,
+    # and the reported error covers the true one
+    for t in np.geomspace(1e-3, 1e6, 37):
+        res = q1_full(OHMIC, float(t))
+        law = 0.1 * math.atan(t)
+        assert abs(res.value - law) <= min(1e-8 * law, res.error)
 
 
 def test_q2_ohmic_zero_t_closed_form():
     # Q2 = (alpha/2) ln(1 + w_c^2 t^2)
     state = BathState()
-    for t in np.geomspace(0.01, 80.0, 50):
-        assert q2(OHMIC, state, float(t)) == pytest.approx(
-            0.05 * math.log1p(t * t), rel=1e-7)
+    for t in np.geomspace(1e-3, 1e6, 37):
+        res = q2_full(OHMIC, state, float(t))
+        law = 0.05 * math.log1p(t * t)
+        assert abs(res.value - law) <= min(1e-8 * law, res.error)
+
+
+def _q2_thermal_law(t, beta, alpha=0.1, omega_c=1.0, terms=100_000):
+    """Linear ohmic q2 at finite temperature, independent of the quadrature.
+
+    alpha [ln(1 + w_c^2 t^2) / 2 + ln(Gamma(b)^2 / |Gamma(b + i y)|^2)] with
+    y = t / beta and b = 1 + 1 / (beta w_c); the Gamma ratio is the product
+    over n >= 0 of 1 + y^2 / (b + n)^2, summed for n < terms and closed by
+    its midpoint-rule integral from u = b + terms - 1/2 to infinity.
+    """
+    y = t / beta
+    b = 1.0 + 1.0 / (beta * omega_c)
+    head = float(np.log1p((y / (b + np.arange(terms))) ** 2).sum())
+    u = b + terms - 0.5
+    tail = 2.0 * y * (math.pi / 2.0 - math.atan(u / y)) - u * math.log1p((y / u) ** 2)
+    return alpha * (0.5 * math.log1p((omega_c * t) ** 2) + head + tail)
+
+
+def _ohmic_zero_t_law(s, t, alpha=0.1):
+    """(q1, q2) at T = 0 and omega_c = 1 for exponent s != 1:
+    alpha Gamma(s - 1) (Im, Re 1 -) of (1 - i t)^(1 - s)."""
+    z = (1.0 - 1j * t) ** (1.0 - s)
+    return alpha * math.gamma(s - 1.0) * z.imag, alpha * math.gamma(s - 1.0) * (1.0 - z).real
+
+
+@pytest.mark.parametrize("beta", [1.0, 2.0])
+def test_linear_ohmic_thermal_q2_up_to_a_million(beta):
+    state = BathState(beta=beta)
+    for t in np.geomspace(1e-3, 1e6, 19):
+        law = _q2_thermal_law(float(t), beta)
+        assert q2(OHMIC, state, float(t)) == pytest.approx(law, rel=1e-8)
+
+
+def test_thermal_law_reference_is_converged():
+    # the test-only reference itself: closing the sum earlier moves it by
+    # far less than the 1e-8 the quadrature is held to
+    for t in (3.0, 2e3, 1e6):
+        assert _q2_thermal_law(t, 1.0, terms=20_000) == pytest.approx(
+            _q2_thermal_law(t, 1.0), rel=1e-11)
+
+
+@pytest.mark.parametrize("s", [0.5, 2.0, 3.0, 20.0])
+@pytest.mark.parametrize("t", [10.0, 400.0, 1e5])
+def test_other_exponents_within_reported_error(s, t):
+    model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
+    law1, law2 = _ohmic_zero_t_law(s, t)
+    r1 = q1_full(model, t)
+    r2 = q2_full(model, BathState(), t)
+    # q1 falls like t^(1-s), so only its absolute error is asked for
+    assert abs(r1.value - law1) <= r1.error
+    assert abs(r2.value - law2) <= min(r2.error, 1e-8 * law2)
+
+
+@pytest.mark.parametrize("t,rtol", [
+    (math.nan, 1e-8), (math.inf, 1e-8), (-math.inf, 1e-8),
+    (1.0, 0.0), (1.0, -1e-8), (1.0, math.nan), (1.0, math.inf), (0.0, 0.0),
+])
+def test_non_finite_t_and_bad_rtol_rejected(t, rtol):
+    with pytest.raises(InvalidArgumentError):
+        q1_full(OHMIC, t, rtol)
+    with pytest.raises(InvalidArgumentError):
+        q2_full(OHMIC, BathState(beta=2.0), t, rtol)
 
 
 @pytest.mark.parametrize("s,t,beta,kind,value", MPMATH_GOLD)

@@ -18,7 +18,7 @@ from cqdeph.cli import (
     run,
 )
 from cqdeph.device import HBAR_SI, K_B_SI
-from cqdeph.errors import ConfigError
+from cqdeph.errors import ConfigError, InvalidArgumentError
 
 DEVICE_BODY = """
 scenario = device
@@ -435,13 +435,59 @@ def test_cli_capacity_exit_2(tmp_path):
 
 
 def test_cli_failed_run_still_shows_its_warnings(tmp_path):
-    # the coherent state warns, then t = 1000 exceeds the quadrature panel cap
-    body = COHERENT_BODY.replace("t_stop = 20 s", "t_stop = 1000 s")
+    # the coherent state warns, then t = 2000 needs more real-axis panels
+    # over the tabulated density than its panel cap allows
+    w = np.linspace(0.01, 20.0, 200)
+    np.savetxt(tmp_path / "dens.txt", np.column_stack([w, 0.1 * w * np.exp(-w)]))
+    body = COHERENT_BODY.replace(
+        "family = ohmic\ncoupling = 0.1\nomega_c = 1 Hz_rad",
+        "family = tabulated\ntable = dens.txt").replace(
+        "t_stop = 20 s", "t_stop = 10000 s")
     cfg = _write(tmp_path, body)
     res = _cli(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
     assert res.returncode == 2
+    assert "beyond capacity" in res.stderr
     assert "coherent state truncation tail" in res.stderr
     assert not (tmp_path / "o" / "config_echo.cfg").exists()
+
+
+def test_cli_ohmic_dephasing_has_no_time_limit(tmp_path):
+    # omega_c t = 1e4: far beyond the old oscillation-resolved panel layout
+    body = DEPHASING_BODY.replace("t_stop = 20 s", "t_stop = 10000 s")
+    cfg = _write(tmp_path, body)
+    res = _cli(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.returncode == 0, res.stderr
+    rows = np.loadtxt(tmp_path / "o" / "trajectory.csv", delimiter=",",
+                      skiprows=1, ndmin=2)
+    # pair (0,1,0)-(0,0,0): Gamma = dE^2 q2 with q2 = (alpha/2) ln(1 + t^2)
+    header = (tmp_path / "o" / "trajectory.csv").read_text().splitlines()[0]
+    gamma = rows[:, header.split(",").index("gamma_p0")]
+    de2 = json.loads((tmp_path / "o" / "report.json").read_text())["pairs"][0]["delta_e"] ** 2
+    assert gamma[-1] == pytest.approx(de2 * 0.05 * math.log1p(1e8), rel=1e-8)
+
+
+BODIES = {"device": DEVICE_BODY, "spectrum": SPECTRUM_BODY,
+          "dephasing": DEPHASING_BODY, "validate": "scenario = validate\n"}
+
+
+@pytest.mark.parametrize("tol", [-1.0, 0.0, math.nan, math.inf])
+@pytest.mark.parametrize("scenario", sorted(BODIES))
+def test_run_rejects_bad_tol(tmp_path, scenario, tol):
+    cfg = load_config(_write(tmp_path, BODIES[scenario]))
+    with pytest.raises(InvalidArgumentError, match="tol must be finite and > 0"):
+        run(cfg, str(tmp_path / "o"), tol=tol)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["dephasing", "spectrum"])
+@pytest.mark.parametrize("tol", ["-1", "0", "nan"])
+def test_cli_bad_tol_exit_1(tmp_path, capsys, command, tol):
+    cfg = _write(tmp_path, BODIES[command])
+    code = main([command, "--config", cfg, "--out", str(tmp_path / "o"),
+                 "--tol", tol])
+    assert code == 1
+    assert "tol must be finite and > 0" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_validation_failure_exit_3(tmp_path):

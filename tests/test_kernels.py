@@ -14,16 +14,25 @@ def test_active_backend_consistent():
 
 
 def test_initial_panels_structure():
-    a, b, in_u = kernels.initial_panels(3.0, 1.0)
-    assert a.shape == b.shape == in_u.shape
-    assert np.all(b > a)
-    assert a[0] == 0.0
-    # head panels resolve the oscillation: no w-space panel wider than half
-    # a period of sin(w t)
-    widths = (b - a)[~in_u]
-    assert np.all(widths <= math.pi / 3.0 + 1e-12)
-    # the mapped tail ends at u = 1 (w = infinity)
-    assert b[-1] == pytest.approx(1.0)
+    a, b = kernels.initial_panels(3.0, 1.0, 1.0, 1e-8)
+    assert a.shape == b.shape
+    widths = b - a
+    width = float(widths[0])
+    assert np.allclose(widths, width)
+    assert np.all(a[1:] == b[:-1])
+    # the head cut sits 1e-3 * rtol below the scale min(1/t, omega_c) = 1/3
+    assert a[0] == pytest.approx(math.log(1.0 / 3.0) + math.log(1e-11))
+    # the ray ends where exp(-Re w / omega_c) = exp(-42) has closed it
+    assert b[-1] >= math.log(42.0 / math.cos(math.pi / 4.0))
+    # the count grows like ln(omega_c t), not like t
+    n1 = kernels.initial_panels(1.0, 1.0, 1.0, 1e-8)[0].size
+    n6 = kernels.initial_panels(1e6, 1.0, 1.0, 1e-8)[0].size
+    assert n6 <= n1 + math.ceil(math.log(1e6) / width)
+    # a tiny exponent moves the head cut far out, but never below the
+    # smallest normal float, so the layout stays bounded
+    assert kernels.initial_panels(1.0, 1.0, 1e-4, 1e-8)[0].size < 2000
+    with pytest.raises(NumericsError):
+        kernels.initial_panels(0.0, 1.0, 1.0, 1e-8)
 
 
 def test_quad_ohmic_closed_form_point():
