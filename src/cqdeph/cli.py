@@ -14,6 +14,15 @@ error, as is any unknown key or section.  All quantities are normalized to
 SI at load time: angular frequencies in rad/s, times in seconds, energies in
 Joules (entered as frequencies, i.e. E/hbar, or directly in J).
 
+Two tables hold the rules.  The scenario table ``_SCENARIOS`` has one row
+per scenario: its help text, the sections it allows and requires, its runner
+and its summary line; the subcommands, the dispatch of ``run`` and the
+section checks read it.  The key table ``_SCHEMA`` has one row per config
+key: section, value kind, the RunConfig field it fills, whether it is
+required, its choices or bound, and the key value it depends on; parsing,
+the echo and the error messages read it.  ``_cross_key_rules`` holds the few
+rules that read two keys at once.  Every config error names its line.
+
 Every successful run writes ``report.json`` plus ``config_echo.cfg`` into
 the output directory; the echo is normalized to base units and loads back
 into the identical RunConfig, and the report lists the warnings the run
@@ -36,6 +45,7 @@ import sys
 import warnings
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from typing import Callable
 
 import numpy as np
 
@@ -72,8 +82,6 @@ from .spectrum import TRUNCATION_NOTE, dfs_find, levels
 
 __all__ = ["RunConfig", "load_config", "render_config", "run", "main"]
 
-SCENARIOS = ("device", "spectrum", "dephasing", "validate")
-
 _TWO_PI = 2.0 * math.pi
 
 # unit suffix tables; every dimensional key names one of these kinds
@@ -105,14 +113,6 @@ _KINDS = {
 _BASE_SUFFIX = {kind: next(s for s, f in table.items() if f == 1.0)
                 for kind, table in _KINDS.items()}
 
-_SECTIONS_BY_SCENARIO = {
-    "device": {"device", "effective"},
-    "spectrum": {"device", "effective", "cutoff", "spectrum"},
-    "dephasing": {"device", "effective", "cutoff", "bath", "grid", "state",
-                  "pairs"},
-    "validate": set(),
-}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -141,466 +141,6 @@ class RunConfig:
     pairs: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = ()
     ratio: Fraction | None = None
     cluster_tol: float | None = None
-
-
-# ---------------------------------------------------------------- key table
-
-@dataclass(frozen=True)
-class _Key:
-    """One config key: where it lives, how its value reads, what it fills.
-
-    ``kind`` is a unit kind of _KINDS, or number (dimensionless), integer,
-    word (one of ``choices``), rational, path, beta (a time or ``inf``),
-    amplitude (``m n i : re im``) or pair (``m n i : m n i``).  Amplitude
-    and pair keys are indexed: the file spells them ``amp_0``, ``amp_1``, ...
-    ``field`` is the RunConfig field filled; ``group.attr`` fills one part of
-    a compound field (see _COMPOUND), and None marks a key that only a
-    cross-key rule reads.  ``when = (key, value)`` accepts the key only when
-    that other key of the section holds that value.
-    """
-
-    section: str
-    key: str
-    kind: str
-    field: str | None
-    required: bool = False
-    choices: tuple[str, ...] = ()
-    when: tuple[str, str] | None = None
-
-    @property
-    def indexed(self) -> bool:
-        return self.kind in ("amplitude", "pair")
-
-
-_OHMIC = ("family", "ohmic")
-_TABULATED = ("family", "tabulated")
-_LABELS = ("kind", "labels")
-_COHERENT = ("kind", "coherent")
-
-# sections are parsed and echoed in this order, keys within a section too
-_SCHEMA = (
-    _Key("", "scenario", "word", "scenario", True, SCENARIOS),
-    _Key("device", "E_C", "energy", "device.E_C", True),
-    _Key("device", "E_J_max", "energy", "device.E_J_max", True),
-    _Key("device", "omega_a", "frequency", "device.omega_a", True),
-    _Key("device", "omega_b", "frequency", "device.omega_b", True),
-    _Key("device", "L_a", "length", "device.L_a", True),
-    _Key("device", "L_b", "length", "device.L_b", True),
-    _Key("device", "c_cap", "capacitance_per_length", "device.c_cap", True),
-    _Key("device", "l_ind", "inductance_per_length", "device.l_ind", True),
-    _Key("device", "C_g", "capacitance", "device.C_g", True),
-    _Key("device", "C_a", "capacitance", "device.C_a", True),
-    _Key("device", "V_g_dc", "voltage", "device.V_g_dc", True),
-    _Key("device", "S_loop", "area", "device.S_loop", True),
-    _Key("device", "d_dist", "length", "device.d_dist", True),
-    _Key("device", "Phi_e", "flux", "device.Phi_e"),
-    _Key("device", "tau", "time", "tau"),
-    # alphabetical, the order in which eff_overrides is stored and echoed
-    _Key("effective", "chi", "frequency", "eff_overrides.chi"),
-    _Key("effective", "g_a", "frequency", "eff_overrides.g_a"),
-    _Key("effective", "n_g_dc", "number", "eff_overrides.n_g_dc"),
-    _Key("effective", "omega_a", "frequency", "eff_overrides.omega_a"),
-    _Key("effective", "omega_a_prime", "frequency", "eff_overrides.omega_a_prime"),
-    _Key("effective", "phi_b", "number", "eff_overrides.phi_b"),
-    _Key("effective", "phi_e", "number", "eff_overrides.phi_e"),
-    _Key("cutoff", "n_max_a", "integer", "cutoff.n_max_a", True),
-    _Key("cutoff", "n_max_b", "integer", "cutoff.n_max_b", True),
-    _Key("bath", "family", "word", "bath_family", True, ("ohmic", "tabulated")),
-    _Key("bath", "coupling", "number", "bath_coupling", when=_OHMIC),
-    _Key("bath", "exponent", "number", "bath_exponent", when=_OHMIC),
-    _Key("bath", "omega_c", "frequency", "bath_omega_c", when=_OHMIC),
-    _Key("bath", "table", "path", "bath_table", when=_TABULATED),
-    _Key("bath", "beta", "beta", "beta"),
-    _Key("bath", "temperature", "temperature", None),
-    _Key("grid", "t_start", "time", "grid_start"),
-    _Key("grid", "t_stop", "time", "grid_stop", True),
-    _Key("grid", "t_count", "integer", "grid_count", True),
-    _Key("grid", "spacing", "word", "grid_spacing", choices=("linear", "log")),
-    _Key("state", "kind", "word", "state_kind", True, ("labels", "coherent")),
-    _Key("state", "amp", "amplitude", "state_labels", when=_LABELS),
-    _Key("state", "mode", "word", "state_mode", choices=("A", "B"), when=_COHERENT),
-    _Key("state", "alpha_re", "number", "state_alpha.real", when=_COHERENT),
-    _Key("state", "alpha_im", "number", "state_alpha.imag", when=_COHERENT),
-    _Key("state", "qubit_level", "integer", "state_qubit", when=_COHERENT),
-    _Key("pairs", "pair", "pair", "pairs"),
-    _Key("spectrum", "ratio", "rational", "ratio"),
-    _Key("spectrum", "tol", "number", "cluster_tol"),
-)
-
-_SECTIONS = tuple(dict.fromkeys(row.section for row in _SCHEMA))
-_ROWS = {s: tuple(row for row in _SCHEMA if row.section == s) for s in _SECTIONS}
-_ROW = {(row.section, row.key): row for row in _SCHEMA}
-
-# compound fields: (build from {attr: value}, read one attr back)
-_COMPOUND = {
-    "device": (lambda parts: DeviceParams(**parts), getattr),
-    "cutoff": (lambda parts: FockCutoff(**parts), getattr),
-    "eff_overrides": (lambda parts: tuple(sorted(parts.items())),
-                      lambda overrides, key: dict(overrides).get(key)),
-    "state_alpha": (lambda parts: complex(parts.get("real", 0.0),
-                                          parts.get("imag", 0.0)), getattr),
-}
-
-
-# ------------------------------------------------------------------ parsing
-
-def _tokenize(path: str) -> tuple[dict, dict]:
-    """Split the file into {(section, key): (value, line)} plus header lines."""
-    try:
-        with open(path, encoding="utf-8") as f:
-            raw_lines = f.readlines()
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    entries: dict[tuple[str, str], tuple[str, int]] = {}
-    headers: dict[str, int] = {}
-    section = ""
-    for lineno, raw in enumerate(raw_lines, start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if line.startswith("[") and line.endswith("]"):
-            section = line[1:-1].strip()
-            if not section:
-                raise ConfigError("empty section header", lineno)
-            if section in headers:
-                raise ConfigError(f"duplicate section [{section}]", lineno)
-            headers[section] = lineno
-            continue
-        if "=" not in line:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
-        key, value = (part.strip() for part in line.split("=", 1))
-        if not key or not value:
-            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
-        if (section, key) in entries:
-            where = "top level" if not section else f"[{section}]"
-            raise ConfigError(f"duplicate key {key!r} in {where}", lineno)
-        entries[(section, key)] = (value, lineno)
-    return entries, headers
-
-
-def _number(raw: str, key: str, line: int) -> float:
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: not a number: {raw!r}", line) from None
-    if not math.isfinite(value):
-        raise ConfigError(f"{key}: not a finite number: {raw!r}", line)
-    return value
-
-
-def _integer(raw: str, key: str, line: int) -> int:
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"{key}: not an integer: {raw!r}", line) from None
-
-
-def _dimensional(raw: str, kind: str, key: str, line: int) -> float:
-    parts = raw.split()
-    if len(parts) == 1:
-        raise ConfigError(
-            f"{key}: unit suffix missing on a dimensional quantity "
-            f"(expected one of {', '.join(sorted(_KINDS[kind]))})", line)
-    if len(parts) != 2:
-        raise ConfigError(f"{key}: expected '<number> <suffix>', got {raw!r}", line)
-    num, suffix = parts
-    table = _KINDS[kind]
-    if suffix not in table:
-        raise ConfigError(
-            f"{key}: unknown {kind} suffix {suffix!r} "
-            f"(expected one of {', '.join(sorted(table))})", line)
-    return _number(num, key, line) * table[suffix]
-
-
-def _dimensionless(raw: str, key: str, line: int) -> float:
-    if len(raw.split()) != 1:
-        raise ConfigError(f"{key}: dimensionless quantity takes no suffix", line)
-    return _number(raw, key, line)
-
-
-def _word(raw: str, key: str, line: int, allowed: tuple[str, ...]) -> str:
-    if raw not in allowed:
-        raise ConfigError(
-            f"{key}: expected one of {', '.join(allowed)}, got {raw!r}", line)
-    return raw
-
-
-def _label_triplet(raw: str, key: str, line: int) -> tuple[int, int, int]:
-    parts = raw.split()
-    if len(parts) != 3:
-        raise ConfigError(f"{key}: expected 'm n i', got {raw!r}", line)
-    m, n, i = (_integer(p, key, line) for p in parts)
-    if m < 0 or n < 0 or i not in (0, 1):
-        raise ConfigError(f"{key}: label out of range: {raw!r}", line)
-    return m, n, i
-
-
-def _indexed_lines(entries: dict, section: str, prefix: str):
-    """Collect prefix_0, prefix_1, ... keys sorted by their integer index."""
-    found = []
-    for (sec, key), (value, line) in list(entries.items()):
-        if sec != section:
-            continue
-        if key.startswith(prefix + "_") and key[len(prefix) + 1:].isdigit():
-            found.append((int(key[len(prefix) + 1:]), key, value, line))
-            del entries[(sec, key)]
-    found.sort()
-    return found
-
-
-def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str):
-    """Read one value of ``row``; ``key`` is the key as spelled (``amp_3``)."""
-    kind = row.kind
-    if kind in _KINDS:
-        return _dimensional(raw, kind, key, line)
-    if kind == "number":
-        return _dimensionless(raw, key, line)
-    if kind == "integer":
-        return _integer(raw, key, line)
-    if kind == "word":
-        return _word(raw, key, line, row.choices)
-    if kind == "beta":
-        return math.inf if raw == "inf" else _dimensional(raw, "time", key, line)
-    if kind == "rational":
-        try:
-            return Fraction(raw)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(
-                f"{key}: not a rational number: {raw!r}", line) from None
-    if kind == "path":
-        path = os.path.abspath(os.path.join(config_dir, raw))
-        if not os.path.isfile(path):
-            raise ConfigError(f"{key}: no such file: {path}", line)
-        return path
-    shape = "m n i : re im" if kind == "amplitude" else "m n i : m n i"
-    if ":" not in raw:
-        raise ConfigError(f"{key}: expected '{shape}', got {raw!r}", line)
-    left, right = raw.split(":", 1)
-    label = _label_triplet(left.strip(), key, line)
-    if kind == "pair":
-        return label, _label_triplet(right.strip(), key, line)
-    parts = right.split()
-    if len(parts) != 2:
-        raise ConfigError(
-            f"{key}: expected two amplitude components, got {raw!r}", line)
-    return (*label, _number(parts[0], key, line), _number(parts[1], key, line))
-
-
-# lower bounds of single keys; the model enforces them too, but only the
-# parser knows the line
-_LOWER_BOUNDS = {
-    "bath": (("beta", ">"), ("coupling", ">="), ("exponent", ">"),
-             ("omega_c", ">"), ("temperature", ">=")),
-    "grid": (("t_start", ">="),),
-    "spectrum": (("tol", ">"),),
-}
-
-
-def _cross_key_rules(section: str, vals: dict, lines: dict, header) -> None:
-    """Value bounds, and the checks that one row of the key table cannot
-    express."""
-    if section == "bath" and "beta" in vals and "temperature" in vals:
-        raise ConfigError("give either 'beta' or 'temperature', not both",
-                          lines["temperature"])
-    for key, op in _LOWER_BOUNDS.get(section, ()):
-        value = vals.get(key, 1.0)
-        if not (value > 0 if op == ">" else value >= 0):
-            raise ConfigError(f"{key} must be {op} 0, got {value}", lines[key])
-    if section == "bath":
-        if "temperature" in vals:
-            t_kelvin = vals["temperature"]
-            # beta multiplies angular frequency, so it is hbar/(k_B T), seconds
-            vals["beta"] = (math.inf if t_kelvin == 0
-                            else HBAR_SI / (K_B_SI * t_kelvin))
-        family = vals["family"]
-        for key in ("coupling", "omega_c") if family == "ohmic" else ("table",):
-            if key not in vals:
-                raise ConfigError(f"{family} bath requires key {key!r}", header)
-    elif section == "grid":
-        if vals["t_count"] < 1:
-            raise ConfigError("t_count must be >= 1", header)
-    elif section == "state":
-        if vals["kind"] == "labels":
-            if not vals["amp"]:
-                raise ConfigError(
-                    "state kind 'labels' needs at least one amp_<k> line",
-                    header)
-        elif "mode" not in vals:
-            raise ConfigError("coherent state requires key 'mode'", header)
-        elif vals.get("qubit_level", 0) not in (0, 1):
-            raise ConfigError(
-                f"qubit_level must be 0 or 1, got {vals['qubit_level']}",
-                lines["qubit_level"])
-    elif section == "pairs":
-        if not vals["pair"]:
-            raise ConfigError("[pairs] needs at least one pair_<k> line",
-                              header)
-
-
-def _parse_section(section: str, entries: dict, headers: dict,
-                   config_dir: str) -> dict:
-    """Pop and check one section's keys; returns the RunConfig fields."""
-    header = headers.get(section)
-    vals: dict = {}
-    lines: dict = {}
-    accepted = []
-    for row in _ROWS[section]:
-        if row.when is not None and vals.get(row.when[0]) != row.when[1]:
-            continue
-        accepted.append(row)
-        if row.indexed:
-            vals[row.key] = tuple(
-                _convert(row, value, key, line, config_dir)
-                for _, key, value, line in _indexed_lines(entries, section,
-                                                          row.key))
-            continue
-        raw, line = entries.pop((section, row.key), (None, None))
-        if raw is None:
-            if row.required:
-                where = f"[{section}] is " if section else ""
-                raise ConfigError(f"{where}missing required key {row.key!r}",
-                                  header)
-            continue
-        vals[row.key] = _convert(row, raw, row.key, line, config_dir)
-        lines[row.key] = line
-
-    known = ", ".join(f"{row.key}_<k>" if row.indexed else row.key
-                      for row in accepted)
-    for (sec, key), (_, line) in entries.items():
-        if sec == section:
-            raise ConfigError(
-                f"unknown key {key!r} in [{section}] (known: {known})", line)
-    _cross_key_rules(section, vals, lines, header)
-
-    fields: dict = {}
-    parts: dict = {}
-    for row in accepted:
-        if row.field is None or row.key not in vals:
-            continue
-        name, _, attr = row.field.partition(".")
-        if attr:
-            parts.setdefault(name, {})[attr] = vals[row.key]
-        else:
-            fields[name] = vals[row.key]
-    for name, attrs in parts.items():
-        fields[name] = _COMPOUND[name][0](attrs)
-    return fields
-
-
-def load_config(path: str) -> RunConfig:
-    """Parse and normalize a config file; every problem is a ConfigError."""
-    entries, headers = _tokenize(path)
-    config_dir = os.path.dirname(os.path.abspath(path))
-
-    fields = _parse_section("", entries, headers, config_dir)
-    scenario = fields["scenario"]
-    allowed = _SECTIONS_BY_SCENARIO[scenario]
-    for section, line in headers.items():
-        if section not in allowed:
-            raise ConfigError(
-                f"section [{section}] is not used by scenario {scenario!r}"
-                + (f" (allowed: {', '.join(sorted(allowed))})" if allowed
-                   else " (it takes no sections)"), line)
-
-    # the top level "" is never a header, so it is not parsed twice
-    for section in _SECTIONS:
-        if section in headers:
-            fields.update(_parse_section(section, entries, headers, config_dir))
-
-    cfg = RunConfig(**fields)
-    _require_scenario_inputs(cfg)
-    return cfg
-
-
-def _require_scenario_inputs(cfg: RunConfig) -> None:
-    need = {
-        "device": ("device",),
-        "spectrum": ("cutoff",),
-        "dephasing": ("cutoff", "bath_family", "grid_count", "state_kind"),
-        "validate": (),
-    }[cfg.scenario]
-    missing_sections = {
-        "device": "[device]", "cutoff": "[cutoff]", "bath_family": "[bath]",
-        "grid_count": "[grid]", "state_kind": "[state]",
-    }
-    for attr in need:
-        if getattr(cfg, attr) is None:
-            raise ConfigError(
-                f"scenario {cfg.scenario!r} requires section "
-                f"{missing_sections[attr]}")
-    if cfg.scenario in ("spectrum", "dephasing") and cfg.device is None:
-        over = dict(cfg.eff_overrides)
-        missing = [k for k in ("omega_a", "omega_a_prime", "chi")
-                   if k not in over]
-        if missing:
-            raise ConfigError(
-                "[effective] without [device] must supply "
-                + ", ".join(missing))
-    if cfg.grid_count is not None:
-        if cfg.grid_spacing == "log" and cfg.grid_start <= 0:
-            raise ConfigError("log spacing requires t_start > 0")
-        if cfg.grid_stop is not None and cfg.grid_count > 1 \
-                and cfg.grid_stop <= cfg.grid_start:
-            raise ConfigError("t_stop must exceed t_start")
-
-
-# --------------------------------------------------------------- rendering
-
-def _g17(x: float) -> str:
-    return f"{x:.17g}"
-
-
-def _format(kind: str, value) -> str:
-    if kind in _KINDS:
-        return f"{_g17(value)} {_BASE_SUFFIX[kind]}"
-    if kind == "number":
-        return _g17(value)
-    if kind == "beta":
-        return "inf" if math.isinf(value) else f"{_g17(value)} s"
-    if kind == "amplitude":
-        m, n, i, re_part, im_part = value
-        return f"{m} {n} {i} : {_g17(re_part)} {_g17(im_part)}"
-    if kind == "pair":
-        (m, n, i), (m2, n2, i2) = value
-        return f"{m} {n} {i} : {m2} {n2} {i2}"
-    return str(value)
-
-
-def _read(cfg: RunConfig, row: _Key):
-    """The value ``row`` filled in ``cfg``, or None."""
-    if row.field is None:
-        return None
-    name, _, attr = row.field.partition(".")
-    value = getattr(cfg, name)
-    if attr and value is not None:
-        value = _COMPOUND[name][1](value, attr)
-    return value
-
-
-def render_config(cfg: RunConfig) -> str:
-    """Echo a RunConfig as normalized config text; load_config inverts it."""
-    lines = []
-    for section in _SECTIONS:
-        rows = _ROWS[section]
-        anchors = [row for row in rows if row.required] or rows
-        if all(_read(cfg, row) in (None, ()) for row in anchors):
-            continue
-        if section:
-            lines.append(f"[{section}]")
-        for row in rows:
-            if row.when is not None and \
-                    _read(cfg, _ROW[section, row.when[0]]) != row.when[1]:
-                continue
-            value = _read(cfg, row)
-            if value is None:
-                continue
-            if row.indexed:
-                lines += [f"{row.key}_{k} = {_format(row.kind, item)}"
-                          for k, item in enumerate(value)]
-            else:
-                lines.append(f"{row.key} = {_format(row.kind, value)}")
-        lines.append("")
-    return "\n".join(lines)
 
 
 # --------------------------------------------------------------- execution
@@ -659,10 +199,7 @@ def _initial_state(cfg: RunConfig) -> StateVector:
     for m, n, i, re_part, im_part in cfg.state_labels:
         lab = TensorBasisLabel(m, n, i)
         amp[lab.flat_index(cut)] += complex(re_part, im_part)
-    try:
-        return StateVector.normalized(amp, cut)
-    except InvalidArgumentError as exc:
-        raise ConfigError(f"initial state is not normalizable: {exc}") from exc
+    return StateVector.normalized(amp, cut)
 
 
 def _json_float(x: float):
@@ -686,7 +223,7 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
     _write_text(path, "\n".join(lines) + "\n")
 
 
-def _run_device(cfg: RunConfig, out_dir: str) -> dict:
+def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
     rep = regime_report(cfg.device, eff)
     payload = {
@@ -824,9 +361,9 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     }
 
 
-def _run_validate(cfg: RunConfig, out_dir: str, tol) -> tuple[dict, list]:
+def _run_validate(cfg: RunConfig, out_dir: str, tol) -> dict:
     results = validation.run_all(tol_scale=tol if tol is not None else 1.0)
-    payload = {
+    return {
         "checks": [
             {
                 "name": r.name,
@@ -841,8 +378,520 @@ def _run_validate(cfg: RunConfig, out_dir: str, tol) -> tuple[dict, list]:
         "check_count": len(results),
         "all_passed": all(r.passed for r in results),
     }
-    return payload, results
 
+
+def _device_summary(report: dict) -> str:
+    parts = [f"regime worst flag: {report['regime']['worst_flag']}"]
+    if "cross_phase" in report:
+        parts.append(f"cross-phase {report['cross_phase']['cycles']:.4f} cycles")
+    return "; ".join(parts)
+
+
+# ----------------------------------------------------------- scenario table
+
+@dataclass(frozen=True)
+class _Scenario:
+    """One scenario: its subcommand help, the sections it allows, the
+    sections it requires, the runner that computes its report payload from
+    ``(cfg, out_dir, tol)``, and the summary line of its report.  Each entry
+    of ``requires`` lists alternatives, one of which must be present."""
+
+    blurb: str
+    sections: tuple[str, ...]
+    requires: tuple[tuple[str, ...], ...]
+    runner: Callable[[RunConfig, str, float | None], dict]
+    summary: Callable[[dict], str]
+
+
+# effective parameters come from the device map or directly from [effective]
+_PARAMS = ("device", "effective")
+
+_SCENARIOS = {
+    "device": _Scenario(
+        "effective couplings and regime diagnostics",
+        _PARAMS, (("device",),), _run_device, _device_summary),
+    "spectrum": _Scenario(
+        "level table and degeneracy classes",
+        _PARAMS + ("cutoff", "spectrum"), (_PARAMS, ("cutoff",)),
+        _run_spectrum,
+        lambda r: (f"{r['class_count']} degeneracy classes, "
+                   f"{r['protected_class_count']} protected")),
+    "dephasing": _Scenario(
+        "reduced-density-matrix trajectories",
+        _PARAMS + ("cutoff", "bath", "grid", "state", "pairs"),
+        (_PARAMS, ("cutoff",), ("bath",), ("grid",), ("state",)),
+        _run_dephasing,
+        lambda r: (f"{len(r['pairs'])} tracked pairs over "
+                   f"{r['grid']['count']} grid points")),
+    "validate": _Scenario(
+        "run the cross-module invariant suite", (), (), _run_validate,
+        lambda r: f"{r['passed_count']}/{r['check_count']} checks passed"),
+}
+
+SCENARIOS = tuple(_SCENARIOS)
+
+
+# ---------------------------------------------------------------- key table
+
+@dataclass(frozen=True)
+class _Key:
+    """One config key: where it lives, how its value reads, what it fills.
+
+    ``kind`` is a unit kind of _KINDS, or number (dimensionless), integer,
+    word, rational, path, beta (a time or ``inf``), amplitude
+    (``m n i : re im``) or pair (``m n i : m n i``).  Amplitude and pair
+    keys are indexed: the file spells them ``amp_0``, ``amp_1``, ...
+    ``field`` is the RunConfig field filled; ``group.attr`` fills one part of
+    a compound field (see _COMPOUND), and None marks a key that only a
+    cross-key rule reads.  ``required`` asks for the key, or for at least
+    one line of an indexed key.  ``choices`` lists the values a word or
+    integer may take; ``bound = (op, limit)`` asks for ``value op limit``
+    with op ``>`` or ``>=``.  ``when = (key, value)`` accepts the key only
+    when that other key of the section holds that value.
+    """
+
+    section: str
+    key: str
+    kind: str
+    field: str | None
+    required: bool = False
+    choices: tuple = ()
+    when: tuple[str, str] | None = None
+    bound: tuple[str, int] | None = None
+
+    @property
+    def indexed(self) -> bool:
+        return self.kind in ("amplitude", "pair")
+
+
+_OHMIC = ("family", "ohmic")
+_TABULATED = ("family", "tabulated")
+_LABELS = ("kind", "labels")
+_COHERENT = ("kind", "coherent")
+_GT0 = (">", 0)
+_GE0 = (">=", 0)
+_GE1 = (">=", 1)
+
+# sections are parsed and echoed in this order, keys within a section too;
+# the bounds restate those of DeviceParams, EffectiveParams, FockCutoff,
+# OhmicSpectralDensity, BathState and cross_phase, so that they name a line
+_SCHEMA = (
+    _Key("", "scenario", "word", "scenario", True, SCENARIOS),
+    _Key("device", "E_C", "energy", "device.E_C", True, bound=_GT0),
+    _Key("device", "E_J_max", "energy", "device.E_J_max", True, bound=_GT0),
+    _Key("device", "omega_a", "frequency", "device.omega_a", True, bound=_GT0),
+    _Key("device", "omega_b", "frequency", "device.omega_b", True, bound=_GT0),
+    _Key("device", "L_a", "length", "device.L_a", True, bound=_GT0),
+    _Key("device", "L_b", "length", "device.L_b", True, bound=_GT0),
+    _Key("device", "c_cap", "capacitance_per_length", "device.c_cap", True, bound=_GT0),
+    _Key("device", "l_ind", "inductance_per_length", "device.l_ind", True, bound=_GT0),
+    _Key("device", "C_g", "capacitance", "device.C_g", True, bound=_GE0),
+    _Key("device", "C_a", "capacitance", "device.C_a", True, bound=_GT0),
+    _Key("device", "V_g_dc", "voltage", "device.V_g_dc", True),
+    _Key("device", "S_loop", "area", "device.S_loop", True, bound=_GE0),
+    _Key("device", "d_dist", "length", "device.d_dist", True, bound=_GT0),
+    _Key("device", "Phi_e", "flux", "device.Phi_e"),
+    _Key("device", "tau", "time", "tau", bound=_GE0),
+    # alphabetical, the order in which eff_overrides is stored and echoed
+    _Key("effective", "chi", "frequency", "eff_overrides.chi"),
+    _Key("effective", "g_a", "frequency", "eff_overrides.g_a", bound=_GE0),
+    _Key("effective", "n_g_dc", "number", "eff_overrides.n_g_dc"),
+    _Key("effective", "omega_a", "frequency", "eff_overrides.omega_a", bound=_GT0),
+    _Key("effective", "omega_a_prime", "frequency", "eff_overrides.omega_a_prime"),
+    _Key("effective", "phi_b", "number", "eff_overrides.phi_b", bound=_GE0),
+    _Key("effective", "phi_e", "number", "eff_overrides.phi_e"),
+    _Key("cutoff", "n_max_a", "integer", "cutoff.n_max_a", True, bound=_GE1),
+    _Key("cutoff", "n_max_b", "integer", "cutoff.n_max_b", True, bound=_GE1),
+    _Key("bath", "family", "word", "bath_family", True, ("ohmic", "tabulated")),
+    _Key("bath", "coupling", "number", "bath_coupling", True, when=_OHMIC, bound=_GE0),
+    _Key("bath", "exponent", "number", "bath_exponent", when=_OHMIC, bound=_GT0),
+    _Key("bath", "omega_c", "frequency", "bath_omega_c", True, when=_OHMIC, bound=_GT0),
+    _Key("bath", "table", "path", "bath_table", True, when=_TABULATED),
+    _Key("bath", "beta", "beta", "beta", bound=_GT0),
+    _Key("bath", "temperature", "temperature", None, bound=_GE0),
+    _Key("grid", "t_start", "time", "grid_start", bound=_GE0),
+    _Key("grid", "t_stop", "time", "grid_stop", True),
+    _Key("grid", "t_count", "integer", "grid_count", True, bound=_GE1),
+    _Key("grid", "spacing", "word", "grid_spacing", choices=("linear", "log")),
+    _Key("state", "kind", "word", "state_kind", True, ("labels", "coherent")),
+    _Key("state", "amp", "amplitude", "state_labels", True, when=_LABELS),
+    _Key("state", "mode", "word", "state_mode", True, ("A", "B"), _COHERENT),
+    _Key("state", "alpha_re", "number", "state_alpha.real", when=_COHERENT),
+    _Key("state", "alpha_im", "number", "state_alpha.imag", when=_COHERENT),
+    _Key("state", "qubit_level", "integer", "state_qubit", False, (0, 1), _COHERENT),
+    _Key("pairs", "pair", "pair", "pairs", True),
+    _Key("spectrum", "ratio", "rational", "ratio"),
+    _Key("spectrum", "tol", "number", "cluster_tol", bound=_GT0),
+)
+
+_SECTIONS = tuple(dict.fromkeys(row.section for row in _SCHEMA))
+_ROWS = {s: tuple(row for row in _SCHEMA if row.section == s) for s in _SECTIONS}
+_ROW = {(row.section, row.key): row for row in _SCHEMA}
+
+# compound fields: (build from {attr: value}, read one attr back)
+_COMPOUND = {
+    "device": (lambda parts: DeviceParams(**parts), getattr),
+    "cutoff": (lambda parts: FockCutoff(**parts), getattr),
+    "eff_overrides": (lambda parts: tuple(sorted(parts.items())),
+                      lambda overrides, key: dict(overrides).get(key)),
+    "state_alpha": (lambda parts: complex(parts.get("real", 0.0),
+                                          parts.get("imag", 0.0)), getattr),
+}
+
+
+# ------------------------------------------------------------------ parsing
+
+def _tokenize(path: str) -> tuple[dict, dict]:
+    """Split the file into {(section, key): (value, line)} plus header lines."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            raw_lines = f.readlines()
+    except OSError as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    entries: dict[tuple[str, str], tuple[str, int]] = {}
+    headers: dict[str, int] = {}
+    section = ""
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("[") and line.endswith("]"):
+            section = line[1:-1].strip()
+            if not section:
+                raise ConfigError("empty section header", lineno)
+            if section in headers:
+                raise ConfigError(f"duplicate section [{section}]", lineno)
+            headers[section] = lineno
+            continue
+        if "=" not in line:
+            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
+        key, value = (part.strip() for part in line.split("=", 1))
+        if not key or not value:
+            raise ConfigError(f"expected 'key = value', got {line!r}", lineno)
+        if (section, key) in entries:
+            where = "top level" if not section else f"[{section}]"
+            raise ConfigError(f"duplicate key {key!r} in {where}", lineno)
+        entries[(section, key)] = (value, lineno)
+    return entries, headers
+
+
+def _number(raw: str, key: str, line: int) -> float:
+    try:
+        value = float(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: not a number: {raw!r}", line) from None
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: not a finite number: {raw!r}", line)
+    return value
+
+
+def _integer(raw: str, key: str, line: int) -> int:
+    try:
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{key}: not an integer: {raw!r}", line) from None
+
+
+def _dimensional(raw: str, kind: str, key: str, line: int) -> float:
+    parts = raw.split()
+    if len(parts) == 1:
+        raise ConfigError(
+            f"{key}: unit suffix missing on a dimensional quantity "
+            f"(expected one of {', '.join(sorted(_KINDS[kind]))})", line)
+    if len(parts) != 2:
+        raise ConfigError(f"{key}: expected '<number> <suffix>', got {raw!r}", line)
+    num, suffix = parts
+    table = _KINDS[kind]
+    if suffix not in table:
+        raise ConfigError(
+            f"{key}: unknown {kind} suffix {suffix!r} "
+            f"(expected one of {', '.join(sorted(table))})", line)
+    return _number(num, key, line) * table[suffix]
+
+
+def _dimensionless(raw: str, key: str, line: int) -> float:
+    if len(raw.split()) != 1:
+        raise ConfigError(f"{key}: dimensionless quantity takes no suffix", line)
+    return _number(raw, key, line)
+
+
+def _label_triplet(raw: str, key: str, line: int,
+                   cutoff: FockCutoff | None) -> tuple[int, int, int]:
+    """Read ``m n i``; with a cutoff, the label must lie inside it."""
+    parts = raw.split()
+    if len(parts) != 3:
+        raise ConfigError(f"{key}: expected 'm n i', got {raw!r}", line)
+    m, n, i = (_integer(p, key, line) for p in parts)
+    if m < 0 or n < 0 or i not in (0, 1):
+        raise ConfigError(f"{key}: label out of range: {raw!r}", line)
+    if cutoff is not None and (m > cutoff.n_max_a or n > cutoff.n_max_b):
+        raise ConfigError(
+            f"{key}: label {raw!r} outside the cutoff (n_max_a = "
+            f"{cutoff.n_max_a}, n_max_b = {cutoff.n_max_b})", line)
+    return m, n, i
+
+
+def _indexed_lines(entries: dict, section: str, prefix: str):
+    """Collect prefix_0, prefix_1, ... keys sorted by their integer index."""
+    found = []
+    for (sec, key), (value, line) in list(entries.items()):
+        if sec != section:
+            continue
+        if key.startswith(prefix + "_") and key[len(prefix) + 1:].isdigit():
+            found.append((int(key[len(prefix) + 1:]), key, value, line))
+            del entries[(sec, key)]
+    found.sort()
+    return found
+
+
+def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str,
+             cutoff: FockCutoff | None):
+    """Read one value of ``row`` and check its choices and bound; ``key`` is
+    the key as spelled (``amp_3``)."""
+    value = _read_kind(row.kind, raw, key, line, config_dir, cutoff)
+    if row.choices and value not in row.choices:
+        raise ConfigError(
+            f"{key}: expected one of {', '.join(map(str, row.choices))}, "
+            f"got {raw!r}", line)
+    if row.bound is not None:
+        op, limit = row.bound
+        if not (value > limit if op == ">" else value >= limit):
+            raise ConfigError(f"{key} must be {op} {limit}, got {value}", line)
+    return value
+
+
+def _read_kind(kind: str, raw: str, key: str, line: int, config_dir: str,
+               cutoff: FockCutoff | None):
+    if kind in _KINDS:
+        return _dimensional(raw, kind, key, line)
+    if kind == "number":
+        return _dimensionless(raw, key, line)
+    if kind == "integer":
+        return _integer(raw, key, line)
+    if kind == "word":
+        return raw
+    if kind == "beta":
+        return math.inf if raw == "inf" else _dimensional(raw, "time", key, line)
+    if kind == "rational":
+        try:
+            value = Fraction(raw)
+        except (ValueError, ZeroDivisionError):
+            raise ConfigError(
+                f"{key}: not a rational number: {raw!r}", line) from None
+        if abs(value) > sys.float_info.max:  # dfs_find also reads it as a float
+            raise ConfigError(f"{key}: not a finite number: {raw!r}", line)
+        return value
+    if kind == "path":
+        path = os.path.abspath(os.path.join(config_dir, raw))
+        if not os.path.isfile(path):
+            raise ConfigError(f"{key}: no such file: {path}", line)
+        return path
+    shape = "m n i : re im" if kind == "amplitude" else "m n i : m n i"
+    if ":" not in raw:
+        raise ConfigError(f"{key}: expected '{shape}', got {raw!r}", line)
+    left, right = raw.split(":", 1)
+    label = _label_triplet(left.strip(), key, line, cutoff)
+    if kind == "pair":
+        return label, _label_triplet(right.strip(), key, line, cutoff)
+    parts = right.split()
+    if len(parts) != 2:
+        raise ConfigError(
+            f"{key}: expected two amplitude components, got {raw!r}", line)
+    return (*label, _number(parts[0], key, line), _number(parts[1], key, line))
+
+
+def _cross_key_rules(section: str, vals: dict, lines: dict,
+                     header: int) -> None:
+    """The rules of a section that read two keys, or every line of an
+    indexed key; a row of the key table holds each rule on one value."""
+    if section == "bath":
+        if "beta" in vals and "temperature" in vals:
+            raise ConfigError("give either 'beta' or 'temperature', not both",
+                              lines["temperature"])
+        if "temperature" in vals:
+            t_kelvin = vals["temperature"]
+            # beta multiplies angular frequency, so it is hbar/(k_B T), seconds
+            vals["beta"] = (math.inf if t_kelvin == 0
+                            else HBAR_SI / (K_B_SI * t_kelvin))
+    elif section == "grid":
+        start = vals.get("t_start", 0.0)
+        if vals.get("spacing") == "log" and start <= 0:
+            raise ConfigError("log spacing requires t_start > 0",
+                              lines.get("t_start", lines.get("spacing")))
+        if vals["t_count"] > 1 and vals["t_stop"] <= start:
+            raise ConfigError("t_stop must exceed t_start", lines["t_stop"])
+    elif section == "state" and vals["kind"] == "labels":
+        # StateVector.normalized refuses the zero vector; repeated labels add
+        amp: dict = {}
+        for m, n, i, re_part, im_part in vals["amp"]:
+            amp[m, n, i] = amp.get((m, n, i), 0) + complex(re_part, im_part)
+        if not any(amp.values()):
+            raise ConfigError("state kind 'labels' sums to the zero vector",
+                              header)
+
+
+def _parse_section(section: str, entries: dict, headers: dict,
+                   config_dir: str, cutoff: FockCutoff | None) -> dict:
+    """Pop and check one section's keys; returns the RunConfig fields.
+
+    A key's own value is checked as it is read; then come unknown keys,
+    missing required keys (at the section header; the top level starts at
+    line 1), and last the cross-key rules.
+    """
+    vals: dict = {}
+    lines: dict = {}
+    accepted = []
+    for row in _ROWS[section]:
+        if row.when is not None and vals.get(row.when[0]) != row.when[1]:
+            continue
+        accepted.append(row)
+        if row.indexed:
+            vals[row.key] = tuple(
+                _convert(row, value, key, line, config_dir, cutoff)
+                for _, key, value, line in _indexed_lines(entries, section,
+                                                          row.key))
+            continue
+        raw, line = entries.pop((section, row.key), (None, None))
+        if raw is not None:
+            vals[row.key] = _convert(row, raw, row.key, line, config_dir,
+                                     cutoff)
+            lines[row.key] = line
+
+    known = ", ".join(f"{row.key}_<k>" if row.indexed else row.key
+                      for row in accepted)
+    where = f"[{section}]" if section else "the top level"
+    for (sec, key), (_, line) in entries.items():
+        if sec == section:
+            raise ConfigError(
+                f"unknown key {key!r} in {where} (known: {known})", line)
+    header = headers.get(section, 1)
+    for row in accepted:
+        if row.required and vals.get(row.key) in (None, ()):
+            if row.indexed:
+                raise ConfigError(f"[{section}] needs at least one "
+                                  f"{row.key}_<k> line", header)
+            raise ConfigError(f"{where} is missing required key "
+                              f"{row.key!r}", header)
+    _cross_key_rules(section, vals, lines, header)
+
+    fields: dict = {}
+    parts: dict = {}
+    for row in accepted:
+        if row.field is None or row.key not in vals:
+            continue
+        name, _, attr = row.field.partition(".")
+        if attr:
+            parts.setdefault(name, {})[attr] = vals[row.key]
+        else:
+            fields[name] = vals[row.key]
+    for name, attrs in parts.items():
+        fields[name] = _COMPOUND[name][0](attrs)
+    return fields
+
+
+def load_config(path: str) -> RunConfig:
+    """Parse and normalize a config file.
+
+    Every problem is a ConfigError that names its line, except a file that
+    cannot be read.  A section the scenario does not use is reported at its
+    header, a missing section at the ``scenario =`` line, after the
+    sections that are present have been read.
+    """
+    entries, headers = _tokenize(path)
+    config_dir = os.path.dirname(os.path.abspath(path))
+    at = entries.get(("", "scenario"), ("", 1))[1]
+
+    fields = _parse_section("", entries, headers, config_dir, None)
+    name = fields["scenario"]
+    scenario = _SCENARIOS[name]
+    for section, line in headers.items():
+        if section not in scenario.sections:
+            raise ConfigError(
+                f"section [{section}] is not used by scenario {name!r}"
+                + (f" (allowed: {', '.join(sorted(scenario.sections))})"
+                   if scenario.sections else " (it takes no sections)"), line)
+
+    # the top level "" is never a header, so it is not parsed twice
+    for section in _SECTIONS:
+        if section in headers:
+            fields.update(_parse_section(section, entries, headers,
+                                         config_dir, fields.get("cutoff")))
+
+    for alternatives in scenario.requires:
+        if not any(section in headers for section in alternatives):
+            raise ConfigError(
+                f"scenario {name!r} requires section "
+                + " or ".join(f"[{section}]" for section in alternatives), at)
+    if "effective" in headers and "device" not in headers:
+        over = dict(fields.get("eff_overrides", ()))
+        missing = [k for k in ("omega_a", "omega_a_prime", "chi")
+                   if k not in over]
+        if missing:
+            raise ConfigError("[effective] without [device] must supply "
+                              + ", ".join(missing), headers["effective"])
+    return RunConfig(**fields)
+
+
+# --------------------------------------------------------------- rendering
+
+def _g17(x: float) -> str:
+    return f"{x:.17g}"
+
+
+def _format(kind: str, value) -> str:
+    if kind in _KINDS:
+        return f"{_g17(value)} {_BASE_SUFFIX[kind]}"
+    if kind == "number":
+        return _g17(value)
+    if kind == "beta":
+        return "inf" if math.isinf(value) else f"{_g17(value)} s"
+    if kind == "amplitude":
+        m, n, i, re_part, im_part = value
+        return f"{m} {n} {i} : {_g17(re_part)} {_g17(im_part)}"
+    if kind == "pair":
+        (m, n, i), (m2, n2, i2) = value
+        return f"{m} {n} {i} : {m2} {n2} {i2}"
+    return str(value)
+
+
+def _read(cfg: RunConfig, row: _Key):
+    """The value ``row`` filled in ``cfg``, or None."""
+    if row.field is None:
+        return None
+    name, _, attr = row.field.partition(".")
+    value = getattr(cfg, name)
+    if attr and value is not None:
+        value = _COMPOUND[name][1](value, attr)
+    return value
+
+
+def render_config(cfg: RunConfig) -> str:
+    """Echo a RunConfig as normalized config text; load_config inverts it."""
+    lines = []
+    for section in _SECTIONS:
+        rows = _ROWS[section]
+        anchors = [row for row in rows if row.required] or rows
+        if all(_read(cfg, row) in (None, ()) for row in anchors):
+            continue
+        if section:
+            lines.append(f"[{section}]")
+        for row in rows:
+            if row.when is not None and \
+                    _read(cfg, _ROW[section, row.when[0]]) != row.when[1]:
+                continue
+            value = _read(cfg, row)
+            if value is None:
+                continue
+            if row.indexed:
+                lines += [f"{row.key}_{k} = {_format(row.kind, item)}"
+                          for k, item in enumerate(value)]
+            else:
+                lines.append(f"{row.key} = {_format(row.kind, value)}")
+        lines.append("")
+    return "\n".join(lines)
+
+
+# ------------------------------------------------------------------ running
 
 def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
     """Execute one scenario, writing report.json and config_echo.cfg.
@@ -860,14 +909,7 @@ def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
         with warnings.catch_warnings(record=True) as caught:
             # "always": a repeated run in one process records the same list
             warnings.simplefilter("always")
-            if cfg.scenario == "device":
-                payload = _run_device(cfg, out_dir)
-            elif cfg.scenario == "spectrum":
-                payload = _run_spectrum(cfg, out_dir, tol)
-            elif cfg.scenario == "dephasing":
-                payload = _run_dephasing(cfg, out_dir, tol)
-            else:
-                payload, _ = _run_validate(cfg, out_dir, tol)
+            payload = _SCENARIOS[cfg.scenario].runner(cfg, out_dir, tol)
     except Exception:
         # no report will list them, so show them as Python would have
         for w in caught:
@@ -889,22 +931,6 @@ def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
     return report
 
 
-def _summary_line(report: dict) -> str:
-    scenario = report["scenario"]
-    if scenario == "device":
-        parts = [f"regime worst flag: {report['regime']['worst_flag']}"]
-        if "cross_phase" in report:
-            parts.append(f"cross-phase {report['cross_phase']['cycles']:.4f} cycles")
-        return "; ".join(parts)
-    if scenario == "spectrum":
-        return (f"{report['class_count']} degeneracy classes, "
-                f"{report['protected_class_count']} protected")
-    if scenario == "dephasing":
-        return (f"{len(report['pairs'])} tracked pairs over "
-                f"{report['grid']['count']} grid points")
-    return f"{report['passed_count']}/{report['check_count']} checks passed"
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="cqdeph",
@@ -912,13 +938,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, blurb in (
-        ("device", "effective couplings and regime diagnostics"),
-        ("spectrum", "level table and degeneracy classes"),
-        ("dephasing", "reduced-density-matrix trajectories"),
-        ("validate", "run the cross-module invariant suite"),
-    ):
-        p = sub.add_parser(name, help=blurb)
+    for name, scenario in _SCENARIOS.items():
+        p = sub.add_parser(name, help=scenario.blurb)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=None,
@@ -936,9 +957,10 @@ def main(argv=None) -> int:
         report = run(cfg, args.out, tol=args.tol)
         for message in report["warnings"]:
             print(f"cqdeph: warning: {message}", file=sys.stderr)
-        print(f"{args.command}: {_summary_line(report)}")
+        print(f"{args.command}: {_SCENARIOS[cfg.scenario].summary(report)}")
         print(f"report: {os.path.join(args.out, 'report.json')}")
-        if cfg.scenario == "validate" and not report["all_passed"]:
+        # only the validate report carries a verdict
+        if not report.get("all_passed", True):
             bad = [c["name"] for c in report["checks"] if not c["passed"]]
             print(f"cqdeph: validation failed: {', '.join(bad)}",
                   file=sys.stderr)

@@ -58,23 +58,26 @@ PANEL_CAP = 16384  # real-axis panels of a tabulated density; see quad_tabulated
 _ROT = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, the integration ray
 _RAY_WIDTH = 0.6  # width of the initial ray panels in x = ln r
 _X_MIN = math.log(np.finfo(float).tiny)  # below this r = e^x is no longer a normal float
+_EPS = float(np.finfo(float).eps)
 
 
 def initial_panels(t: float, omega_c: float, s: float,
                    rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Panel edges (a, b) in x = ln r along the ray w = r e^{i pi/4}.
 
-    The panels have width _RAY_WIDTH and run from the head cut, where the
-    integrand has fallen to 1e-3 * rtol of its size at the scale
-    min(1/t, omega_c), to Re w = (40 + 2 s) omega_c, where exp(-w/omega_c)
-    ends it.  Their count grows like ln(omega_c t), not like t.
+    The panels have width _RAY_WIDTH and run down from Re w = (40 + 2 s)
+    omega_c, where exp(-w/omega_c) ends the integrand, to the head cut,
+    where it has fallen to 1e-3 * rtol of its size at the scale
+    min(1/t, omega_c); the last panel that fits above the cut is the
+    first.  Their count grows like ln(omega_c t), not like t, and a tighter
+    rtol only adds panels at the head.
     """
     if t <= 0.0:
         raise NumericsError("initial_panels needs t > 0")
     lo = max(math.log(min(1.0 / t, omega_c)) + math.log(1e-3 * rtol) / s, _X_MIN)
     hi = math.log((40.0 + 2.0 * s) * omega_c / _ROT.real)
-    n = max(1, math.ceil((hi - lo) / _RAY_WIDTH))
-    edges = lo + _RAY_WIDTH * np.arange(n + 1)
+    n = max(1, math.floor((hi - lo) / _RAY_WIDTH))
+    edges = hi - _RAY_WIDTH * np.arange(n, -1, -1)
     return edges[:-1], edges[1:]
 
 
@@ -149,8 +152,17 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
     with h = i w t / (1 + w^2 t^2).  On the real axis h is imaginary and
     drops out; on the ray it cancels the 2/(beta w) pole of coth at the
     origin, and it decays beyond w ~ 1/t, so no large cancelling term is
-    left where the panels are wide.  Returns (value, error); the error
-    includes the bound |f(x_lo)| / s on the ray below the first panel.
+    left where the panels are wide.
+
+    Below the first panel, x < x_lo, the integrand in x = ln r is a power
+    law f(x) ~ f(x_lo) e^{p (x - x_lo)}, with p = s, or s + 1 for kind 2 at
+    zero temperature, up to a relative correction of order
+    r (t + 1/omega_c + beta) with r = e^x.  So f(x_lo) / p is added to the
+    value.  That matters for small s, where the head cut is clamped at the
+    smallest normal float and the head holds most of the integral.
+    Returns (value, error); the error includes the bound
+    2 |f(x_lo)| r_lo (t + 1/omega_c + beta) / p on the head remainder and
+    the rounding 4 eps |x_lo| |f(x_lo)| / p of the head itself.
     t must be positive; callers handle t = 0 and the symmetry in t.
     """
     a, b = initial_panels(t, omega_c, s, rtol)
@@ -173,7 +185,13 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
 
     # six bisections of every panel: far more than the analytic integrand needs
     val, err = _adaptive(f, a, b, rtol, cap=64 * a.size)
-    return val, err + abs(float(f(a[:1])[0])) / s
+    p = s + 1.0 if kind == 2 and zero_t else s
+    head = float(f(a[:1])[0]) / p
+    # the remainder, plus the rounding of exponents of size |x_lo|, which
+    # the exponential turns into a relative error of f
+    rel = (2.0 * math.exp(a[0]) * (t + 1.0 / omega_c + (0.0 if zero_t else beta))
+           + 4.0 * _EPS * abs(a[0]))
+    return val + head, err + abs(head) * rel
 
 
 def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,

@@ -74,7 +74,11 @@ class CheckResult:
     detail: str = ""
 
 
-def _row(name: str, residual: float, tolerance: float, detail: str = "") -> CheckResult:
+# what a check measures: (residual, tolerance, detail)
+_Measured = tuple[float, float, str]
+
+
+def _row(name: str, residual: float, tolerance: float, detail: str) -> CheckResult:
     residual = float(residual)
     return CheckResult(
         name=name,
@@ -121,26 +125,26 @@ def _probe_state(cutoff: FockCutoff, seed: int = 7) -> OperatorMatrix:
 
 # ---------------------------------------------------------------- hilbert
 
-def _check_ladder_number() -> CheckResult:
+def _check_ladder_number() -> _Measured:
     n_max = 10
     a = annihilation(n_max).mat
     resid = np.max(np.abs(a.conj().T @ a - np.diag(np.arange(n_max + 1.0))))
-    return _row("ladder_number_eigenvalues", resid, 1e-12,
-                "a^dag a equals diag(0..n_max) on the whole truncated space")
+    return (resid, 1e-12,
+            "a^dag a equals diag(0..n_max) on the whole truncated space")
 
 
-def _check_ladder_commutator() -> CheckResult:
+def _check_ladder_commutator() -> _Measured:
     n_max = 10
     a = annihilation(n_max).mat
     comm = a @ a.conj().T - a.conj().T @ a
     resid = np.max(np.abs(comm[:n_max, :n_max] - np.eye(n_max)))
     corner = comm[n_max, n_max].real
-    return _row("ladder_commutator", resid, 1e-12,
-                f"[a, a^dag] = 1 below the top level; corner entry {corner:g} "
-                "is the unavoidable truncation signature (-n_max)")
+    return (resid, 1e-12,
+            f"[a, a^dag] = 1 below the top level; corner entry {corner:g} "
+            "is the unavoidable truncation signature (-n_max)")
 
 
-def _check_tensor_index() -> CheckResult:
+def _check_tensor_index() -> _Measured:
     cut = FockCutoff(3, 4)
     rng = np.random.default_rng(21)
     dq = np.array([2.0, 5.0])
@@ -154,12 +158,12 @@ def _check_tensor_index() -> CheckResult:
                                i=int(rng.integers(0, 2)))
         k = lab.flat_index(cut)
         worst = max(worst, abs(t3[k, k] - dq[lab.i] * da[lab.m] * db[lab.n]))
-    return _row("tensor_index_consistency", worst, 1e-12,
-                "diagonal of qubit x A x B Kronecker product matches the "
-                "flat-index formula on random labels")
+    return (worst, 1e-12,
+            "diagonal of qubit x A x B Kronecker product matches the "
+            "flat-index formula on random labels")
 
 
-def _check_partial_trace() -> CheckResult:
+def _check_partial_trace() -> _Measured:
     cut = FockCutoff(3, 4)
     rho = OperatorMatrix(_random_density(cut.dim, seed=7), cut)
     mid = partial_trace(rho, ("qubit", "A")).mat
@@ -167,24 +171,24 @@ def _check_partial_trace() -> CheckResult:
     two_step = np.trace(mid.reshape(2, da, 2, da), axis1=1, axis2=3)
     direct = partial_trace(rho, "qubit").mat
     resid = np.max(np.abs(two_step - direct))
-    return _row("partial_trace_composition", resid, 1e-12,
-                "tracing out B then A equals tracing out both at once")
+    return (resid, 1e-12,
+            "tracing out B then A equals tracing out both at once")
 
 
 # ----------------------------------------------------------------- device
 
-def _check_dressing_identity() -> CheckResult:
+def _check_dressing_identity() -> _Measured:
     _, eff = _natural()
     n = np.arange(9)
     lam = (eff.g_a**2 / eff.omega_a) * (1.0 + qubit_frequency(eff, 0.8, n) / eff.omega_a)
     ladder = eff.omega_a_prime - eff.chi * n
     resid = np.max(np.abs(lam - ladder)) / np.max(np.abs(ladder))
-    return _row("device_dressing_identity", resid, 1e-12,
-                "photon-number-resolved dispersive shift reproduces the "
-                "dressed-frequency ladder omega_a' - chi*n exactly")
+    return (resid, 1e-12,
+            "photon-number-resolved dispersive shift reproduces the "
+            "dressed-frequency ladder omega_a' - chi*n exactly")
 
 
-def _check_chi_scalings() -> CheckResult:
+def _check_chi_scalings() -> _Measured:
     base = cross_kerr(0.3, 0.1, 0.8, 1.0)
     ratios = (
         cross_kerr(0.6, 0.1, 0.8, 1.0) / base / 4.0,
@@ -193,11 +197,11 @@ def _check_chi_scalings() -> CheckResult:
         cross_kerr(0.3, 0.1, 0.8, 2.0) / base / 0.25,
     )
     resid = max(abs(r - 1.0) for r in ratios)
-    return _row("chi_scalings", resid, 1e-12,
-                "chi scales as g^2, phi_b^2, E_J, 1/omega_a^2 under doubling")
+    return (resid, 1e-12,
+            "chi scales as g^2, phi_b^2, E_J, 1/omega_a^2 under doubling")
 
 
-def _check_cross_phase_linearity() -> CheckResult:
+def _check_cross_phase_linearity() -> _Measured:
     chi, tau = 3.6e8, 1.6e-7
     c1 = cross_phase(chi, tau)
     resid = max(
@@ -205,14 +209,14 @@ def _check_cross_phase_linearity() -> CheckResult:
         abs(cross_phase(chi, 2 * tau).radians - 2 * c1.radians) / c1.radians,
         abs(c1.cycles * 2 * math.pi - c1.radians) / c1.radians,
     )
-    return _row("cross_phase_linearity", resid, 1e-12,
-                "accumulated phase is linear in chi and in tau; cycles and "
-                "radians stay consistent")
+    return (resid, 1e-12,
+            "accumulated phase is linear in chi and in tau; cycles and "
+            "radians stay consistent")
 
 
 # ----------------------------------------------------------- hamiltonians
 
-def _check_stage_hermiticity() -> CheckResult:
+def _check_stage_hermiticity() -> _Measured:
     p, eff = _natural()
     cut = FockCutoff(3, 3)
     with warnings.catch_warnings():
@@ -228,22 +232,22 @@ def _check_stage_hermiticity() -> CheckResult:
     resid = max(s.matrix.hermiticity_defect() for s in stages)
     off = stages[-1].matrix.mat[~np.eye(cut.dim, dtype=bool)]
     resid = max(resid, float(np.max(np.abs(off))))
-    return _row("stage_hermiticity", resid, 1e-12,
-                "all six stages hermitian; the cross-Kerr stage strictly "
-                "diagonal in the numbered basis")
+    return (resid, 1e-12,
+            "all six stages hermitian; the cross-Kerr stage strictly "
+            "diagonal in the numbered basis")
 
 
-def _check_rotation_spectrum() -> CheckResult:
+def _check_rotation_spectrum() -> _Measured:
     p, eff = _natural()
     cut = FockCutoff(4, 4)
     e_full = np.linalg.eigvalsh(build_full(p, eff, cut).matrix.mat)
     e_rot = np.linalg.eigvalsh(build_rotated(p, eff, cut).matrix.mat)
     resid = np.max(np.abs(e_full - e_rot))
-    return _row("rotation_spectrum_match", resid, 1e-10,
-                "qubit-axis rotation leaves the spectrum untouched")
+    return (resid, 1e-10,
+            "qubit-axis rotation leaves the spectrum untouched")
 
 
-def _check_quadratic_scaling() -> CheckResult:
+def _check_quadratic_scaling() -> _Measured:
     cut = FockCutoff(2, 10)
     keep = np.array([k % cut.dim_b != cut.n_max_b for k in range(cut.dim)])
     devs = {}
@@ -253,14 +257,14 @@ def _check_quadratic_scaling() -> CheckResult:
             - build_rotated(p, eff, cut).matrix.mat
         devs[pb] = float(np.max(np.abs(diff[np.ix_(keep, keep)])))
     ratio = devs[0.1] / devs[0.05]
-    return _row("quadratic_quartic_scaling", abs(ratio / 16.0 - 1.0), 0.2,
-                f"halving phi_b shrinks the expansion error 16x (measured "
-                f"{ratio:.3f}); measured away from the top mode-B level, "
-                "whose corner carries an O(phi^2 n_max) truncation artifact "
-                "of the exact cosine rather than an expansion error")
+    return (abs(ratio / 16.0 - 1.0), 0.2,
+            f"halving phi_b shrinks the expansion error 16x (measured "
+            f"{ratio:.3f}); measured away from the top mode-B level, "
+            "whose corner carries an O(phi^2 n_max) truncation artifact "
+            "of the exact cosine rather than an expansion error")
 
 
-def _check_jc_conserved() -> CheckResult:
+def _check_jc_conserved() -> _Measured:
     p, eff = _natural()
     cut = FockCutoff(3, 3)
     with warnings.catch_warnings():
@@ -275,12 +279,12 @@ def _check_jc_conserved() -> CheckResult:
     scale = np.max(np.abs(h))
     resid = max(np.max(np.abs(h @ n_exc - n_exc @ h)),
                 np.max(np.abs(h @ n_b - n_b @ h))) / scale
-    return _row("jc_conserved_quantities", resid, 1e-12,
-                "the excitation-conserving stage commutes with "
-                "n_a + qubit projector and with n_b")
+    return (resid, 1e-12,
+            "the excitation-conserving stage commutes with "
+            "n_a + qubit projector and with n_b")
 
 
-def _check_chain_consistency() -> CheckResult:
+def _check_chain_consistency() -> _Measured:
     rng = np.random.default_rng(42)
     cut = FockCutoff(4, 4)
     worst = 0.0
@@ -301,25 +305,25 @@ def _check_chain_consistency() -> CheckResult:
             diag = build_diagonal(eff, cut).matrix.mat
             scale = max(1.0, float(np.max(np.abs(disp))))
             worst = max(worst, float(np.max(np.abs(disp - free - diag))) / scale)
-    return _row("chain_consistency", worst, 1e-12,
-                "shifted-frequency stage minus its free part equals the "
-                "cross-Kerr stage entrywise over 20 random parameter draws")
+    return (worst, 1e-12,
+            "shifted-frequency stage minus its free part equals the "
+            "cross-Kerr stage entrywise over 20 random parameter draws")
 
 
 # --------------------------------------------------------------- spectrum
 
-def _check_eigenvalue_diagonal() -> CheckResult:
+def _check_eigenvalue_diagonal() -> _Measured:
     _, eff = _natural()
     cut = FockCutoff(8, 8)
     dg = np.real(np.diag(build_diagonal(eff, cut).matrix.mat))
     ev = spectrum.energies_vector(eff, cut)
     resid = np.max(np.abs(dg - ev)) / np.max(np.abs(ev))
-    return _row("eigenvalue_matches_diagonal", resid, 1e-12,
-                "closed-form level function agrees with the dense diagonal "
-                "construction on every one of the 2*9*9 labels")
+    return (resid, 1e-12,
+            "closed-form level function agrees with the dense diagonal "
+            "construction on every one of the 2*9*9 labels")
 
 
-def _check_diagonal_level_values() -> CheckResult:
+def _check_diagonal_level_values() -> _Measured:
     eff = _kerr_effective(5.0, 1.0)
     resid = max(
         abs(spectrum.eigenvalue(TensorBasisLabel(2, 3, 0), eff) - 4.0),
@@ -329,12 +333,12 @@ def _check_diagonal_level_values() -> CheckResult:
         abs(spectrum.energy_difference(TensorBasisLabel(1, 0, 0),
                                        TensorBasisLabel(1, 1, 0), eff) - 1.0),
     )
-    return _row("diagonal_level_values", resid, 1e-12,
-                "hand-computed levels at ladder 5, coupling 1: "
-                "E(2,3,0) = 4, E(2,3,1) = -6, E(0,n,0) = 0")
+    return (resid, 1e-12,
+            "hand-computed levels at ladder 5, coupling 1: "
+            "E(2,3,0) = 4, E(2,3,1) = -6, E(0,n,0) = 0")
 
 
-def _check_dfs_zero_class() -> CheckResult:
+def _check_dfs_zero_class() -> _Measured:
     rng = np.random.default_rng(3)
     cut = FockCutoff(3, 4)
     worst = 0.0
@@ -345,15 +349,15 @@ def _check_dfs_zero_class() -> CheckResult:
         members = set(cls.members)
         for n in range(cut.dim_b):
             if TensorBasisLabel(0, n, 0) not in members:
-                return _row("dfs_zero_class", math.inf, 1e-8,
-                            f"label (0,{n},0) missing from the zero class")
+                return (math.inf, 1e-8,
+                        f"label (0,{n},0) missing from the zero class")
         worst = max(worst, abs(cls.energy))
-    return _row("dfs_zero_class", worst, 1e-8,
-                "the m = 0, i = 0 column always lands in one zero-energy "
-                "class, for every parameter draw")
+    return (worst, 1e-8,
+            "the m = 0, i = 0 column always lands in one zero-energy "
+            "class, for every parameter draw")
 
 
-def _check_dfs_rescaling() -> CheckResult:
+def _check_dfs_rescaling() -> _Measured:
     cut = FockCutoff(3, 3)
 
     def partition(eff):
@@ -363,20 +367,20 @@ def _check_dfs_rescaling() -> CheckResult:
         )
 
     same = partition(_kerr_effective(0.9, 0.3)) == partition(_kerr_effective(4.5, 1.5))
-    return _row("dfs_rescaling_invariance", 0.0 if same else 1.0, 0.5,
-                "scaling every energy by 5 leaves class membership intact")
+    return (0.0 if same else 1.0, 0.5,
+            "scaling every energy by 5 leaves class membership intact")
 
 
-def _check_cluster_shift() -> CheckResult:
+def _check_cluster_shift() -> _Measured:
     energies = np.array([0.0, 1e-12, 0.0, 0.5, 0.5 + 2e-12, 1.7, 2.0, 2.0])
     tol = 1e-9
     base = [g.tolist() for g in spectrum.cluster_energies(energies, tol)]
     shifted = [g.tolist() for g in spectrum.cluster_energies(energies + 7.25, tol)]
     scaled = [g.tolist() for g in spectrum.cluster_energies(energies * 3.0, 3.0 * tol)]
     ok = base == shifted == scaled
-    return _row("cluster_shift_invariance", 0.0 if ok else 1.0, 0.5,
-                "energy clustering is invariant under a uniform shift and "
-                "under positive rescaling with the tolerance scaled along")
+    return (0.0 if ok else 1.0, 0.5,
+            "energy clustering is invariant under a uniform shift and "
+            "under positive rescaling with the tolerance scaled along")
 
 
 # ------------------------------------------------------------------- bath
@@ -384,7 +388,7 @@ def _check_cluster_shift() -> CheckResult:
 _OHMIC = bath.OhmicSpectralDensity(coupling=0.1, exponent=1.0, omega_c=1.0)
 
 
-def _check_q1_q2_symmetry() -> CheckResult:
+def _check_q1_q2_symmetry() -> _Measured:
     t0 = bath.BathState()
     warm = bath.BathState(beta=2.0)
     resid = max(
@@ -394,11 +398,11 @@ def _check_q1_q2_symmetry() -> CheckResult:
         abs(bath.q2(_OHMIC, warm, -2.0) - bath.q2(_OHMIC, warm, 2.0)),
         max(0.0, -bath.q2(_OHMIC, t0, 3.0)),
     )
-    return _row("q1_q2_symmetry", resid, 1e-12,
-                "q1 odd, q2 even and non-negative, both zero at t = 0")
+    return (resid, 1e-12,
+            "q1 odd, q2 even and non-negative, both zero at t = 0")
 
 
-def _check_ohmic_closed_form() -> CheckResult:
+def _check_ohmic_closed_form() -> _Measured:
     t0 = bath.BathState()
     ts = np.geomspace(0.02, 50.0, 12)
     worst = 0.0
@@ -408,31 +412,31 @@ def _check_ohmic_closed_form() -> CheckResult:
         worst = max(worst,
                     abs(bath.q1(_OHMIC, t) - exact1) / exact1,
                     abs(bath.q2(_OHMIC, t0, t) - exact2) / exact2)
-    return _row("ohmic_closed_form_q1q2", worst, 1e-6,
-                "quadrature matches the arctan / log laws of the linear "
-                "zero-temperature reservoir over t in [0.02, 50]")
+    return (worst, 1e-6,
+            "quadrature matches the arctan / log laws of the linear "
+            "zero-temperature reservoir over t in [0.02, 50]")
 
 
-def _check_q2_temperature() -> CheckResult:
+def _check_q2_temperature() -> _Measured:
     states = (bath.BathState(beta=2.0), bath.BathState(beta=5.0), bath.BathState())
     worst = 0.0
     for t in (0.5, 2.0, 10.0):
         vals = [bath.q2(_OHMIC, s, t) for s in states]
         worst = max(worst, max(0.0, vals[1] - vals[0]), max(0.0, vals[2] - vals[1]))
-    return _row("q2_temperature_monotonic", worst, 1e-12,
-                "warming the reservoir can only increase q2, pointwise in t")
+    return (worst, 1e-12,
+            "warming the reservoir can only increase q2, pointwise in t")
 
 
-def _check_q2_monotone() -> CheckResult:
+def _check_q2_monotone() -> _Measured:
     t0 = bath.BathState()
     ts = np.linspace(0.0, 8.0, 17)
     vals = bath.q2_grid(_OHMIC, t0, ts)
     resid = max(0.0, float(np.max(vals[:-1] - vals[1:])))
-    return _row("q2_zero_t_monotone_ohmic1", resid, 1e-10,
-                "q2 never decreases in t for the linear reservoir at T = 0")
+    return (resid, 1e-10,
+            "q2 never decreases in t for the linear reservoir at T = 0")
 
 
-def _check_r_factor_modulus() -> CheckResult:
+def _check_r_factor_modulus() -> _Measured:
     rng = np.random.default_rng(11)
     warm = bath.BathState(beta=3.0)
     t0 = bath.BathState()
@@ -447,12 +451,12 @@ def _check_r_factor_modulus() -> CheckResult:
     q2c = 0.05 * math.log(5.0)
     expected = cmath.exp(complex(-4.0 * q2c, -4.0 * q1c))
     worst = max(worst, abs(bath.r_factor(2.0, 0.0, _OHMIC, t0, 2.0) - expected))
-    return _row("r_factor_modulus", worst, 1e-6,
-                "|r| <= 1 always, = 1 on degenerate pairs; frozen arctan/log "
-                "composition reproduced at t = 2")
+    return (worst, 1e-6,
+            "|r| <= 1 always, = 1 on degenerate pairs; frozen arctan/log "
+            "composition reproduced at t = 2")
 
 
-def _check_quadrature_error() -> CheckResult:
+def _check_quadrature_error() -> _Measured:
     warm = bath.BathState(beta=2.0)
     t0 = bath.BathState()
     worst = 0.0
@@ -462,14 +466,14 @@ def _check_quadrature_error() -> CheckResult:
         (bath.q2_full(_OHMIC, warm, 5.0, rtol=1e-6), bath.q2_full(_OHMIC, warm, 5.0, rtol=5e-7)),
     ):
         worst = max(worst, abs(coarse.value - fine.value) - coarse.error)
-    return _row("quadrature_error_estimate", max(0.0, worst), 1e-15,
-                "halving the tolerance moves each integral by less than its "
-                "own reported error estimate")
+    return (max(0.0, worst), 1e-15,
+            "halving the tolerance moves each integral by less than its "
+            "own reported error estimate")
 
 
 # --------------------------------------------------------------- dynamics
 
-def _check_factorization() -> CheckResult:
+def _check_factorization() -> _Measured:
     cut = FockCutoff(1, 1)
     eff = _kerr_effective(1.0, 0.3)
     rho0 = _probe_state(cut, seed=5)
@@ -486,12 +490,12 @@ def _check_factorization() -> CheckResult:
             damp = math.exp(-bath.damping(e_hi, e_lo, _OHMIC, t0, t))
             rebuilt = traj.rho0[rec.row, rec.col] * free * lamb * damp
             worst = max(worst, abs(rec.element[k] - rebuilt))
-    return _row("factorization_reconstruction", worst, 1e-12,
-                "every evolved coherence factorizes into free phase x "
-                "reservoir phase x damping, rebuilt element by element")
+    return (worst, 1e-12,
+            "every evolved coherence factorizes into free phase x "
+            "reservoir phase x damping, rebuilt element by element")
 
 
-def _check_dfs_constant_modulus() -> CheckResult:
+def _check_dfs_constant_modulus() -> _Measured:
     eff = _kerr_effective(0.9, 0.3)
     cut = FockCutoff(2, 3)
     res = spectrum.dfs_find(eff, cut, ratio=Fraction(3))
@@ -505,13 +509,13 @@ def _check_dfs_constant_modulus() -> CheckResult:
                           np.linspace(0.0, 50.0, 9), pairs=[(ia, ib)])
     mods = np.abs(traj.pairs[0].element)
     resid = np.max(np.abs(mods - mods[0]))
-    return _row("dfs_constant_modulus", resid, 1e-12,
-                f"coherence between degenerate labels ({lab_a.m},{lab_a.n},"
-                f"{lab_a.i}) and ({lab_b.m},{lab_b.n},{lab_b.i}) keeps "
-                "constant modulus over the whole grid")
+    return (resid, 1e-12,
+            f"coherence between degenerate labels ({lab_a.m},{lab_a.n},"
+            f"{lab_a.i}) and ({lab_b.m},{lab_b.n},{lab_b.i}) keeps "
+            "constant modulus over the whole grid")
 
 
-def _check_offdiag_contraction() -> CheckResult:
+def _check_offdiag_contraction() -> _Measured:
     cut = FockCutoff(1, 1)
     eff = _kerr_effective(1.0, 0.3)
     rho0 = _probe_state(cut, seed=5)
@@ -525,23 +529,23 @@ def _check_offdiag_contraction() -> CheckResult:
     )
     for rec in traj.pairs:
         worst = max(worst, max(0.0, float(np.max(rec.damping[:-1] - rec.damping[1:]))))
-    return _row("offdiag_contraction", worst, 1e-12,
-                "populations frozen, |coherences| never above their initial "
-                "value, damping exponents non-decreasing at T = 0")
+    return (worst, 1e-12,
+            "populations frozen, |coherences| never above their initial "
+            "value, damping exponents non-decreasing at T = 0")
 
 
-def _check_finite_bath_quick() -> CheckResult:
+def _check_finite_bath_quick() -> _Measured:
     cut = FockCutoff(1, 1)
     eff = _kerr_effective(1.0, 0.3)
     rho0 = _probe_state(cut, seed=7)
     spec_b = FiniteBathSpec((1.3,), (0.065,), (3,))
     rep = finite_bath_oracle(rho0, eff, spec_b, np.linspace(2.0, 20.0, 5))
-    return _row("finite_bath_quick", rep.max_deviation, 1e-6,
-                f"single-mode brute-force propagation matches the closed "
-                f"form (displacement metric {rep.displacement_metric:.2f})")
+    return (rep.max_deviation, 1e-6,
+            f"single-mode brute-force propagation matches the closed "
+            f"form (displacement metric {rep.displacement_metric:.2f})")
 
 
-def _check_finite_bath_convergence() -> CheckResult:
+def _check_finite_bath_convergence() -> _Measured:
     cut = FockCutoff(1, 1)
     eff = _kerr_effective(1.0, 0.3)
     rho0 = _probe_state(cut, seed=7)
@@ -551,12 +555,12 @@ def _check_finite_bath_convergence() -> CheckResult:
         spec_b = FiniteBathSpec((1.3, 2.7), (0.06, 0.12), cuts)
         devs.append(finite_bath_oracle(rho0, eff, spec_b, ts).max_deviation)
     resid = max(devs[1] / devs[0], devs[2] / devs[1])
-    return _row("finite_bath_convergence", resid, 0.999,
-                "two-mode oracle deviation falls strictly with the bath "
-                "truncation: " + " -> ".join(f"{d:.3e}" for d in devs))
+    return (resid, 0.999,
+            "two-mode oracle deviation falls strictly with the bath "
+            "truncation: " + " -> ".join(f"{d:.3e}" for d in devs))
 
 
-def _check_dispersive_fidelity() -> CheckResult:
+def _check_dispersive_fidelity() -> _Measured:
     g = 0.04
     eff = EffectiveParams(g_a=g, phi_b=0.0, phi_e=0.0, n_g_dc=0.5, omega_a=1.0,
                           omega_a_prime=dressed_mode_frequency(g, 0.0, 0.1, 1.0),
@@ -570,89 +574,61 @@ def _check_dispersive_fidelity() -> CheckResult:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         chk = dispersive_check(psi0, eff, 0.1, ts)
-    return _row("dispersive_fidelity_quick", 1.0 - chk.min_fidelity, 1e-2,
-                "photon-shift propagation tracks the excitation-conserving "
-                f"stage at coupling/detuning = 0.05 (worst infidelity "
-                f"{1.0 - chk.min_fidelity:.2e}); the quadratic coupling "
-                "scaling lives in the acceptance suite")
+    return (1.0 - chk.min_fidelity, 1e-2,
+            "photon-shift propagation tracks the excitation-conserving "
+            f"stage at coupling/detuning = 0.05 (worst infidelity "
+            f"{1.0 - chk.min_fidelity:.2e}); the quadratic coupling "
+            "scaling lives in the acceptance suite")
 
 
+# the registry: every check under its report name, in report order
 _CHECKS = (
-    _check_ladder_number,
-    _check_ladder_commutator,
-    _check_tensor_index,
-    _check_partial_trace,
-    _check_dressing_identity,
-    _check_chi_scalings,
-    _check_cross_phase_linearity,
-    _check_stage_hermiticity,
-    _check_rotation_spectrum,
-    _check_quadratic_scaling,
-    _check_jc_conserved,
-    _check_chain_consistency,
-    _check_eigenvalue_diagonal,
-    _check_diagonal_level_values,
-    _check_dfs_zero_class,
-    _check_dfs_rescaling,
-    _check_cluster_shift,
-    _check_q1_q2_symmetry,
-    _check_ohmic_closed_form,
-    _check_q2_temperature,
-    _check_q2_monotone,
-    _check_r_factor_modulus,
-    _check_quadrature_error,
-    _check_factorization,
-    _check_dfs_constant_modulus,
-    _check_offdiag_contraction,
-    _check_finite_bath_quick,
-    _check_finite_bath_convergence,
-    _check_dispersive_fidelity,
+    ("ladder_number_eigenvalues", _check_ladder_number),
+    ("ladder_commutator", _check_ladder_commutator),
+    ("tensor_index_consistency", _check_tensor_index),
+    ("partial_trace_composition", _check_partial_trace),
+    ("device_dressing_identity", _check_dressing_identity),
+    ("chi_scalings", _check_chi_scalings),
+    ("cross_phase_linearity", _check_cross_phase_linearity),
+    ("stage_hermiticity", _check_stage_hermiticity),
+    ("rotation_spectrum_match", _check_rotation_spectrum),
+    ("quadratic_quartic_scaling", _check_quadratic_scaling),
+    ("jc_conserved_quantities", _check_jc_conserved),
+    ("chain_consistency", _check_chain_consistency),
+    ("eigenvalue_matches_diagonal", _check_eigenvalue_diagonal),
+    ("diagonal_level_values", _check_diagonal_level_values),
+    ("dfs_zero_class", _check_dfs_zero_class),
+    ("dfs_rescaling_invariance", _check_dfs_rescaling),
+    ("cluster_shift_invariance", _check_cluster_shift),
+    ("q1_q2_symmetry", _check_q1_q2_symmetry),
+    ("ohmic_closed_form_q1q2", _check_ohmic_closed_form),
+    ("q2_temperature_monotonic", _check_q2_temperature),
+    ("q2_zero_t_monotone_ohmic1", _check_q2_monotone),
+    ("r_factor_modulus", _check_r_factor_modulus),
+    ("quadrature_error_estimate", _check_quadrature_error),
+    ("factorization_reconstruction", _check_factorization),
+    ("dfs_constant_modulus", _check_dfs_constant_modulus),
+    ("offdiag_contraction", _check_offdiag_contraction),
+    ("finite_bath_quick", _check_finite_bath_quick),
+    ("finite_bath_convergence", _check_finite_bath_convergence),
+    ("dispersive_fidelity_quick", _check_dispersive_fidelity),
 )
 
-CHECK_NAMES = (
-    "ladder_number_eigenvalues",
-    "ladder_commutator",
-    "tensor_index_consistency",
-    "partial_trace_composition",
-    "device_dressing_identity",
-    "chi_scalings",
-    "cross_phase_linearity",
-    "stage_hermiticity",
-    "rotation_spectrum_match",
-    "quadratic_quartic_scaling",
-    "jc_conserved_quantities",
-    "chain_consistency",
-    "eigenvalue_matches_diagonal",
-    "diagonal_level_values",
-    "dfs_zero_class",
-    "dfs_rescaling_invariance",
-    "cluster_shift_invariance",
-    "q1_q2_symmetry",
-    "ohmic_closed_form_q1q2",
-    "q2_temperature_monotonic",
-    "q2_zero_t_monotone_ohmic1",
-    "r_factor_modulus",
-    "quadrature_error_estimate",
-    "factorization_reconstruction",
-    "dfs_constant_modulus",
-    "offdiag_contraction",
-    "finite_bath_quick",
-    "finite_bath_convergence",
-    "dispersive_fidelity_quick",
-)
+CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
 def run_all(tol_scale: float = 1.0) -> list[CheckResult]:
-    """Every check, in registry order, with optionally loosened tolerances."""
-    if not tol_scale > 0:
-        raise InvalidArgumentError(f"tol_scale must be > 0, got {tol_scale}")
+    """Every check, in registry order, with its tolerance times ``tol_scale``.
+
+    ``tol_scale`` must be finite and > 0; a non-finite residual never passes.
+    """
+    if not (math.isfinite(tol_scale) and tol_scale > 0):
+        raise InvalidArgumentError(
+            f"tol_scale must be finite and > 0, got {tol_scale}")
     results = []
-    for fn in _CHECKS:
-        r = fn()
-        if tol_scale != 1.0:
-            tol = r.tolerance * tol_scale
-            r = CheckResult(r.name, r.residual, tol, r.residual <= tol, r.detail)
-        results.append(r)
+    for name, check in _CHECKS:
+        residual, tolerance, detail = check()
+        results.append(_row(name, residual, tolerance * tol_scale, detail))
     return results
 
 

@@ -120,15 +120,18 @@ def test_thermal_law_reference_is_converged():
             _q2_thermal_law(t, 1.0), rel=1e-11)
 
 
-@pytest.mark.parametrize("s", [0.5, 2.0, 3.0, 20.0])
+# below s = 0.036 the ray's head cut is clamped at the smallest normal float
+# and the analytic head carries most of the integral
+@pytest.mark.parametrize("s", [1e-4, 0.01, 0.03, 0.5, 2.0, 3.0, 20.0])
 @pytest.mark.parametrize("t", [10.0, 400.0, 1e5])
 def test_other_exponents_within_reported_error(s, t):
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
     law1, law2 = _ohmic_zero_t_law(s, t)
     r1 = q1_full(model, t)
     r2 = q2_full(model, BathState(), t)
-    # q1 falls like t^(1-s), so only its absolute error is asked for
-    assert abs(r1.value - law1) <= r1.error
+    # for s > 1, q1 falls like t^(1-s), so only its absolute error is asked for
+    assert abs(r1.value - law1) <= (r1.error if s > 1
+                                    else min(r1.error, 1e-8 * abs(law1)))
     assert abs(r2.value - law2) <= min(r2.error, 1e-8 * law2)
 
 

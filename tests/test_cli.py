@@ -1,5 +1,6 @@
 """Config parsing, echo roundtrip, scenario runs, exit codes."""
 
+import dataclasses
 import json
 import math
 import os
@@ -10,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from cqdeph import cli
 from cqdeph.cli import (
     load_config,
     main,
@@ -235,6 +237,111 @@ def test_non_finite_numbers_rejected_at_their_line(tmp_path, capsys, key,
     assert code == 1
     assert f"line {at + 1}: {key}: not a finite number" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+# a body that holds each section, for the key-table tests
+SECTION_BODY = {"device": DEVICE_BODY, "effective": DEVICE_BODY,
+                "cutoff": DEPHASING_BODY, "bath": DEPHASING_BODY,
+                "grid": DEPHASING_BODY, "state": COHERENT_BODY,
+                "spectrum": SPECTRUM_BODY}
+
+
+def _set_key(body, section, key, value):
+    """``body`` with ``key = value`` in [section], replacing the key's line or
+    adding one under the header; returns the text and that line's number."""
+    lines = body.splitlines()
+    start = lines.index(f"[{section}]")
+    end = next((k for k in range(start + 1, len(lines))
+                if lines[k].startswith("[")), len(lines))
+    at = next((k for k in range(start + 1, end)
+               if lines[k].split("=")[0].strip() == key), None)
+    if at is None:
+        at = start + 1
+        lines.insert(at, "")
+    lines[at] = f"{key} = {value}"
+    return "\n".join(lines) + "\n", at + 1
+
+
+def _out_of_range(row):
+    """A value just outside a row's bound or integer choices."""
+    if row.choices:
+        return str(max(row.choices) + 1)
+    op, limit = row.bound
+    number = limit if op == ">" else limit - 1
+    suffix = "s" if row.kind == "beta" else cli._BASE_SUFFIX.get(row.kind)
+    return f"{number} {suffix}" if suffix else str(number)
+
+
+LIMITED_ROWS = [row for row in cli._SCHEMA
+                if row.bound or (row.choices and row.kind == "integer")]
+
+
+@pytest.mark.parametrize("row", LIMITED_ROWS,
+                         ids=[f"{row.section}.{row.key}" for row in LIMITED_ROWS])
+def test_every_bound_and_choice_rejected_at_its_line(tmp_path, row):
+    text, line = _set_key(SECTION_BODY[row.section], row.section, row.key,
+                          _out_of_range(row))
+    # a model constructor's InvalidArgumentError would escape this block
+    with pytest.raises(ConfigError) as err:
+        load_config(_write(tmp_path, text))
+    assert err.value.line == line
+    assert str(err.value).startswith(f"line {line}: {row.key}")
+
+
+def test_run_config_fields_match_the_key_table():
+    filled = {row.field.partition(".")[0] for row in cli._SCHEMA if row.field}
+    assert filled == {f.name for f in dataclasses.fields(cli.RunConfig)}
+
+
+@pytest.mark.parametrize("edits, line, message", [
+    # labels outside [cutoff] (n_max_a = 2, n_max_b = 3)
+    ((("amp_0 = 0 0 0 : 0.577350269189626 0", "amp_0 = 7 0 0 : 1 0"),), 32,
+     "amp_0: label '7 0 0' outside the cutoff"),
+    ((("pair_1 = 0 0 1 : 0 0 0", "pair_1 = 0 0 1 : 0 4 0"),), 38,
+     "pair_1: label '0 4 0' outside the cutoff"),
+    # labels states whose amplitudes sum to zero, at the [state] header
+    ((("0.577350269189626 0\n", "0 0\n"),), 30, "sums to the zero vector"),
+    ((("amp_1 = 0 1 0 : 0.577350269189626", "amp_1 = 0 0 0 : -0.577350269189626"),
+      ("amp_2 = 0 0 1 : 0.577350269189626", "amp_2 = 0 0 1 : 0")), 30,
+     "sums to the zero vector"),
+])
+def test_state_and_pair_errors_at_load(tmp_path, edits, line, message):
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        text = f.read()
+    for old, new in edits:
+        assert old in text
+        text = text.replace(old, new)
+    with pytest.raises(ConfigError, match=message) as err:
+        load_config(_write(tmp_path, text))
+    assert err.value.line == line
+
+
+@pytest.mark.parametrize("old, new, key, message", [
+    ("[bath]", "[spectrum]", "[spectrum]", "not used by scenario"),
+    ("[grid]\nt_start = 0 s\nt_stop = 20 s\nt_count = 6\nspacing = linear\n",
+     "", "scenario", r"requires section \[grid\]"),
+    ("[effective]\nomega_a = 1 Hz_rad\nomega_a_prime = 0.9 Hz_rad\n"
+     "chi = 0.3 Hz_rad\n", "", "scenario",
+     r"requires section \[device\] or \[effective\]"),
+    ("chi = 0.3 Hz_rad\n", "", "[effective]", "must supply chi"),
+    ("coupling = 0.1\n", "", "[bath]", "missing required key 'coupling'"),
+    ("kind = labels\n", "kind = coherent\n", "amp_0", "unknown key 'amp_0'"),
+    ("[pairs]\npair_0 = 0 1 0 : 0 0 0\n", "[pairs]\n", "[pairs]",
+     r"needs at least one pair_<k> line"),
+    ("t_start = 0 s", "t_start = 30 s", "t_stop", "t_stop must exceed"),
+    ("spacing = linear", "spacing = log", "t_start",
+     "log spacing requires t_start > 0"),
+    ("scenario = dephasing", "scenaro = dephasing", "scenaro",
+     "unknown key 'scenaro' in the top level"),
+])
+def test_rules_name_their_line(tmp_path, old, new, key, message):
+    body = DEPHASING_BODY.replace(old, new)
+    assert body != DEPHASING_BODY
+    with pytest.raises(ConfigError, match=message) as err:
+        load_config(_write(tmp_path, body))
+    line = next(k for k, text in enumerate(body.splitlines(), start=1)
+                if text.startswith(key))
+    assert err.value.line == line
 
 
 def test_missing_table_file(tmp_path):

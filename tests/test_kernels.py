@@ -20,8 +20,15 @@ def test_initial_panels_structure():
     width = float(widths[0])
     assert np.allclose(widths, width)
     assert np.all(a[1:] == b[:-1])
-    # the head cut sits 1e-3 * rtol below the scale min(1/t, omega_c) = 1/3
-    assert a[0] == pytest.approx(math.log(1.0 / 3.0) + math.log(1e-11))
+    # the head cut sits 1e-3 * rtol below the scale min(1/t, omega_c) = 1/3,
+    # and the first panel is the last one that fits above it
+    cut = math.log(1.0 / 3.0) + math.log(1e-11)
+    assert cut <= a[0] < cut + width
+    # the panels are laid down from the tail, so a tighter rtol only adds
+    # panels at the head
+    fine = kernels.initial_panels(3.0, 1.0, 1.0, 1e-12)[0]
+    assert fine.size > a.size
+    assert np.array_equal(fine[-a.size:], a)
     # the ray ends where exp(-Re w / omega_c) = exp(-42) has closed it
     assert b[-1] >= math.log(42.0 / math.cos(math.pi / 4.0))
     # the count grows like ln(omega_c t), not like t
