@@ -121,7 +121,8 @@ class TabulatedSpectralDensity:
 
 @dataclass(frozen=True)
 class BathState:
-    """Inverse temperature beta = 1/(k_B T); beta = inf is the T = 0 state."""
+    """Inverse temperature beta = hbar/(k_B T), in the inverse frequency unit
+    of the energies; beta = inf is the T = 0 state."""
 
     beta: float = math.inf
 
@@ -132,14 +133,6 @@ class BathState:
     @property
     def zero_temperature(self) -> bool:
         return math.isinf(self.beta)
-
-    @classmethod
-    def from_temperature(cls, temperature: float, k_b: float = 1.0) -> "BathState":
-        if temperature < 0:
-            raise InvalidArgumentError(f"temperature must be >= 0, got {temperature}")
-        if temperature == 0:
-            return cls(beta=math.inf)
-        return cls(beta=1.0 / (k_b * temperature))
 
 
 @dataclass(frozen=True)

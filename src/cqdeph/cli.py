@@ -78,7 +78,7 @@ from .errors import (
     ValidationFailure,
 )
 from .hilbert import FockCutoff, StateVector, TensorBasisLabel, coherent_state
-from .spectrum import TRUNCATION_NOTE, dfs_find, levels
+from .spectrum import TRUNCATION_NOTE, _check_ratio, dfs_find, energies_vector
 
 __all__ = ["RunConfig", "load_config", "render_config", "run", "main"]
 
@@ -177,17 +177,28 @@ def _time_grid(cfg: RunConfig) -> np.ndarray:
     return np.linspace(cfg.grid_start, cfg.grid_stop, cfg.grid_count)
 
 
+def _tabulated(path: str, line: int | None = None) -> TabulatedSpectralDensity:
+    """Read and check a density table; any problem is a ConfigError."""
+    try:
+        with warnings.catch_warnings():
+            # an empty file is a warning of loadtxt, and an error here
+            warnings.filterwarnings("error", category=UserWarning)
+            table = np.loadtxt(path, ndmin=2)
+        if table.shape[1] != 2:
+            raise InvalidArgumentError(
+                f"expected two columns (omega rad/s, density rad/s), got "
+                f"{table.shape[1]}")
+        return TabulatedSpectralDensity(table[:, 0], table[:, 1])
+    except (OSError, ValueError, UserWarning) as exc:
+        raise ConfigError(f"table: {path}: {exc}", line) from None
+
+
 def _bath_model(cfg: RunConfig):
     if cfg.bath_family == "ohmic":
         return OhmicSpectralDensity(coupling=cfg.bath_coupling,
                                     exponent=cfg.bath_exponent,
                                     omega_c=cfg.bath_omega_c)
-    table = np.loadtxt(cfg.bath_table, ndmin=2)
-    if table.shape[1] != 2:
-        raise ConfigError(
-            f"bath table {cfg.bath_table} must have two columns "
-            "(omega rad/s, density rad/s)")
-    return TabulatedSpectralDensity(table[:, 0], table[:, 1])
+    return _tabulated(cfg.bath_table)
 
 
 def _initial_state(cfg: RunConfig) -> StateVector:
@@ -263,18 +274,10 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
     cluster_tol = tol if tol is not None else cfg.cluster_tol
     res = dfs_find(eff, cfg.cutoff, cluster_tol, ratio=cfg.ratio)
 
-    table = levels(eff, cfg.cutoff)
-    _write_csv(
-        os.path.join(out_dir, "levels.csv"),
-        ["flat_index", "m", "n", "i", "energy"],
-        [
-            [lv.label.flat_index(cfg.cutoff) for lv in table],
-            [lv.label.m for lv in table],
-            [lv.label.n for lv in table],
-            [lv.label.i for lv in table],
-            [lv.energy for lv in table],
-        ],
-    )
+    _write_csv(os.path.join(out_dir, "levels.csv"),
+               ["flat_index", "m", "n", "i", "energy"],
+               [np.arange(cfg.cutoff.dim), *cfg.cutoff.numbers(),
+                energies_vector(eff, cfg.cutoff)])
     return {
         "ratio": _json_float(res.ratio),
         "exact": res.exact,
@@ -702,9 +705,12 @@ def _read_kind(kind: str, raw: str, key: str, line: int, config_dir: str,
 
 def _cross_key_rules(section: str, vals: dict, lines: dict,
                      header: int) -> None:
-    """The rules of a section that read two keys, or every line of an
-    indexed key; a row of the key table holds each rule on one value."""
+    """The rules of a section that read two keys, every line of an indexed
+    key, or a file's contents; a row of the key table holds each rule on one
+    value."""
     if section == "bath":
+        if "table" in vals:
+            _tabulated(vals["table"], lines["table"])
         if "beta" in vals and "temperature" in vals:
             raise ConfigError("give either 'beta' or 'temperature', not both",
                               lines["temperature"])
@@ -795,11 +801,15 @@ def load_config(path: str) -> RunConfig:
     Every problem is a ConfigError that names its line, except a file that
     cannot be read.  A section the scenario does not use is reported at its
     header, a missing section at the ``scenario =`` line, after the
-    sections that are present have been read.
+    sections that are present have been read.  A density ``table`` is read
+    and checked here, and an exact ``ratio`` must agree with the effective
+    parameters the run will use (the rule of ``dfs_find``); both are
+    reported at their key's line.
     """
     entries, headers = _tokenize(path)
     config_dir = os.path.dirname(os.path.abspath(path))
     at = entries.get(("", "scenario"), ("", 1))[1]
+    ratio_at = entries.get(("spectrum", "ratio"), ("", None))[1]
 
     fields = _parse_section("", entries, headers, config_dir, None)
     name = fields["scenario"]
@@ -829,7 +839,14 @@ def load_config(path: str) -> RunConfig:
         if missing:
             raise ConfigError("[effective] without [device] must supply "
                               + ", ".join(missing), headers["effective"])
-    return RunConfig(**fields)
+    cfg = RunConfig(**fields)
+    if cfg.ratio is not None:
+        # the rule dfs_find holds the ratio to, on the parameters run uses
+        try:
+            _check_ratio(resolve_effective(cfg), cfg.ratio)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"ratio: {exc}", ratio_at) from None
+    return cfg
 
 
 # --------------------------------------------------------------- rendering

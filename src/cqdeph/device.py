@@ -233,16 +233,19 @@ class RegimeReport:
         return "\n".join(lines)
 
 
-def regime_report(p: DeviceParams, eff: EffectiveParams, n_b_max: int = 4, *,
-                  phi_b_max: float = 0.2, dispersive_max: float = 0.1,
-                  rwa_max: float = 0.5) -> RegimeReport:
+# regime_report flags a ratio "warn" at or above its threshold
+_THRESHOLDS = {"phi_b": 0.2, "dispersive": 0.1, "rwa": 0.5}
+
+
+def regime_report(p: DeviceParams, eff: EffectiveParams,
+                  n_b_max: int = 4) -> RegimeReport:
     """Diagnostic table of approximation-validity ratios; never raises.
 
     Per mode-B photon number n_b it reports omega_q(n_b), the detuning
     Delta = omega_q - omega_a, the dispersive ratio g_a/|Delta|, and an RWA
     ratio defined as |omega_a - omega_q| / (omega_a + omega_q) (the kept slow
     scale over the dropped fast scale).  Flags are "pass" below the threshold
-    and "warn" at or above it.
+    of _THRESHOLDS and "warn" at or above it.
     """
     rows = []
     for n_b in range(n_b_max + 1):
@@ -253,12 +256,13 @@ def regime_report(p: DeviceParams, eff: EffectiveParams, n_b_max: int = 4, *,
         rows.append(RegimeRow(
             n_b=n_b, omega_q=wq, detuning=delta,
             g_over_delta=g_over, rwa_ratio=rwa,
-            dispersive_flag="pass" if g_over < dispersive_max else "warn",
-            rwa_flag="pass" if rwa < rwa_max else "warn",
+            dispersive_flag=("pass" if g_over < _THRESHOLDS["dispersive"]
+                             else "warn"),
+            rwa_flag="pass" if rwa < _THRESHOLDS["rwa"] else "warn",
         ))
     return RegimeReport(
         phi_b=eff.phi_b,
-        phi_b_flag="pass" if eff.phi_b < phi_b_max else "warn",
+        phi_b_flag="pass" if eff.phi_b < _THRESHOLDS["phi_b"] else "warn",
         rows=tuple(rows),
-        thresholds={"phi_b": phi_b_max, "dispersive": dispersive_max, "rwa": rwa_max},
+        thresholds=dict(_THRESHOLDS),
     )

@@ -29,8 +29,6 @@ from .device import EffectiveParams
 from .errors import CapacityError, InvalidArgumentError, NumericsError
 from .hamiltonians import (
     FRAME_B_ROTATING,
-    FRAME_FULLY_ROTATING,
-    HamiltonianStage,
     build_diagonal,
     build_jc,
     frame_free_part,
@@ -155,8 +153,9 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
 
     support = np.flatnonzero(np.any(rho != 0, axis=1))
     rho_s, e_s = rho[np.ix_(support, support)], energies[support]
-    # the qubit coherence sums rho[x, x + dim_a dim_b] over x
-    qubit = np.subtract.outer(support, support) == -cutoff.dim_a * cutoff.dim_b
+    # the qubit coherence sums rho[(m, n, 0), (m, n, 1)] over (m, n)
+    m, n, i = (x[support] for x in cutoff.numbers())
+    qubit = (m[:, None] == m) & (n[:, None] == n) & (i[:, None] < i)
     w, v = np.linalg.eigh(rho_s)
     keep = w > w[-1] * support.size * np.finfo(float).eps
     root = v[:, keep] * np.sqrt(w[keep])
@@ -401,43 +400,29 @@ class DispersiveCheck:
 
 
 def dispersive_check(psi0: StateVector, eff: EffectiveParams, e_j_max: float,
-                     t_grid, *, hbar: float = 1.0,
-                     jc_stage: HamiltonianStage | None = None,
-                     diagonal_stage: HamiltonianStage | None = None) -> DispersiveCheck:
+                     t_grid) -> DispersiveCheck:
     """Fidelity of the dispersive normal form against the JC stage.
 
     Both states are propagated in the mode-B picture: the JC stage lives
     there already, and the diagonal stage is pulled back by re-adding the
-    free part that was rotated away.  Passing stages built elsewhere is
-    allowed but their frames are checked first -- comparing states that
-    live in different pictures produces meaningless fidelities.
+    free part that was rotated away.  That comparison Hamiltonian is
+    diagonal, so each label just picks up its own phase.  ``e_j_max`` is an
+    angular frequency, as for the reduced builders.
 
     The initial mean photon number of mode A is reported because the
     dispersive approximation degrades as photons increase.
     """
     cutoff = _need_cutoff(psi0)
     t = _check_t_grid(t_grid)
-    jc = jc_stage if jc_stage is not None else build_jc(
-        eff, e_j_max, cutoff, hbar=hbar)
-    dia = diagonal_stage if diagonal_stage is not None else build_diagonal(
-        eff, cutoff)
-    if jc.frame != FRAME_B_ROTATING or dia.frame != FRAME_FULLY_ROTATING:
-        raise InvalidArgumentError(
-            f"frame mismatch: jc stage lives in {jc.frame!r} (need "
-            f"{FRAME_B_ROTATING!r}), diagonal stage in {dia.frame!r} (need "
-            f"{FRAME_FULLY_ROTATING!r})"
-        )
-    free = frame_free_part(eff, e_j_max, cutoff, hbar=hbar)
-    h_cmp = dia.matrix.mat + free.mat
+    jc = build_jc(eff, e_j_max, cutoff)
+    h_cmp = np.real(np.diagonal(build_diagonal(eff, cutoff).matrix.mat)
+                    + np.diagonal(frame_free_part(eff, e_j_max, cutoff).mat))
 
     psi = np.array(psi0.vec, dtype=complex)
-    m_diag = np.repeat(
-        np.tile(np.arange(cutoff.dim_a), 2), cutoff.dim_b
-    ).astype(float)
-    mean_photons = float(np.real(np.sum(m_diag * np.abs(psi) ** 2)))
+    mean_photons = float(np.sum(cutoff.numbers()[0] * np.abs(psi) ** 2))
 
     psi_jc = _propagate_states(jc.matrix.mat, psi, t)
-    psi_cmp = _propagate_states(h_cmp, psi, t)
+    psi_cmp = np.exp(-1j * np.outer(t, h_cmp)) * psi
     overlap = np.einsum("tj,tj->t", psi_jc.conj(), psi_cmp)
     fid = np.abs(overlap) ** 2
     return DispersiveCheck(

@@ -3,8 +3,8 @@
 Every builder returns a :class:`HamiltonianStage` whose matrix is H/hbar on
 the truncated qubit (x) A (x) B space, so entries are angular frequencies.
 Builders that take a :class:`~cqdeph.device.DeviceParams` divide energies by
-``p.hbar``; the reduced-model builders take an explicit ``hbar`` keyword
-(default 1.0, i.e. pass Josephson energy as an angular frequency).
+``p.hbar``; the reduced-model builders take the Josephson energy
+``e_j_max`` as an angular frequency.
 
 The six stages and the frames they live in:
 
@@ -105,6 +105,14 @@ def operator_cosine(mat: np.ndarray) -> np.ndarray:
     return 0.5 * (out + out.conj().T)
 
 
+def _ladders(cutoff: FockCutoff) -> tuple[np.ndarray, ...]:
+    """Check the dense-matrix cap; return a, b and the qubit, A, B identities."""
+    check_dense_dim(cutoff)
+    return (annihilation(cutoff.n_max_a).mat, annihilation(cutoff.n_max_b).mat,
+            np.eye(2, dtype=complex), np.eye(cutoff.dim_a, dtype=complex),
+            np.eye(cutoff.dim_b, dtype=complex))
+
+
 def sweet_spot_rotation() -> np.ndarray:
     """The fixed 2x2 qubit rotation R = (I - i sigma_y)/sqrt(2)."""
     return (np.eye(2, dtype=complex) - 1j * SIGMA_Y) / np.sqrt(2.0)
@@ -122,13 +130,7 @@ def build_full(p: DeviceParams, eff: EffectiveParams,
     series expansion), so the only approximation at this stage is the Fock
     cutoff itself.
     """
-    check_dense_dim(cutoff)
-    a = annihilation(cutoff.n_max_a).mat
-    b = annihilation(cutoff.n_max_b).mat
-    i2 = np.eye(2, dtype=complex)
-    ia = np.eye(cutoff.dim_a, dtype=complex)
-    ib = np.eye(cutoff.dim_b, dtype=complex)
-
+    a, b, i2, ia, ib = _ladders(cutoff)
     cos_b = operator_cosine(eff.phi_e * ib + eff.phi_b * (b + b.conj().T))
     h = (
         p.omega_a * tensor3(i2, a.conj().T @ a, ib).mat
@@ -153,7 +155,7 @@ def build_rotated(p: DeviceParams, eff: EffectiveParams,
     H'/hbar = w_a n_a + w_b n_b - g_a (a + a^dag) sigma_x
               + (E_J_max/hbar) cos[phi_b (b + b^dag)] sigma_z
     """
-    check_dense_dim(cutoff)
+    a, b, i2, ia, ib = _ladders(cutoff)
     if abs(eff.n_g_dc - 0.5) > 1e-12:
         raise InvalidArgumentError(
             f"build_rotated needs the charge degeneracy point n_g_dc = 1/2, "
@@ -163,12 +165,6 @@ def build_rotated(p: DeviceParams, eff: EffectiveParams,
         raise InvalidArgumentError(
             f"build_rotated needs zero flux bias phi_e = 0, got {eff.phi_e}"
         )
-    a = annihilation(cutoff.n_max_a).mat
-    b = annihilation(cutoff.n_max_b).mat
-    i2 = np.eye(2, dtype=complex)
-    ia = np.eye(cutoff.dim_a, dtype=complex)
-    ib = np.eye(cutoff.dim_b, dtype=complex)
-
     cos_b = operator_cosine(eff.phi_b * (b + b.conj().T))
     h = (
         p.omega_a * tensor3(i2, a.conj().T @ a, ib).mat
@@ -201,19 +197,13 @@ def build_quadratic(p: DeviceParams, eff: EffectiveParams,
     The discarded remainder is O(phi_b^4 E_J_max); a warning is emitted for
     phi_b >= 0.2 where that is no longer comfortably small.
     """
-    check_dense_dim(cutoff)
+    a, b, i2, ia, ib = _ladders(cutoff)
     if eff.phi_b >= 0.2:
         warnings.warn(
             f"phi_b = {eff.phi_b:.3g} >= 0.2: quadratic expansion error "
             "O(phi_b^4 E_J) is no longer negligible",
             stacklevel=2,
         )
-    a = annihilation(cutoff.n_max_a).mat
-    b = annihilation(cutoff.n_max_b).mat
-    i2 = np.eye(2, dtype=complex)
-    ia = np.eye(cutoff.dim_a, dtype=complex)
-    ib = np.eye(cutoff.dim_b, dtype=complex)
-
     ej = p.E_J_max / p.hbar
     n_b = b.conj().T @ b
     squeeze = b @ b + b.conj().T @ b.conj().T
@@ -231,8 +221,8 @@ def build_quadratic(p: DeviceParams, eff: EffectiveParams,
     )
 
 
-def build_jc(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff, *,
-             hbar: float = 1.0) -> HamiltonianStage:
+def build_jc(eff: EffectiveParams, e_j_max: float,
+             cutoff: FockCutoff) -> HamiltonianStage:
     """Number-dependent Jaynes-Cummings stage.
 
     H/hbar = w_a n_a + omega_q(n_b) sigma_z / 2 - g_a (a sigma_+ + a^dag sigma_-)
@@ -246,16 +236,8 @@ def build_jc(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff, *,
     * the non-secular squeeze term (E_J phi_b^2 / 2hbar)(b^2 + b^dag^2) sigma_z
       removed by the mode-B interaction picture.
     """
-    check_dense_dim(cutoff)
-    a = annihilation(cutoff.n_max_a).mat
-    ia = np.eye(cutoff.dim_a, dtype=complex)
-    ib = np.eye(cutoff.dim_b, dtype=complex)
-    i2 = np.eye(2, dtype=complex)
-
-    wq = np.asarray(
-        qubit_frequency(eff, e_j_max, np.arange(cutoff.dim_b), hbar=hbar),
-        dtype=float,
-    )
+    a, _, i2, ia, ib = _ladders(cutoff)
+    wq = _wq_grid(eff, e_j_max, cutoff)
     wq_op = np.diag(wq.astype(complex))
     h = (
         eff.omega_a * tensor3(i2, a.conj().T @ a, ib).mat
@@ -272,7 +254,7 @@ def build_jc(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff, *,
         )
     dropped = (
         ("counter_rotating_coupling", float(eff.g_a)),
-        ("b_squeeze_term", float(e_j_max * eff.phi_b**2 / (2.0 * hbar))),
+        ("b_squeeze_term", float(e_j_max * eff.phi_b**2 / 2.0)),
     )
     return HamiltonianStage(
         STAGE_JC, _checked(STAGE_JC, h, cutoff), FRAME_B_ROTATING,
@@ -281,23 +263,28 @@ def build_jc(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff, *,
     )
 
 
-def _wq_grid(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
-             hbar: float) -> np.ndarray:
-    return np.asarray(
-        qubit_frequency(eff, e_j_max, np.arange(cutoff.dim_b), hbar=hbar),
-        dtype=float,
-    )
+def _wq_grid(eff: EffectiveParams, e_j_max: float,
+             cutoff: FockCutoff) -> np.ndarray:
+    return np.asarray(qubit_frequency(eff, e_j_max, np.arange(cutoff.dim_b)),
+                      dtype=float)
+
+
+def _free_entries(eff: EffectiveParams, wq: np.ndarray,
+                  cutoff: FockCutoff) -> np.ndarray:
+    """w_a m + omega_q(n) s / 2 per label, s = 2 i - 1 the sigma_z value."""
+    m, n, i = cutoff.numbers()
+    return eff.omega_a * m + 0.5 * wq[n] * (2.0 * i - 1.0)
 
 
 def _diag_stage(stage: str, entries: np.ndarray, cutoff: FockCutoff,
                 frame: str, notes: tuple[str, ...] = ()) -> HamiltonianStage:
-    mat = np.diag(entries.reshape(-1).astype(complex))
+    mat = np.diag(entries.astype(complex))
     return HamiltonianStage(stage, _checked(stage, mat, cutoff), frame,
                             notes=notes)
 
 
-def build_dispersive(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
-                     *, hbar: float = 1.0) -> HamiltonianStage:
+def build_dispersive(eff: EffectiveParams, e_j_max: float,
+                     cutoff: FockCutoff) -> HamiltonianStage:
     """Dispersive-limit stage: coupling folded into number-dependent shifts.
 
     Diagonal with entries (per label (m, n, i), s = +/-1 the sigma_z value)
@@ -305,21 +292,16 @@ def build_dispersive(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
         w_a m + omega_q(n) s / 2 - lam(n) [s m + (s + 1)/2],
         lam(n) = (g_a^2/w_a) (1 + omega_q(n)/w_a)
 
+    that is, the free part of :func:`frame_free_part` plus the shift.
     Valid for |omega_q - omega_a| >> g_a; a warning reports the worst
     g_a/|detuning| over the kept n_b range.
     """
     check_dense_dim(cutoff)
-    wq = _wq_grid(eff, e_j_max, cutoff, hbar)
+    wq = _wq_grid(eff, e_j_max, cutoff)
     lam = (eff.g_a**2 / eff.omega_a) * (1.0 + wq / eff.omega_a)
-    m = np.arange(cutoff.dim_a, dtype=float)
-    sz = np.array([-1.0, 1.0])
-    # entries indexed [i, m, n] to match the flat ordering
-    ent = (
-        eff.omega_a * m[None, :, None]
-        + 0.5 * wq[None, None, :] * sz[:, None, None]
-        - lam[None, None, :] * (sz[:, None, None] * m[None, :, None]
-                                + (sz[:, None, None] + 1.0) / 2.0)
-    )
+    m, n, i = cutoff.numbers()
+    # (s + 1)/2 is the qubit level i
+    ent = _free_entries(eff, wq, cutoff) - lam[n] * ((2.0 * i - 1.0) * m + i)
     det = np.abs(wq - eff.omega_a)
     worst = float(np.max(eff.g_a / det)) if np.all(det > 0) else float("inf")
     if worst > 0.1:
@@ -345,16 +327,15 @@ def build_diagonal(eff: EffectiveParams, cutoff: FockCutoff) -> HamiltonianStage
     independent route).
     """
     check_dense_dim(cutoff)
-    m = np.arange(cutoff.dim_a, dtype=float)[:, None]
-    n = np.arange(cutoff.dim_b, dtype=float)[None, :]
+    m, n, i = cutoff.numbers()
     h0 = eff.omega_a_prime * m - eff.chi * m * n
     h1 = -eff.omega_a_prime * (m + 1.0) + eff.chi * n + eff.chi * m * n
-    ent = np.stack([h0, h1])
-    return _diag_stage(STAGE_DIAGONAL, ent, cutoff, FRAME_FULLY_ROTATING)
+    return _diag_stage(STAGE_DIAGONAL, np.where(i == 0, h0, h1), cutoff,
+                       FRAME_FULLY_ROTATING)
 
 
-def frame_free_part(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
-                    *, hbar: float = 1.0) -> OperatorMatrix:
+def frame_free_part(eff: EffectiveParams, e_j_max: float,
+                    cutoff: FockCutoff) -> OperatorMatrix:
     """The free part w_a n_a + omega_q(n_b) sigma_z / 2 as a diagonal matrix.
 
     Subtracting it from the dispersive stage lands in the fully rotating
@@ -362,9 +343,5 @@ def frame_free_part(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff,
     in the mode-B picture of the jc/dispersive stages.
     """
     check_dense_dim(cutoff)
-    wq = _wq_grid(eff, e_j_max, cutoff, hbar)
-    m = np.arange(cutoff.dim_a, dtype=float)
-    sz = np.array([-1.0, 1.0])
-    ent = (eff.omega_a * m[None, :, None]
-           + 0.5 * wq[None, None, :] * sz[:, None, None])
-    return OperatorMatrix(np.diag(ent.reshape(-1).astype(complex)), cutoff)
+    ent = _free_entries(eff, _wq_grid(eff, e_j_max, cutoff), cutoff)
+    return OperatorMatrix(np.diag(ent.astype(complex)), cutoff)

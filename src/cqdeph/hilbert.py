@@ -7,6 +7,10 @@ n photons in mode B, qubit level i, and maps to the flat index
 
     i * (n_max_a + 1) * (n_max_b + 1) + m * (n_max_b + 1) + n.
 
+Code outside this module reads that order from ``FockCutoff.numbers()``
+(the label arrays in flat order) or ``TensorBasisLabel.flat_index`` /
+``from_flat``, never from the formula.
+
 All matrices are dense complex ndarrays; the spaces this package targets
 stay below a few thousand states.
 """
@@ -15,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -83,6 +87,11 @@ class FockCutoff:
         """Total composite dimension 2 * (n_max_a + 1) * (n_max_b + 1)."""
         return 2 * self.dim_a * self.dim_b
 
+    def numbers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The integer arrays (m, n, i) of every label, in flat-index order."""
+        i, m, n = np.indices((2, self.dim_a, self.dim_b)).reshape(3, -1)
+        return m, n, i
+
 
 DENSE_DIM_CAP = 5000  # largest dim of which a dense dim x dim matrix is built
 
@@ -124,7 +133,8 @@ class TensorBasisLabel:
 
 def all_labels(cutoff: FockCutoff) -> list[TensorBasisLabel]:
     """Every basis label, in flat-index order."""
-    return [TensorBasisLabel.from_flat(k, cutoff) for k in range(cutoff.dim)]
+    return [TensorBasisLabel(*lab)
+            for lab in zip(*(x.tolist() for x in cutoff.numbers()))]
 
 
 @dataclass(frozen=True)
@@ -303,26 +313,25 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T))) / scale
 
 
-def require_density_matrix(
-    rho: OperatorMatrix,
-    trace_tol: float = 1e-10,
-    eig_tol: float = 1e-10,
-) -> None:
+_DENSITY_TOL = 1e-10
+
+
+def require_density_matrix(rho: OperatorMatrix) -> None:
     """Raise unless rho is hermitian, unit trace, positive semidefinite.
 
-    Tolerances: trace within trace_tol of 1, hermiticity defect below 1e-10,
-    eigenvalues above -eig_tol, taken on the block of the nonzero rows.
+    _DENSITY_TOL bounds the hermiticity defect, |trace - 1| and the
+    negative eigenvalues, taken on the block of the nonzero rows.
     """
     mat = rho.mat
-    if hermiticity_defect(mat) > 1e-10:
+    if hermiticity_defect(mat) > _DENSITY_TOL:
         raise InvalidArgumentError("density matrix is not hermitian")
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > trace_tol:
+    if abs(tr - 1.0) > _DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix trace {tr} deviates from 1")
     herm = (mat + mat.conj().T) / 2.0
     on = np.flatnonzero(np.any(herm != 0, axis=1))
     evals = np.linalg.eigvalsh(herm[np.ix_(on, on)])
-    if float(evals.min()) < -eig_tol:
+    if float(evals.min()) < -_DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix has negative eigenvalue {evals.min():.3e}")
 
 

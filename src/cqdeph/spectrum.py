@@ -68,18 +68,14 @@ def energy_difference(label1: TensorBasisLabel, label2: TensorBasisLabel,
 
 def energies_vector(eff: EffectiveParams, cutoff: FockCutoff) -> np.ndarray:
     """All eigenvalues in flat-index order, vectorized."""
-    m = np.arange(cutoff.dim_a, dtype=float)[:, None]
-    n = np.arange(cutoff.dim_b, dtype=float)[None, :]
+    m, n, i = cutoff.numbers()
     coeff = eff.omega_a_prime - eff.chi * n
-    e0 = coeff * m
-    e1 = -coeff * (m + 1.0)
-    return np.concatenate([e0.reshape(-1), e1.reshape(-1)])
+    return np.where(i == 0, coeff * m, -coeff * (m + 1.0))
 
 
 def levels(eff: EffectiveParams, cutoff: FockCutoff) -> list[EnergyLevel]:
-    ev = energies_vector(eff, cutoff)
-    return [EnergyLevel(lab, float(ev[lab.flat_index(cutoff)]))
-            for lab in all_labels(cutoff)]
+    return [EnergyLevel(lab, e) for lab, e in
+            zip(all_labels(cutoff), energies_vector(eff, cutoff).tolist())]
 
 
 def cluster_energies(energies, tol: float) -> list[np.ndarray]:
@@ -168,13 +164,24 @@ class DfsResult:
         return "\n".join(lines)
 
 
-def _exact_classes(eff: EffectiveParams, cutoff: FockCutoff,
+def _check_ratio(eff: EffectiveParams, ratio: Rational) -> None:
+    """Raise unless chi != 0 and ratio * chi is omega_a_prime to 1e-9."""
+    w = eff.omega_a_prime
+    if eff.chi == 0 or abs(float(ratio) * eff.chi - w) > 1e-9 * abs(w):
+        raise InvalidArgumentError(
+            "exact-ratio classification needs chi != 0 and |ratio * chi - "
+            f"omega_a_prime| <= 1e-9 |omega_a_prime|; got ratio {ratio}, "
+            f"chi {eff.chi!r}, omega_a_prime {w!r}"
+        )
+
+
+def _exact_classes(labels: list[TensorBasisLabel],
                    ratio: Fraction) -> list[tuple[Fraction, list[int]]]:
     groups: dict[Fraction, list[int]] = {}
-    for lab in all_labels(cutoff):
+    for k, lab in enumerate(labels):
         coeff = ratio - lab.n
         value = coeff * lab.m if lab.i == 0 else -coeff * (lab.m + 1)
-        groups.setdefault(Fraction(value), []).append(lab.flat_index(cutoff))
+        groups.setdefault(Fraction(value), []).append(k)
     return sorted(groups.items(), key=lambda kv: kv[0])
 
 
@@ -187,7 +194,9 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
     1e-9 * max|E|).  Exact path: pass ``ratio`` as the rational value of
     omega_a_prime/chi and classes are grouped in integer arithmetic --
     immune to the false splits float rounding can produce at, say,
-    omega_a_prime = 3*chi with omega_a_prime - 3*chi = O(eps).
+    omega_a_prime = 3*chi with omega_a_prime - 3*chi = O(eps).  The ratio
+    must be that value: chi != 0 and |ratio * chi - omega_a_prime| <=
+    1e-9 |omega_a_prime|, otherwise InvalidArgumentError.
     """
     labels = all_labels(cutoff)
     if ratio is not None:
@@ -195,13 +204,10 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
             raise InvalidArgumentError(
                 f"ratio must be a rational number, got {type(ratio).__name__}"
             )
-        if eff.chi == 0:
-            raise InvalidArgumentError(
-                "exact-ratio classification needs chi > 0"
-            )
+        _check_ratio(eff, ratio)
         ratio = Fraction(ratio)
         classes = []
-        for value, idxs in _exact_classes(eff, cutoff, ratio):
+        for value, idxs in _exact_classes(labels, ratio):
             classes.append(DegeneracyClass(
                 energy=float(value) * eff.chi,
                 members=tuple(labels[i] for i in idxs),

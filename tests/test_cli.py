@@ -383,6 +383,65 @@ def test_ohmic_bath_rejects_table(tmp_path):
         load_config(_write(tmp_path, body))
 
 
+def _line_of(body, key):
+    return next(k for k, text in enumerate(body.splitlines(), start=1)
+                if text.startswith(key))
+
+
+@pytest.mark.parametrize("old, new", [
+    ("ratio = 3", "ratio = 3/2"),
+    ("chi = 0.3 Hz_rad", "chi = 0 Hz_rad"),
+    ("chi = 0.3 Hz_rad", "chi = -0.3 Hz_rad"),
+])
+def test_ratio_must_match_the_effective_parameters(tmp_path, old, new):
+    body = SPECTRUM_BODY.replace(old, new)
+    with pytest.raises(ConfigError, match=r"ratio: exact-ratio "
+                       r"classification needs chi != 0") as err:
+        load_config(_write(tmp_path, body))
+    assert err.value.line == _line_of(body, "ratio")
+
+
+def test_ratio_rule_reads_the_device_derived_chi(tmp_path):
+    # the device block gives omega_a_prime/chi far from 3
+    body = DEVICE_BODY.replace("scenario = device", "scenario = spectrum") \
+        .replace("tau = 160 ns\n", "").replace("chi = 360 MHz_rad\n", "") \
+        + "\n[cutoff]\nn_max_a = 1\nn_max_b = 1\n\n[spectrum]\nratio = 3\n"
+    with pytest.raises(ConfigError, match="ratio: exact-ratio") as err:
+        load_config(_write(tmp_path, body))
+    assert err.value.line == _line_of(body, "ratio")
+
+
+def test_negative_chi_with_its_negative_ratio_runs(tmp_path):
+    body = SPECTRUM_BODY.replace("chi = 0.3 Hz_rad", "chi = -0.3 Hz_rad") \
+        .replace("ratio = 3", "ratio = -3")
+    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "out"))
+    assert report["exact"] is True
+    floats = run(load_config(_write(tmp_path, body.replace(
+        "ratio = -3", "tol = 1e-12"), "f.cfg")), str(tmp_path / "f"))
+    # the exact path orders classes by E/chi, so compare them unordered
+    exact = {str(c["members"]): c["energy"] for c in report["classes"]}
+    clustered = {str(c["members"]): c["energy"] for c in floats["classes"]}
+    assert exact.keys() == clustered.keys()
+    for members, energy in exact.items():
+        assert energy == pytest.approx(clustered[members], abs=1e-12)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("0.1 1\n0.2 abc\n", "could not convert string 'abc'"),
+    ("0.1\n0.2\n", "expected two columns"),
+    ("0.2 1\n0.1 1\n", "strictly increasing"),
+    ("", "no data"),
+])
+def test_bad_table_rejected_at_its_line(tmp_path, text, message):
+    (tmp_path / "dens.txt").write_text(text)
+    body = DEPHASING_BODY.replace(
+        "family = ohmic\ncoupling = 0.1\nomega_c = 1 Hz_rad",
+        "family = tabulated\ntable = dens.txt")
+    with pytest.raises(ConfigError, match=f"table: .*{message}") as err:
+        load_config(_write(tmp_path, body))
+    assert err.value.line == _line_of(body, "table")
+
+
 # ------------------------------------------------------- echo and resolution
 
 def test_echo_roundtrips_every_section(tmp_path):
@@ -426,7 +485,8 @@ qubit_level = 1
 
 
 def test_echo_roundtrips_rational_ratio(tmp_path):
-    body = SPECTRUM_BODY.replace("ratio = 3", "ratio = 3/2\ntol = 1e-10")
+    body = SPECTRUM_BODY.replace("ratio = 3", "ratio = 3/2\ntol = 1e-10") \
+        .replace("omega_a_prime = 0.9 Hz_rad", "omega_a_prime = 0.45 Hz_rad")
     cfg = load_config(_write(tmp_path, body))
     assert cfg.ratio == Fraction(3, 2)
     echo = tmp_path / "echo.cfg"

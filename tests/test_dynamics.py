@@ -405,3 +405,28 @@ def test_dispersive_check_fidelity_high_in_regime():
     assert chk.min_fidelity > 0.99
     assert chk.fidelity.shape == (60,)
     assert np.all(chk.fidelity <= 1.0 + 1e-9)
+
+
+def test_dispersive_check_phases_match_dense_propagation():
+    # the comparison Hamiltonian is diagonal: one phase per label must give
+    # what eigh-based propagation of the same diagonal gives
+    from cqdeph.dynamics import _propagate_states
+    from cqdeph.hamiltonians import build_diagonal, build_jc, frame_free_part
+    eff = EffectiveParams(g_a=0.05, phi_b=0.1, phi_e=0.0, n_g_dc=0.5,
+                          omega_a=1.0, omega_a_prime=0.9, chi=0.3)
+    cut = FockCutoff(3, 2)
+    rng = np.random.default_rng(5)
+    psi0 = StateVector.normalized(rng.normal(size=cut.dim)
+                                  + 1j * rng.normal(size=cut.dim), cut)
+    t = np.linspace(0.0, 40.0, 23)
+    chk = dispersive_check(psi0, eff, 0.4, t)
+    jc = build_jc(eff, 0.4, cut).matrix.mat
+    h_cmp = build_diagonal(eff, cut).matrix.mat \
+        + frame_free_part(eff, 0.4, cut).mat
+    psi = psi0.vec
+    dense = np.abs(np.einsum("tj,tj->t",
+                             _propagate_states(jc, psi, t).conj(),
+                             _propagate_states(h_cmp, psi, t))) ** 2
+    assert np.max(np.abs(chk.fidelity - dense)) <= 1e-15
+    phases = np.exp(-1j * np.outer(t, np.real(np.diagonal(h_cmp)))) * psi
+    assert np.max(np.abs(phases - _propagate_states(h_cmp, psi, t))) <= 1e-15

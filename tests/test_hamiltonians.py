@@ -1,5 +1,6 @@
 """Reduction-chain stages: structure, spectra, warnings, capacity."""
 
+import dataclasses
 import warnings
 
 import numpy as np
@@ -154,6 +155,23 @@ def test_capacity_guard():
     eff = _eff()
     with pytest.raises(CapacityError):
         build_diagonal(eff, FockCutoff(50, 49))
+
+
+def test_capacity_guard_comes_first_in_every_builder():
+    # dim 5100 > 5000; build_rotated's preconditions fail too, later
+    p, eff, cut = _device(), _eff(), FockCutoff(50, 49)
+    off_point = dataclasses.replace(eff, n_g_dc=0.3, phi_e=0.1)
+    builders = (
+        lambda: build_full(p, eff, cut),
+        lambda: build_rotated(p, off_point, cut),
+        lambda: build_quadratic(p, eff, cut),
+        lambda: build_jc(eff, 0.8, cut),
+        lambda: build_dispersive(eff, 0.8, cut),
+        lambda: frame_free_part(eff, 0.8, cut),
+    )
+    for build in builders:
+        with pytest.raises(CapacityError):
+            build()
 
 
 def test_diagonal_matches_level_table():

@@ -51,6 +51,18 @@ def test_label_ordering_is_qubit_mode_a_mode_b():
     assert TensorBasisLabel(0, 0, 1).flat_index(cut) == cut.dim_a * cut.dim_b
 
 
+@pytest.mark.parametrize("n_max_a, n_max_b", [(1, 1), (3, 4), (6, 2)])
+def test_numbers_follow_the_flat_order(n_max_a, n_max_b):
+    cut = FockCutoff(n_max_a, n_max_b)
+    m, n, i = cut.numbers()
+    for arr in (m, n, i):
+        assert arr.shape == (cut.dim,)
+        assert arr.dtype.kind == "i"
+    for k in range(cut.dim):
+        assert TensorBasisLabel.from_flat(k, cut) == \
+            TensorBasisLabel(int(m[k]), int(n[k]), int(i[k]))
+
+
 def test_label_out_of_range():
     cut = FockCutoff(2, 2)
     with pytest.raises(InvalidArgumentError):

@@ -110,6 +110,17 @@ def test_exact_path_requires_positive_chi():
         dfs_find(eff, FockCutoff(2, 2), ratio=Fraction(3))
 
 
+@pytest.mark.parametrize("omega_a_prime, chi, ratio", [
+    (0.9, 0.3, Fraction(3, 2)),    # 22 classes instead of 15 when accepted
+    (0.9, -0.3, Fraction(3)),      # class energies off by 5.4 when accepted
+    (0.9, 0.3, Fraction(3) + Fraction(1, 10**8)),
+])
+def test_exact_path_rejects_a_ratio_that_is_not_omega_over_chi(
+        omega_a_prime, chi, ratio):
+    with pytest.raises(InvalidArgumentError, match="ratio \\* chi"):
+        dfs_find(_eff(omega_a_prime, chi), FockCutoff(3, 4), ratio=ratio)
+
+
 def test_class_of_unknown_label_raises():
     res = dfs_find(_eff(0.9, 0.3), FockCutoff(2, 2), ratio=Fraction(3))
     with pytest.raises(InvalidArgumentError):
