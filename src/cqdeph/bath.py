@@ -5,7 +5,7 @@ The integrals evaluated here are
     q1(t) = integral_0^inf  D(w)/w^2 * sin(w t)                    dw
     q2(t) = integral_0^inf 2 D(w)/w^2 * sin^2(w t/2) coth(beta w/2) dw
 
-with coth -> 1 on the dedicated T = 0 path.  A coherence between system
+with coth -> 1 at T = 0, which is beta = inf.  A coherence between system
 levels E1 and E2 (hbar = 1) then picks up the factor
 
     r_factor = exp(-i (E1^2 - E2^2) q1) * exp(-(E1 - E2)^2 q2),
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels
-from .errors import IntegrabilityError, InvalidArgumentError
+from .errors import IntegrabilityError, InvalidArgumentError, _require_finite
 
 __all__ = [
     "OhmicSpectralDensity",
@@ -56,13 +56,15 @@ DEFAULT_RTOL = 1e-8
 
 @dataclass(frozen=True)
 class OhmicSpectralDensity:
-    """D(w) = coupling * w^exponent * omega_c^(1-exponent) * exp(-w/omega_c)."""
+    """D(w) = coupling * w^exponent * omega_c^(1-exponent) * exp(-w/omega_c),
+    with finite parameters."""
 
     coupling: float
     exponent: float = 1.0
     omega_c: float = 1.0
 
     def __post_init__(self):
+        _require_finite(self)
         if self.coupling < 0:
             raise InvalidArgumentError(f"coupling must be >= 0, got {self.coupling}")
         if self.exponent <= 0:
@@ -141,7 +143,7 @@ class QuadratureResult:
     error: float
 
 
-def _dispatch(model, kind: int, beta: float, zero_t: bool, t: float,
+def _dispatch(model, kind: int, beta: float, t: float,
               rtol: float) -> QuadratureResult:
     if not math.isfinite(t):
         raise InvalidArgumentError(f"t must be finite, got {t}")
@@ -159,10 +161,10 @@ def _dispatch(model, kind: int, beta: float, zero_t: bool, t: float,
         if model.coupling == 0.0:
             return QuadratureResult(0.0, 0.0)
         val, err = kernels.quad_ohmic(kind, model.exponent, model.coupling,
-                                      model.omega_c, beta, zero_t, t, rtol)
+                                      model.omega_c, beta, t, rtol)
     elif isinstance(model, TabulatedSpectralDensity):
         val, err = kernels.quad_tabulated(kind, model.omega, model.values,
-                                          beta, zero_t, t, rtol)
+                                          beta, t, rtol)
     else:
         raise InvalidArgumentError(f"unsupported spectral density {type(model).__name__}")
     return QuadratureResult(sign * val, err)
@@ -170,15 +172,13 @@ def _dispatch(model, kind: int, beta: float, zero_t: bool, t: float,
 
 def q1_full(model, t: float, rtol: float = DEFAULT_RTOL) -> QuadratureResult:
     """q1(t) together with the quadrature error estimate."""
-    return _dispatch(model, 1, 0.0, True, float(t), rtol)
+    return _dispatch(model, 1, math.inf, float(t), rtol)
 
 
 def q2_full(model, state: BathState, t: float,
             rtol: float = DEFAULT_RTOL) -> QuadratureResult:
     """q2(t) together with the quadrature error estimate."""
-    zero_t = state.zero_temperature
-    beta = 0.0 if zero_t else state.beta
-    return _dispatch(model, 2, beta, zero_t, float(t), rtol)
+    return _dispatch(model, 2, state.beta, float(t), rtol)
 
 
 def q1(model, t: float, rtol: float = DEFAULT_RTOL) -> float:

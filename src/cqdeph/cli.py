@@ -237,35 +237,15 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
 def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
     rep = regime_report(cfg.device, eff)
-    payload = {
-        "effective": asdict(eff),
-        "regime": {
-            "phi_b": rep.phi_b,
-            "phi_b_flag": rep.phi_b_flag,
-            "thresholds": rep.thresholds,
-            "worst_flag": rep.worst_flag(),
-            "rows": [
-                {
-                    "n_b": r.n_b,
-                    "omega_q": r.omega_q,
-                    "detuning": r.detuning,
-                    "g_over_delta": _json_float(r.g_over_delta),
-                    "rwa_ratio": _json_float(r.rwa_ratio),
-                    "dispersive_flag": r.dispersive_flag,
-                    "rwa_flag": r.rwa_flag,
-                }
-                for r in rep.rows
-            ],
-        },
-    }
+    regime = {**asdict(rep), "worst_flag": rep.worst_flag()}
+    # the two ratios are inf at a zero detuning, which JSON cannot hold
+    regime["rows"] = [{**row, "g_over_delta": _json_float(row["g_over_delta"]),
+                       "rwa_ratio": _json_float(row["rwa_ratio"])}
+                      for row in regime["rows"]]
+    payload = {"effective": asdict(eff), "regime": regime}
     if cfg.tau is not None:
-        ph = cross_phase(eff.chi, cfg.tau)
-        payload["cross_phase"] = {
-            "chi_rad_per_s": eff.chi,
-            "tau_s": cfg.tau,
-            "radians": ph.radians,
-            "cycles": ph.cycles,
-        }
+        payload["cross_phase"] = {"chi_rad_per_s": eff.chi, "tau_s": cfg.tau,
+                                  **asdict(cross_phase(eff.chi, cfg.tau))}
     return payload
 
 
@@ -367,16 +347,8 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
 def _run_validate(cfg: RunConfig, out_dir: str, tol) -> dict:
     results = validation.run_all(tol_scale=tol if tol is not None else 1.0)
     return {
-        "checks": [
-            {
-                "name": r.name,
-                "residual": _json_float(r.residual),
-                "tolerance": r.tolerance,
-                "passed": r.passed,
-                "detail": r.detail,
-            }
-            for r in results
-        ],
+        "checks": [{**asdict(r), "residual": _json_float(r.residual)}
+                   for r in results],
         "passed_count": sum(r.passed for r in results),
         "check_count": len(results),
         "all_passed": all(r.passed for r in results),

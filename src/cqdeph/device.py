@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, _require_finite
 
 __all__ = [
     "DeviceParams",
@@ -67,8 +67,10 @@ class DeviceParams:
         Distance from resonator B's center line to the loop (m).
     Phi_e : float
         External DC flux bias through the loop (Wb).
-    hbar, e_charge, mu_0, Phi_0, k_B : float
+    hbar, e_charge, mu_0, Phi_0 : float
         Physical constants, SI by default; override for natural-unit work.
+
+    Every field must be finite.
     """
 
     E_C: float
@@ -89,12 +91,12 @@ class DeviceParams:
     e_charge: float = E_CHARGE_SI
     mu_0: float = MU_0_SI
     Phi_0: float = PHI_0_SI
-    k_B: float = K_B_SI
 
     def __post_init__(self):
+        _require_finite(self)
         positive = ("E_C", "E_J_max", "omega_a", "omega_b", "L_a", "L_b",
                     "c_cap", "l_ind", "C_a", "d_dist",
-                    "hbar", "e_charge", "mu_0", "Phi_0", "k_B")
+                    "hbar", "e_charge", "mu_0", "Phi_0")
         for name in positive:
             if not getattr(self, name) > 0:
                 raise InvalidArgumentError(f"DeviceParams.{name} must be positive")
@@ -111,6 +113,7 @@ class EffectiveParams:
     reconstruction never needs the full DeviceParams.  All frequencies are
     angular, in whatever unit system produced them (SI rad/s from
     effective_couplings, or hbar = 1 natural units when built directly).
+    Every field must be finite.
     """
 
     g_a: float
@@ -122,6 +125,7 @@ class EffectiveParams:
     chi: float
 
     def __post_init__(self):
+        _require_finite(self)
         if self.g_a < 0 or self.phi_b < 0 or self.omega_a <= 0:
             raise InvalidArgumentError(
                 "EffectiveParams needs g_a >= 0, phi_b >= 0, omega_a > 0"

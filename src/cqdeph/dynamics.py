@@ -144,19 +144,17 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     """
     cutoff = _need_cutoff(rho0)
     t = _check_t_grid(t_grid)
-    require_density_matrix(rho0)
+    support, w, v = require_density_matrix(rho0)
     rho = np.array(rho0.mat, dtype=complex)
 
     energies = spectrum.energies_vector(eff, cutoff)
     q1_vals = bath.q1_grid(model, t, rtol)
     q2_vals = bath.q2_grid(model, state, t, rtol)
 
-    support = np.flatnonzero(np.any(rho != 0, axis=1))
     rho_s, e_s = rho[np.ix_(support, support)], energies[support]
     # the qubit coherence sums rho[(m, n, 0), (m, n, 1)] over (m, n)
     m, n, i = (x[support] for x in cutoff.numbers())
     qubit = (m[:, None] == m) & (n[:, None] == n) & (i[:, None] < i)
-    w, v = np.linalg.eigh(rho_s)
     keep = w > w[-1] * support.size * np.finfo(float).eps
     root = v[:, keep] * np.sqrt(w[keep])
     series = []
@@ -248,12 +246,16 @@ class FiniteBathSpec:
             )
         if self.occupations is not None and len(self.occupations) != k:
             raise InvalidArgumentError("occupations length must match modes")
-        if any(w <= 0 for w in self.frequencies):
-            raise InvalidArgumentError("mode frequencies must be positive")
+        if not all(math.isfinite(w) and w > 0 for w in self.frequencies):
+            raise InvalidArgumentError(
+                "mode frequencies must be finite and positive")
+        if not all(math.isfinite(c) for c in self.couplings):
+            raise InvalidArgumentError("mode couplings must be finite")
         if any(c < 1 for c in self.cutoffs):
             raise InvalidArgumentError("mode cutoffs must be >= 1")
-        if self.occupations is not None and any(x < 0 for x in self.occupations):
-            raise InvalidArgumentError("occupations must be >= 0")
+        if self.occupations is not None and not all(
+                math.isfinite(x) and x >= 0 for x in self.occupations):
+            raise InvalidArgumentError("occupations must be finite and >= 0")
 
     @property
     def n_modes(self) -> int:

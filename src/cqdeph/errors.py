@@ -6,6 +6,9 @@ capacity/numeric problems -> 2, validation failures -> 3.
 
 from __future__ import annotations
 
+import math
+from dataclasses import fields
+
 
 class CqdephError(Exception):
     """Base class for all package-specific errors."""
@@ -39,3 +42,14 @@ class ConfigError(CqdephError):
 
 class ValidationFailure(CqdephError):
     """One or more self-consistency checks exceeded tolerance."""
+
+
+def _require_finite(record) -> None:
+    """Raise InvalidArgumentError naming the first field of the dataclass
+    ``record`` that is not a finite number."""
+    for field in fields(record):
+        value = getattr(record, field.name)
+        if not math.isfinite(value):
+            raise InvalidArgumentError(
+                f"{type(record).__name__}.{field.name} must be finite, "
+                f"got {value}")

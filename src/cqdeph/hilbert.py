@@ -112,6 +112,11 @@ class TensorBasisLabel:
     i: int
 
     def __post_init__(self):
+        for name in ("m", "n", "i"):
+            if not isinstance(getattr(self, name), (int, np.integer)):
+                raise InvalidArgumentError(
+                    f"TensorBasisLabel.{name} must be an integer, got "
+                    f"{getattr(self, name)!r}")
         if self.m < 0 or self.n < 0:
             raise InvalidArgumentError(f"photon numbers must be >= 0, got {self}")
         if self.i not in (0, 1):
@@ -160,9 +165,6 @@ class OperatorMatrix:
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def dagger(self) -> "OperatorMatrix":
-        return OperatorMatrix(self.mat.conj().T, self.cutoff)
 
     def hermiticity_defect(self) -> float:
         return hermiticity_defect(self.mat)
@@ -316,11 +318,15 @@ def hermiticity_defect(mat: np.ndarray) -> float:
 _DENSITY_TOL = 1e-10
 
 
-def require_density_matrix(rho: OperatorMatrix) -> None:
+def require_density_matrix(
+        rho: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Raise unless rho is hermitian, unit trace, positive semidefinite.
 
     _DENSITY_TOL bounds the hermiticity defect, |trace - 1| and the
-    negative eigenvalues, taken on the block of the nonzero rows.
+    negative eigenvalues.  Returns ``(support, w, v)``: the indices of the
+    nonzero rows of rho, and the ascending eigenvalues and the eigenvectors
+    (columns) of the support block rho[support][:, support], taken from
+    that block itself, so ``(v * w) @ v^dag`` rebuilds it.
     """
     mat = rho.mat
     if hermiticity_defect(mat) > _DENSITY_TOL:
@@ -328,11 +334,11 @@ def require_density_matrix(rho: OperatorMatrix) -> None:
     tr = complex(np.trace(mat))
     if abs(tr - 1.0) > _DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix trace {tr} deviates from 1")
-    herm = (mat + mat.conj().T) / 2.0
-    on = np.flatnonzero(np.any(herm != 0, axis=1))
-    evals = np.linalg.eigvalsh(herm[np.ix_(on, on)])
-    if float(evals.min()) < -_DENSITY_TOL:
-        raise InvalidArgumentError(f"density matrix has negative eigenvalue {evals.min():.3e}")
+    support = np.flatnonzero(np.any(mat != 0, axis=1))
+    w, v = np.linalg.eigh(mat[np.ix_(support, support)])
+    if float(w[0]) < -_DENSITY_TOL:
+        raise InvalidArgumentError(f"density matrix has negative eigenvalue {w[0]:.3e}")
+    return support, w, v
 
 
 _FACTORS = ("qubit", "A", "B")

@@ -8,7 +8,9 @@ where nothing oscillates (numerical steepest descent; Huybrechs and
 Vandewalle, SIAM J. Numer. Anal. 44, 1026 (2006)), on fixed-width panels in
 ln r, so their cost grows like ln(omega_c t) and t has no limit.  Tabulated
 densities are piecewise linear, not analytic, and keep real-axis panels of
-at most half an oscillation period, at most PANEL_CAP of them.
+at most half an oscillation period, at most PANEL_CAP of them.  Zero
+temperature is beta = inf, the one encoding of T = 0 here: there the
+coth(beta w / 2) of the kind-2 integrand is 1.
 """
 
 from __future__ import annotations
@@ -81,21 +83,10 @@ def initial_panels(t: float, omega_c: float, s: float,
     return edges[:-1], edges[1:]
 
 
-def _times_kernel(dens_over_w2, w, kind, beta, zero_t, t):
-    """Multiply D(w)/w^2 by the kernel of reservoir integral ``kind``.
-
-    kind 1: sin(w t); kind 2: 2 sin^2(w t / 2) coth(beta w / 2), where the
-    coth factor is 1 at zero temperature.
-    """
-    if kind == 1:
-        return dens_over_w2 * np.sin(w * t)
-    out = dens_over_w2 * (2.0 * np.sin(0.5 * w * t) ** 2)
-    if zero_t:
-        return out
-    x = 0.5 * beta * w
-    cth = np.where(x < 1e-4, 1.0 / np.where(x > 0, x, 1.0) + x / 3.0,
-                   1.0 / np.tanh(np.where(x > 0, x, 1.0)))
-    return out * cth
+def _coth_half(beta, w):
+    """coth(beta w / 2) as -1 - 2 / expm1(-beta w): exactly 1 at beta = inf
+    for real w > 0, and finite for complex w off the imaginary axis."""
+    return -1.0 - 2.0 / np.expm1(-beta * w)
 
 
 def _gk15_batch(f, a, b):
@@ -107,9 +98,12 @@ def _gk15_batch(f, a, b):
     return vals, errs
 
 
-def _adaptive(f, a, b, rtol, cap, max_rounds=60):
+_MAX_ROUNDS = 60  # bisection rounds of _adaptive
+
+
+def _adaptive(f, a, b, rtol, cap):
     vals, errs = _gk15_batch(f, a, b)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_ROUNDS):
         total = float(vals.sum())
         err_total = float(errs.sum())
         floor = 30.0 * np.finfo(float).eps * float(np.abs(vals).sum())
@@ -138,12 +132,13 @@ def _adaptive(f, a, b, rtol, cap, max_rounds=60):
 
 
 def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
-               zero_t: bool, t: float, rtol: float) -> tuple[float, float]:
+               t: float, rtol: float) -> tuple[float, float]:
     """Reservoir integral for the ohmic family at one time point.
 
     kind 1: integral of D(w)/w^2 * sin(w t)
     kind 2: integral of 2 D(w)/w^2 * sin^2(w t / 2) * coth(beta w / 2)
-    with D(w) = alpha * w^s * omega_c^(1-s) * exp(-w / omega_c).
+    with D(w) = alpha * w^s * omega_c^(1-s) * exp(-w / omega_c); beta = inf
+    is zero temperature, where coth = 1.
 
     g = D/w^2 is analytic in the open first quadrant and the poles of coth
     lie on the imaginary axis, so both are integrals along w = r e^{i pi/4}:
@@ -165,6 +160,8 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
     the rounding 4 eps |x_lo| |f(x_lo)| / p of the head itself.
     t must be positive; callers handle t = 0 and the symmetry in t.
     """
+    # -inf * w is nan for complex w, so T = 0 drops the coth factor instead
+    zero_t = math.isinf(beta)
     a, b = initial_panels(t, omega_c, s, rtol)
     scale = alpha * omega_c ** (1.0 - s)
     # in x = ln r, dw = w dx: f is w g(w) = scale w^(s-1) exp(-w/omega_c),
@@ -180,7 +177,7 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
             return (wg * e).imag
         v = wg * (iwt / (1.0 - iwt * iwt) - e)  # h - expm1(i w t)
         if not zero_t:
-            v *= -1.0 - 2.0 / np.expm1(-beta * w)  # coth(beta w / 2)
+            v *= _coth_half(beta, w)
         return v.real
 
     # six bisections of every panel: far more than the analytic integrand needs
@@ -195,13 +192,15 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
 
 
 def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
-                   beta: float, zero_t: bool, t: float,
-                   rtol: float) -> tuple[float, float]:
+                   beta: float, t: float, rtol: float) -> tuple[float, float]:
     """Reservoir integral for a tabulated density.
 
-    The density is linearly interpolated between samples and taken as zero
-    outside the tabulated range, so the integral runs over
-    [omega_s[0], omega_s[-1]] with oscillation-resolved panels.
+    The integrands of quad_ohmic, on the real axis: kind 1 D(w)/w^2
+    sin(w t), kind 2 2 D(w)/w^2 sin^2(w t / 2) coth(beta w / 2), with
+    beta = inf for zero temperature.  The density is linearly interpolated
+    between samples and taken as zero outside the tabulated range, so the
+    integral runs over [omega_s[0], omega_s[-1]] with oscillation-resolved
+    panels.
     """
     lo, hi = float(omega_s[0]), float(omega_s[-1])
     if t <= 0.0:
@@ -214,8 +213,10 @@ def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
     a, b = edges[:-1], edges[1:]
 
     def f(w):
-        dens = np.interp(w, omega_s, density_s)
-        return _times_kernel(dens / w**2, w, kind, beta, zero_t, t)
+        g = np.interp(w, omega_s, density_s) / w**2
+        if kind == 1:
+            return g * np.sin(w * t)
+        return g * (2.0 * np.sin(0.5 * w * t) ** 2) * _coth_half(beta, w)
 
     return _adaptive(f, a, b, rtol, cap=PANEL_CAP)
 

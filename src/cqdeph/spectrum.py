@@ -11,8 +11,11 @@ through operator products) so the two routes can certify each other.
 
 Coherences between equal-energy labels acquire no damping and no extra
 phase, so every multi-member degeneracy class is a protected subspace of
-the pure-dephasing dynamics.  Discovery is by clustering the energy line,
-not by a closed-form index condition; see INDEX_CONVENTION_NOTE.
+the pure-dephasing dynamics.  The classes come by clustering the float
+energy line, or by exact grouping of the levels in rational arithmetic
+when omega_a_prime/chi is given as a rational, not by a closed-form index
+condition (see INDEX_CONVENTION_NOTE); either way they are listed in
+ascending energy, for either sign of chi.
 """
 
 from __future__ import annotations
@@ -52,12 +55,15 @@ class EnergyLevel:
     energy: float
 
 
+def _level(m, n, i, w, chi):
+    """The level E(m, n, i) = (w - chi n)(m - i (2m + 1)) of the module
+    docstring, with w = omega_a_prime; for ints, Fractions and arrays."""
+    return (w - chi * n) * (m - i * (2 * m + 1))
+
+
 def eigenvalue(label: TensorBasisLabel, eff: EffectiveParams) -> float:
     """Closed-form energy of one basis label (H/hbar units)."""
-    coeff = eff.omega_a_prime - eff.chi * label.n
-    if label.i == 0:
-        return coeff * label.m
-    return -coeff * (label.m + 1)
+    return _level(label.m, label.n, label.i, eff.omega_a_prime, eff.chi)
 
 
 def energy_difference(label1: TensorBasisLabel, label2: TensorBasisLabel,
@@ -68,9 +74,7 @@ def energy_difference(label1: TensorBasisLabel, label2: TensorBasisLabel,
 
 def energies_vector(eff: EffectiveParams, cutoff: FockCutoff) -> np.ndarray:
     """All eigenvalues in flat-index order, vectorized."""
-    m, n, i = cutoff.numbers()
-    coeff = eff.omega_a_prime - eff.chi * n
-    return np.where(i == 0, coeff * m, -coeff * (m + 1.0))
+    return _level(*cutoff.numbers(), eff.omega_a_prime, eff.chi)
 
 
 def levels(eff: EffectiveParams, cutoff: FockCutoff) -> list[EnergyLevel]:
@@ -86,8 +90,8 @@ def cluster_energies(energies, tol: float) -> list[np.ndarray]:
     <= tol, so distinct classes are separated by > tol at their nearest
     points.
     """
-    if tol < 0:
-        raise InvalidArgumentError(f"tol must be >= 0, got {tol}")
+    if not (math.isfinite(tol) and tol >= 0):
+        raise InvalidArgumentError(f"tol must be finite and >= 0, got {tol}")
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         return []
@@ -175,28 +179,20 @@ def _check_ratio(eff: EffectiveParams, ratio: Rational) -> None:
         )
 
 
-def _exact_classes(labels: list[TensorBasisLabel],
-                   ratio: Fraction) -> list[tuple[Fraction, list[int]]]:
-    groups: dict[Fraction, list[int]] = {}
-    for k, lab in enumerate(labels):
-        coeff = ratio - lab.n
-        value = coeff * lab.m if lab.i == 0 else -coeff * (lab.m + 1)
-        groups.setdefault(Fraction(value), []).append(k)
-    return sorted(groups.items(), key=lambda kv: kv[0])
-
-
 def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
              tol: float | None = None, *,
              ratio: Rational | None = None) -> DfsResult:
-    """Partition all labels into degeneracy classes.
+    """Partition all labels into degeneracy classes, in ascending energy.
 
     Float path: single-linkage clustering with ``tol`` (default
-    1e-9 * max|E|).  Exact path: pass ``ratio`` as the rational value of
-    omega_a_prime/chi and classes are grouped in integer arithmetic --
-    immune to the false splits float rounding can produce at, say,
+    1e-9 * max|E|; a given ``tol`` must be finite and > 0).  Exact path:
+    pass ``ratio`` as the rational value of omega_a_prime/chi and the labels
+    are grouped by their exact level E/chi in rational arithmetic -- immune
+    to the false splits float rounding can produce at, say,
     omega_a_prime = 3*chi with omega_a_prime - 3*chi = O(eps).  The ratio
     must be that value: chi != 0 and |ratio * chi - omega_a_prime| <=
-    1e-9 |omega_a_prime|, otherwise InvalidArgumentError.
+    1e-9 |omega_a_prime|, otherwise InvalidArgumentError.  Either path lists
+    the classes in ascending energy, for either sign of chi.
     """
     labels = all_labels(cutoff)
     if ratio is not None:
@@ -206,31 +202,28 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
             )
         _check_ratio(eff, ratio)
         ratio = Fraction(ratio)
-        classes = []
-        for value, idxs in _exact_classes(labels, ratio):
-            classes.append(DegeneracyClass(
-                energy=float(value) * eff.chi,
-                members=tuple(labels[i] for i in idxs),
-                tolerance=0.0,
-            ))
-        return DfsResult(tuple(classes), ratio=float(ratio), exact=True,
-                         tolerance=0.0)
-
-    energies = energies_vector(eff, cutoff)
-    if tol is None:
-        scale = float(np.max(np.abs(energies)))
-        tol = 1e-9 * scale if scale > 0 else 1e-30
-    elif tol <= 0:
-        raise InvalidArgumentError(f"tol must be > 0, got {tol}")
-    classes = []
-    for idxs in cluster_energies(energies, tol):
-        classes.append(DegeneracyClass(
-            energy=float(np.mean(energies[idxs])),
-            members=tuple(labels[i] for i in idxs),
-            tolerance=tol,
-        ))
-    ratio_f = eff.omega_a_prime / eff.chi if eff.chi != 0 else math.inf
-    return DfsResult(tuple(classes), ratio=ratio_f, exact=False, tolerance=tol)
+        groups: dict[Fraction, list[int]] = {}
+        for k, lab in enumerate(labels):
+            groups.setdefault(_level(lab.m, lab.n, lab.i, ratio, 1),
+                              []).append(k)
+        # E = chi * key, so the keys sort in energy order reversed if chi < 0
+        found = [(float(key) * eff.chi, idxs) for key, idxs in
+                 sorted(groups.items(), reverse=eff.chi < 0)]
+        ratio_f, tol = float(ratio), 0.0
+    else:
+        energies = energies_vector(eff, cutoff)
+        if tol is None:
+            scale = float(np.max(np.abs(energies)))
+            tol = 1e-9 * scale if scale > 0 else 1e-30
+        elif not (math.isfinite(tol) and tol > 0):
+            raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
+        found = [(float(np.mean(energies[idxs])), idxs)
+                 for idxs in cluster_energies(energies, tol)]
+        ratio_f = eff.omega_a_prime / eff.chi if eff.chi != 0 else math.inf
+    classes = tuple(DegeneracyClass(energy, tuple(labels[i] for i in idxs), tol)
+                    for energy, idxs in found)
+    return DfsResult(classes, ratio=ratio_f, exact=ratio is not None,
+                     tolerance=tol)
 
 
 @dataclass(frozen=True)

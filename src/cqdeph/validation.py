@@ -101,7 +101,7 @@ def _natural(phi_b: float = 0.1, g_a: float = 0.3, e_j: float = 0.8,
     p = DeviceParams(E_C=0.25, E_J_max=e_j, omega_a=omega_a, omega_b=1.3,
                      L_a=1.0, L_b=1.0, c_cap=1.0, l_ind=1.0, C_g=1.0, C_a=1.0,
                      V_g_dc=1.0, S_loop=1.0, d_dist=1.0, Phi_e=0.0,
-                     hbar=1.0, e_charge=1.0, mu_0=1.0, Phi_0=1.0, k_B=1.0)
+                     hbar=1.0, e_charge=1.0, mu_0=1.0, Phi_0=1.0)
     eff = EffectiveParams(
         g_a=g_a, phi_b=phi_b, phi_e=0.0, n_g_dc=0.5, omega_a=omega_a,
         omega_a_prime=dressed_mode_frequency(g_a, phi_b, e_j, omega_a),

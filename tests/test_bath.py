@@ -63,6 +63,16 @@ def test_ohmic_rejects_bad_parameters():
         OhmicSpectralDensity(coupling=0.1, omega_c=-1.0)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coupling", math.nan), ("coupling", math.inf), ("exponent", math.nan),
+    ("exponent", math.inf), ("omega_c", math.nan), ("omega_c", math.inf),
+])
+def test_ohmic_rejects_non_finite(field, value):
+    kwargs = {"coupling": 0.1, field: value}
+    with pytest.raises(InvalidArgumentError, match=f"{field} must be finite"):
+        OhmicSpectralDensity(**kwargs)
+
+
 def test_q1_ohmic_closed_form():
     # T-independent: Q1 = alpha arctan(w_c t), over nine decades of w_c t,
     # and the reported error covers the true one

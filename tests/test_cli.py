@@ -418,12 +418,11 @@ def test_negative_chi_with_its_negative_ratio_runs(tmp_path):
     assert report["exact"] is True
     floats = run(load_config(_write(tmp_path, body.replace(
         "ratio = -3", "tol = 1e-12"), "f.cfg")), str(tmp_path / "f"))
-    # the exact path orders classes by E/chi, so compare them unordered
-    exact = {str(c["members"]): c["energy"] for c in report["classes"]}
-    clustered = {str(c["members"]): c["energy"] for c in floats["classes"]}
-    assert exact.keys() == clustered.keys()
-    for members, energy in exact.items():
-        assert energy == pytest.approx(clustered[members], abs=1e-12)
+    exact = [(c["members"], c["energy"]) for c in report["classes"]]
+    clustered = [(c["members"], c["energy"]) for c in floats["classes"]]
+    assert [m for m, _ in exact] == [m for m, _ in clustered]
+    for (_, energy), (_, other) in zip(exact, clustered):
+        assert energy == pytest.approx(other, abs=1e-12)
 
 
 @pytest.mark.parametrize("text, message", [

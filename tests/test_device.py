@@ -1,5 +1,6 @@
 """Device map, effective rates, regime flags, conditional phase."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -66,6 +67,25 @@ def test_device_rejects_nonpositive():
             L_a=1.0, L_b=1.0, c_cap=1.0, l_ind=1.0,
             C_g=1.0, C_a=1.0, V_g_dc=1.0, S_loop=1.0, d_dist=1.0,
         )
+
+
+@pytest.mark.parametrize("field, value", [
+    *((f.name, math.inf) for f in dataclasses.fields(DeviceParams)),
+    *((name, math.nan) for name in ("C_g", "S_loop", "V_g_dc", "Phi_e")),
+])
+def test_device_rejects_non_finite(field, value):
+    with pytest.raises(InvalidArgumentError, match=f"DeviceParams.{field} "):
+        dataclasses.replace(_natural_device(), **{field: value})
+
+
+@pytest.mark.parametrize("field", ["g_a", "phi_b", "phi_e", "n_g_dc",
+                                   "omega_a", "omega_a_prime", "chi"])
+def test_effective_rejects_nan(field):
+    kwargs = dict(g_a=0.1, phi_b=0.1, phi_e=0.0, n_g_dc=0.5, omega_a=1.0,
+                  omega_a_prime=0.9, chi=0.3)
+    kwargs[field] = math.nan
+    with pytest.raises(InvalidArgumentError, match=f"EffectiveParams.{field} "):
+        EffectiveParams(**kwargs)
 
 
 def test_effective_rejects_negative_coupling():

@@ -381,6 +381,35 @@ def test_finite_bath_spec_needs_a_mode():
         FiniteBathSpec((), (), ())
 
 
+@pytest.mark.parametrize("spec, field", [
+    (((np.nan,), (0.05,), (3,)), "frequencies"),
+    (((np.inf,), (0.05,), (3,)), "frequencies"),
+    (((1.3,), (np.nan,), (3,)), "couplings"),
+    (((1.3,), (0.05,), (3,), (np.nan,)), "occupations"),
+])
+def test_finite_bath_spec_rejects_non_finite(spec, field):
+    with pytest.raises(InvalidArgumentError, match=field):
+        FiniteBathSpec(*spec)
+
+
+def test_evolve_reduced_eigendecomposes_the_support_block_once(monkeypatch):
+    cut = FockCutoff(2, 2)
+    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
+              TensorBasisLabel(2, 1, 1), TensorBasisLabel(0, 1, 1)]
+    rho0 = _plus_state(cut, labels).density()
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counted(a, *args, _inner=getattr(np.linalg, name), **kwargs):
+            calls.append(np.shape(a))
+            return _inner(a, *args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
+                          np.linspace(0.0, 3.0, 4))
+    # a pure state: the per-time eigvalsh acts on its 1 x 1 range only
+    assert calls.count((4, 4)) == 1
+    assert np.allclose(traj.fidelity_to_initial[0], 1.0)
+
+
 def test_dispersive_check_fidelity_high_in_regime():
     e_j = 0.1  # omega_q = 0.2, detuning 0.8, g/Delta = 0.05
     from cqdeph.device import cross_kerr, dressed_mode_frequency

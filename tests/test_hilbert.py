@@ -71,6 +71,14 @@ def test_label_out_of_range():
         TensorBasisLabel(0, 0, 2)
 
 
+@pytest.mark.parametrize("m, n, i, field", [
+    (1.5, 0, 0, "m"), (0, 0.5, 0, "n"), (0, 0, 1.0, "i"), (np.nan, 0, 0, "m"),
+])
+def test_label_rejects_non_integers(m, n, i, field):
+    with pytest.raises(InvalidArgumentError, match=f"TensorBasisLabel.{field} "):
+        TensorBasisLabel(m, n, i).flat_index(FockCutoff(2, 3))
+
+
 def test_annihilation_matrix_elements():
     a = annihilation(4).mat
     for n in range(1, 5):
@@ -150,6 +158,18 @@ def test_density_check_on_sparse_support():
         else:
             with pytest.raises(InvalidArgumentError, match="negative eigen"):
                 require_density_matrix(OperatorMatrix(mat, cut))
+
+
+def test_density_check_returns_the_eigenpairs_of_the_support_block(rng):
+    cut = FockCutoff(2, 2)
+    support = np.array([1, 4, 5, 11, 16])
+    a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
+    mat = np.zeros((cut.dim, cut.dim), dtype=complex)
+    mat[np.ix_(support, support)] = a @ a.conj().T / np.trace(a @ a.conj().T)
+    got, w, v = require_density_matrix(OperatorMatrix(mat, cut))
+    assert np.array_equal(got, support)
+    block = mat[np.ix_(support, support)]
+    assert np.max(np.abs((v * w) @ v.conj().T - block)) < 1e-12
 
 
 def test_coherent_state_poisson_weights():

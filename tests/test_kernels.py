@@ -43,10 +43,10 @@ def test_initial_panels_structure():
 
 
 def test_quad_ohmic_closed_form_point():
-    val, err = kernels.quad_ohmic(1, 1.0, 0.1, 1.0, math.inf, True, 2.0, 1e-10)
+    val, err = kernels.quad_ohmic(1, 1.0, 0.1, 1.0, math.inf, 2.0, 1e-10)
     assert val == pytest.approx(0.1 * math.atan(2.0), rel=1e-9)
     assert err < 1e-8
-    val2, _ = kernels.quad_ohmic(2, 1.0, 0.1, 1.0, math.inf, True, 2.0, 1e-10)
+    val2, _ = kernels.quad_ohmic(2, 1.0, 0.1, 1.0, math.inf, 2.0, 1e-10)
     assert val2 == pytest.approx(0.05 * math.log1p(4.0), rel=1e-9)
 
 
@@ -77,7 +77,7 @@ def test_quad_tabulated_matches_interpolant():
     # ~ alpha * t * w_min = 2e-5, so 1e-3 relative agreement is expected
     w = np.linspace(1e-4, 30.0, 6000)
     dens = 0.1 * w * np.exp(-w)
-    val, err = kernels.quad_tabulated(1, w, dens, math.inf, True, 2.0, 1e-9)
+    val, err = kernels.quad_tabulated(1, w, dens, math.inf, 2.0, 1e-9)
     assert val == pytest.approx(0.1 * math.atan(2.0), rel=1e-3)
 
 
@@ -85,6 +85,6 @@ def test_quad_tabulated_guards():
     w = np.linspace(0.01, 30.0, 50)
     dens = np.ones_like(w)
     with pytest.raises(NumericsError):
-        kernels.quad_tabulated(1, w, dens, math.inf, True, 0.0, 1e-8)
+        kernels.quad_tabulated(1, w, dens, math.inf, 0.0, 1e-8)
     with pytest.raises(NumericsError):
-        kernels.quad_tabulated(1, w, dens, math.inf, True, 5e4, 1e-8)
+        kernels.quad_tabulated(1, w, dens, math.inf, 5e4, 1e-8)

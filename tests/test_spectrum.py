@@ -10,6 +10,7 @@ from cqdeph.device import EffectiveParams
 from cqdeph.errors import InvalidArgumentError
 from cqdeph.hilbert import FockCutoff, TensorBasisLabel, all_labels
 from cqdeph.spectrum import (
+    cluster_energies,
     dfs_find,
     dfs_verify,
     eigenvalue,
@@ -119,6 +120,14 @@ def test_exact_path_rejects_a_ratio_that_is_not_omega_over_chi(
         omega_a_prime, chi, ratio):
     with pytest.raises(InvalidArgumentError, match="ratio \\* chi"):
         dfs_find(_eff(omega_a_prime, chi), FockCutoff(3, 4), ratio=ratio)
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf])
+def test_non_finite_tol_rejected(tol):
+    with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+        dfs_find(_eff(0.9, 0.3), FockCutoff(2, 2), tol)
+    with pytest.raises(InvalidArgumentError, match="tol must be finite"):
+        cluster_energies([0.0, 1.0, 2.0], tol)
 
 
 def test_class_of_unknown_label_raises():
