@@ -43,7 +43,7 @@ import math
 import os
 import sys
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -115,6 +115,18 @@ _BASE_SUFFIX = {kind: next(s for s, f in table.items() if f == 1.0)
 
 
 @dataclass(frozen=True)
+class DensityTable:
+    """A density table file and the density load_config read from it, so
+    that a run uses the table the load checked and reads no file."""
+
+    path: str
+    density: TabulatedSpectralDensity = field(compare=False, repr=False)
+
+    def __fspath__(self) -> str:
+        return self.path
+
+
+@dataclass(frozen=True)
 class RunConfig:
     """A fully normalized run description; everything SI, everything frozen."""
 
@@ -127,7 +139,7 @@ class RunConfig:
     bath_coupling: float | None = None
     bath_exponent: float = 1.0
     bath_omega_c: float | None = None
-    bath_table: str | None = None
+    bath_table: DensityTable | None = None
     beta: float = math.inf
     grid_start: float = 0.0
     grid_stop: float | None = None
@@ -198,7 +210,7 @@ def _bath_model(cfg: RunConfig):
         return OhmicSpectralDensity(coupling=cfg.bath_coupling,
                                     exponent=cfg.bath_exponent,
                                     omega_c=cfg.bath_omega_c)
-    return _tabulated(cfg.bath_table)
+    return cfg.bath_table.density
 
 
 def _initial_state(cfg: RunConfig) -> StateVector:
@@ -334,7 +346,7 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
             "exponent": (cfg.bath_exponent
                          if cfg.bath_family == "ohmic" else None),
             "omega_c": cfg.bath_omega_c,
-            "table": cfg.bath_table,
+            "table": cfg.bath_table and cfg.bath_table.path,
             "beta": _json_float(cfg.beta),
             "zero_temperature": math.isinf(cfg.beta),
         },
@@ -682,7 +694,8 @@ def _cross_key_rules(section: str, vals: dict, lines: dict,
     value."""
     if section == "bath":
         if "table" in vals:
-            _tabulated(vals["table"], lines["table"])
+            vals["table"] = DensityTable(
+                vals["table"], _tabulated(vals["table"], lines["table"]))
         if "beta" in vals and "temperature" in vals:
             raise ConfigError("give either 'beta' or 'temperature', not both",
                               lines["temperature"])
@@ -774,7 +787,8 @@ def load_config(path: str) -> RunConfig:
     cannot be read.  A section the scenario does not use is reported at its
     header, a missing section at the ``scenario =`` line, after the
     sections that are present have been read.  A density ``table`` is read
-    and checked here, and an exact ``ratio`` must agree with the effective
+    and checked here, once: the run uses the density kept in
+    ``RunConfig.bath_table``.  An exact ``ratio`` must agree with the effective
     parameters the run will use (the rule of ``dfs_find``); both are
     reported at their key's line.
     """
@@ -840,6 +854,8 @@ def _format(kind: str, value) -> str:
     if kind == "pair":
         (m, n, i), (m2, n2, i2) = value
         return f"{m} {n} {i} : {m2} {n2} {i2}"
+    if kind == "path":
+        return os.fspath(value)
     return str(value)
 
 

@@ -223,7 +223,12 @@ def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
 
 def dephasing_multipliers(energies: np.ndarray, t: float, q1t: float,
                           q2t: float) -> np.ndarray:
-    """Matrix M[j, k] = exp(-i (E_j - E_k) t - i (E_j^2 - E_k^2) q1 - (E_j - E_k)^2 q2)."""
+    """Matrix M[j, k] = exp(-i (E_j - E_k) t - i (E_j^2 - E_k^2) q1 - (E_j - E_k)^2 q2).
+
+    One complex exponential per element: the element-wise law behind
+    DephasingTrajectory.snapshots and the analytic side of the finite-bath
+    oracle.  evolve_reduced uses the factored form instead.
+    """
     energies = np.ascontiguousarray(energies, dtype=np.float64)
     de = energies[:, None] - energies[None, :]
     sq = energies[:, None] ** 2 - energies[None, :] ** 2

@@ -363,6 +363,31 @@ def test_table_path_resolves_relative_to_config(tmp_path):
     assert os.path.isfile(cfg.bath_table)
 
 
+def test_tabulated_run_reads_its_table_once(tmp_path, monkeypatch):
+    w = np.linspace(0.01, 20.0, 200)
+    table = tmp_path / "dens.txt"
+    np.savetxt(table, np.column_stack([w, 0.1 * w * np.exp(-w)]))
+    body = DEPHASING_BODY.replace(
+        "family = ohmic\ncoupling = 0.1\nomega_c = 1 Hz_rad",
+        "family = tabulated\ntable = dens.txt")
+    calls = []
+    loadtxt = np.loadtxt
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", counted)
+    cfg = load_config(_write(tmp_path, body))
+    # the run uses the density the load checked, not the file as it is now
+    table.write_text("not a table\n")
+    report = run(cfg, str(tmp_path / "o"))
+    assert calls == [str(table)]
+    assert report["bath"]["table"] == str(table)
+    echo = (tmp_path / "o" / "config_echo.cfg").read_text()
+    assert f"table = {table}\n" in echo
+
+
 def test_tabulated_bath_rejects_ohmic_keys(tmp_path):
     w = np.linspace(0.01, 20.0, 50)
     np.savetxt(tmp_path / "dens.txt", np.column_stack([w, 0.1 * w]))

@@ -1,8 +1,11 @@
 """Closed-form evolution, observables, and the brute-force oracles."""
 
+import math
+
 import numpy as np
 import pytest
 
+from cqdeph import kernels
 from cqdeph.bath import (
     BathState,
     OhmicSpectralDensity,
@@ -179,11 +182,15 @@ def test_observables_behave():
 
 
 def _uhlmann(rho_a, rho_b):
-    """Reference fidelity: full-space matrix square root of rho_a."""
+    """Reference fidelity: full-space matrix square roots; eigenvalues at
+    roundoff (up to w_max dim eps) count as zero, as they are in exact
+    arithmetic for a rank-deficient rho_a."""
+    def _root(w):
+        return np.sqrt(np.where(w > w[-1] * w.size * np.finfo(float).eps, w, 0.0))
+
     w, v = np.linalg.eigh(rho_a)
-    s = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    lam = np.linalg.eigvalsh(s @ rho_b @ s)
-    return float(np.sum(np.sqrt(np.clip(lam, 0.0, None))) ** 2)
+    s = (v * _root(w)) @ v.conj().T
+    return float(np.sum(_root(np.linalg.eigvalsh(s @ rho_b @ s))) ** 2)
 
 
 def _mixed(cut, rng, rank, labels=None):
@@ -248,6 +255,68 @@ def test_support_restriction_matches_snapshots(rng):
     assert np.abs(traj.qubit_coherence[0]) > 0.01
     for rec in traj.pairs:
         assert np.max(np.abs(rec.element - snaps[:, rec.row, rec.col])) <= 1e-14
+
+
+def _from_snapshots(traj):
+    """Purity, qubit coherence and fidelity of the (nt, dim, dim) tensor."""
+    snaps = traj.snapshots
+    dab = traj.cutoff.dim_a * traj.cutoff.dim_b
+    return (np.einsum("tij,tji->t", snaps, snaps).real,
+            np.einsum("tiaja->tij", snaps.reshape(-1, 2, dab, 2, dab))[:, 0, 1],
+            np.array([_uhlmann(traj.rho0, snap) for snap in snaps]))
+
+
+def _random_pure(cut, rng):
+    amp = rng.normal(size=cut.dim) + 1j * rng.normal(size=cut.dim)
+    return StateVector.normalized(amp, cut).density()
+
+
+# E = (w' - chi n)(m - i (2 m + 1)) is exactly 0 for m = i = 0
+_PARTIAL = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(0, 2, 0),
+            TensorBasisLabel(1, 2, 0), TensorBasisLabel(0, 0, 1),
+            TensorBasisLabel(1, 2, 1), TensorBasisLabel(0, 3, 0)]
+
+
+@pytest.mark.parametrize("case, omega_a_prime, t_stop, classes", [
+    # w'/chi = 3, the shipped ratio: many labels share an energy
+    ("pure", 0.9, 30.0, "degenerate"),
+    # w'/chi = pi: only the m = 0, i = 0 labels (all at E = 0) share one
+    ("pure", 0.3 * math.pi, 30.0, "distinct"),
+    ("rank3", 0.9, 30.0, "degenerate"),
+    ("pure", 0.9, 1e3, "degenerate"),
+])
+def test_class_factored_observables_match_snapshots(rng, case, omega_a_prime,
+                                                    t_stop, classes):
+    cut = FockCutoff(2, 3)
+    rho0 = (_random_pure(cut, rng) if case == "pure"
+            else _mixed(cut, rng, rank=3, labels=_PARTIAL))
+    eff = _eff(omega_a_prime=omega_a_prime)
+    traj = evolve_reduced(rho0, eff, OHMIC, BathState(beta=2.0),
+                          np.linspace(0.0, t_stop, 25))
+    support = np.flatnonzero(np.diagonal(traj.rho0).real)
+    u = np.unique(traj.energies[support]).size
+    if classes == "degenerate":
+        assert u < 0.8 * support.size
+    else:
+        assert u == support.size - cut.n_max_b
+    purity, coherence, fidelity = _from_snapshots(traj)
+    assert np.max(np.abs(traj.purity - purity)) <= 1e-12
+    assert np.max(np.abs(traj.qubit_coherence - coherence)) <= 1e-12
+    assert np.max(np.abs(traj.fidelity_to_initial - fidelity)) <= 1e-12
+    assert np.abs(traj.qubit_coherence[0]) > 0.01
+
+
+def test_observables_need_no_element_multipliers(rng, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dephasing_multipliers called")
+
+    monkeypatch.setattr(kernels, "dephasing_multipliers", refuse)
+    cut = FockCutoff(3, 3)
+    traj = evolve_reduced(_random_pure(cut, rng), _eff(), OHMIC,
+                          BathState(beta=2.0), np.linspace(0.0, 20.0, 11))
+    assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-14
+    assert abs(traj.purity[0] - 1.0) <= 1e-14
+    assert np.all(np.diff(traj.purity) <= 1e-14)
 
 
 def test_finite_bath_oracle_quick_agreement(rng):
@@ -390,6 +459,19 @@ def test_finite_bath_spec_needs_a_mode():
 def test_finite_bath_spec_rejects_non_finite(spec, field):
     with pytest.raises(InvalidArgumentError, match=field):
         FiniteBathSpec(*spec)
+
+
+@pytest.mark.parametrize("cutoff", [3, 3.0, np.int64(3), np.float64(3.0)])
+def test_finite_bath_spec_accepts_integer_cutoffs(cutoff):
+    spec = FiniteBathSpec((1.3,), (0.05,), (cutoff,))
+    assert spec.cutoffs == (3,) and type(spec.cutoffs[0]) is int
+
+
+@pytest.mark.parametrize("cutoff", [2.7, 1.3, np.float64(3.5), np.nan,
+                                    np.inf, "3"])
+def test_finite_bath_spec_rejects_non_integer_cutoffs(cutoff):
+    with pytest.raises(InvalidArgumentError, match="cutoffs must be integers"):
+        FiniteBathSpec((1.3,), (0.05,), (cutoff,))
 
 
 def test_evolve_reduced_eigendecomposes_the_support_block_once(monkeypatch):

@@ -49,3 +49,31 @@ def test_code_lines_skips_docstrings_comments_and_blank_lines(tmp_path,
     rows = [line.split() for line in capsys.readouterr().out.splitlines()]
     assert rows == [["module", "a", "b"], ["mod.py", "7", "8"],
                     ["total", "7", "8"]]
+
+
+def test_compare_outputs_reports_each_difference(tmp_path, capsys):
+    compare_outputs = _load("compare_outputs")
+    files = {
+        "run/config_echo.cfg": ("a = 1\n", "a = 1\n"),
+        "run/observables.csv": ("t,purity,fid\n0,1,1\n1,0.5,0.25\n",
+                                "t,purity,fid\n0,1,1\n1,0.5000001,0.25\n"),
+        "run/report.json": ('{"x": 1, "y": [1, 2]}', '{"x": 1, "y": [1, 3], "z": true}'),
+        "run/notes.txt": ("a\n", "b\n"),
+        "run/levels.csv": ("n\n1\n", None),
+    }
+    for rel, texts in files.items():
+        for side, text in zip("ab", texts):
+            if text is not None:
+                (tmp_path / side / rel).parent.mkdir(parents=True, exist_ok=True)
+                (tmp_path / side / rel).write_text(text)
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines() == [
+        "run/config_echo.cfg: identical",
+        "run/levels.csv: only in A",
+        "run/notes.txt: differ",
+        "run/observables.csv: purity: max abs 1.000e-07, max rel 2.000e-07 "
+        "(1 of 2 rows)",
+        "run/report.json: y[1]: 2 against 3",
+        "run/report.json: z: (absent) against True",
+    ]
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
