@@ -14,10 +14,13 @@ so energies, frequencies, 1/t, and 1/beta must share one frequency unit and
 the coupling strength is dimensionless in that system.
 
 Ohmic densities are integrated along the complex ray w = r e^{i pi/4}
-(``kernels.quad_ohmic``), whose cost barely grows with t, so they have no
-limit on t; tabulated densities keep real-axis panels that resolve the
-oscillation of sin(w t) and stop at ``kernels.PANEL_CAP``.  Every call
-checks that t is finite and that rtol is finite and positive.
+(``kernels.quad_ohmic_grid``), whose cost barely grows with t, so they have
+no limit on t.  A whole grid is one kernel call: the times share the ray
+nodes and the t-independent part of the integrand, and a scalar q1/q2 is a
+grid of one time.  Tabulated densities keep real-axis panels that resolve
+the oscillation of sin(w t), one time at a time, and stop at
+``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
+finite and that rtol is finite and positive.
 
 Closed forms (arctan / log for the strictly ohmic case) are deliberately NOT
 used here: the quadrature is the product, and tests compare it against those
@@ -143,42 +146,46 @@ class QuadratureResult:
     error: float
 
 
-def _dispatch(model, kind: int, beta: float, t: float,
-              rtol: float) -> QuadratureResult:
-    if not math.isfinite(t):
-        raise InvalidArgumentError(f"t must be finite, got {t}")
+def _dispatch(model, kind: int, beta: float, t,
+              rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Values and error estimates of integral ``kind`` at the 1-d times t."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise InvalidArgumentError(f"t must be a 1-d grid, got shape {t.shape}")
+    if not np.isfinite(t).all():
+        raise InvalidArgumentError(f"t must be finite, got {t[~np.isfinite(t)][0]}")
     if not (math.isfinite(rtol) and rtol > 0):
         raise InvalidArgumentError(f"rtol must be finite and > 0, got {rtol}")
+    values, errors = np.zeros((2, t.size))
     # symmetry: q1 is odd in t, q2 even; both vanish at t = 0
-    if t == 0.0:
-        return QuadratureResult(0.0, 0.0)
-    sign = 1.0
-    if t < 0.0:
-        t = -t
-        if kind == 1:
-            sign = -1.0
+    on = np.flatnonzero(t)
     if isinstance(model, OhmicSpectralDensity):
-        if model.coupling == 0.0:
-            return QuadratureResult(0.0, 0.0)
-        val, err = kernels.quad_ohmic(kind, model.exponent, model.coupling,
-                                      model.omega_c, beta, t, rtol)
+        if model.coupling != 0.0 and on.size:
+            values[on], errors[on] = kernels.quad_ohmic_grid(
+                kind, model.exponent, model.coupling, model.omega_c, beta,
+                np.abs(t[on]), rtol)
     elif isinstance(model, TabulatedSpectralDensity):
-        val, err = kernels.quad_tabulated(kind, model.omega, model.values,
-                                          beta, t, rtol)
+        for k in on:
+            values[k], errors[k] = kernels.quad_tabulated(
+                kind, model.omega, model.values, beta, abs(float(t[k])), rtol)
     else:
         raise InvalidArgumentError(f"unsupported spectral density {type(model).__name__}")
-    return QuadratureResult(sign * val, err)
+    if kind == 1:
+        np.negative(values, out=values, where=t < 0.0)
+    return values, errors
 
 
 def q1_full(model, t: float, rtol: float = DEFAULT_RTOL) -> QuadratureResult:
     """q1(t) together with the quadrature error estimate."""
-    return _dispatch(model, 1, math.inf, float(t), rtol)
+    values, errors = _dispatch(model, 1, math.inf, [float(t)], rtol)
+    return QuadratureResult(float(values[0]), float(errors[0]))
 
 
 def q2_full(model, state: BathState, t: float,
             rtol: float = DEFAULT_RTOL) -> QuadratureResult:
     """q2(t) together with the quadrature error estimate."""
-    return _dispatch(model, 2, state.beta, float(t), rtol)
+    values, errors = _dispatch(model, 2, state.beta, [float(t)], rtol)
+    return QuadratureResult(float(values[0]), float(errors[0]))
 
 
 def q1(model, t: float, rtol: float = DEFAULT_RTOL) -> float:
@@ -190,11 +197,13 @@ def q2(model, state: BathState, t: float, rtol: float = DEFAULT_RTOL) -> float:
 
 
 def q1_grid(model, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    return np.array([q1(model, t, rtol) for t in np.asarray(t_grid, dtype=float)])
+    """q1 at every time of the 1-d grid t_grid, one quadrature for the grid."""
+    return _dispatch(model, 1, math.inf, t_grid, rtol)[0]
 
 
 def q2_grid(model, state: BathState, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    return np.array([q2(model, state, t, rtol) for t in np.asarray(t_grid, dtype=float)])
+    """q2 at every time of the 1-d grid t_grid, one quadrature for the grid."""
+    return _dispatch(model, 2, state.beta, t_grid, rtol)[0]
 
 
 def phase_shift(e1: float, e2: float, model, t: float,

@@ -6,7 +6,10 @@ worst panels are bisected until the summed estimate meets the relative
 tolerance.  Ohmic densities are integrated along the ray w = r e^{i pi/4},
 where nothing oscillates (numerical steepest descent; Huybrechs and
 Vandewalle, SIAM J. Numer. Anal. 44, 1026 (2006)), on fixed-width panels in
-ln r, so their cost grows like ln(omega_c t) and t has no limit.  Tabulated
+ln r, so their cost grows like ln(omega_c t) and t has no limit.  The
+panels of every time lie on one lattice in ln r, so a grid of times shares
+its nodes and the t-independent part of the integrand (quad_ohmic_grid); a
+single time is a grid of one.  Tabulated
 densities are piecewise linear, not analytic, and keep real-axis panels of
 at most half an oscillation period, at most PANEL_CAP of them.  Zero
 temperature is beta = inf, the one encoding of T = 0 here: there the
@@ -21,7 +24,7 @@ import numpy as np
 
 from .errors import NumericsError
 
-__all__ = ["active_backend", "quad_ohmic", "quad_tabulated",
+__all__ = ["active_backend", "quad_ohmic", "quad_ohmic_grid", "quad_tabulated",
            "dephasing_multipliers", "initial_panels", "PANEL_CAP"]
 
 
@@ -52,7 +55,12 @@ _W7 = np.array([
     0.381830050505119, 0.0, 0.279705391489277, 0.0,
     0.129484966168870, 0.0,
 ])
-for _arr in (_X15, _W15, _W7):
+# quad_ohmic_grid: the GK15 nodes and then the lower edge of a panel, as
+# fractions of its width from that edge, and per unit width the weights of
+# the Kronrod value and of its error estimate on them (columns)
+_U16 = np.append(0.5 * (_X15 + 1.0), 0.0)
+_W_GK = 0.5 * np.stack([np.append(_W15, 0.0), np.append(_W15 - _W7, 0.0)], axis=1)
+for _arr in (_X15, _W15, _W7, _U16, _W_GK):
     _arr.flags.writeable = False
 
 PANEL_CAP = 16384  # real-axis panels of a tabulated density; see quad_tabulated
@@ -61,6 +69,19 @@ _ROT = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, the integration ra
 _RAY_WIDTH = 0.6  # width of the initial ray panels in x = ln r
 _X_MIN = math.log(np.finfo(float).tiny)  # below this r = e^x is no longer a normal float
 _EPS = float(np.finfo(float).eps)
+
+
+def _panel_count(t: float, omega_c: float, s: float, rtol: float) -> int:
+    """Number of initial ray panels of the time t > 0 (see initial_panels)."""
+    if not t > 0.0:
+        raise NumericsError(f"the ray panels need t > 0, got {t}")
+    lo = max(math.log(min(1.0 / t, omega_c)) + math.log(1e-3 * rtol) / s, _X_MIN)
+    return max(1, math.floor((_ray_top(omega_c, s) - lo) / _RAY_WIDTH))
+
+
+def _ray_top(omega_c: float, s: float) -> float:
+    """The top edge of every time's ray panels, Re w = (40 + 2 s) omega_c."""
+    return math.log((40.0 + 2.0 * s) * omega_c / _ROT.real)
 
 
 def initial_panels(t: float, omega_c: float, s: float,
@@ -72,20 +93,18 @@ def initial_panels(t: float, omega_c: float, s: float,
     where it has fallen to 1e-3 * rtol of its size at the scale
     min(1/t, omega_c); the last panel that fits above the cut is the
     first.  Their count grows like ln(omega_c t), not like t, and a tighter
-    rtol only adds panels at the head.
+    rtol only adds panels at the head.  Every edge is hi - _RAY_WIDTH k
+    with hi independent of t, so the panels of a time are, bit for bit, the
+    top panels of those of any later time; quad_ohmic_grid relies on that.
     """
-    if t <= 0.0:
-        raise NumericsError("initial_panels needs t > 0")
-    lo = max(math.log(min(1.0 / t, omega_c)) + math.log(1e-3 * rtol) / s, _X_MIN)
-    hi = math.log((40.0 + 2.0 * s) * omega_c / _ROT.real)
-    n = max(1, math.floor((hi - lo) / _RAY_WIDTH))
-    edges = hi - _RAY_WIDTH * np.arange(n, -1, -1)
+    n = _panel_count(t, omega_c, s, rtol)
+    edges = _ray_top(omega_c, s) - _RAY_WIDTH * np.arange(n, -1, -1, dtype=float)
     return edges[:-1], edges[1:]
 
 
 def _coth_half(beta, w):
     """coth(beta w / 2) as -1 - 2 / expm1(-beta w): exactly 1 at beta = inf
-    for real w > 0, and finite for complex w off the imaginary axis."""
+    for real w > 0."""
     return -1.0 - 2.0 / np.expm1(-beta * w)
 
 
@@ -101,8 +120,9 @@ def _gk15_batch(f, a, b):
 _MAX_ROUNDS = 60  # bisection rounds of _adaptive
 
 
-def _adaptive(f, a, b, rtol, cap):
-    vals, errs = _gk15_batch(f, a, b)
+def _adaptive(f, a, b, vals, errs, rtol, cap):
+    """Bisect the worst of the panels (a, b), whose GK15 values and error
+    estimates are vals and errs, until the summed estimate meets rtol."""
     for _ in range(_MAX_ROUNDS):
         total = float(vals.sum())
         err_total = float(errs.sum())
@@ -131,9 +151,95 @@ def _adaptive(f, a, b, rtol, cap):
     return float(vals.sum()), float(errs.sum())
 
 
-def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
-               t: float, rtol: float) -> tuple[float, float]:
-    """Reservoir integral for the ohmic family at one time point.
+def _ray_factors(kind, s, alpha, omega_c, beta, x):
+    """The factors of the ray integrand that do not depend on t, at nodes x:
+    Re w / 2 (= Im w / 2) with w = e^x e^{i pi/4}, Re and Im of w g(w), and
+    for kind 2 at beta < inf Re and Im of coth(beta w / 2)."""
+    rc = np.exp(x) * _ROT.real  # Re w = Im w
+    # in x = ln r, dw = w dx: w g(w) = scale w^(s-1) exp(-w/omega_c),
+    # with ln w = x + i pi/4
+    decay = rc / omega_c
+    mag = np.exp((s - 1.0) * x - decay)
+    mag *= alpha * omega_c ** (1.0 - s)
+    phase = (s - 1.0) * (math.pi / 4.0) - decay
+    factors = [0.5 * rc, mag * np.cos(phase), mag * np.sin(phase)]
+    # beta = inf would make the factor nan on the ray (sin(inf)), so T = 0
+    # drops it instead
+    if kind == 2 and not math.isinf(beta):
+        # coth(beta w / 2) = -1 - 2 / expm1(-beta w), and expm1(-beta w) is
+        # the conjugate of expm1(i w beta)
+        e_re, e_im = _expm1_iwt(beta * factors[0])
+        coth = -1.0 - 2.0 / (e_re - 1j * e_im)
+        factors += [coth.real, coth.imag]
+    return factors
+
+
+def _expm1_iwt(hu):
+    """Re and Im of expm1(i w t) on the ray, from hu = t Re w / 2.
+
+    With u = t Re w, i w t = u (i - 1), so in real arithmetic
+    expm1(i w t) = expm1(-u) - 2 e^-u sin^2(u/2) + 2i e^-u sin(u/2) cos(u/2):
+    a real sine, cosine, exp and expm1, where numpy's complex expm1 makes
+    five scalar transcendental calls.
+    """
+    e_re = -2.0 * hu
+    e_im = np.exp(e_re)
+    np.expm1(e_re, out=e_re)
+    s2 = np.sin(hu)
+    e_im *= s2
+    e_im += e_im  # 2 e^-u sin(u/2)
+    s2 *= e_im
+    e_re -= s2
+    e_im *= np.cos(hu)
+    return e_re, e_im
+
+
+def _ray_kernel(kind, t, half, wg_re, wg_im, coth_re=None, coth_im=None):
+    """The integrand in x = ln r from the factors of _ray_factors, at the
+    times t (broadcast against the nodes)."""
+    hu = t * half
+    e_re, e_im = _expm1_iwt(hu)
+    if kind == 1:
+        e_re *= wg_im
+        e_im *= wg_re
+        e_im += e_re
+        return e_im
+    # h = u ((q - 1) + i (q + 1)) / (1 + q^2) with u = 2 hu, q = 2 u^2:
+    # u / (1 + q^2) first, so that no factor overflows before t ~ 1e150
+    q = hu * hu
+    q *= 8.0
+    d = q * q
+    d += 1.0
+    np.divide(hu, d, out=d)
+    d += d  # u / (1 + q^2)
+    q *= d
+    a_re = q - d
+    a_re -= e_re  # Re(h - expm1(i w t))
+    q += d
+    q -= e_im  # Im(h - expm1(i w t))
+    v_re = wg_re * a_re
+    v_re -= wg_im * q
+    # coth last: near the smallest normal r, w g(w) coth alone overflows
+    if coth_re is None:
+        return v_re
+    v_re *= coth_re
+    a_re *= wg_im
+    q *= wg_re
+    q += a_re
+    q *= coth_im
+    v_re -= q
+    return v_re
+
+
+# (time, node) pairs quad_ohmic_grid evaluates at once: blocks of about 8
+# times at omega_c t ~ 400, which keeps its temporaries near 0.6 MB and out
+# of the peak resident memory of a run
+_GRID_BLOCK = 1 << 13
+
+
+def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
+                    beta: float, t, rtol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Reservoir integrals for the ohmic family at every time of a 1-d array t.
 
     kind 1: integral of D(w)/w^2 * sin(w t)
     kind 2: integral of 2 D(w)/w^2 * sin^2(w t / 2) * coth(beta w / 2)
@@ -149,46 +255,85 @@ def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
     origin, and it decays beyond w ~ 1/t, so no large cancelling term is
     left where the panels are wide.
 
+    Each time's initial panels (initial_panels) are the top panels of those
+    of the largest t, so w, w g(w) and coth are evaluated once, on the GK15
+    nodes and the lower edge of each panel of that set; per time and node
+    only expm1(i w t) and h are.  A time's sums run down from the top panel
+    and stop at its own first one, so its result does not depend on the
+    other times of the grid, and a time whose estimate misses rtol is
+    bisected on its own (_adaptive).  The times go in blocks of at most
+    _GRID_BLOCK (time, node) pairs, so memory does not grow with the grid.
+
     Below the first panel, x < x_lo, the integrand in x = ln r is a power
     law f(x) ~ f(x_lo) e^{p (x - x_lo)}, with p = s, or s + 1 for kind 2 at
     zero temperature, up to a relative correction of order
     r (t + 1/omega_c + beta) with r = e^x.  So f(x_lo) / p is added to the
     value.  That matters for small s, where the head cut is clamped at the
     smallest normal float and the head holds most of the integral.
-    Returns (value, error); the error includes the bound
+    Returns arrays (values, errors); an error includes the bound
     2 |f(x_lo)| r_lo (t + 1/omega_c + beta) / p on the head remainder and
     the rounding 4 eps |x_lo| |f(x_lo)| / p of the head itself.
-    t must be positive; callers handle t = 0 and the symmetry in t.
+    Every t must be positive; callers handle t = 0 and the symmetry in t.
     """
-    # -inf * w is nan for complex w, so T = 0 drops the coth factor instead
+    t = np.asarray(t, dtype=float)
+    if t.ndim != 1:
+        raise NumericsError("quad_ohmic_grid needs a 1-d array of times")
+    values, errors, heads = np.empty((3, t.size))
+    if t.size == 0:
+        return values, errors
+    n = np.array([_panel_count(x, omega_c, s, rtol) for x in t.tolist()])
+    a, b = initial_panels(float(t[np.argmax(n)]), omega_c, s, rtol)
+    first = a.size - n  # each time's first panel
+    width = b - a
+    # node 15 is the lower edge of the panel, where the head is taken
+    nodes = _ray_factors(kind, s, alpha, omega_c, beta, a[:, None] + width[:, None] * _U16)
+    # neighbouring times of a sorted grid, as evolve_reduced requires,
+    # share a block and most of its panels
+    step = max(1, _GRID_BLOCK // nodes[0].size)
+    for i in range(0, t.size, step):
+        k = slice(i, i + step)
+        p0 = int(first[k].min())
+        fv = _ray_kernel(kind, t[k, None, None], *(x[p0:] for x in nodes))
+        rows, start = np.arange(fv.shape[0]), first[k] - p0
+        heads[k] = fv[rows, start, -1]
+        # [value, error] of each panel, then [|value|, |error|] beside them
+        gk = (fv @ _W_GK) * width[p0:, None]
+        gk = np.concatenate([gk, np.abs(gk)], axis=2)
+        # in sequence down from the top panel: row n - 1 of the running sum
+        # holds a time's own panels and none below them
+        total, _, size, err_total = np.add.accumulate(
+            gk[:, ::-1], axis=1)[rows, n[k] - 1].T
+        values[k], errors[k] = total, err_total
+        for j, (tot, sz, err) in enumerate(zip(total.tolist(), size.tolist(),
+                                               err_total.tolist())):
+            if err <= max(rtol * abs(tot), 30.0 * _EPS * sz):
+                continue
+            kj, pj = i + j, first[i + j]
+
+            def f(x, tj=t[kj]):
+                return _ray_kernel(kind, tj, *_ray_factors(kind, s, alpha, omega_c, beta, x))
+
+            # six bisections of every panel: far more than the analytic
+            # integrand needs
+            values[kj], errors[kj] = _adaptive(
+                f, a[pj:], b[pj:], gk[j, start[j]:, 0], gk[j, start[j]:, 3],
+                rtol, cap=64 * n[kj])
     zero_t = math.isinf(beta)
-    a, b = initial_panels(t, omega_c, s, rtol)
-    scale = alpha * omega_c ** (1.0 - s)
-    # in x = ln r, dw = w dx: f is w g(w) = scale w^(s-1) exp(-w/omega_c),
-    # with ln w = x + i pi/4, times the kernel
-    log_phase = 1j * (s - 1.0) * (math.pi / 4.0)
-
-    def f(x):
-        w = np.exp(x) * _ROT
-        wg = scale * np.exp((s - 1.0) * x + log_phase - w / omega_c)
-        iwt = (1j * t) * w
-        e = np.expm1(iwt)
-        if kind == 1:
-            return (wg * e).imag
-        v = wg * (iwt / (1.0 - iwt * iwt) - e)  # h - expm1(i w t)
-        if not zero_t:
-            v *= _coth_half(beta, w)
-        return v.real
-
-    # six bisections of every panel: far more than the analytic integrand needs
-    val, err = _adaptive(f, a, b, rtol, cap=64 * a.size)
-    p = s + 1.0 if kind == 2 and zero_t else s
-    head = float(f(a[:1])[0]) / p
+    heads /= s + 1.0 if kind == 2 and zero_t else s
     # the remainder, plus the rounding of exponents of size |x_lo|, which
     # the exponential turns into a relative error of f
-    rel = (2.0 * math.exp(a[0]) * (t + 1.0 / omega_c + (0.0 if zero_t else beta))
-           + 4.0 * _EPS * abs(a[0]))
-    return val + head, err + abs(head) * rel
+    x_lo = a[first]
+    rel = (2.0 * np.exp(x_lo) * (t + 1.0 / omega_c + (0.0 if zero_t else beta))
+           + 4.0 * _EPS * np.abs(x_lo))
+    return values + heads, errors + np.abs(heads) * rel
+
+
+def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
+               t: float, rtol: float) -> tuple[float, float]:
+    """quad_ohmic_grid at the one time t > 0, as floats (value, error)."""
+    values, errors = quad_ohmic_grid(kind, s, alpha, omega_c, beta,
+                                     np.array([t], dtype=float), rtol)
+    return float(values[0]), float(errors[0])
 
 
 def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
@@ -218,7 +363,7 @@ def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
             return g * np.sin(w * t)
         return g * (2.0 * np.sin(0.5 * w * t) ** 2) * _coth_half(beta, w)
 
-    return _adaptive(f, a, b, rtol, cap=PANEL_CAP)
+    return _adaptive(f, a, b, *_gk15_batch(f, a, b), rtol, cap=PANEL_CAP)
 
 
 def dephasing_multipliers(energies: np.ndarray, t: float, q1t: float,
@@ -227,9 +372,19 @@ def dephasing_multipliers(energies: np.ndarray, t: float, q1t: float,
 
     One complex exponential per element: the element-wise law behind
     DephasingTrajectory.snapshots and the analytic side of the finite-bath
-    oracle.  evolve_reduced uses the factored form instead.
+    oracle.  evolve_reduced uses the factored form instead.  The damping
+    exponent is clamped at -350, as in evolve_reduced: numpy's exp slows
+    down below about -708, and a modulus below e^-350 ~ 1e-152 moves no
+    observable.
     """
     energies = np.ascontiguousarray(energies, dtype=np.float64)
     de = energies[:, None] - energies[None, :]
     sq = energies[:, None] ** 2 - energies[None, :] ** 2
-    return np.exp(-1j * (de * t + sq * q1t) - de**2 * q2t)
+    # the exponent is built in place in the result: the snapshot tensor
+    # calls this once per time on the full matrix
+    out = np.empty(de.shape, dtype=complex)
+    np.multiply(de * de, -q2t, out=out.real)
+    np.maximum(out.real, -350.0, out=out.real)
+    np.multiply(de, -t, out=out.imag)
+    out.imag -= sq * q1t
+    return np.exp(out, out=out)

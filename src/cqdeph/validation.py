@@ -403,16 +403,13 @@ def _check_q1_q2_symmetry() -> _Measured:
 
 
 def _check_ohmic_closed_form() -> _Measured:
-    t0 = bath.BathState()
     ts = np.geomspace(0.02, 50.0, 12)
-    worst = 0.0
-    for t in ts:
-        exact1 = 0.1 * math.atan(t)
-        exact2 = 0.05 * math.log1p(t * t)
-        worst = max(worst,
-                    abs(bath.q1(_OHMIC, t) - exact1) / exact1,
-                    abs(bath.q2(_OHMIC, t0, t) - exact2) / exact2)
-    return (worst, 1e-6,
+    exact1 = 0.1 * np.arctan(ts)
+    exact2 = 0.05 * np.log1p(ts * ts)
+    worst = max(np.max(np.abs(bath.q1_grid(_OHMIC, ts) - exact1) / exact1),
+                np.max(np.abs(bath.q2_grid(_OHMIC, bath.BathState(), ts) - exact2)
+                       / exact2))
+    return (float(worst), 1e-6,
             "quadrature matches the arctan / log laws of the linear "
             "zero-temperature reservoir over t in [0.02, 50]")
 

@@ -8,10 +8,12 @@ digits.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from cqdeph import kernels
 from cqdeph.bath import (
     BathState,
     OhmicSpectralDensity,
@@ -197,6 +199,62 @@ def test_grid_matches_scalar_calls():
         assert g1[k] == pytest.approx(q1(OHMIC, float(tk)), rel=1e-12)
         assert g2[k] == pytest.approx(
             q2(OHMIC, BathState(beta=3.0), float(tk)), rel=1e-12)
+
+
+@pytest.mark.parametrize("rtol", [1e-8, 1e-11])
+@pytest.mark.parametrize("beta", [2.0, math.inf])
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0, 20.0])
+def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
+    """One grid call gives each time what a call for that time alone gives,
+    on negative times, t = 0, and linear and log grids over [1e-2, 1e6]."""
+    bisected = []
+    adaptive = kernels._adaptive
+
+    def counting(f, a, *args, **kwargs):
+        bisected.append(a.size)
+        return adaptive(f, a, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_adaptive", counting)
+    model = OhmicSpectralDensity(coupling=0.1, exponent=s)
+    state = BathState(beta=beta)
+    t = np.concatenate([[-5.0, -0.3, 0.0], np.linspace(1e-2, 1e6, 9),
+                        np.geomspace(1e-2, 1e6, 13)])
+    g1 = q1_grid(model, t, rtol)
+    g2 = q2_grid(model, state, t, rtol)
+    refined = len(bisected)
+    for k, tk in enumerate(t):
+        assert g1[k] == pytest.approx(q1(model, tk, rtol), rel=1e-12, abs=0.0)
+        assert g2[k] == pytest.approx(q2(model, state, tk, rtol), rel=1e-12, abs=0.0)
+    if beta == 2.0 and (s, rtol) in ((3.0, 1e-8), (0.5, 1e-11)):
+        # some times are bisected on their own, the others are not
+        assert 0 < refined < 2 * np.count_nonzero(t)
+
+
+def test_grid_memory_is_bounded():
+    """The grid kernel works through the times in blocks, so 2000 times
+    cost no more memory than a few dozen."""
+    state = BathState(beta=2.0)
+    t = np.linspace(0.01, 400.0, 2000)
+    q2_grid(OHMIC, state, t[:20])
+    tracemalloc.start()
+    try:
+        q2_grid(OHMIC, state, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
+
+
+@pytest.mark.parametrize("t,rtol", [
+    ([0.5, math.nan, 2.0], 1e-8), ([0.5, math.inf], 1e-8),
+    ([-math.inf, 0.0], 1e-8), ([0.5, 2.0], 0.0), ([0.5, 2.0], -1e-8),
+    ([0.5, 2.0], math.nan), ([0.5, 2.0], math.inf), ([[0.5, 2.0]], 1e-8),
+])
+def test_grid_rejects_non_finite_times_and_bad_rtol(t, rtol):
+    with pytest.raises(InvalidArgumentError):
+        q1_grid(OHMIC, np.array(t), rtol)
+    with pytest.raises(InvalidArgumentError):
+        q2_grid(OHMIC, BathState(beta=2.0), np.array(t), rtol)
 
 
 def test_error_estimate_brackets_refinement():

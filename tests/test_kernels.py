@@ -42,6 +42,26 @@ def test_initial_panels_structure():
         kernels.initial_panels(0.0, 1.0, 1.0, 1e-8)
 
 
+@pytest.mark.parametrize("s,rtol", [(1e-4, 1e-8), (0.5, 1e-11), (1.0, 1e-8),
+                                    (3.0, 1e-6)])
+def test_initial_panels_of_every_time_are_the_top_panels_of_the_latest(s, rtol):
+    # quad_ohmic_grid evaluates the nodes of the largest time once and
+    # gives every earlier time the top panels of that set
+    times = np.geomspace(1e-3, 1e6, 40)
+    a_max, b_max = kernels.initial_panels(float(times[-1]), 2.0, s, rtol)
+    for t in times:
+        a, b = kernels.initial_panels(float(t), 2.0, s, rtol)
+        assert 0 < a.size <= a_max.size
+        assert np.array_equal(a, a_max[a_max.size - a.size:])
+        assert np.array_equal(b, b_max[b_max.size - b.size:])
+
+
+def test_quad_ohmic_grid_needs_positive_times():
+    for t in ([1.0, 0.0], [-2.0], [[1.0]], [1.0, math.nan]):
+        with pytest.raises(NumericsError):
+            kernels.quad_ohmic_grid(1, 1.0, 0.1, 1.0, math.inf, np.array(t), 1e-8)
+
+
 def test_quad_ohmic_closed_form_point():
     val, err = kernels.quad_ohmic(1, 1.0, 0.1, 1.0, math.inf, 2.0, 1e-10)
     assert val == pytest.approx(0.1 * math.atan(2.0), rel=1e-9)
@@ -63,6 +83,19 @@ def test_multipliers_match_scalar_law():
             sq = energies[j] ** 2 - energies[k] ** 2
             want = np.exp(-1j * (de * t + sq * q1t) - de * de * q2t)
             assert m[j, k] == pytest.approx(want, rel=1e-13)
+
+
+def test_multipliers_clamp_moves_nothing_above_1e_150():
+    # damping exponents down to -(40^2)(0.9) = -1440, past numpy's slow
+    # exp path below about -708
+    energies = np.linspace(0.0, 40.0, 60)
+    t, q1t, q2t = 3.0, 0.2, 0.9
+    de = np.subtract.outer(energies, energies)
+    sq = np.subtract.outer(energies ** 2, energies ** 2)
+    assert np.any(de ** 2 * q2t > 708.0)
+    law = np.exp(-1j * (de * t + sq * q1t) - de ** 2 * q2t)
+    m = kernels.dephasing_multipliers(energies, t, q1t, q2t)
+    assert np.max(np.abs(m - law)) <= 1e-150
 
 
 def test_multipliers_hermitian_up_to_conjugate():
