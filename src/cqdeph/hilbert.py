@@ -319,14 +319,22 @@ _DENSITY_TOL = 1e-10
 
 
 def require_density_matrix(
-        rho: OperatorMatrix) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        rho: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless rho is hermitian, unit trace, positive semidefinite.
 
     _DENSITY_TOL bounds the hermiticity defect, |trace - 1| and the
-    negative eigenvalues.  Returns ``(support, w, v)``: the indices of the
-    nonzero rows of rho, and the ascending eigenvalues and the eigenvectors
-    (columns) of the support block rho[support][:, support], taken from
-    that block itself, so ``(v * w) @ v^dag`` rebuilds it.
+    negative eigenvalues.  Returns ``(support, root)``: the indices of the
+    nonzero rows of rho, and a |S| x r factor of the support block
+    B = rho[support][:, support] with ``root @ root^dag`` = B.
+
+    A pure block needs no eigendecomposition: with the pivot j of the
+    largest diagonal entry and psi = B[:, j] / sqrt(B[j, j]), a block with
+    ||B - psi psi^dag||_F <= _DENSITY_TOL returns ``psi[:, None]``.  By
+    Weyl's inequality every eigenvalue of B then lies within _DENSITY_TOL
+    of (|psi|^2, 0, ...), so B passes the eigenvalue check as well.  Any
+    other block takes one ``eigh``, and root keeps the eigenvectors with
+    eigenvalues above w_max |S| eps, each scaled by sqrt(w): the numerical
+    range of B, so r is its numerical rank.
     """
     mat = rho.mat
     if hermiticity_defect(mat) > _DENSITY_TOL:
@@ -335,10 +343,16 @@ def require_density_matrix(
     if abs(tr - 1.0) > _DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix trace {tr} deviates from 1")
     support = np.flatnonzero(np.any(mat != 0, axis=1))
-    w, v = np.linalg.eigh(mat[np.ix_(support, support)])
+    block = mat[np.ix_(support, support)]
+    j = int(np.argmax(block.diagonal().real))
+    psi = block[:, j] / math.sqrt(block[j, j].real)
+    if np.linalg.norm(block - np.outer(psi, psi.conj())) <= _DENSITY_TOL:
+        return support, psi[:, None]
+    w, v = np.linalg.eigh(block)
     if float(w[0]) < -_DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix has negative eigenvalue {w[0]:.3e}")
-    return support, w, v
+    keep = w > w[-1] * support.size * np.finfo(float).eps
+    return support, v[:, keep] * np.sqrt(w[keep])
 
 
 _FACTORS = ("qubit", "A", "B")

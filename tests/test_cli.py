@@ -573,6 +573,32 @@ def test_run_dephasing_tables(tmp_path):
     assert report["pairs"][0]["delta_e"] == pytest.approx(0.0, abs=1e-15)
 
 
+def _written_maxima(out_dir):
+    rows = (out_dir / "observables.csv").read_text().splitlines()
+    header = rows[0].split(",")
+    cols = [[float(x) for x in r.split(",")] for r in rows[1:]]
+    return tuple(max(r[header.index(name)] for r in cols)
+                 for name in ("purity", "fidelity_to_initial"))
+
+
+def test_written_purity_and_fidelity_are_at_most_one(tmp_path, rng):
+    run(load_config(SHIPPED_DEPHASING), str(tmp_path / "shipped"))
+    assert max(_written_maxima(tmp_path / "shipped")) <= 1.0
+    # a seeded pure state on all 288 labels of the (11, 11) cutoff
+    amps = rng.normal(size=(288, 2)).tolist()
+    lines = [f"amp_{k} = {m} {n} {i} : {re!r} {im!r}"
+             for k, ((i, m, n), (re, im)) in enumerate(
+                 zip(np.ndindex(2, 12, 12), amps))]
+    body = DEPHASING_BODY.replace("n_max_a = 1\nn_max_b = 3",
+                                  "n_max_a = 11\nn_max_b = 11")
+    body = body.replace("amp_0 = 0 0 0 : 0.7071067811865476 0\n"
+                        "amp_1 = 0 1 0 : 0 0.7071067811865476",
+                        "\n".join(lines))
+    run(load_config(_write(tmp_path, body)), str(tmp_path / "dense"))
+    purity, fidelity = _written_maxima(tmp_path / "dense")
+    assert purity <= 1.0 and fidelity <= 1.0
+
+
 def test_run_validate_report(tmp_path):
     cfg = load_config(_write(tmp_path, "scenario = validate\n"))
     report = run(cfg, str(tmp_path / "out"))

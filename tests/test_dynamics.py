@@ -306,6 +306,41 @@ def test_class_factored_observables_match_snapshots(rng, case, omega_a_prime,
     assert np.abs(traj.qubit_coherence[0]) > 0.01
 
 
+def test_class_sums_match_snapshots_at_the_workload_size(rng):
+    # a seeded pure state on every label of the benchmark's cutoff
+    cut = FockCutoff(11, 11)
+    traj = evolve_reduced(_random_pure(cut, rng), _eff(), OHMIC,
+                          BathState(beta=2.0), np.linspace(0.0, 30.0, 5))
+    purity, coherence, fidelity = _from_snapshots(traj)
+    assert np.max(np.abs(traj.purity - purity)) <= 1e-12
+    assert np.max(np.abs(traj.qubit_coherence - coherence)) <= 1e-12
+    assert np.max(np.abs(traj.fidelity_to_initial - fidelity)) <= 1e-12
+    assert np.all(traj.purity <= 1.0) and np.all(traj.fidelity_to_initial <= 1.0)
+    assert traj.fidelity_to_initial[-1] < 0.9
+
+
+def test_nearly_pure_state_takes_the_general_fidelity(rng):
+    # a second eigenvalue of 1e-9 is above the density check's tolerance,
+    # so the fidelity is Uhlmann's on the rank-2 range, not <psi|rho|psi>
+    cut = FockCutoff(2, 3)
+    q, _ = np.linalg.qr(rng.normal(size=(cut.dim, 2))
+                        + 1j * rng.normal(size=(cut.dim, 2)))
+    rho0 = np.outer(q[:, 0], q[:, 0].conj()) \
+        + 1e-9 * np.outer(q[:, 1], q[:, 1].conj())
+    traj = evolve_reduced(OperatorMatrix(rho0 / np.trace(rho0).real, cut),
+                          _eff(), OHMIC, BathState(beta=2.0),
+                          np.linspace(0.0, 30.0, 7))
+    assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-15
+    # at t = 0 the reference's cutoff drops the eigenvalue 1e-18 of rho0^2;
+    # later the range adds the root of an eigenvalue near 1e-10 to
+    # sqrt(F), whose rounding (about 1e-17) moves F by about 1e-12
+    ref = [_uhlmann(traj.rho0, snap) for snap in traj.snapshots[1:]]
+    assert np.max(np.abs(traj.fidelity_to_initial[1:] - ref)) <= 1e-11
+    pure = evolve_reduced(OperatorMatrix(np.outer(q[:, 0], q[:, 0].conj()), cut),
+                          _eff(), OHMIC, BathState(beta=2.0), traj.t_grid)
+    assert np.min(np.abs(traj.fidelity_to_initial - pure.fidelity_to_initial)[1:]) > 1e-7
+
+
 def test_observables_need_no_element_multipliers(rng, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("dephasing_multipliers called")
@@ -474,22 +509,28 @@ def test_finite_bath_spec_rejects_non_integer_cutoffs(cutoff):
         FiniteBathSpec((1.3,), (0.05,), (cutoff,))
 
 
-def test_evolve_reduced_eigendecomposes_the_support_block_once(monkeypatch):
+def test_evolve_reduced_eigendecomposes_only_mixed_states(rng, monkeypatch):
     cut = FockCutoff(2, 2)
     labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
               TensorBasisLabel(2, 1, 1), TensorBasisLabel(0, 1, 1)]
-    rho0 = _plus_state(cut, labels).density()
     calls = []
     for name in ("eigh", "eigvalsh"):
-        def counted(a, *args, _inner=getattr(np.linalg, name), **kwargs):
-            calls.append(np.shape(a))
+        def counted(a, *args, _inner=getattr(np.linalg, name), _name=name,
+                    **kwargs):
+            calls.append((_name, np.shape(a)))
             return _inner(a, *args, **kwargs)
         monkeypatch.setattr(np.linalg, name, counted)
-    traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
-                          np.linspace(0.0, 3.0, 4))
-    # a pure state: the per-time eigvalsh acts on its 1 x 1 range only
-    assert calls.count((4, 4)) == 1
-    assert np.allclose(traj.fidelity_to_initial[0], 1.0)
+    t = np.linspace(0.0, 3.0, 4)
+    traj = evolve_reduced(_plus_state(cut, labels).density(), _eff(), OHMIC,
+                          BathState(beta=2.0), t)
+    assert calls == []
+    assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-15
+
+    evolve_reduced(_mixed(cut, rng, rank=3, labels=labels), _eff(), OHMIC,
+                   BathState(beta=2.0), t)
+    # one eigh of the 4 x 4 support block, then eigvalsh on the rank-3 range
+    assert [c for c in calls if c[0] == "eigh"] == [("eigh", (4, 4))]
+    assert [c for c in calls if c[0] == "eigvalsh"] == [("eigvalsh", (3, 3))] * t.size
 
 
 def test_dispersive_check_fidelity_high_in_regime():

@@ -160,16 +160,64 @@ def test_density_check_on_sparse_support():
                 require_density_matrix(OperatorMatrix(mat, cut))
 
 
-def test_density_check_returns_the_eigenpairs_of_the_support_block(rng):
+def test_density_check_returns_a_factor_of_the_support_block(rng):
     cut = FockCutoff(2, 2)
     support = np.array([1, 4, 5, 11, 16])
     a = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     mat = np.zeros((cut.dim, cut.dim), dtype=complex)
     mat[np.ix_(support, support)] = a @ a.conj().T / np.trace(a @ a.conj().T)
-    got, w, v = require_density_matrix(OperatorMatrix(mat, cut))
+    got, root = require_density_matrix(OperatorMatrix(mat, cut))
     assert np.array_equal(got, support)
+    assert root.shape == (5, 5)
     block = mat[np.ix_(support, support)]
-    assert np.max(np.abs((v * w) @ v.conj().T - block)) < 1e-12
+    assert np.max(np.abs(root @ root.conj().T - block)) < 1e-12
+
+    psi = a[:, 0] / np.linalg.norm(a[:, 0])
+    mat[np.ix_(support, support)] = np.outer(psi, psi.conj())
+    got, root = require_density_matrix(OperatorMatrix(mat, cut))
+    assert np.array_equal(got, support)
+    assert root.shape == (5, 1)
+    block = mat[np.ix_(support, support)]
+    assert np.max(np.abs(root @ root.conj().T - block)) < 1e-12
+
+
+def _orthonormal_pair(rng, dim):
+    q, _ = np.linalg.qr(rng.normal(size=(dim, 2)) + 1j * rng.normal(size=(dim, 2)))
+    return q[:, 0], q[:, 1]
+
+
+def _unit_trace(mat):
+    return mat / np.trace(mat).real
+
+
+def test_rank1_exit_keeps_the_negative_eigenvalue_check(rng):
+    cut = FockCutoff(2, 2)
+    psi, phi = _orthonormal_pair(rng, cut.dim)
+    mat = _unit_trace(np.outer(psi, psi.conj()) - 1e-9 * np.outer(phi, phi.conj()))
+    with pytest.raises(InvalidArgumentError, match="negative eigenvalue"):
+        require_density_matrix(OperatorMatrix(mat, cut))
+
+
+@pytest.mark.parametrize("weight, rank", [(1e-9, 2), (1e-12, 1)])
+def test_rank1_exit_takes_only_blocks_within_the_tolerance(rng, weight, rank):
+    # a second eigenvalue above _DENSITY_TOL needs the eigendecomposition;
+    # one below it is a pure state to the check's own tolerance
+    cut = FockCutoff(2, 2)
+    psi, phi = _orthonormal_pair(rng, cut.dim)
+    mat = _unit_trace(np.outer(psi, psi.conj())
+                      + weight * np.outer(phi, phi.conj()))
+    support, root = require_density_matrix(OperatorMatrix(mat, cut))
+    assert root.shape == (cut.dim, rank)
+    assert np.max(np.abs(root @ root.conj().T - mat)) < 1e-12
+
+
+def test_rank1_exit_keeps_the_hermiticity_check(rng):
+    cut = FockCutoff(2, 2)
+    psi, phi = _orthonormal_pair(rng, cut.dim)
+    # phi is orthogonal to psi, so the trace stays 1
+    mat = np.outer(psi, psi.conj()) + 1e-9 * np.outer(phi, psi.conj())
+    with pytest.raises(InvalidArgumentError, match="not hermitian"):
+        require_density_matrix(OperatorMatrix(mat, cut))
 
 
 def test_coherent_state_poisson_weights():
