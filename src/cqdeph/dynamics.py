@@ -133,6 +133,21 @@ def _need_cutoff(op) -> FockCutoff:
     return op.cutoff
 
 
+def _class_gaps(levels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """np.unique of the squared gaps (levels_a - levels_b)^2 with its
+    inverse as a (u, u) array.  The squares are exactly symmetric, so the
+    unique runs on the upper triangle and its inverse is mirrored, half
+    the sort of the full matrix."""
+    u = levels.size
+    upper = np.tri(u, dtype=bool).T
+    gaps, gap_up = np.unique((np.subtract.outer(levels, levels) ** 2)[upper],
+                             return_inverse=True)
+    gap_of = np.empty((u, u), dtype=np.intp)
+    gap_of[upper] = gap_up
+    gap_of.T[upper] = gap_up
+    return gaps, gap_of
+
+
 def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
                    state: bath.BathState, t_grid, *,
                    rtol: float = bath.DEFAULT_RTOL,
@@ -196,9 +211,7 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     levels, cls = np.unique(e_s, return_inverse=True)
     u = levels.size
     # g depends on a class pair only through its squared gap
-    gaps, gap_of = np.unique(np.subtract.outer(levels, levels) ** 2,
-                             return_inverse=True)
-    gap_of = gap_of.reshape(u, u)
+    gaps, gap_of = _class_gaps(levels)
 
     # a (m, n, 1) label sits dim_a dim_b flat indices after (m, n, 0)
     dab = cutoff.dim_a * cutoff.dim_b

@@ -6,10 +6,15 @@ worst panels are bisected until the summed estimate meets the relative
 tolerance.  Ohmic densities are integrated along the ray w = r e^{i pi/4},
 where nothing oscillates (numerical steepest descent; Huybrechs and
 Vandewalle, SIAM J. Numer. Anal. 44, 1026 (2006)), on fixed-width panels in
-ln r, so their cost grows like ln(omega_c t) and t has no limit.  The
-panels of every time lie on one lattice in ln r, so a grid of times shares
-its nodes and the t-independent part of the integrand (quad_ohmic_grid); a
-single time is a grid of one.  Tabulated
+ln r, so their cost grows like ln(omega_c t) and t has no limit.  Below the
+first panel the integrand is a power law in ln r, added in closed form, and
+the first panel sits where the bound on that head's remainder meets 1e-3
+rtol (initial_panels), so the count stays within 2x of the s = 1 count as
+s goes to 0.  In the thermal q2 at s < 1 the lowest nodes weigh much, and
+there the cancelling difference h - expm1(i w t) of its integrand is
+summed as a series.  The panels of every time lie on one lattice in ln r,
+so a grid of times shares its nodes and the t-independent part of the
+integrand (quad_ohmic_grid); a single time is a grid of one.  Tabulated
 densities are piecewise linear, not analytic, and keep real-axis panels of
 at most half an oscillation period, at most PANEL_CAP of them.  Zero
 temperature is beta = inf, the one encoding of T = 0 here: there the
@@ -69,14 +74,31 @@ _ROT = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, the integration ra
 _RAY_WIDTH = 0.6  # width of the initial ray panels in x = ln r
 _X_MIN = math.log(np.finfo(float).tiny)  # below this r = e^x is no longer a normal float
 _EPS = float(np.finfo(float).eps)
+# h - expm1(z) with z = u (i - 1) is u^2 times a polynomial in u with the
+# coefficients c_n (i - 1)^n, c_n = [n odd] - 1/n!, here from n = 16 down to
+# 2 with Re and Im in two rows; that meets eps up to u = _U_SERIES
+_U_SERIES = 0.05
+_SERIES = np.array([((n % 2) - 1.0 / math.factorial(n)) * complex(-1.0, 1.0) ** n
+                    for n in range(16, 1, -1)])
+_SERIES = np.stack([_SERIES.real, _SERIES.imag])
+_SERIES.flags.writeable = False
 
 
-def _panel_count(t: float, omega_c: float, s: float, rtol: float) -> int:
-    """Number of initial ray panels of the time t > 0 (see initial_panels)."""
-    if not t > 0.0:
-        raise NumericsError(f"the ray panels need t > 0, got {t}")
-    lo = max(math.log(min(1.0 / t, omega_c)) + math.log(1e-3 * rtol) / s, _X_MIN)
-    return max(1, math.floor((_ray_top(omega_c, s) - lo) / _RAY_WIDTH))
+def _panel_counts(t, omega_c: float, s: float, rtol: float,
+                  beta: float) -> np.ndarray:
+    """Numbers of initial ray panels of the times t > 0, an array (see
+    initial_panels); one expression for a whole grid."""
+    t = np.array(t, dtype=float, ndmin=1)
+    if not t.min() > 0.0:
+        raise NumericsError(f"the ray panels need t > 0, got {t[~(t > 0.0)][0]}")
+    # x_lo = [ln(1e-3 rtol / 2) - s ln max(t, 1/omega_c) - ln C] / (s + 1)
+    x_lo = np.log(np.maximum(t, 1.0 / omega_c))
+    x_lo *= s
+    x_lo += np.log(t + (1.0 / omega_c + (0.0 if math.isinf(beta) else beta)))
+    x_lo -= math.log(0.5e-3 * rtol)
+    x_lo /= -(s + 1.0)
+    n = (_ray_top(omega_c, s) - np.maximum(x_lo, _X_MIN)) // _RAY_WIDTH
+    return np.maximum(n.astype(np.int64), 1)
 
 
 def _ray_top(omega_c: float, s: float) -> float:
@@ -84,20 +106,31 @@ def _ray_top(omega_c: float, s: float) -> float:
     return math.log((40.0 + 2.0 * s) * omega_c / _ROT.real)
 
 
-def initial_panels(t: float, omega_c: float, s: float,
-                   rtol: float) -> tuple[np.ndarray, np.ndarray]:
+def initial_panels(t: float, omega_c: float, s: float, rtol: float,
+                   beta: float = math.inf) -> tuple[np.ndarray, np.ndarray]:
     """Panel edges (a, b) in x = ln r along the ray w = r e^{i pi/4}.
 
     The panels have width _RAY_WIDTH and run down from Re w = (40 + 2 s)
-    omega_c, where exp(-w/omega_c) ends the integrand, to the head cut,
-    where it has fallen to 1e-3 * rtol of its size at the scale
-    min(1/t, omega_c); the last panel that fits above the cut is the
-    first.  Their count grows like ln(omega_c t), not like t, and a tighter
-    rtol only adds panels at the head.  Every edge is hi - _RAY_WIDTH k
-    with hi independent of t, so the panels of a time are, bit for bit, the
-    top panels of those of any later time; quad_ohmic_grid relies on that.
+    omega_c, where exp(-w/omega_c) ends the integrand, to the head cut
+    x_lo; the last panel that fits above the cut is the first.  Below the
+    cut quad_ohmic_grid adds the head in closed form and bounds its
+    remainder by 2 |f(x_lo)| r_lo C / p, with C = t + 1/omega_c + beta
+    (beta = 0 at T = 0) and f(x_lo) ~ f(r_s) (r_lo / r_s)^p below the
+    scale r_s = min(1/t, omega_c).  The cut is where that bound is 1e-3 *
+    rtol of the integrand's size at r_s:
+
+        x_lo = [ln(1e-3 rtol) + p ln r_s - ln 2C] / (p + 1),
+
+    clamped at the log of the smallest normal float, with p = s, the
+    smallest head exponent of the two integrals, so it holds for both.  The
+    count grows like ln(omega_c t), not like t; as s goes to 0 it stays
+    within 2x of the count at s = 1 (51 against 29 at t = omega_c = 1 and
+    rtol 1e-8), and a tighter rtol only adds panels at the head.  Every
+    edge is hi - _RAY_WIDTH k with hi independent of t, so the panels of a
+    time are, bit for bit, the top panels of those of any time with more
+    of them; quad_ohmic_grid relies on that.
     """
-    n = _panel_count(t, omega_c, s, rtol)
+    n = int(_panel_counts(t, omega_c, s, rtol, beta)[0])
     edges = _ray_top(omega_c, s) - _RAY_WIDTH * np.arange(n, -1, -1, dtype=float)
     return edges[:-1], edges[1:]
 
@@ -194,9 +227,46 @@ def _expm1_iwt(hu):
     return e_re, e_im
 
 
-def _ray_kernel(kind, t, half, wg_re, wg_im, coth_re=None, coth_im=None):
+def _series_bound(t, omega_c: float, s: float, rtol: float) -> np.ndarray:
+    """Per time t, the u = t Re w below which the thermal kind-2 integrand
+    takes h - expm1(i w t) from its series (s < 1 only).
+
+    The direct difference cancels to a relative error of about eps / u,
+    and below the scale u_s = t r_s Re e^{i pi/4} a node weighs about
+    (u / u_s)^s of the integrand there, so it loses eps u^(s-1) u_s^-s.
+    That exceeds 1e-3 rtol below u = (eps / (1e-3 rtol u_s^s))^(1/(1-s)),
+    which is taken no higher than u_s and _U_SERIES.
+    """
+    u_s = np.minimum(omega_c * t, 1.0) * _ROT.real
+    ln_u = np.log(u_s)
+    ln_u *= -s
+    ln_u += math.log(_EPS / (1e-3 * rtol))
+    ln_u /= 1.0 - s
+    return np.exp(np.minimum(ln_u, np.log(np.minimum(u_s, _U_SERIES))))
+
+
+def _series_fill(hu, a_re, a_im, u_max):
+    """Overwrite Re and Im of h - expm1(i w t), a_re and a_im, by their
+    series in u = 2 hu wherever u < u_max."""
+    on = hu < 0.5 * u_max
+    if not on.any():
+        return
+    u = 2.0 * hu[on]
+    acc = np.repeat(_SERIES[:, :1], u.size, axis=1)  # Horner, Re and Im rows
+    for c in _SERIES[:, 1:].T:
+        acc *= u
+        acc += c[:, None]
+    acc *= u * u
+    a_re[on], a_im[on] = acc
+
+
+def _ray_kernel(kind, t, half, wg_re, wg_im, coth_re=None, coth_im=None, *,
+                u_max=None, head=None):
     """The integrand in x = ln r from the factors of _ray_factors, at the
-    times t (broadcast against the nodes)."""
+    times t (broadcast against the nodes).  For kind 2 with u_max given
+    (also broadcast), h - expm1(i w t) is taken from its series where
+    u = t Re w < u_max, looked for in the first head panels (the next to
+    last axis; all of them by default)."""
     hu = t * half
     e_re, e_im = _expm1_iwt(hu)
     if kind == 1:
@@ -217,6 +287,8 @@ def _ray_kernel(kind, t, half, wg_re, wg_im, coth_re=None, coth_im=None):
     a_re -= e_re  # Re(h - expm1(i w t))
     q += d
     q -= e_im  # Im(h - expm1(i w t))
+    if u_max is not None:
+        _series_fill(hu[..., :head, :], a_re[..., :head, :], q[..., :head, :], u_max)
     v_re = wg_re * a_re
     v_re -= wg_im * q
     # coth last: near the smallest normal r, w g(w) coth alone overflows
@@ -266,13 +338,22 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
 
     Below the first panel, x < x_lo, the integrand in x = ln r is a power
     law f(x) ~ f(x_lo) e^{p (x - x_lo)}, with p = s, or s + 1 for kind 2 at
-    zero temperature, up to a relative correction of order
-    r (t + 1/omega_c + beta) with r = e^x.  So f(x_lo) / p is added to the
-    value.  That matters for small s, where the head cut is clamped at the
-    smallest normal float and the head holds most of the integral.
+    zero temperature, up to a relative correction of order r C with
+    r = e^x and C = t + 1/omega_c + beta (beta = 0 at T = 0 and for kind
+    1).  So f(x_lo) / p is added to the value, and initial_panels puts the
+    cut where the remainder bound 2 |f(x_lo)| r_lo C / p is 1e-3 rtol of
+    the integrand's scale.  For small s the head holds much of the
+    integral.  In the thermal kind 2 at s < 1, h - expm1(i w t) cancels to
+    a relative error of about eps / u at small u = t Re w, and the head
+    weighs the lowest nodes like (u / u_s)^s; there it is summed as its
+    series sum_n c_n z^n, z = i w t = u (i - 1), c_n = [n odd] - 1/n!,
+    on the nodes where the direct form would lose more than 1e-3 rtol
+    (_series_bound).  Those nodes lie in the lowest panels only, so a
+    block looks for them in the panels whose lower edge (node 15) is
+    below the bound, and at p >= 1 no node needs the series.
     Returns arrays (values, errors); an error includes the bound
-    2 |f(x_lo)| r_lo (t + 1/omega_c + beta) / p on the head remainder and
-    the rounding 4 eps |x_lo| |f(x_lo)| / p of the head itself.
+    2 |f(x_lo)| r_lo C / p on the head remainder and the rounding
+    4 eps |x_lo| |f(x_lo)| / p of the head itself.
     Every t must be positive; callers handle t = 0 and the symmetry in t.
     """
     t = np.asarray(t, dtype=float)
@@ -281,19 +362,35 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
     values, errors, heads = np.empty((3, t.size))
     if t.size == 0:
         return values, errors
-    n = np.array([_panel_count(x, omega_c, s, rtol) for x in t.tolist()])
-    a, b = initial_panels(float(t[np.argmax(n)]), omega_c, s, rtol)
+    zero_t = math.isinf(beta)
+    beta_c = beta if kind == 2 else math.inf  # the beta of C
+    if t.size == 1:  # a time alone: its count is that of its own panels
+        a, b = initial_panels(float(t[0]), omega_c, s, rtol, beta_c)
+        n = np.array([a.size])
+    else:
+        n = _panel_counts(t, omega_c, s, rtol, beta_c)
+        a, b = initial_panels(float(t[np.argmax(n)]), omega_c, s, rtol, beta_c)
     first = a.size - n  # each time's first panel
     width = b - a
     # node 15 is the lower edge of the panel, where the head is taken
     nodes = _ray_factors(kind, s, alpha, omega_c, beta, a[:, None] + width[:, None] * _U16)
+    u_max = (_series_bound(t, omega_c, s, rtol)
+             if kind == 2 and not zero_t and s < 1.0 else None)
     # neighbouring times of a sorted grid, as evolve_reduced requires,
     # share a block and most of its panels
     step = max(1, _GRID_BLOCK // nodes[0].size)
     for i in range(0, t.size, step):
         k = slice(i, i + step)
         p0 = int(first[k].min())
-        fv = _ray_kernel(kind, t[k, None, None], *(x[p0:] for x in nodes))
+        u_blk = head = None
+        if u_max is not None:
+            # the panels whose lower edge is below some time's bound, and
+            # one more against rounding: the series mask decides in them
+            u_blk = u_max[k, None, None]
+            head = 1 + int(np.searchsorted(nodes[0][p0:, -1],
+                                           float((0.5 * u_max[k] / t[k]).max())))
+        fv = _ray_kernel(kind, t[k, None, None], *(x[p0:] for x in nodes),
+                         u_max=u_blk, head=head)
         rows, start = np.arange(fv.shape[0]), first[k] - p0
         heads[k] = fv[rows, start, -1]
         # [value, error] of each panel, then [|value|, |error|] beside them
@@ -310,20 +407,20 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
                 continue
             kj, pj = i + j, first[i + j]
 
-            def f(x, tj=t[kj]):
-                return _ray_kernel(kind, tj, *_ray_factors(kind, s, alpha, omega_c, beta, x))
+            def f(x, tj=t[kj], um=None if u_max is None else u_max[kj]):
+                return _ray_kernel(kind, tj, *_ray_factors(kind, s, alpha, omega_c, beta, x),
+                                   u_max=um)
 
             # six bisections of every panel: far more than the analytic
             # integrand needs
             values[kj], errors[kj] = _adaptive(
                 f, a[pj:], b[pj:], gk[j, start[j]:, 0], gk[j, start[j]:, 3],
                 rtol, cap=64 * n[kj])
-    zero_t = math.isinf(beta)
     heads /= s + 1.0 if kind == 2 and zero_t else s
     # the remainder, plus the rounding of exponents of size |x_lo|, which
     # the exponential turns into a relative error of f
     x_lo = a[first]
-    rel = (2.0 * np.exp(x_lo) * (t + 1.0 / omega_c + (0.0 if zero_t else beta))
+    rel = (2.0 * np.exp(x_lo) * (t + 1.0 / omega_c + (0.0 if math.isinf(beta_c) else beta_c))
            + 4.0 * _EPS * np.abs(x_lo))
     return values + heads, errors + np.abs(heads) * rel
 

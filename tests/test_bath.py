@@ -48,6 +48,18 @@ MPMATH_GOLD = [
     (3.0, 2.0, 2.0, "q2", 0.13290388243018324),
 ]
 
+# (exponent, t, beta, q2) of sub-ohmic baths at a finite temperature, from
+# tools/thermal_gold.py: mpmath with the head below w0 in closed form, equal
+# at w0 = 1e-12, 1e-16, 1e-20 and at 30 and 40 digits to 1e-26 relative
+THERMAL_GOLD = [
+    (0.03, 0.5, 2.0, 0.41268154800565032),
+    (0.03, 1.52, 2.0, 3.7890599915000477),
+    (0.03, 10.0, 2.0, 158.7132032841462),
+    (0.5, 0.5, 2.0, 0.025524100281413654),
+    (0.5, 1.52, 2.0, 0.20381309356240301),
+    (0.5, 10.0, 2.0, 4.7512514893096008),
+]
+
 
 def test_ohmic_density_shape():
     assert OHMIC.density(0.0) == 0.0
@@ -132,8 +144,8 @@ def test_thermal_law_reference_is_converged():
             _q2_thermal_law(t, 1.0), rel=1e-11)
 
 
-# below s = 0.036 the ray's head cut is clamped at the smallest normal float
-# and the analytic head carries most of the integral
+# at small s the closed-form head below the first ray panel carries much
+# of the integral
 @pytest.mark.parametrize("s", [1e-4, 0.01, 0.03, 0.5, 2.0, 3.0, 20.0])
 @pytest.mark.parametrize("t", [10.0, 400.0, 1e5])
 def test_other_exponents_within_reported_error(s, t):
@@ -167,6 +179,26 @@ def test_frozen_goldens(s, t, beta, kind, value):
         state = BathState() if beta is None else BathState(beta=beta)
         got = q2(model, state, t)
     assert got == pytest.approx(value, rel=2e-8)
+
+
+@pytest.mark.parametrize("s,t,beta,value", THERMAL_GOLD)
+def test_thermal_sub_ohmic_gold(s, t, beta, value):
+    model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
+    res = q2_full(model, BathState(beta=beta), t)
+    assert abs(res.value - value) <= min(2e-8 * value, res.error)
+
+
+def test_thermal_rtol_1e_11_meets_rtol():
+    """At s = 0.5 and beta = 2 every time of a log grid meets rtol 1e-11,
+    and the gold values are met within the reported error."""
+    t = np.geomspace(1e-2, 1e3, 24)
+    values, errors = kernels.quad_ohmic_grid(2, 0.5, 0.1, 1.0, 2.0, t, 1e-11)
+    assert np.all(errors <= 1e-11 * np.abs(values))
+    model = OhmicSpectralDensity(coupling=0.1, exponent=0.5, omega_c=1.0)
+    for s, tg, beta, value in THERMAL_GOLD:
+        if s == 0.5:
+            res = q2_full(model, BathState(beta=beta), tg, rtol=1e-11)
+            assert abs(res.value - value) <= res.error
 
 
 def test_q1_is_odd_q2_is_even():
@@ -203,7 +235,7 @@ def test_grid_matches_scalar_calls():
 
 @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
 @pytest.mark.parametrize("beta", [2.0, math.inf])
-@pytest.mark.parametrize("s", [0.5, 1.0, 3.0, 20.0])
+@pytest.mark.parametrize("s", [0.03, 0.5, 1.0, 3.0, 20.0])
 def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     """One grid call gives each time what a call for that time alone gives,
     on negative times, t = 0, and linear and log grids over [1e-2, 1e6]."""

@@ -17,6 +17,7 @@ from cqdeph.bath import (
 from cqdeph.device import EffectiveParams
 from cqdeph.dynamics import (
     FiniteBathSpec,
+    _class_gaps,
     dispersive_check,
     evolve_reduced,
     finite_bath_oracle,
@@ -317,6 +318,20 @@ def test_class_sums_match_snapshots_at_the_workload_size(rng):
     assert np.max(np.abs(traj.fidelity_to_initial - fidelity)) <= 1e-12
     assert np.all(traj.purity <= 1.0) and np.all(traj.fidelity_to_initial <= 1.0)
     assert traj.fidelity_to_initial[-1] < 0.9
+
+
+@pytest.mark.parametrize("cut", [FockCutoff(11, 11), FockCutoff(2, 3)])
+def test_class_gaps_are_numpy_unique(cut):
+    # the energy classes of every label of the benchmark's cutoff (208 of
+    # them) and of a small one: the same gaps and inverse as np.unique of
+    # the full matrix of squared gaps
+    levels = np.unique(energies_vector(_eff(), cut))
+    gaps, gap_of = _class_gaps(levels)
+    want, inverse = np.unique(np.subtract.outer(levels, levels) ** 2,
+                              return_inverse=True)
+    assert np.array_equal(gaps, want)
+    assert np.array_equal(gap_of, inverse.reshape(levels.size, levels.size))
+    assert gap_of.dtype == np.intp
 
 
 def test_nearly_pure_state_takes_the_general_fidelity(rng):

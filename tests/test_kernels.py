@@ -13,6 +13,14 @@ def test_active_backend_consistent():
     assert kernels.active_backend() == "numpy"
 
 
+def _head_cut(t, omega_c, s, rtol, beta=0.0):
+    """Where the head remainder bound meets 1e-3 rtol: the cut rule of
+    kernels.initial_panels, with p = s."""
+    c = t + 1.0 / omega_c + beta
+    return (math.log(1e-3 * rtol) + s * math.log(min(1.0 / t, omega_c))
+            - math.log(2.0 * c)) / (s + 1.0)
+
+
 def test_initial_panels_structure():
     a, b = kernels.initial_panels(3.0, 1.0, 1.0, 1e-8)
     assert a.shape == b.shape
@@ -20,10 +28,15 @@ def test_initial_panels_structure():
     width = float(widths[0])
     assert np.allclose(widths, width)
     assert np.all(a[1:] == b[:-1])
-    # the head cut sits 1e-3 * rtol below the scale min(1/t, omega_c) = 1/3,
-    # and the first panel is the last one that fits above it
-    cut = math.log(1.0 / 3.0) + math.log(1e-11)
-    assert cut <= a[0] < cut + width
+    # the head cut sits where the remainder bound of the closed-form head
+    # is 1e-3 rtol of the integrand at the scale min(1/t, omega_c) = 1/3,
+    # and the first panel is the last one that fits above it; a finite
+    # beta enters the bound and moves the cut down
+    for beta in (math.inf, 2.0):
+        cut = _head_cut(3.0, 1.0, 1.0, 1e-8, 0.0 if math.isinf(beta) else beta)
+        first = kernels.initial_panels(3.0, 1.0, 1.0, 1e-8, beta)[0][0]
+        assert cut <= first < cut + width
+    assert kernels.initial_panels(3.0, 1.0, 1.0, 1e-8, 2.0)[0].size >= a.size
     # the panels are laid down from the tail, so a tighter rtol only adds
     # panels at the head
     fine = kernels.initial_panels(3.0, 1.0, 1.0, 1e-12)[0]
@@ -35,9 +48,11 @@ def test_initial_panels_structure():
     n1 = kernels.initial_panels(1.0, 1.0, 1.0, 1e-8)[0].size
     n6 = kernels.initial_panels(1e6, 1.0, 1.0, 1e-8)[0].size
     assert n6 <= n1 + math.ceil(math.log(1e6) / width)
-    # a tiny exponent moves the head cut far out, but never below the
-    # smallest normal float, so the layout stays bounded
-    assert kernels.initial_panels(1.0, 1.0, 1e-4, 1e-8)[0].size < 2000
+    # a tiny exponent costs at most twice the panels of s = 1
+    for t in (1.0, 1e6):
+        for beta in (math.inf, 2.0):
+            tiny = kernels.initial_panels(t, 1.0, 1e-4, 1e-8, beta)[0].size
+            assert tiny <= 2 * kernels.initial_panels(t, 1.0, 1.0, 1e-8, beta)[0].size
     with pytest.raises(NumericsError):
         kernels.initial_panels(0.0, 1.0, 1.0, 1e-8)
 
