@@ -94,11 +94,17 @@ def _panel_counts(t, omega_c: float, s: float, rtol: float,
     # x_lo = [ln(1e-3 rtol / 2) - s ln max(t, 1/omega_c) - ln C] / (s + 1)
     x_lo = np.log(np.maximum(t, 1.0 / omega_c))
     x_lo *= s
-    x_lo += np.log(t + (1.0 / omega_c + (0.0 if math.isinf(beta) else beta)))
+    x_lo += np.log(_head_c(t, omega_c, beta))
     x_lo -= math.log(0.5e-3 * rtol)
     x_lo /= -(s + 1.0)
     n = (_ray_top(omega_c, s) - np.maximum(x_lo, _X_MIN)) // _RAY_WIDTH
     return np.maximum(n.astype(np.int64), 1)
+
+
+def _head_c(t, omega_c: float, beta: float):
+    """C = t + 1/omega_c + beta of the head remainder bound (beta = 0 at
+    T = 0); initial_panels places the cut by the bound quad_ohmic_grid adds."""
+    return t + (1.0 / omega_c + (0.0 if math.isinf(beta) else beta))
 
 
 def _ray_top(omega_c: float, s: float) -> float:
@@ -364,12 +370,8 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
         return values, errors
     zero_t = math.isinf(beta)
     beta_c = beta if kind == 2 else math.inf  # the beta of C
-    if t.size == 1:  # a time alone: its count is that of its own panels
-        a, b = initial_panels(float(t[0]), omega_c, s, rtol, beta_c)
-        n = np.array([a.size])
-    else:
-        n = _panel_counts(t, omega_c, s, rtol, beta_c)
-        a, b = initial_panels(float(t[np.argmax(n)]), omega_c, s, rtol, beta_c)
+    n = _panel_counts(t, omega_c, s, rtol, beta_c)
+    a, b = initial_panels(float(t[np.argmax(n)]), omega_c, s, rtol, beta_c)
     first = a.size - n  # each time's first panel
     width = b - a
     # node 15 is the lower edge of the panel, where the head is taken
@@ -420,8 +422,7 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
     # the remainder, plus the rounding of exponents of size |x_lo|, which
     # the exponential turns into a relative error of f
     x_lo = a[first]
-    rel = (2.0 * np.exp(x_lo) * (t + 1.0 / omega_c + (0.0 if math.isinf(beta_c) else beta_c))
-           + 4.0 * _EPS * np.abs(x_lo))
+    rel = 2.0 * np.exp(x_lo) * _head_c(t, omega_c, beta_c) + 4.0 * _EPS * np.abs(x_lo)
     return values + heads, errors + np.abs(heads) * rel
 
 

@@ -49,8 +49,9 @@ MPMATH_GOLD = [
 ]
 
 # (exponent, t, beta, q2) of sub-ohmic baths at a finite temperature, from
-# tools/thermal_gold.py: mpmath with the head below w0 in closed form, equal
-# at w0 = 1e-12, 1e-16, 1e-20 and at 30 and 40 digits to 1e-26 relative
+# tools/thermal_gold.py: mpmath with the head below w0 in closed form; the
+# variants w0 = 1e-12, 1e-16, 1e-20 at 30 and 40 digits agreed to 5e-26
+# relative (the script requires 1e-15)
 THERMAL_GOLD = [
     (0.03, 0.5, 2.0, 0.41268154800565032),
     (0.03, 1.52, 2.0, 3.7890599915000477),
