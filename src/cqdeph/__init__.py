@@ -35,6 +35,7 @@ from .bath import (
     q2,
     q1_grid,
     q2_grid,
+    q_grids,
     r_factor,
 )
 from .device import (
@@ -123,8 +124,8 @@ __all__ = [
     "dfs_find", "dfs_verify",
     # bath
     "OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",
-    "QuadratureResult", "q1", "q2", "q1_grid", "q2_grid", "phase_shift",
-    "damping", "r_factor",
+    "QuadratureResult", "q1", "q2", "q1_grid", "q2_grid", "q_grids",
+    "phase_shift", "damping", "r_factor",
     # dynamics
     "DephasingTrajectory", "FiniteBathSpec", "FiniteBathReport",
     "DispersiveCheck", "evolve_reduced", "observables", "finite_bath_oracle",

@@ -16,8 +16,9 @@ the coupling strength is dimensionless in that system.
 Ohmic densities are integrated along the complex ray w = r e^{i pi/4}
 (``kernels.quad_ohmic_grid``), whose cost barely grows with t, so they have
 no limit on t.  A whole grid is one kernel call: the times share the ray
-nodes and the t-independent part of the integrand, and a scalar q1/q2 is a
-grid of one time.  Tabulated densities keep real-axis panels that resolve
+nodes and the t-independent part of the integrand, ``q_grids`` takes q1
+and q2 from one pass that also shares expm1(i w t), and a scalar q1/q2 is
+a grid of one time.  Tabulated densities keep real-axis panels that resolve
 the oscillation of sin(w t), one time at a time, and stop at
 ``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
 finite and that rtol is finite and positive.
@@ -49,6 +50,7 @@ __all__ = [
     "q2_full",
     "q1_grid",
     "q2_grid",
+    "q_grids",
     "phase_shift",
     "damping",
     "r_factor",
@@ -146,9 +148,10 @@ class QuadratureResult:
     error: float
 
 
-def _dispatch(model, kind: int, beta: float, t,
-              rtol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of integral ``kind`` at the 1-d times t."""
+def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
+              rtol: float) -> np.ndarray:
+    """[values, errors] at the 1-d times t, one row per integral of
+    ``kinds`` ((1,), (2,) or (1, 2)): shape (2, len(kinds), t.size)."""
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise InvalidArgumentError(f"t must be a 1-d grid, got shape {t.shape}")
@@ -156,36 +159,37 @@ def _dispatch(model, kind: int, beta: float, t,
         raise InvalidArgumentError(f"t must be finite, got {t[~np.isfinite(t)][0]}")
     if not (math.isfinite(rtol) and rtol > 0):
         raise InvalidArgumentError(f"rtol must be finite and > 0, got {rtol}")
-    values, errors = np.zeros((2, t.size))
+    out = np.zeros((2, len(kinds), t.size))
     # symmetry: q1 is odd in t, q2 even; both vanish at t = 0
     on = np.flatnonzero(t)
     if isinstance(model, OhmicSpectralDensity):
         if model.coupling != 0.0 and on.size:
-            values[on], errors[on] = kernels.quad_ohmic_grid(
-                kind, model.exponent, model.coupling, model.omega_c, beta,
+            out[:, :, on] = kernels.quad_ohmic_grid(
+                kinds, model.exponent, model.coupling, model.omega_c, beta,
                 np.abs(t[on]), rtol)
     elif isinstance(model, TabulatedSpectralDensity):
-        for k in on:
-            values[k], errors[k] = kernels.quad_tabulated(
-                kind, model.omega, model.values, beta, abs(float(t[k])), rtol)
+        for row, kind in enumerate(kinds):
+            for k in on:
+                out[:, row, k] = kernels.quad_tabulated(
+                    kind, model.omega, model.values, beta, abs(float(t[k])), rtol)
     else:
         raise InvalidArgumentError(f"unsupported spectral density {type(model).__name__}")
-    if kind == 1:
-        np.negative(values, out=values, where=t < 0.0)
-    return values, errors
+    if kinds[0] == 1:
+        np.negative(out[0, 0], out=out[0, 0], where=t < 0.0)
+    return out
 
 
 def q1_full(model, t: float, rtol: float = DEFAULT_RTOL) -> QuadratureResult:
     """q1(t) together with the quadrature error estimate."""
-    values, errors = _dispatch(model, 1, math.inf, [float(t)], rtol)
-    return QuadratureResult(float(values[0]), float(errors[0]))
+    value, error = _dispatch(model, (1,), math.inf, [float(t)], rtol)[:, 0, 0].tolist()
+    return QuadratureResult(value, error)
 
 
 def q2_full(model, state: BathState, t: float,
             rtol: float = DEFAULT_RTOL) -> QuadratureResult:
     """q2(t) together with the quadrature error estimate."""
-    values, errors = _dispatch(model, 2, state.beta, [float(t)], rtol)
-    return QuadratureResult(float(values[0]), float(errors[0]))
+    value, error = _dispatch(model, (2,), state.beta, [float(t)], rtol)[:, 0, 0].tolist()
+    return QuadratureResult(value, error)
 
 
 def q1(model, t: float, rtol: float = DEFAULT_RTOL) -> float:
@@ -198,12 +202,20 @@ def q2(model, state: BathState, t: float, rtol: float = DEFAULT_RTOL) -> float:
 
 def q1_grid(model, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """q1 at every time of the 1-d grid t_grid, one quadrature for the grid."""
-    return _dispatch(model, 1, math.inf, t_grid, rtol)[0]
+    return _dispatch(model, (1,), math.inf, t_grid, rtol)[0, 0]
 
 
 def q2_grid(model, state: BathState, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """q2 at every time of the 1-d grid t_grid, one quadrature for the grid."""
-    return _dispatch(model, 2, state.beta, t_grid, rtol)[0]
+    return _dispatch(model, (2,), state.beta, t_grid, rtol)[0, 0]
+
+
+def q_grids(model, state: BathState, t_grid,
+            rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
+    """(q1, q2) at every time of the 1-d grid t_grid; for an ohmic bath one
+    quadrature pass computes both."""
+    q1_vals, q2_vals = _dispatch(model, (1, 2), state.beta, t_grid, rtol)[0]
+    return q1_vals, q2_vals
 
 
 def phase_shift(e1: float, e2: float, model, t: float,
@@ -221,5 +233,5 @@ def damping(e1: float, e2: float, model, state: BathState, t: float,
 def r_factor(e1: float, e2: float, model, state: BathState, t: float,
              rtol: float = DEFAULT_RTOL) -> complex:
     """Coherence multiplier exp(-i delta_phi) * exp(-Gamma); |r| <= 1."""
-    return cmath.exp(complex(-damping(e1, e2, model, state, t, rtol),
-                             -phase_shift(e1, e2, model, t, rtol)))
+    (q1t,), (q2t,) = _dispatch(model, (1, 2), state.beta, [float(t)], rtol)[0].tolist()
+    return cmath.exp(complex(-((e1 - e2) ** 2 * q2t), -((e1 * e1 - e2 * e2) * q1t)))

@@ -14,9 +14,10 @@ s goes to 0.  In the thermal q2 at s < 1 the lowest nodes weigh much, and
 there the cancelling difference h - expm1(i w t) of its integrand is
 summed as a series.  The panels of every time lie on one lattice in ln r,
 so a grid of times shares its nodes and the t-independent part of the
-integrand (quad_ohmic_grid); a single time is a grid of one.  Tabulated
-densities are piecewise linear, not analytic, and keep real-axis panels of
-at most half an oscillation period, at most PANEL_CAP of them.  Zero
+integrand (quad_ohmic_grid), q1 and q2 of a grid share expm1(i w t) as
+well, and a single time is a grid of one.  Tabulated densities are
+piecewise linear, not analytic, and keep real-axis panels of at most half
+an oscillation period, at most PANEL_CAP of them.  Zero
 temperature is beta = inf, the one encoding of T = 0 here: there the
 coth(beta w / 2) of the kind-2 integrand is 1.
 """
@@ -27,7 +28,7 @@ import math
 
 import numpy as np
 
-from .errors import NumericsError
+from .errors import InvalidArgumentError, NumericsError
 
 __all__ = ["active_backend", "quad_ohmic", "quad_ohmic_grid", "quad_tabulated",
            "dephasing_multipliers", "initial_panels", "PANEL_CAP"]
@@ -266,15 +267,16 @@ def _series_fill(hu, a_re, a_im, u_max):
     a_re[on], a_im[on] = acc
 
 
-def _ray_kernel(kind, t, half, wg_re, wg_im, coth_re=None, coth_im=None, *,
+def _ray_kernel(kind, hu, e_re, e_im, wg_re, wg_im, coth_re=None, coth_im=None, *,
                 u_max=None, head=None):
-    """The integrand in x = ln r from the factors of _ray_factors, at the
-    times t (broadcast against the nodes).  For kind 2 with u_max given
-    (also broadcast), h - expm1(i w t) is taken from its series where
-    u = t Re w < u_max, looked for in the first head panels (the next to
-    last axis; all of them by default)."""
-    hu = t * half
-    e_re, e_im = _expm1_iwt(hu)
+    """The integrand in x = ln r at hu = t Re w / 2, from Re and Im of
+    expm1(i w t) (_expm1_iwt(hu)) and the t-independent factors of
+    _ray_factors, all broadcast against each other.  Kind 2 only reads its
+    inputs and kind 1 overwrites e_re and e_im, so both kinds take their
+    integrand from one expm1 when kind 2 goes first.  For kind 2 with
+    u_max given (also broadcast), h - expm1(i w t) is taken from its series
+    where u = t Re w < u_max, looked for in the first head panels (the next
+    to last axis; all of them by default)."""
     if kind == 1:
         e_re *= wg_im
         e_im *= wg_re
@@ -315,14 +317,15 @@ def _ray_kernel(kind, t, half, wg_re, wg_im, coth_re=None, coth_im=None, *,
 _GRID_BLOCK = 1 << 13
 
 
-def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
+def quad_ohmic_grid(kinds: tuple[int, ...], s: float, alpha: float, omega_c: float,
                     beta: float, t, rtol: float) -> tuple[np.ndarray, np.ndarray]:
     """Reservoir integrals for the ohmic family at every time of a 1-d array t.
 
+    kinds is (1,), (2,) or (1, 2), the integrals to compute:
     kind 1: integral of D(w)/w^2 * sin(w t)
     kind 2: integral of 2 D(w)/w^2 * sin^2(w t / 2) * coth(beta w / 2)
     with D(w) = alpha * w^s * omega_c^(1-s) * exp(-w / omega_c); beta = inf
-    is zero temperature, where coth = 1.
+    is zero temperature, where coth = 1, and kind 1 does not depend on it.
 
     g = D/w^2 is analytic in the open first quadrant and the poles of coth
     lie on the imaginary axis, so both are integrals along w = r e^{i pi/4}:
@@ -334,13 +337,18 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
     left where the panels are wide.
 
     Each time's initial panels (initial_panels) are the top panels of those
-    of the largest t, so w, w g(w) and coth are evaluated once, on the GK15
-    nodes and the lower edge of each panel of that set; per time and node
-    only expm1(i w t) and h are.  A time's sums run down from the top panel
-    and stop at its own first one, so its result does not depend on the
-    other times of the grid, and a time whose estimate misses rtol is
-    bisected on its own (_adaptive).  The times go in blocks of at most
-    _GRID_BLOCK (time, node) pairs, so memory does not grow with the grid.
+    of the largest t, and kind 2's are those of kind 1 and, at beta < inf,
+    a few more (C below grows with beta).  So w, w g(w) and coth are
+    evaluated once, on the GK15 nodes and the lower edge of each panel of
+    the last kind's set, and per time and node only expm1(i w t), shared by
+    both kinds, and h are.  Each kind keeps its own panel counts: a time's
+    sums run down from the top panel and stop at its own first one, and a
+    time whose estimate misses rtol is bisected on its own (_adaptive).
+    A time's values agree with those of a call for that time alone to
+    1e-12 relative, not bit for bit: the stacked GK15 matmul rounds a row
+    differently with the shape and offset of its block.  The times go in
+    blocks of at most _GRID_BLOCK (time, node) pairs, so memory does not
+    grow with the grid.
 
     Below the first panel, x < x_lo, the integrand in x = ln r is a power
     law f(x) ~ f(x_lo) e^{p (x - x_lo)}, with p = s, or s + 1 for kind 2 at
@@ -357,81 +365,99 @@ def quad_ohmic_grid(kind: int, s: float, alpha: float, omega_c: float,
     (_series_bound).  Those nodes lie in the lowest panels only, so a
     block looks for them in the panels whose lower edge (node 15) is
     below the bound, and at p >= 1 no node needs the series.
-    Returns arrays (values, errors); an error includes the bound
-    2 |f(x_lo)| r_lo C / p on the head remainder and the rounding
-    4 eps |x_lo| |f(x_lo)| / p of the head itself.
-    Every t must be positive; callers handle t = 0 and the symmetry in t.
+    Returns arrays (values, errors) of shape (len(kinds), t.size), one row
+    per kind; an error includes the bound 2 |f(x_lo)| r_lo C / p on the
+    head remainder and the rounding 4 eps |x_lo| |f(x_lo)| / p of the head
+    itself.  Every t must be positive; callers handle t = 0 and the
+    symmetry in t.
     """
+    if kinds not in ((1,), (2,), (1, 2)):
+        raise InvalidArgumentError(f"kinds must be (1,), (2,) or (1, 2), got {kinds!r}")
     t = np.asarray(t, dtype=float)
     if t.ndim != 1:
         raise NumericsError("quad_ohmic_grid needs a 1-d array of times")
-    values, errors, heads = np.empty((3, t.size))
+    values, errors, heads = np.empty((3, len(kinds), t.size))
     if t.size == 0:
         return values, errors
     zero_t = math.isinf(beta)
-    beta_c = beta if kind == 2 else math.inf  # the beta of C
-    n = _panel_counts(t, omega_c, s, rtol, beta_c)
-    a, b = initial_panels(float(t[np.argmax(n)]), omega_c, s, rtol, beta_c)
-    first = a.size - n  # each time's first panel
+    beta_c = [beta if kind == 2 else math.inf for kind in kinds]  # the beta of C
+    n = [_panel_counts(t, omega_c, s, rtol, bc) for bc in beta_c]
+    a, b = initial_panels(float(t[np.argmax(n[-1])]), omega_c, s, rtol, beta_c[-1])
+    first = [a.size - nk for nk in n]  # each time's first panel, per kind
     width = b - a
     # node 15 is the lower edge of the panel, where the head is taken
-    nodes = _ray_factors(kind, s, alpha, omega_c, beta, a[:, None] + width[:, None] * _U16)
+    half, *factors = _ray_factors(kinds[-1], s, alpha, omega_c, beta,
+                                  a[:, None] + width[:, None] * _U16)
     u_max = (_series_bound(t, omega_c, s, rtol)
-             if kind == 2 and not zero_t and s < 1.0 else None)
+             if kinds[-1] == 2 and not zero_t and s < 1.0 else None)
     # neighbouring times of a sorted grid, as evolve_reduced requires,
     # share a block and most of its panels
-    step = max(1, _GRID_BLOCK // nodes[0].size)
+    step = max(1, _GRID_BLOCK // half.size)
     for i in range(0, t.size, step):
         k = slice(i, i + step)
-        p0 = int(first[k].min())
-        u_blk = head = None
-        if u_max is not None:
-            # the panels whose lower edge is below some time's bound, and
-            # one more against rounding: the series mask decides in them
-            u_blk = u_max[k, None, None]
-            head = 1 + int(np.searchsorted(nodes[0][p0:, -1],
-                                           float((0.5 * u_max[k] / t[k]).max())))
-        fv = _ray_kernel(kind, t[k, None, None], *(x[p0:] for x in nodes),
-                         u_max=u_blk, head=head)
-        rows, start = np.arange(fv.shape[0]), first[k] - p0
-        heads[k] = fv[rows, start, -1]
-        # [value, error] of each panel, then [|value|, |error|] beside them
-        gk = (fv @ _W_GK) * width[p0:, None]
-        gk = np.concatenate([gk, np.abs(gk)], axis=2)
-        # in sequence down from the top panel: row n - 1 of the running sum
-        # holds a time's own panels and none below them
-        total, _, size, err_total = np.add.accumulate(
-            gk[:, ::-1], axis=1)[rows, n[k] - 1].T
-        values[k], errors[k] = total, err_total
-        for j, (tot, sz, err) in enumerate(zip(total.tolist(), size.tolist(),
-                                               err_total.tolist())):
-            if err <= max(rtol * abs(tot), 30.0 * _EPS * sz):
-                continue
-            kj, pj = i + j, first[i + j]
+        p0 = int(first[-1][k].min())
+        hu = t[k, None, None] * half[p0:]
+        shared = (hu, *_expm1_iwt(hu))
+        # kind 2 first: kind 1 forms its integrand in place of expm1
+        for row in range(len(kinds) - 1, -1, -1):
+            kind = kinds[row]
+            pk = int(first[row][k].min())
+            u_blk = head = None
+            if kind == 2 and u_max is not None:
+                # the panels whose lower edge is below some time's bound, and
+                # one more against rounding: the series mask decides in them
+                u_blk = u_max[k, None, None]
+                head = 1 + int(np.searchsorted(half[pk:, -1],
+                                               float((0.5 * u_max[k] / t[k]).max())))
+            # kind 1 takes w g(w) and not coth
+            fv = _ray_kernel(kind, *(x[:, pk - p0:] for x in shared),
+                             *(x[pk:] for x in factors[:2 if kind == 1 else None]),
+                             u_max=u_blk, head=head)
+            rows, start = np.arange(fv.shape[0]), first[row][k] - pk
+            heads[row, k] = fv[rows, start, -1]
+            # [value, error] of each panel, then [|value|, |error|] beside them
+            gk = (fv @ _W_GK) * width[pk:, None]
+            gk = np.concatenate([gk, np.abs(gk)], axis=2)
+            # in sequence down from the top panel: row n - 1 of the running sum
+            # holds a time's own panels and none below them
+            total, _, size, err_total = np.add.accumulate(
+                gk[:, ::-1], axis=1)[rows, n[row][k] - 1].T
+            values[row, k], errors[row, k] = total, err_total
+            for j, (tot, sz, err) in enumerate(zip(total.tolist(), size.tolist(),
+                                                   err_total.tolist())):
+                if err <= max(rtol * abs(tot), 30.0 * _EPS * sz):
+                    continue
+                kj, pj = i + j, first[row][i + j]
 
-            def f(x, tj=t[kj], um=None if u_max is None else u_max[kj]):
-                return _ray_kernel(kind, tj, *_ray_factors(kind, s, alpha, omega_c, beta, x),
-                                   u_max=um)
+                def f(x, kind=kind, tj=t[kj], um=None if u_blk is None else u_max[kj]):
+                    half_x, *factors_x = _ray_factors(kind, s, alpha, omega_c, beta, x)
+                    hu_x = tj * half_x
+                    return _ray_kernel(kind, hu_x, *_expm1_iwt(hu_x), *factors_x,
+                                       u_max=um)
 
-            # six bisections of every panel: far more than the analytic
-            # integrand needs
-            values[kj], errors[kj] = _adaptive(
-                f, a[pj:], b[pj:], gk[j, start[j]:, 0], gk[j, start[j]:, 3],
-                rtol, cap=64 * n[kj])
-    heads /= s + 1.0 if kind == 2 and zero_t else s
-    # the remainder, plus the rounding of exponents of size |x_lo|, which
-    # the exponential turns into a relative error of f
-    x_lo = a[first]
-    rel = 2.0 * np.exp(x_lo) * _head_c(t, omega_c, beta_c) + 4.0 * _EPS * np.abs(x_lo)
-    return values + heads, errors + np.abs(heads) * rel
+                # six bisections of every panel: far more than the analytic
+                # integrand needs
+                values[row, kj], errors[row, kj] = _adaptive(
+                    f, a[pj:], b[pj:], gk[j, start[j]:, 0], gk[j, start[j]:, 3],
+                    rtol, cap=64 * n[row][kj])
+    for row, kind in enumerate(kinds):
+        heads[row] /= s + 1.0 if kind == 2 and zero_t else s
+        # the remainder, plus the rounding of exponents of size |x_lo|, which
+        # the exponential turns into a relative error of f
+        x_lo = a[first[row]]
+        rel = 2.0 * np.exp(x_lo) * _head_c(t, omega_c, beta_c[row]) + 4.0 * _EPS * np.abs(x_lo)
+        values[row] += heads[row]
+        errors[row] += np.abs(heads[row]) * rel
+    return values, errors
 
 
 def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
                t: float, rtol: float) -> tuple[float, float]:
-    """quad_ohmic_grid at the one time t > 0, as floats (value, error)."""
-    values, errors = quad_ohmic_grid(kind, s, alpha, omega_c, beta,
+    """Integral ``kind`` of quad_ohmic_grid at the one time t > 0, as floats
+    (value, error)."""
+    values, errors = quad_ohmic_grid((kind,), s, alpha, omega_c, beta,
                                      np.array([t], dtype=float), rtol)
-    return float(values[0]), float(errors[0])
+    return float(values[0, 0]), float(errors[0, 0])
 
 
 def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,

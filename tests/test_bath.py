@@ -26,6 +26,7 @@ from cqdeph.bath import (
     q2,
     q2_full,
     q2_grid,
+    q_grids,
     r_factor,
 )
 from cqdeph.errors import IntegrabilityError, InvalidArgumentError
@@ -193,7 +194,7 @@ def test_thermal_rtol_1e_11_meets_rtol():
     """At s = 0.5 and beta = 2 every time of a log grid meets rtol 1e-11,
     and the gold values are met within the reported error."""
     t = np.geomspace(1e-2, 1e3, 24)
-    values, errors = kernels.quad_ohmic_grid(2, 0.5, 0.1, 1.0, 2.0, t, 1e-11)
+    (values,), (errors,) = kernels.quad_ohmic_grid((2,), 0.5, 0.1, 1.0, 2.0, t, 1e-11)
     assert np.all(errors <= 1e-11 * np.abs(values))
     model = OhmicSpectralDensity(coupling=0.1, exponent=0.5, omega_c=1.0)
     for s, tg, beta, value in THERMAL_GOLD:
@@ -239,7 +240,9 @@ def test_grid_matches_scalar_calls():
 @pytest.mark.parametrize("s", [0.03, 0.5, 1.0, 3.0, 20.0])
 def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     """One grid call gives each time what a call for that time alone gives,
-    on negative times, t = 0, and linear and log grids over [1e-2, 1e6]."""
+    on negative times, t = 0, and linear and log grids over [1e-2, 1e6];
+    q_grids, one kernel pass for both integrals, gives what the grids of
+    one integral give, values and errors, and bisects the same times."""
     bisected = []
     adaptive = kernels._adaptive
 
@@ -254,28 +257,67 @@ def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
                         np.geomspace(1e-2, 1e6, 13)])
     g1 = q1_grid(model, t, rtol)
     g2 = q2_grid(model, state, t, rtol)
-    refined = len(bisected)
+    refined = sorted(bisected)
+    del bisected[:]
+    j1, j2 = q_grids(model, state, t, rtol)
+    assert sorted(bisected) == refined
+    np.testing.assert_allclose(j1, g1, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(j2, g2, rtol=1e-12, atol=0.0)
+    on = np.abs(t[t != 0.0])
+    errors = kernels.quad_ohmic_grid((1, 2), s, 0.1, 1.0, beta, on, rtol)[1]
+    for row, kind in enumerate((1, 2)):
+        alone = kernels.quad_ohmic_grid((kind,), s, 0.1, 1.0, beta, on, rtol)[1][0]
+        np.testing.assert_allclose(errors[row], alone, rtol=1e-9, atol=0.0)
     for k, tk in enumerate(t):
         assert g1[k] == pytest.approx(q1(model, tk, rtol), rel=1e-12, abs=0.0)
         assert g2[k] == pytest.approx(q2(model, state, tk, rtol), rel=1e-12, abs=0.0)
     if beta == 2.0 and (s, rtol) in ((3.0, 1e-8), (0.5, 1e-11)):
         # some times are bisected on their own, the others are not
-        assert 0 < refined < 2 * np.count_nonzero(t)
+        assert 0 < len(refined) < 2 * np.count_nonzero(t)
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_joint_grid_where_q2_has_more_panels(s):
+    """At beta >> t every time of the grid, the latest included, needs more
+    q2 panels than q1 panels, so the q1 sums start inside the shared nodes."""
+    model = OhmicSpectralDensity(coupling=0.1, exponent=s)
+    state = BathState(beta=50.0)
+    t = np.geomspace(1e-3, 1.0, 7)
+    n1 = kernels._panel_counts(t, 1.0, s, 1e-8, math.inf)
+    assert np.all(kernels._panel_counts(t, 1.0, s, 1e-8, state.beta) > n1)
+    j1, j2 = q_grids(model, state, t)
+    np.testing.assert_allclose(j1, q1_grid(model, t), rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(j2, q2_grid(model, state, t), rtol=1e-12, atol=0.0)
+    for k, tk in enumerate(t):
+        assert j1[k] == pytest.approx(q1(model, tk), rel=1e-12, abs=0.0)
 
 
 def test_grid_memory_is_bounded():
     """The grid kernel works through the times in blocks, so 2000 times
-    cost no more memory than a few dozen."""
+    cost no more memory than a few dozen, for one integral or both."""
     state = BathState(beta=2.0)
     t = np.linspace(0.01, 400.0, 2000)
-    q2_grid(OHMIC, state, t[:20])
-    tracemalloc.start()
-    try:
-        q2_grid(OHMIC, state, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4e6
+    for grid in (lambda tg: q2_grid(OHMIC, state, tg),
+                 lambda tg: q_grids(OHMIC, state, tg)):
+        grid(t[:20])
+        tracemalloc.start()
+        try:
+            grid(t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4e6
+
+
+def test_joint_grid_of_tabulated_density_is_its_single_kinds():
+    w = np.linspace(0.05, 5.0, 60)
+    model = TabulatedSpectralDensity(w, OHMIC.density(w))
+    state = BathState(beta=2.0)
+    t = np.array([-1.5, 0.0, 0.7, 3.0])
+    j1, j2 = q_grids(model, state, t)
+    assert np.array_equal(j1, q1_grid(model, t))
+    assert np.array_equal(j2, q2_grid(model, state, t))
+    assert j1[0] == -q1(model, 1.5)
 
 
 @pytest.mark.parametrize("t,rtol", [

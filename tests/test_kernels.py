@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cqdeph import kernels
-from cqdeph.errors import NumericsError
+from cqdeph.errors import InvalidArgumentError, NumericsError
 
 
 def test_active_backend_consistent():
@@ -74,7 +74,13 @@ def test_initial_panels_of_every_time_are_the_top_panels_of_the_latest(s, rtol):
 def test_quad_ohmic_grid_needs_positive_times():
     for t in ([1.0, 0.0], [-2.0], [[1.0]], [1.0, math.nan]):
         with pytest.raises(NumericsError):
-            kernels.quad_ohmic_grid(1, 1.0, 0.1, 1.0, math.inf, np.array(t), 1e-8)
+            kernels.quad_ohmic_grid((1,), 1.0, 0.1, 1.0, math.inf, np.array(t), 1e-8)
+
+
+def test_grid_kernel_rejects_other_kinds():
+    for kinds in (1, (2, 1), (1, 1), (), (3,), [1, 2]):
+        with pytest.raises(InvalidArgumentError):
+            kernels.quad_ohmic_grid(kinds, 1.0, 0.1, 1.0, 2.0, np.array([1.0]), 1e-8)
 
 
 def test_quad_ohmic_closed_form_point():
