@@ -212,10 +212,11 @@ def q2_grid(model, state: BathState, t_grid, rtol: float = DEFAULT_RTOL) -> np.n
 
 def q_grids(model, state: BathState, t_grid,
             rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
-    """(q1, q2) at every time of the 1-d grid t_grid; for an ohmic bath one
-    quadrature pass computes both."""
-    q1_vals, q2_vals = _dispatch(model, (1, 2), state.beta, t_grid, rtol)[0]
-    return q1_vals, q2_vals
+    """``(values, errors)`` at every time of the 1-d grid t_grid: the rows
+    (q1, q2) and their quadrature error estimates, each of shape (2, nt).
+    For an ohmic bath one quadrature pass computes both integrals."""
+    values, errors = _dispatch(model, (1, 2), state.beta, t_grid, rtol)
+    return values, errors
 
 
 def phase_shift(e1: float, e2: float, model, t: float,
@@ -233,5 +234,5 @@ def damping(e1: float, e2: float, model, state: BathState, t: float,
 def r_factor(e1: float, e2: float, model, state: BathState, t: float,
              rtol: float = DEFAULT_RTOL) -> complex:
     """Coherence multiplier exp(-i delta_phi) * exp(-Gamma); |r| <= 1."""
-    (q1t,), (q2t,) = _dispatch(model, (1, 2), state.beta, [float(t)], rtol)[0].tolist()
+    (q1t,), (q2t,) = q_grids(model, state, [float(t)], rtol)[0].tolist()
     return cmath.exp(complex(-((e1 - e2) ** 2 * q2t), -((e1 * e1 - e2 * e2) * q1t)))

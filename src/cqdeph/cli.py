@@ -218,10 +218,12 @@ def _initial_state(cfg: RunConfig) -> StateVector:
     if cfg.state_kind == "coherent":
         return coherent_state(cfg.state_mode, cfg.state_alpha, cut,
                               cfg.state_qubit)
-    amp = np.zeros(cut.dim, dtype=complex)
-    for m, n, i, re_part, im_part in cfg.state_labels:
-        lab = TensorBasisLabel(m, n, i)
-        amp[lab.flat_index(cut)] += complex(re_part, im_part)
+    m, n, i, re_part, im_part = zip(*cfg.state_labels)
+    index = cut.flat_indices(m, n, i)
+    # a label given twice adds its amplitudes, in the order given
+    amp = np.empty(cut.dim, dtype=complex)
+    amp.real = np.bincount(index, re_part, cut.dim)
+    amp.imag = np.bincount(index, im_part, cut.dim)
     return StateVector.normalized(amp, cut)
 
 

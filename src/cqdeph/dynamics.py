@@ -14,7 +14,8 @@ a real damping per pair of energy classes that is 1 inside a class (the
 decoherence-free subspace), so `evolve_reduced` computes |S| phases and
 one damping per distinct squared gap between the u energies of a support
 S per time, not a complex exponential per element.  A pure rho0, the
-state every CLI run starts from, needs no eigendecomposition: its
+state every CLI run starts from, needs no eigendecomposition, and one
+built by ``StateVector.density`` is read from its vector alone: its
 observables are sums over the u energy classes.
 
 Two independent validators live here as well: a finite-mode bath propagated
@@ -77,15 +78,24 @@ class PairRecord:
 class DephasingTrajectory:
     """Observables of rho(t) = rho0 * M(t) at each grid time.
 
-    rho(t) itself is not stored; ``snapshots`` rebuilds it on each access.
+    rho0 is held through its support and a factor root of the support
+    block (``require_density_matrix``): ``rho0`` and ``snapshots`` rebuild
+    the dense matrices on each access.  For a pure rho0 that is exact; a
+    mixed rho0 comes back as root root^dag, its numerical range, within
+    rounding of the matrix given.  ``q1_err`` and
+    ``q2_err`` are the quadrature error estimates of ``q1_vals`` and
+    ``q2_vals``.
     """
 
     cutoff: FockCutoff
     t_grid: np.ndarray
-    rho0: np.ndarray
+    support: np.ndarray
+    root: np.ndarray
     energies: np.ndarray
     q1_vals: np.ndarray
     q2_vals: np.ndarray
+    q1_err: np.ndarray
+    q2_err: np.ndarray
     pairs: tuple[PairRecord, ...]
     purity: np.ndarray
     qubit_coherence: np.ndarray
@@ -93,13 +103,49 @@ class DephasingTrajectory:
 
     @property
     def dim(self) -> int:
-        return self.rho0.shape[0]
+        return self.cutoff.dim
+
+    @property
+    def rho0(self) -> np.ndarray:
+        """rho(0) as a dim x dim array, built on each access."""
+        rho = np.zeros((self.dim, self.dim), dtype=complex)
+        rho[np.ix_(self.support, self.support)] = _support_block(self.root)
+        return rho
 
     @property
     def snapshots(self) -> np.ndarray:
         """rho(t) at every grid time, (nt, dim, dim), built on each access."""
         return _closed_form(self.rho0, self.energies, self.t_grid,
                             self.q1_vals, self.q2_vals)
+
+
+def _support_block(root: np.ndarray) -> np.ndarray:
+    """rho0 on its support, root root^dag; a pure root gives the products
+    psi_j conj(psi_k) that np.outer gives."""
+    if root.shape[1] == 1:
+        return np.multiply.outer(root[:, 0], root[:, 0].conj())
+    return root @ root.conj().T
+
+
+def _elements(root: np.ndarray, rho_s: np.ndarray | None, a: np.ndarray,
+              b: np.ndarray) -> np.ndarray:
+    """The elements rho0[S[a], S[b]]: the products psi_a conj(psi_b) of a
+    pure root, or the entries of the support block rho_s of a mixed rho0."""
+    if rho_s is None:
+        return root[a, 0] * root[b, 0].conj()
+    return rho_s[a, b]
+
+
+def _element_law(rho_jk: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
+                 t: np.ndarray, q1_vals: np.ndarray, q2_vals: np.ndarray):
+    """The closed-form law for n elements rho_jk between levels e_row and
+    e_col: the (nt, n) arrays phase (E_row^2 - E_col^2) Q1, damping
+    (E_row - E_col)^2 Q2 and rho_jk exp(-i (dE t + phase) - damping)."""
+    de = e_row - e_col
+    phase = np.outer(q1_vals, e_row ** 2 - e_col ** 2)
+    damping = np.outer(q2_vals, de * de)
+    return phase, damping, rho_jk * np.exp(-1j * (np.outer(t, de) + phase)
+                                           - damping)
 
 
 def _closed_form(rho0: np.ndarray, energies: np.ndarray, t: np.ndarray,
@@ -159,11 +205,19 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     """Closed-form reduced evolution of a density matrix under dephasing.
 
     Q1 and Q2 come from one quadrature pass over the grid (bath.q_grids)
-    and are shared by all element pairs.
+    and are shared by all element pairs; the trajectory keeps their error
+    estimates.  rho0 is read only through ``require_density_matrix``: its
+    support S (the rows with a nonzero entry) and a factor root of the
+    support block, root root^dag = rho_S.  For a ``StateVector.density``
+    matrix root is psi on S, so no step reads the dense matrix, and every
+    element rho_jk is the product psi_j conj(psi_k) that np.outer forms.
+    A mixed rho0 also gathers its support block rho_S, whose elements and
+    exact zeros root root^dag keeps only to rounding.
     ``pairs`` selects which coherences get PairRecords (defaults to every
-    nonzero element above the diagonal of rho0).  The observables are
-    computed on the support S of rho0 (the rows with a nonzero entry) from
-    the factored law
+    nonzero element above the diagonal of rho0; a requested element off S
+    is 0).  The tracked elements and the qubit coherence follow the law
+    rho_jk exp(-i (dE t + (E_j^2 - E_k^2) Q1) - dE^2 Q2), written once in
+    ``_element_law``.  The observables come from the factored law
 
         M_jk(t) = a_j(t) conj(a_k(t)) g_c(j)c(k)(t),
         a_j = exp(-i (E_j t + E_j^2 Q1)),  g_ab = exp(-Q2 (E_a - E_b)^2),
@@ -171,9 +225,8 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     where the classes c(j) group S by exact float energy (u classes) and
     g = 1 inside a class, the decoherence-free subspace.  The u^2 class
     pairs share K distinct squared gaps, so a grid time takes K real
-    exponentials for g and, for the phases, |S| complex ones.
-    ``require_density_matrix`` returns a factor root of the support block,
-    root root^dag = rho_S:
+    exponentials for g and, for the phases, |S| complex ones.  From root
+    and the classes:
 
     - purity(t) = sum_ab P_ab g_ab^2, with P_ab the sum of |rho_jk|^2 over
       j in a, k in b, folded once onto the K gaps; the phases cancel;
@@ -203,13 +256,9 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     cutoff = _need_cutoff(rho0)
     t = _check_t_grid(t_grid)
     support, root = require_density_matrix(rho0)
-    # a copy, although rho0.mat is read-only: a caller that keeps each
-    # trajectory while it runs the next peaked 0.5-0.7 MB higher in RSS
-    # when the trajectory held the caller's buffer (heap layout)
-    rho = rho0.mat.copy()
 
     energies = spectrum.energies_vector(eff, cutoff)
-    q1_vals, q2_vals = bath.q_grids(model, state, t, rtol)
+    (q1_vals, q2_vals), (q1_err, q2_err) = bath.q_grids(model, state, t, rtol)
 
     e_s = energies[support]
     levels, cls = np.unique(e_s, return_inverse=True)
@@ -217,17 +266,21 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     # g depends on a class pair only through its squared gap
     gaps, gap_of = _class_gaps(levels)
 
+    pure = root.shape[1] == 1
+    # a mixed rho0 is read from its support block: root root^dag differs
+    # from it by rounding and would turn its exact zeros into tiny elements
+    rho_s = None if pure else rho0.mat[np.ix_(support, support)]
+    # the position of each label in S, -1 off the support
+    at = np.full(cutoff.dim, -1)
+    at[support] = np.arange(support.size)
     # a (m, n, 1) label sits dim_a dim_b flat indices after (m, n, 0)
     dab = cutoff.dim_a * cutoff.dim_b
     lo = support[np.isin(support + dab, support)]
     hi = lo + dab
-    de = energies[lo] - energies[hi]
-    sq = energies[lo] ** 2 - energies[hi] ** 2
-    coherence = (rho[lo, hi] * np.exp(
-        -1j * (np.outer(t, de) + np.outer(q1_vals, sq))
-        - np.outer(q2_vals, de * de))).sum(axis=1)
+    coherence = _element_law(_elements(root, rho_s, at[lo], at[hi]),
+                             energies[lo], energies[hi], t, q1_vals,
+                             q2_vals)[2].sum(axis=1)
 
-    pure = root.shape[1] == 1
     if pure:
         p = np.abs(root[:, 0]) ** 2
         p_cls = np.bincount(cls, p, minlength=u)
@@ -242,7 +295,6 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
         # (nt, 2, u): Re A_a(t) and Im A_a(t)
         amp = np.stack((amp.real, amp.imag), axis=1)
     else:
-        rho_s = rho[np.ix_(support, support)]
         gap_s = gap_of[np.ix_(cls, cls)]  # the gap of each element of rho_S
         weights = np.bincount(gap_s.ravel(), (np.abs(rho_s) ** 2).ravel(),
                               minlength=gaps.size)
@@ -270,8 +322,8 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     np.minimum(fidelity, 1.0, out=fidelity)
 
     if pairs is None:
-        rows, cols = np.nonzero(np.triu(rho[np.ix_(support, support)], k=1))
-        req = list(zip(support[rows].tolist(), support[cols].tolist()))
+        a, b = np.nonzero(np.triu(_support_block(root) if pure else rho_s, k=1))
+        req = list(zip(support[a].tolist(), support[b].tolist()))
     else:
         req = []
         for pa, pb in pairs:
@@ -280,25 +332,29 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
             if isinstance(pb, TensorBasisLabel):
                 pb = pb.flat_index(cutoff)
             req.append((int(pa), int(pb)))
-
-    records = []
-    for row, col in req:
-        # from_flat rejects an index outside the space before it is used
-        label_row = TensorBasisLabel.from_flat(row, cutoff)
-        label_col = TensorBasisLabel.from_flat(col, cutoff)
-        de = float(energies[row] - energies[col])
-        sq = float(energies[row] ** 2 - energies[col] ** 2)
-        phase = sq * q1_vals
-        damping = de * de * q2_vals
-        records.append(PairRecord(
-            row=row, col=col, label_row=label_row, label_col=label_col,
-            delta_e=de, square_diff=sq, phase=phase, damping=damping,
-            element=rho[row, col] * np.exp(-1j * (de * t + phase) - damping),
-        ))
+    # from_flat rejects an index outside the space before it is used
+    labels = [(TensorBasisLabel.from_flat(row, cutoff),
+               TensorBasisLabel.from_flat(col, cutoff)) for row, col in req]
+    rows, cols = np.array(req, dtype=np.intp).reshape(-1, 2).T
+    at_row, at_col = at[rows], at[cols]
+    # an element off the support is 0
+    rho_jk = np.where((at_row >= 0) & (at_col >= 0),
+                      _elements(root, rho_s, at_row, at_col), 0.0)
+    e_row, e_col = energies[rows], energies[cols]
+    phase, damping, element = _element_law(rho_jk, e_row, e_col, t, q1_vals,
+                                           q2_vals)
+    records = tuple(
+        PairRecord(row=row, col=col, label_row=label_row, label_col=label_col,
+                   delta_e=float(e_row[k] - e_col[k]),
+                   square_diff=float(e_row[k] ** 2 - e_col[k] ** 2),
+                   phase=phase[:, k], damping=damping[:, k],
+                   element=element[:, k])
+        for k, ((row, col), (label_row, label_col)) in enumerate(zip(req, labels)))
     return DephasingTrajectory(
-        cutoff=cutoff, t_grid=t, rho0=rho, energies=energies,
-        q1_vals=q1_vals, q2_vals=q2_vals, pairs=tuple(records),
-        purity=purity, qubit_coherence=coherence, fidelity_to_initial=fidelity,
+        cutoff=cutoff, t_grid=t, support=support, root=root,
+        energies=energies, q1_vals=q1_vals, q2_vals=q2_vals, q1_err=q1_err,
+        q2_err=q2_err, pairs=records, purity=purity,
+        qubit_coherence=coherence, fidelity_to_initial=fidelity,
     )
 
 

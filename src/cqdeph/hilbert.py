@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -92,6 +92,14 @@ class FockCutoff:
         i, m, n = np.indices((2, self.dim_a, self.dim_b)).reshape(3, -1)
         return m, n, i
 
+    def flat_indices(self, m, n, i) -> np.ndarray:
+        """The flat indices of the labels (m[k], n[k], i[k]); raises
+        InvalidArgumentError when a label lies outside the cutoff."""
+        try:
+            return np.ravel_multi_index((i, m, n), (2, self.dim_a, self.dim_b))
+        except ValueError:
+            raise InvalidArgumentError(f"a label exceeds cutoff {self}") from None
+
 
 DENSE_DIM_CAP = 5000  # largest dim of which a dense dim x dim matrix is built
 
@@ -142,6 +150,11 @@ def all_labels(cutoff: FockCutoff) -> list[TensorBasisLabel]:
             for lab in zip(*(x.tolist() for x in cutoff.numbers()))]
 
 
+# bound of require_density_matrix on the hermiticity defect, |trace - 1|
+# and the negative eigenvalues; StateVector holds |psi|^2 to it
+_DENSITY_TOL = 1e-10
+
+
 @dataclass(frozen=True)
 class OperatorMatrix:
     """A dense complex square matrix, optionally tied to a composite cutoff.
@@ -151,6 +164,10 @@ class OperatorMatrix:
 
     mat: np.ndarray
     cutoff: FockCutoff | None = None
+    # the unit vector psi of a matrix built as |psi><psi| by
+    # StateVector.density, which alone sets it
+    _psi: np.ndarray | None = field(default=None, init=False, repr=False,
+                                    compare=False)
 
     def __post_init__(self):
         arr = np.asarray(self.mat, dtype=complex)
@@ -179,8 +196,10 @@ class StateVector:
     """A normalized pure state on the composite space.
 
     Constructors in this module always produce unit norm; direct construction
-    rejects vectors whose norm deviates from 1 by more than 1e-10.  Use
-    :meth:`normalized` for raw amplitude lists.
+    rejects vectors whose squared norm, the trace of :meth:`density`,
+    deviates from 1 by more than _DENSITY_TOL (1e-10), the trace condition of
+    ``require_density_matrix``.  Use :meth:`normalized` for raw amplitude
+    lists.
     """
 
     vec: np.ndarray
@@ -194,9 +213,10 @@ class StateVector:
             raise InvalidArgumentError(
                 f"vector dimension {arr.shape[0]} does not match cutoff dimension {self.cutoff.dim}"
             )
-        norm = float(np.linalg.norm(arr))
-        if abs(norm - 1.0) > 1e-10:
-            raise InvalidArgumentError(f"state norm {norm} deviates from 1 beyond 1e-10")
+        norm2 = float(np.linalg.norm(arr)) ** 2
+        if abs(norm2 - 1.0) > _DENSITY_TOL:
+            raise InvalidArgumentError(
+                f"state norm squared {norm2} deviates from 1 beyond {_DENSITY_TOL}")
         object.__setattr__(self, "vec", _readonly(arr))
 
     @staticmethod
@@ -212,7 +232,17 @@ class StateVector:
         return self.vec.shape[0]
 
     def density(self) -> OperatorMatrix:
-        return OperatorMatrix(np.outer(self.vec, self.vec.conj()), self.cutoff)
+        """|psi><psi| as a dense matrix that also keeps psi, so that
+        ``require_density_matrix`` reads the state in O(dim)."""
+        mat = np.outer(self.vec, self.vec.conj())
+        mat.flags.writeable = False
+        # the fresh product needs neither OperatorMatrix's copy nor its
+        # shape checks: the vector passed them
+        rho = object.__new__(OperatorMatrix)
+        for name, value in (("mat", mat), ("cutoff", self.cutoff),
+                            ("_psi", self.vec)):
+            object.__setattr__(rho, name, value)
+        return rho
 
 
 def annihilation(n_max: int) -> OperatorMatrix:
@@ -315,9 +345,6 @@ def hermiticity_defect(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat - mat.conj().T))) / scale
 
 
-_DENSITY_TOL = 1e-10
-
-
 def require_density_matrix(
         rho: OperatorMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Raise unless rho is hermitian, unit trace, positive semidefinite.
@@ -327,15 +354,25 @@ def require_density_matrix(
     nonzero rows of rho, and a |S| x r factor of the support block
     B = rho[support][:, support] with ``root @ root^dag`` = B.
 
-    A pure block needs no eigendecomposition: with the pivot j of the
-    largest diagonal entry and psi = B[:, j] / sqrt(B[j, j]), a block with
-    ||B - psi psi^dag||_F <= _DENSITY_TOL returns ``psi[:, None]``.  By
+    A matrix built by ``StateVector.density`` returns ``(flatnonzero(psi),
+    psi[support][:, None])`` from its vector psi in O(dim), and reads no
+    element of the matrix: psi psi^dag is hermitian and rank 1 by
+    construction, and StateVector holds |psi|^2, its trace, within
+    _DENSITY_TOL.  Every other matrix takes the checks below.  A pure
+    block among them needs no eigendecomposition either: with the pivot j
+    of the largest diagonal entry and psi = B[:, j] / sqrt(B[j, j]), a
+    block with ||B - psi psi^dag||_F <= _DENSITY_TOL returns
+    ``psi[:, None]``.  By
     Weyl's inequality every eigenvalue of B then lies within _DENSITY_TOL
     of (|psi|^2, 0, ...), so B passes the eigenvalue check as well.  Any
     other block takes one ``eigh``, and root keeps the eigenvectors with
     eigenvalues above w_max |S| eps, each scaled by sqrt(w): the numerical
     range of B, so r is its numerical rank.
     """
+    psi = rho._psi
+    if psi is not None:
+        support = np.flatnonzero(psi)
+        return support, psi[support][:, None]
     mat = rho.mat
     if hermiticity_defect(mat) > _DENSITY_TOL:
         raise InvalidArgumentError("density matrix is not hermitian")

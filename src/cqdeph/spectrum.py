@@ -274,7 +274,7 @@ def dfs_verify(cls: DegeneracyClass, eff: EffectiveParams, model,
     if len(cls) == 0:
         raise InvalidArgumentError("empty degeneracy class")
     t_grid = np.asarray(t_grid, dtype=float)
-    q1_vals, q2_vals = bath.q_grids(model, state, t_grid, rtol)
+    (q1_vals, q2_vals), _ = bath.q_grids(model, state, t_grid, rtol)
     member_e = cls.member_energies(eff)
     pairs = []
     max_gamma = 0.0

@@ -480,6 +480,7 @@ def _check_factorization() -> _Measured:
     # the products bath.phase_shift / bath.damping form, q1/q2 once per time
     q1s = [bath.q1(_OHMIC, t) for t in ts]
     q2s = [bath.q2(_OHMIC, t0, t) for t in ts]
+    rho0 = traj.rho0
     worst = 0.0
     for rec in traj.pairs:
         e_hi = traj.energies[rec.row]
@@ -488,7 +489,7 @@ def _check_factorization() -> _Measured:
             free = cmath.exp(-1j * rec.delta_e * t)
             lamb = cmath.exp(-1j * ((e_hi * e_hi - e_lo * e_lo) * q1s[k]))
             damp = math.exp(-((e_hi - e_lo) ** 2 * q2s[k]))
-            rebuilt = traj.rho0[rec.row, rec.col] * free * lamb * damp
+            rebuilt = rho0[rec.row, rec.col] * free * lamb * damp
             worst = max(worst, abs(rec.element[k] - rebuilt))
     return (worst, 1e-12,
             "every evolved coherence factorizes into free phase x "
@@ -521,11 +522,12 @@ def _check_offdiag_contraction() -> _Measured:
     rho0 = _probe_state(cut, seed=5)
     traj = evolve_reduced(rho0, eff, _OHMIC, bath.BathState(),
                           np.linspace(0.0, 10.0, 6))
-    diag0 = np.diagonal(traj.rho0).real
+    rho0 = traj.rho0
+    diag0 = np.diagonal(rho0).real
     snaps = traj.snapshots
     worst = max(
         float(np.max(np.abs(np.diagonal(snaps, axis1=1, axis2=2) - diag0))),
-        max(0.0, float(np.max(np.abs(snaps) - np.abs(traj.rho0)))),
+        max(0.0, float(np.max(np.abs(snaps) - np.abs(rho0)))),
     )
     for rec in traj.pairs:
         worst = max(worst, max(0.0, float(np.max(rec.damping[:-1] - rec.damping[1:]))))

@@ -107,6 +107,15 @@ def test_q2_ohmic_zero_t_closed_form():
         assert abs(res.value - law) <= min(1e-8 * law, res.error)
 
 
+def test_grid_errors_cover_the_ohmic_closed_forms():
+    # T = 0: the error rows of one q_grids call bound the distance of each
+    # time's values to alpha arctan(w_c t) and (alpha/2) ln(1 + w_c^2 t^2)
+    t = np.geomspace(1e-3, 1e6, 37)
+    (v1, v2), (e1, e2) = q_grids(OHMIC, BathState(), t)
+    assert np.all(np.abs(v1 - 0.1 * np.arctan(t)) <= e1)
+    assert np.all(np.abs(v2 - 0.05 * np.log1p(t * t)) <= e2)
+
+
 def _q2_thermal_law(t, beta, alpha=0.1, omega_c=1.0, terms=100_000):
     """Linear ohmic q2 at finite temperature, independent of the quadrature.
 
@@ -259,7 +268,7 @@ def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     g2 = q2_grid(model, state, t, rtol)
     refined = sorted(bisected)
     del bisected[:]
-    j1, j2 = q_grids(model, state, t, rtol)
+    (j1, j2), _ = q_grids(model, state, t, rtol)
     assert sorted(bisected) == refined
     np.testing.assert_allclose(j1, g1, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(j2, g2, rtol=1e-12, atol=0.0)
@@ -285,7 +294,7 @@ def test_joint_grid_where_q2_has_more_panels(s):
     t = np.geomspace(1e-3, 1.0, 7)
     n1 = kernels._panel_counts(t, 1.0, s, 1e-8, math.inf)
     assert np.all(kernels._panel_counts(t, 1.0, s, 1e-8, state.beta) > n1)
-    j1, j2 = q_grids(model, state, t)
+    (j1, j2), _ = q_grids(model, state, t)
     np.testing.assert_allclose(j1, q1_grid(model, t), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(j2, q2_grid(model, state, t), rtol=1e-12, atol=0.0)
     for k, tk in enumerate(t):
@@ -314,7 +323,7 @@ def test_joint_grid_of_tabulated_density_is_its_single_kinds():
     model = TabulatedSpectralDensity(w, OHMIC.density(w))
     state = BathState(beta=2.0)
     t = np.array([-1.5, 0.0, 0.7, 3.0])
-    j1, j2 = q_grids(model, state, t)
+    (j1, j2), _ = q_grids(model, state, t)
     assert np.array_equal(j1, q1_grid(model, t))
     assert np.array_equal(j2, q2_grid(model, state, t))
     assert j1[0] == -q1(model, 1.5)

@@ -714,3 +714,19 @@ def test_cli_validation_failure_exit_3(tmp_path):
     assert res.returncode == 3
     report = json.loads((tmp_path / "o" / "report.json").read_text())
     assert report["all_passed"] is False
+
+
+def test_initial_state_adds_a_repeated_label_and_rejects_one_outside(tmp_path):
+    body = DEPHASING_BODY.replace(
+        "amp_1 = 0 1 0 : 0 0.7071067811865476\n",
+        "amp_1 = 0 1 0 : 0 0.5\namp_2 = 0 0 0 : 0.25 -0.5\n")
+    cfg = load_config(_write(tmp_path, body))
+    amp = np.zeros(cfg.cutoff.dim, dtype=complex)
+    amp[0] = complex(0.7071067811865476, 0.0) + complex(0.25, -0.5)
+    amp[1] = 0.5j
+    psi = cli._initial_state(cfg)
+    assert np.array_equal(psi.vec, amp / np.linalg.norm(amp))
+    outside = dataclasses.replace(
+        cfg, state_labels=cfg.state_labels + ((2, 0, 0, 0.1, 0.0),))
+    with pytest.raises(InvalidArgumentError, match="exceeds cutoff"):
+        cli._initial_state(outside)

@@ -1,11 +1,12 @@
 """Closed-form evolution, observables, and the brute-force oracles."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from cqdeph import kernels
+from cqdeph import hilbert, kernels
 from cqdeph.bath import (
     BathState,
     OhmicSpectralDensity,
@@ -13,6 +14,7 @@ from cqdeph.bath import (
     q1_grid,
     q2,
     q2_grid,
+    q_grids,
 )
 from cqdeph.device import EffectiveParams
 from cqdeph.dynamics import (
@@ -308,16 +310,117 @@ def test_class_factored_observables_match_snapshots(rng, case, omega_a_prime,
 
 
 def test_class_sums_match_snapshots_at_the_workload_size(rng):
-    # a seeded pure state on every label of the benchmark's cutoff
+    # a seeded pure state on every label of the benchmark's cutoff, read
+    # from its vector (StateVector.density) and, as a matrix that carries
+    # no vector, through the detected rank-1 exit
     cut = FockCutoff(11, 11)
-    traj = evolve_reduced(_random_pure(cut, rng), _eff(), OHMIC,
-                          BathState(beta=2.0), np.linspace(0.0, 30.0, 5))
-    purity, coherence, fidelity = _from_snapshots(traj)
-    assert np.max(np.abs(traj.purity - purity)) <= 1e-12
-    assert np.max(np.abs(traj.qubit_coherence - coherence)) <= 1e-12
-    assert np.max(np.abs(traj.fidelity_to_initial - fidelity)) <= 1e-12
-    assert np.all(traj.purity <= 1.0) and np.all(traj.fidelity_to_initial <= 1.0)
-    assert traj.fidelity_to_initial[-1] < 0.9
+    rho0 = _random_pure(cut, rng)
+    for rho in (rho0, OperatorMatrix(rho0.mat, cut)):
+        traj = evolve_reduced(rho, _eff(), OHMIC, BathState(beta=2.0),
+                              np.linspace(0.0, 30.0, 5))
+        assert traj.root.shape == (cut.dim, 1)
+        purity, coherence, fidelity = _from_snapshots(traj)
+        assert np.max(np.abs(traj.purity - purity)) <= 1e-12
+        assert np.max(np.abs(traj.qubit_coherence - coherence)) <= 1e-12
+        assert np.max(np.abs(traj.fidelity_to_initial - fidelity)) <= 1e-12
+        assert np.all(traj.purity <= 1.0)
+        assert np.all(traj.fidelity_to_initial <= 1.0)
+        assert traj.fidelity_to_initial[-1] < 0.9
+
+
+class _NoDense:
+    """Stands in for a dense matrix: any use of it fails the test."""
+
+    def __getattr__(self, name):
+        raise AssertionError(f"the dense rho0 was read (.{name})")
+
+    def __getitem__(self, key):
+        raise AssertionError("the dense rho0 was indexed")
+
+    def __array__(self, *args, **kwargs):
+        raise AssertionError("the dense rho0 was converted")
+
+
+def _raise(*args, **kwargs):
+    raise AssertionError("called on a state built by StateVector.density")
+
+
+def test_density_state_is_read_from_its_vector(rng, monkeypatch):
+    """A StateVector.density matrix is read through its vector alone: no
+    hermiticity check, no eigh, no read of the dense matrix.  The same
+    matrix without its vector takes the detected rank-1 exit, still without
+    an eigh, and gives the same observables."""
+    cut = FockCutoff(2, 3)
+    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(0, 1, 0),
+              TensorBasisLabel(0, 0, 1), TensorBasisLabel(2, 3, 1),
+              TensorBasisLabel(2, 3, 0)]
+    amp = np.zeros(cut.dim, dtype=complex)
+    for lab in labels:
+        amp[lab.flat_index(cut)] = rng.normal() + 1j * rng.normal()
+    psi = StateVector.normalized(amp, cut)
+    state = BathState(beta=2.0)
+    t = np.linspace(0.0, 30.0, 7)
+    monkeypatch.setattr(np.linalg, "eigh", _raise)
+    plain = evolve_reduced(OperatorMatrix(psi.density().mat, cut), _eff(),
+                           OHMIC, state, t)
+    assert plain.root.shape == (len(labels), 1)
+
+    monkeypatch.setattr(hilbert, "hermiticity_defect", _raise)
+    rho0 = psi.density()
+    object.__setattr__(rho0, "mat", _NoDense())
+    traj = evolve_reduced(rho0, _eff(), OHMIC, state, t)
+    assert np.array_equal(traj.root[:, 0], psi.vec[traj.support])
+    (q1_vals, q2_vals), (q1_err, q2_err) = q_grids(OHMIC, state, t)
+    assert np.array_equal(traj.q1_vals, q1_vals)
+    assert np.array_equal(traj.q1_err, q1_err)
+    assert np.array_equal(traj.q2_err, q2_err)
+    for name in ("purity", "qubit_coherence", "fidelity_to_initial"):
+        assert np.max(np.abs(getattr(traj, name) - getattr(plain, name))) <= 1e-15
+    assert [(r.row, r.col) for r in traj.pairs] == \
+        [(r.row, r.col) for r in plain.pairs]
+    for rec, ref in zip(traj.pairs, plain.pairs):
+        assert np.max(np.abs(rec.element - ref.element)) <= 1e-15
+    assert np.array_equal(traj.rho0, np.outer(psi.vec, psi.vec.conj()))
+    # a requested element off the support stays 0
+    off = evolve_reduced(rho0, _eff(), OHMIC, state, t,
+                         pairs=[(labels[0], TensorBasisLabel(1, 0, 0))])
+    assert not np.any(off.pairs[0].element)
+
+
+def test_mixed_state_keeps_its_exact_zeros(rng):
+    # a mixed rho0 with zeros off its blocks: the default pairs are its
+    # nonzero upper elements, with their exact values, although the factor
+    # root root^dag fills the zeros with rounding
+    cut = FockCutoff(2, 3)
+    rho = np.zeros((cut.dim, cut.dim), dtype=complex)
+    idx = rng.choice(cut.dim, 6, replace=False)
+    a = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+    rho[np.ix_(idx[:3], idx[:3])] = a @ a.conj().T
+    rho[idx[3:], idx[3:]] = [1.0, 0.5, 0.7]
+    rho /= np.trace(rho).real
+    traj = evolve_reduced(OperatorMatrix(rho, cut), _eff(), OHMIC,
+                          BathState(beta=2.0), np.array([0.0, 2.0]))
+    rows, cols = np.nonzero(np.triu(rho, k=1))
+    assert [(r.row, r.col) for r in traj.pairs] == list(zip(rows, cols))
+    assert all(r.element[0] == rho[r.row, r.col] for r in traj.pairs)
+
+
+def test_density_state_costs_no_dense_pass():
+    # three labels of a dim-968 space: evolve_reduced allocates far less
+    # than one dim x dim complex array (15 MB), which the dense path copied
+    cut = FockCutoff(21, 21)
+    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
+                             TensorBasisLabel(1, 2, 1)]).density()
+    args = (rho0, _eff(), OHMIC, BathState(beta=2.0), np.linspace(0.0, 30.0, 30))
+    evolve_reduced(*args)
+    tracemalloc.start()
+    try:
+        traj = evolve_reduced(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * cut.dim ** 2 * 16
+    assert traj.support.size == 3 and abs(traj.qubit_coherence[0]) > 0.3
 
 
 @pytest.mark.parametrize("cut", [FockCutoff(11, 11), FockCutoff(2, 3)])

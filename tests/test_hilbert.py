@@ -137,6 +137,33 @@ def test_state_normalization_enforced():
         StateVector.normalized(np.zeros(4))
 
 
+def test_state_vector_holds_the_density_trace_condition():
+    # norm 1 + 0.8e-10 puts the trace of psi psi^dag 1.6e-10 from 1, which
+    # require_density_matrix rejects, so the vector is rejected as well
+    cut = FockCutoff(1, 1)
+    vec = np.zeros(cut.dim, dtype=complex)
+    vec[3] = 1.0 + 0.8e-10
+    with pytest.raises(InvalidArgumentError, match="norm squared"):
+        StateVector(vec, cut)
+    vec[3] = 1.0 + 0.4e-10
+    rho = StateVector(vec, cut).density()
+    for mat in (rho, OperatorMatrix(rho.mat, cut)):
+        support, root = require_density_matrix(mat)
+        assert support.tolist() == [3] and root.shape == (1, 1)
+
+
+def test_flat_indices_follow_the_labels():
+    cut = FockCutoff(2, 3)
+    m, n, i = cut.numbers()
+    assert np.array_equal(cut.flat_indices(m, n, i), np.arange(cut.dim))
+    assert cut.flat_indices([1], [3], [1]).tolist() == \
+        [TensorBasisLabel(1, 3, 1).flat_index(cut)]
+    for bad in (([3], [0], [0]), ([0], [4], [0]), ([0], [0], [2]),
+                ([-1], [0], [0])):
+        with pytest.raises(InvalidArgumentError, match="exceeds cutoff"):
+            cut.flat_indices(*bad)
+
+
 def test_density_is_projector():
     cut = FockCutoff(1, 1)
     rng = np.random.default_rng(0)

@@ -77,3 +77,24 @@ def test_compare_outputs_reports_each_difference(tmp_path, capsys):
         "run/report.json: z: (absent) against True",
     ]
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+
+
+def test_bench_pairs_summarizes_each_metric():
+    bench_pairs = _load("bench_pairs")
+    # the reservoir-long run_s pairs of BENCH_13.json
+    parent = [0.019973, 0.020158, 0.021821, 0.018073, 0.019081, 0.018442,
+              0.019667, 0.016638, 0.017514, 0.019792]
+    change = [0.01341, 0.01433, 0.014147, 0.014812, 0.013193, 0.013694,
+              0.011817, 0.013521, 0.013023, 0.013354]
+    got = bench_pairs.summarize(parent, change, "lower")
+    assert got["parent"] == {"median": 0.019374, "q1": 0.018165,
+                             "q3": 0.019928, "runs": parent}
+    # BENCH_13.json took the quartiles before rounding the runs: q1 0.013234
+    assert (got["change"]["median"], got["change"]["q1"],
+            got["change"]["q3"]) == (0.013466, 0.013233, 0.014034)
+    assert got["change_over_parent"] == 0.695
+    assert got["change_better_pairs"] == 10
+    # ties count for neither side; "higher" turns the comparison round
+    flipped = bench_pairs.summarize([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], "higher")
+    assert flipped["change_better_pairs"] == 1
+    assert flipped["change_over_parent"] == 1.0
