@@ -30,7 +30,6 @@ forms independently.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -84,7 +83,7 @@ class OhmicSpectralDensity:
         return float(out) if out.ndim == 0 else out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TabulatedSpectralDensity:
     """Sampled density, linearly interpolated, zero outside the sample range.
 
@@ -231,8 +230,19 @@ def damping(e1: float, e2: float, model, state: BathState, t: float,
     return (e1 - e2) ** 2 * q2(model, state, t, rtol)
 
 
-def r_factor(e1: float, e2: float, model, state: BathState, t: float,
-             rtol: float = DEFAULT_RTOL) -> complex:
-    """Coherence multiplier exp(-i delta_phi) * exp(-Gamma); |r| <= 1."""
+def r_factor(e1, e2, model, state: BathState, t: float,
+             rtol: float = DEFAULT_RTOL) -> complex | np.ndarray:
+    """Coherence multiplier exp(-i delta_phi) * exp(-Gamma); |r| <= 1.
+
+    The energies e1 and e2 broadcast against each other: arrays give the
+    array of multipliers, from one quadrature pass at t for all of them,
+    and two scalars give a Python complex through the same formula."""
     (q1t,), (q2t,) = q_grids(model, state, [float(t)], rtol)[0].tolist()
-    return cmath.exp(complex(-((e1 - e2) ** 2 * q2t), -((e1 * e1 - e2 * e2) * q1t)))
+    e1 = np.asarray(e1, dtype=float)
+    e2 = np.asarray(e2, dtype=float)
+    de = e1 - e2
+    r = np.empty(de.shape, dtype=complex)
+    r.real = -(de * de * q2t)
+    r.imag = -((e1 * e1 - e2 * e2) * q1t)
+    np.exp(r, out=r)
+    return complex(r) if r.ndim == 0 else r

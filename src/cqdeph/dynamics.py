@@ -59,7 +59,7 @@ SNAPSHOT_CAP = 50_000_000
 _OBS_BLOCK = 1 << 13
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PairRecord:
     """Per-element bookkeeping for one coherence rho[row, col]."""
 
@@ -74,7 +74,7 @@ class PairRecord:
     element: np.ndarray   # rho[row, col](t)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DephasingTrajectory:
     """Observables of rho(t) = rho0 * M(t) at each grid time.
 
@@ -435,7 +435,7 @@ class FiniteBathSpec:
         return self.occupations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FiniteBathReport:
     t_grid: np.ndarray
     reduced: np.ndarray         # (nt, dim_S, dim_S), brute-force propagation
@@ -559,7 +559,7 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
     )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DispersiveCheck:
     t_grid: np.ndarray
     fidelity: np.ndarray

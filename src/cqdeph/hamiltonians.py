@@ -72,7 +72,7 @@ _SELF_CHECK_DIM = 512
 _HERM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HamiltonianStage:
     """One rung of the reduction chain.
 

@@ -238,7 +238,7 @@ class PairCheck:
     max_abs_phase: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DfsVerification:
     cls: DegeneracyClass
     t_grid: np.ndarray

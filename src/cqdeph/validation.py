@@ -416,10 +416,8 @@ def _check_ohmic_closed_form() -> _Measured:
 
 def _check_q2_temperature() -> _Measured:
     states = (bath.BathState(beta=2.0), bath.BathState(beta=5.0), bath.BathState())
-    worst = 0.0
-    for t in (0.5, 2.0, 10.0):
-        vals = [bath.q2(_OHMIC, s, t) for s in states]
-        worst = max(worst, max(0.0, vals[1] - vals[0]), max(0.0, vals[2] - vals[1]))
+    hot, mid, cold = (bath.q2_grid(_OHMIC, s, [0.5, 2.0, 10.0]) for s in states)
+    worst = max(0.0, float(np.max(mid - hot)), float(np.max(cold - mid)))
     return (worst, 1e-12,
             "warming the reservoir can only increase q2, pointwise in t")
 
@@ -437,11 +435,9 @@ def _check_r_factor_modulus() -> _Measured:
     rng = np.random.default_rng(11)
     warm = bath.BathState(beta=3.0)
     t0 = bath.BathState()
-    worst = 0.0
-    for _ in range(10):
-        e1, e2 = rng.uniform(-2.0, 2.0, size=2)
-        for t in (0.5, 2.0):
-            worst = max(worst, max(0.0, abs(bath.r_factor(e1, e2, _OHMIC, warm, t)) - 1.0))
+    e1, e2 = rng.uniform(-2.0, 2.0, size=(10, 2)).T
+    mods = [np.abs(bath.r_factor(e1, e2, _OHMIC, warm, t)) for t in (0.5, 2.0)]
+    worst = max(0.0, float(np.max(mods)) - 1.0)
     worst = max(worst, abs(abs(bath.r_factor(1.3, 1.3, _OHMIC, warm, 2.0)) - 1.0))
     # frozen closed-form composition at t = 2, levels 2 and 0
     q1c = 0.1 * math.atan(2.0)
@@ -477,9 +473,9 @@ def _check_factorization() -> _Measured:
     t0 = bath.BathState()
     ts = np.array([0.0, 0.7, 2.0, 5.0])
     traj = evolve_reduced(rho0, eff, _OHMIC, t0, ts)
-    # the products bath.phase_shift / bath.damping form, q1/q2 once per time
-    q1s = [bath.q1(_OHMIC, t) for t in ts]
-    q2s = [bath.q2(_OHMIC, t0, t) for t in ts]
+    # the products bath.phase_shift / bath.damping form, from q1/q2 over ts
+    q1s = bath.q1_grid(_OHMIC, ts).tolist()
+    q2s = bath.q2_grid(_OHMIC, t0, ts).tolist()
     rho0 = traj.rho0
     worst = 0.0
     for rec in traj.pairs:

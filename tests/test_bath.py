@@ -407,6 +407,24 @@ def test_r_factor_degenerate_pair_is_unity():
     assert r_factor(1.3, 1.3, OHMIC, BathState(beta=1.0), 9.0) == 1.0
 
 
+def test_r_factor_broadcasts_with_one_pass(monkeypatch):
+    state = BathState(beta=3.0)
+    e1 = np.array([-1.7, 0.0, 0.4, 1.3, 2.0])
+    e2 = np.array([0.9, -0.3, 1.3])
+    calls = []
+    grid = kernels.quad_ohmic_grid
+    monkeypatch.setattr(kernels, "quad_ohmic_grid",
+                        lambda *args: calls.append(args) or grid(*args))
+    r = r_factor(e1[:, None], e2[None, :], OHMIC, state, 2.0)
+    assert len(calls) == 1 and r.shape == (5, 3)
+    for j, a in enumerate(e1.tolist()):
+        for k, b in enumerate(e2.tolist()):
+            one = r_factor(a, b, OHMIC, state, 2.0)
+            assert type(one) is complex
+            assert one == r[j, k]
+    assert r[3, 2] == 1.0  # the degenerate pair (1.3, 1.3)
+
+
 def test_mirrored_pair_keeps_modulus_but_gains_phase():
     # E' = -E: damping sees (E'-E)^2 > 0, the quadratic phase cancels
     r = r_factor(1.0, -1.0, OHMIC, BathState(), 2.0)

@@ -114,6 +114,39 @@ def test_tensor3_acts_on_correct_factor():
         assert num_a.mat[k, k] == pytest.approx(lab.m)
 
 
+@pytest.mark.parametrize("dim_a, dim_b", [(2, 2), (3, 5), (6, 4)])
+def test_tensor3_is_the_nested_kron(dim_a, dim_b):
+    rng = np.random.default_rng(dim_a * 10 + dim_b)
+
+    def factor(n):
+        return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+    q, a, b = factor(2), factor(dim_a), factor(dim_b)
+    assert np.array_equal(tensor3(q, a, b).mat, np.kron(q, np.kron(a, b)))
+
+
+@pytest.mark.parametrize("q, a, b", [
+    (np.eye(3), np.eye(2), np.eye(2)),          # qubit factor not 2x2
+    (np.eye(2), np.ones((2, 3)), np.eye(2)),    # A not square
+    (np.eye(2), np.eye(2), np.eye(1)),          # B of dim 1
+    (np.eye(2), np.ones(4), np.eye(2)),         # A not a matrix
+])
+def test_tensor3_rejects_bad_factors(q, a, b):
+    with pytest.raises(InvalidArgumentError):
+        tensor3(q, a, b)
+
+
+def test_states_and_operators_compare_by_identity():
+    cut = FockCutoff(1, 1)
+    vec = np.full(cut.dim, 1.0 / np.sqrt(cut.dim))
+    for x, y in ((StateVector(vec, cut), StateVector(vec, cut)),
+                 (StateVector(vec, cut).density(), StateVector(vec, cut).density()),
+                 (identity(3), identity(3))):
+        assert x == x
+        assert not x == y and x != y
+        assert hash(x) == hash(x) and {x, y} == {x, y}
+
+
 def test_operator_matrix_is_readonly():
     op = identity(3)
     with pytest.raises(ValueError):

@@ -94,7 +94,22 @@ def test_bench_pairs_summarizes_each_metric():
             got["change"]["q3"]) == (0.013466, 0.013233, 0.014034)
     assert got["change_over_parent"] == 0.695
     assert got["change_better_pairs"] == 10
+    assert (got["median_gain"], got["parent_iqr"]) == (0.005909, 0.001763)
+    assert got["gain_holds"] is True
     # ties count for neither side; "higher" turns the comparison round
     flipped = bench_pairs.summarize([1.0, 2.0, 3.0], [1.0, 3.0, 2.0], "higher")
     assert flipped["change_better_pairs"] == 1
     assert flipped["change_over_parent"] == 1.0
+    assert flipped["gain_holds"] is False
+    # 9 of 10 pairs won is enough, but not with medians inside the parent's
+    # quartiles; nor 8 of 10 with them far apart
+    base = [10.0, 11.0, 12.0, 13.0, 14.0, 15.0, 16.0, 17.0, 18.0, 19.0]
+    close = bench_pairs.summarize(base, [x - 1.0 for x in base[:9]] + [20.0], "lower")
+    assert close["change_better_pairs"] == 9
+    assert close["median_gain"] < close["parent_iqr"]
+    assert close["gain_holds"] is False
+    far = [x - 5.0 for x in base]
+    assert bench_pairs.summarize(base, far, "lower")["gain_holds"] is True
+    far[:2] = [30.0, 30.0]
+    assert bench_pairs.summarize(base, far, "lower")["gain_holds"] is False
+    assert bench_pairs.summarize(far, base, "higher")["gain_holds"] is False

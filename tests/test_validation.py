@@ -2,9 +2,10 @@
 
 import math
 
+import numpy as np
 import pytest
 
-from cqdeph import validation
+from cqdeph import kernels, validation
 from cqdeph.errors import InvalidArgumentError, ValidationFailure
 
 
@@ -19,6 +20,25 @@ def test_all_checks_pass():
 def test_registry_names_match():
     results = validation.run_all()
     assert tuple(r.name for r in results) == validation.CHECK_NAMES
+
+
+def test_run_all_quadrature_and_kron_budget(monkeypatch):
+    # each bath state's times go to the kernel as one grid, and tensor3
+    # builds its products without np.kron
+    calls = {"grid": 0, "kron": 0}
+    grid, kron = kernels.quad_ohmic_grid, np.kron
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(kernels, "quad_ohmic_grid", counted("grid", grid))
+    monkeypatch.setattr(np, "kron", counted("kron", kron))
+    validation.run_all()
+    assert calls["grid"] <= 26
+    assert calls["kron"] == 0
 
 
 def test_tol_scale_zero_rejected():

@@ -9,7 +9,9 @@ the checkout has it: the parent first in even pairs, the change first in odd
 ones.  Then each side makes one traced run (``--trace 1``, the first seed,
 parent first).  The record holds, per workload and end-to-end metric, each
 side's runs with their median and quartiles, the ratio of the medians
-(change over parent) and the number of pairs the change won; the failed and
+(change over parent), the number of pairs the change won and whether a gain
+holds (at least 9 of 10 pairs won, and the medians further apart than the
+parent's quartiles, in the change's favour); the failed and
 attempted operations of every run; the per-layer metrics of the traced runs;
 and the environment that ``perfbench/run.py`` reports.
 """
@@ -35,13 +37,22 @@ def quartiles(runs: list[float]) -> dict:
 
 def summarize(parent: list[float], change: list[float], better: str) -> dict:
     """One metric over the pairs (parent[p], change[p]); ``better`` is
-    "lower" or "higher".  A tie counts for neither side."""
-    won = sum((c < p) if better == "lower" else (c > p)
-              for p, c in zip(parent, change))
+    "lower" or "higher".  A tie counts for neither side.
+
+    ``gain_holds`` is the verdict on a claimed gain: the change won at least
+    nine tenths of the pairs, and its median is better than the parent's by
+    more than the parent's interquartile range (``median_gain`` against
+    ``parent_iqr``)."""
+    sign = 1.0 if better == "lower" else -1.0
+    won = sum(sign * (p - c) > 0 for p, c in zip(parent, change))
+    q1, _, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = sign * (statistics.median(parent) - statistics.median(change))
     return {"parent": quartiles(parent), "change": quartiles(change),
             "change_over_parent": round(statistics.median(change)
                                         / statistics.median(parent), 4),
-            "change_better_pairs": won}
+            "change_better_pairs": won,
+            "median_gain": round(gain, 6), "parent_iqr": round(q3 - q1, 6),
+            "gain_holds": 10 * won >= 9 * len(parent) and gain > q3 - q1}
 
 
 def run_bench(checkout: str, workload: str, seed: int, seconds: float,
