@@ -27,12 +27,7 @@ __version__ = "0.1.0"
 from .bath import (
     BathState,
     OhmicSpectralDensity,
-    QuadratureResult,
     TabulatedSpectralDensity,
-    damping,
-    phase_shift,
-    q1,
-    q2,
     q1_grid,
     q2_grid,
     q_grids,
@@ -124,8 +119,7 @@ __all__ = [
     "dfs_find", "dfs_verify",
     # bath
     "OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",
-    "QuadratureResult", "q1", "q2", "q1_grid", "q2_grid", "q_grids",
-    "phase_shift", "damping", "r_factor",
+    "q1_grid", "q2_grid", "q_grids", "r_factor",
     # dynamics
     "DephasingTrajectory", "FiniteBathSpec", "FiniteBathReport",
     "DispersiveCheck", "evolve_reduced", "observables", "finite_bath_oracle",

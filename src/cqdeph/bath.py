@@ -16,11 +16,10 @@ the coupling strength is dimensionless in that system.
 Ohmic densities are integrated along the complex ray w = r e^{i pi/4}
 (``kernels.quad_ohmic_grid``), whose cost barely grows with t, so they have
 no limit on t.  A whole grid is one kernel call: the times share the ray
-nodes and the t-independent part of the integrand, ``q_grids`` takes q1
-and q2 from one pass that also shares expm1(i w t), and a scalar q1/q2 is
-a grid of one time.  Tabulated densities keep real-axis panels that resolve
-the oscillation of sin(w t), one time at a time, and stop at
-``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
+nodes and the t-independent part of the integrand, and ``q_grids`` takes
+q1 and q2 from one pass that also shares expm1(i w t).  Tabulated
+densities keep real-axis panels that resolve the oscillation of sin(w t),
+one time at a time, and stop at ``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
 finite and that rtol is finite and positive.
 
 Closed forms (arctan / log for the strictly ohmic case) are deliberately NOT
@@ -42,16 +41,9 @@ __all__ = [
     "OhmicSpectralDensity",
     "TabulatedSpectralDensity",
     "BathState",
-    "QuadratureResult",
-    "q1",
-    "q2",
-    "q1_full",
-    "q2_full",
     "q1_grid",
     "q2_grid",
     "q_grids",
-    "phase_shift",
-    "damping",
     "r_factor",
 ]
 
@@ -141,12 +133,6 @@ class BathState:
         return math.isinf(self.beta)
 
 
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: float
-    error: float
-
-
 def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
               rtol: float) -> np.ndarray:
     """[values, errors] at the 1-d times t, one row per integral of
@@ -178,27 +164,6 @@ def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
     return out
 
 
-def q1_full(model, t: float, rtol: float = DEFAULT_RTOL) -> QuadratureResult:
-    """q1(t) together with the quadrature error estimate."""
-    value, error = _dispatch(model, (1,), math.inf, [float(t)], rtol)[:, 0, 0].tolist()
-    return QuadratureResult(value, error)
-
-
-def q2_full(model, state: BathState, t: float,
-            rtol: float = DEFAULT_RTOL) -> QuadratureResult:
-    """q2(t) together with the quadrature error estimate."""
-    value, error = _dispatch(model, (2,), state.beta, [float(t)], rtol)[:, 0, 0].tolist()
-    return QuadratureResult(value, error)
-
-
-def q1(model, t: float, rtol: float = DEFAULT_RTOL) -> float:
-    return q1_full(model, t, rtol).value
-
-
-def q2(model, state: BathState, t: float, rtol: float = DEFAULT_RTOL) -> float:
-    return q2_full(model, state, t, rtol).value
-
-
 def q1_grid(model, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
     """q1 at every time of the 1-d grid t_grid, one quadrature for the grid."""
     return _dispatch(model, (1,), math.inf, t_grid, rtol)[0, 0]
@@ -218,21 +183,10 @@ def q_grids(model, state: BathState, t_grid,
     return values, errors
 
 
-def phase_shift(e1: float, e2: float, model, t: float,
-                rtol: float = DEFAULT_RTOL) -> float:
-    """Lamb-type phase delta_phi = (e1^2 - e2^2) q1(t), hbar = 1 units."""
-    return (e1 * e1 - e2 * e2) * q1(model, t, rtol)
-
-
-def damping(e1: float, e2: float, model, state: BathState, t: float,
-            rtol: float = DEFAULT_RTOL) -> float:
-    """Decoherence exponent Gamma = (e1 - e2)^2 q2(t) >= 0."""
-    return (e1 - e2) ** 2 * q2(model, state, t, rtol)
-
-
 def r_factor(e1, e2, model, state: BathState, t: float,
              rtol: float = DEFAULT_RTOL) -> complex | np.ndarray:
-    """Coherence multiplier exp(-i delta_phi) * exp(-Gamma); |r| <= 1.
+    """Coherence multiplier exp(-i (e1^2 - e2^2) q1(t) - (e1 - e2)^2 q2(t));
+    |r| <= 1.
 
     The energies e1 and e2 broadcast against each other: arrays give the
     array of multipliers, from one quadrature pass at t for all of them,

@@ -13,7 +13,11 @@ The multiplier factors as a_j conj(a_k) g_c(j)c(k), a phase per level times
 a real damping per pair of energy classes that is 1 inside a class (the
 decoherence-free subspace), so `evolve_reduced` computes |S| phases and
 one damping per distinct squared gap between the u energies of a support
-S per time, not a complex exponential per element.  A pure rho0, the
+S per time, not a complex exponential per element.  The element-wise law
+is written once, in `_element_law`: it gives the tracked elements and the
+qubit coherence that the CLI writes, `DephasingTrajectory.snapshots` and
+the analytic side of `finite_bath_oracle`, so the oracle checks the law
+whose numbers are written.  A pure rho0, the
 state every CLI run starts from, needs no eigendecomposition, and one
 built by ``StateVector.density`` is read from its vector alone: its
 observables are sums over the u energy classes.
@@ -32,7 +36,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import bath, kernels, spectrum
+from . import bath, spectrum
 from .device import EffectiveParams
 from .errors import CapacityError, InvalidArgumentError, NumericsError
 from .hamiltonians import (
@@ -114,9 +118,24 @@ class DephasingTrajectory:
 
     @property
     def snapshots(self) -> np.ndarray:
-        """rho(t) at every grid time, (nt, dim, dim), built on each access."""
-        return _closed_form(self.rho0, self.energies, self.t_grid,
-                            self.q1_vals, self.q2_vals)
+        """rho(t) at every grid time, (nt, dim, dim), built on each access.
+
+        Each time fills the support block from ``_element_law``, the law
+        that gives the tracked elements and the qubit coherence, so a time
+        holds temporaries of the size of the block, not of the tensor."""
+        nt, dim = self.t_grid.size, self.dim
+        if nt * dim ** 2 > SNAPSHOT_CAP:
+            raise CapacityError(f"{nt} snapshots of a {dim}x{dim} matrix "
+                                "exceed SNAPSHOT_CAP; shrink the grid or cutoff")
+        rho_s = _support_block(self.root)
+        e = self.energies[self.support]
+        block = np.ix_(self.support, self.support)
+        out = np.zeros((nt, dim, dim), dtype=complex)
+        for k in range(nt):
+            out[k][block] = _element_law(rho_s, e[:, None], e[None, :],
+                                         self.t_grid[k], self.q1_vals[k],
+                                         self.q2_vals[k])[2]
+        return out
 
 
 def _support_block(root: np.ndarray) -> np.ndarray:
@@ -138,28 +157,26 @@ def _elements(root: np.ndarray, rho_s: np.ndarray | None, a: np.ndarray,
 
 def _element_law(rho_jk: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
                  t: np.ndarray, q1_vals: np.ndarray, q2_vals: np.ndarray):
-    """The closed-form law for n elements rho_jk between levels e_row and
-    e_col: the (nt, n) arrays phase (E_row^2 - E_col^2) Q1, damping
-    (E_row - E_col)^2 Q2 and rho_jk exp(-i (dE t + phase) - damping)."""
+    """The closed-form law for the elements rho_jk between levels e_row and
+    e_col, which broadcast against each other: the arrays phase
+    (E_row^2 - E_col^2) Q1, damping (E_row - E_col)^2 Q2 and
+    rho_jk exp(-i (dE t + phase) - damping), of shape t.shape + the shape
+    of the elements.  The exponent is built in place in the result, so a
+    call holds at most five real arrays of that shape at once."""
     de = e_row - e_col
-    phase = np.outer(q1_vals, e_row ** 2 - e_col ** 2)
-    damping = np.outer(q2_vals, de * de)
-    return phase, damping, rho_jk * np.exp(-1j * (np.outer(t, de) + phase)
-                                           - damping)
-
-
-def _closed_form(rho0: np.ndarray, energies: np.ndarray, t: np.ndarray,
-                 q1_vals: np.ndarray, q2_vals: np.ndarray) -> np.ndarray:
-    """rho0 * M(t) for every grid time, filled into one (nt, dim, dim) array."""
-    dim = rho0.shape[0]
-    if t.size * dim ** 2 > SNAPSHOT_CAP:
-        raise CapacityError(f"{t.size} snapshots of a {dim}x{dim} matrix "
-                            "exceed SNAPSHOT_CAP; shrink the grid or cutoff")
-    out = np.empty((t.size, dim, dim), dtype=complex)
-    for k in range(t.size):
-        out[k] = rho0 * kernels.dephasing_multipliers(
-            energies, float(t[k]), float(q1_vals[k]), float(q2_vals[k]))
-    return out
+    # damping and the result first, so that de is freed before the phase is
+    # formed: the other order holds the same arrays but left a larger heap
+    damping = np.multiply.outer(q2_vals, de * de)
+    element = np.empty(damping.shape, dtype=complex)
+    np.negative(damping, out=element.real)
+    np.multiply.outer(t, de, out=element.imag)
+    del de
+    phase = np.multiply.outer(q1_vals, e_row ** 2 - e_col ** 2)
+    element.imag += phase
+    np.negative(element.imag, out=element.imag)
+    np.exp(element, out=element)
+    # rho_jk stays the left operand: the product is not bitwise commutative
+    return phase, damping, np.multiply(rho_jk, element, out=element)
 
 
 def _check_t_grid(t_grid) -> np.ndarray:
@@ -439,7 +456,7 @@ class FiniteBathSpec:
 class FiniteBathReport:
     t_grid: np.ndarray
     reduced: np.ndarray         # (nt, dim_S, dim_S), brute-force propagation
-    analytic: np.ndarray        # (nt, dim_S, dim_S), closed-form law
+    analytic: np.ndarray        # (nt, dim_S, dim_S), _element_law
     deviation: np.ndarray       # per-t max entrywise |reduced - analytic|
     max_deviation: float
     displacement_metric: float
@@ -490,7 +507,8 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
 
     with eps = E + E^2 sum_k c_k^2/w_k.  This is the exact propagation of
     the truncated bath, no composite matrix is formed, and the Q1/Q2 sums
-    enter only the analytic side.
+    enter only the analytic side, which ``_element_law`` evaluates: the
+    law that writes every tracked element and the qubit coherence.
 
     The only approximation left is the bath Fock truncation; its reach is
     the displacement metric max |E c_k / w_k|, warned about above 0.3 and
@@ -548,7 +566,8 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
         [2.0 * np.sum(weight * np.sin(0.5 * ws * tk) ** 2 * coth) for tk in t]
     )
 
-    analytic = _closed_form(rho_s, energies, t, q1_vals, q2_vals)
+    analytic = _element_law(rho_s, energies[:, None], energies[None, :], t,
+                            q1_vals, q2_vals)[2]
     deviation = np.max(np.abs(reduced - analytic), axis=(1, 2))
     return FiniteBathReport(
         t_grid=t, reduced=reduced, analytic=analytic, deviation=deviation,

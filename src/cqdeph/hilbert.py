@@ -316,6 +316,8 @@ def coherent_state(
     """
     if mode not in ("A", "B"):
         raise InvalidArgumentError(f"mode must be 'A' or 'B', got {mode!r}")
+    if not (isinstance(qubit_level, (int, np.integer)) and qubit_level in (0, 1)):
+        raise InvalidArgumentError(f"qubit_level must be 0 or 1, got {qubit_level!r}")
     n_max = cutoff.n_max_a if mode == "A" else cutoff.n_max_b
     alpha = complex(alpha)
     if alpha != 0:

@@ -20,6 +20,12 @@ piecewise linear, not analytic, and keep real-axis panels of at most half
 an oscillation period, at most PANEL_CAP of them.  Zero
 temperature is beta = inf, the one encoding of T = 0 here: there the
 coth(beta w / 2) of the kind-2 integrand is 1.
+
+quad_ohmic and dephasing_multipliers have no caller in the package: bath
+takes every integral from quad_ohmic_grid, and dynamics writes every
+element through its own element law.  They stay because the traced runs
+of the benchmark wrap them by name, and dephasing_multipliers is the
+independent reference that the tests hold that law against.
 """
 
 from __future__ import annotations
@@ -454,7 +460,10 @@ def quad_ohmic_grid(kinds: tuple[int, ...], s: float, alpha: float, omega_c: flo
 def quad_ohmic(kind: int, s: float, alpha: float, omega_c: float, beta: float,
                t: float, rtol: float) -> tuple[float, float]:
     """Integral ``kind`` of quad_ohmic_grid at the one time t > 0, as floats
-    (value, error)."""
+    (value, error).
+
+    No caller in the package; kept because the benchmark's traced runs
+    wrap it by name."""
     values, errors = quad_ohmic_grid((kind,), s, alpha, omega_c, beta,
                                      np.array([t], dtype=float), rtol)
     return float(values[0, 0]), float(errors[0, 0])
@@ -494,12 +503,12 @@ def dephasing_multipliers(energies: np.ndarray, t: float, q1t: float,
                           q2t: float) -> np.ndarray:
     """Matrix M[j, k] = exp(-i (E_j - E_k) t - i (E_j^2 - E_k^2) q1 - (E_j - E_k)^2 q2).
 
-    One complex exponential per element: the element-wise law behind
-    DephasingTrajectory.snapshots and the analytic side of the finite-bath
-    oracle.  evolve_reduced uses the factored form instead.  The damping
-    exponent is clamped at -350, as in evolve_reduced: numpy's exp slows
-    down below about -708, and a modulus below e^-350 ~ 1e-152 moves no
-    observable.
+    One complex exponential per element.  No caller in the package:
+    dynamics evaluates the same law in its own code, and the tests hold
+    that against this matrix, an independent reference; the benchmark's
+    traced runs also wrap it by name.  The damping exponent is clamped at
+    -350, as in evolve_reduced: numpy's exp slows down below about -708,
+    and a modulus below e^-350 ~ 1e-152 moves no observable.
     """
     energies = np.ascontiguousarray(energies, dtype=np.float64)
     de = energies[:, None] - energies[None, :]

@@ -391,12 +391,15 @@ _OHMIC = bath.OhmicSpectralDensity(coupling=0.1, exponent=1.0, omega_c=1.0)
 def _check_q1_q2_symmetry() -> _Measured:
     t0 = bath.BathState()
     warm = bath.BathState(beta=2.0)
+    q1 = bath.q1_grid(_OHMIC, [0.0, -2.0, 2.0]).tolist()
+    cold = bath.q2_grid(_OHMIC, t0, [0.0, 3.0]).tolist()
+    hot = bath.q2_grid(_OHMIC, warm, [-2.0, 2.0]).tolist()
     resid = max(
-        abs(bath.q1(_OHMIC, 0.0)),
-        abs(bath.q2(_OHMIC, t0, 0.0)),
-        abs(bath.q1(_OHMIC, -2.0) + bath.q1(_OHMIC, 2.0)),
-        abs(bath.q2(_OHMIC, warm, -2.0) - bath.q2(_OHMIC, warm, 2.0)),
-        max(0.0, -bath.q2(_OHMIC, t0, 3.0)),
+        abs(q1[0]),
+        abs(cold[0]),
+        abs(q1[1] + q1[2]),
+        abs(hot[0] - hot[1]),
+        max(0.0, -cold[1]),
     )
     return (resid, 1e-12,
             "q1 odd, q2 even and non-negative, both zero at t = 0")
@@ -450,15 +453,12 @@ def _check_r_factor_modulus() -> _Measured:
 
 
 def _check_quadrature_error() -> _Measured:
-    warm = bath.BathState(beta=2.0)
-    t0 = bath.BathState()
     worst = 0.0
-    for coarse, fine in (
-        (bath.q1_full(_OHMIC, 2.0, rtol=1e-6), bath.q1_full(_OHMIC, 2.0, rtol=5e-7)),
-        (bath.q2_full(_OHMIC, t0, 2.0, rtol=1e-6), bath.q2_full(_OHMIC, t0, 2.0, rtol=5e-7)),
-        (bath.q2_full(_OHMIC, warm, 5.0, rtol=1e-6), bath.q2_full(_OHMIC, warm, 5.0, rtol=5e-7)),
-    ):
-        worst = max(worst, abs(coarse.value - fine.value) - coarse.error)
+    # q1 and q2 at T = 0, t = 2 and at beta = 2, t = 5
+    for state, t in ((bath.BathState(), 2.0), (bath.BathState(beta=2.0), 5.0)):
+        (coarse, error), (fine, _) = (
+            bath.q_grids(_OHMIC, state, [t], rtol) for rtol in (1e-6, 5e-7))
+        worst = max(worst, float(np.max(np.abs(coarse - fine) - error)))
     return (max(0.0, worst), 1e-15,
             "halving the tolerance moves each integral by less than its "
             "own reported error estimate")
@@ -473,7 +473,7 @@ def _check_factorization() -> _Measured:
     t0 = bath.BathState()
     ts = np.array([0.0, 0.7, 2.0, 5.0])
     traj = evolve_reduced(rho0, eff, _OHMIC, t0, ts)
-    # the products bath.phase_shift / bath.damping form, from q1/q2 over ts
+    # the products (E_j^2 - E_k^2) q1 and (E_j - E_k)^2 q2, from q1/q2 over ts
     q1s = bath.q1_grid(_OHMIC, ts).tolist()
     q2s = bath.q2_grid(_OHMIC, t0, ts).tolist()
     rho0 = traj.rho0

@@ -15,16 +15,11 @@ import pytest
 
 from cqdeph import kernels
 from cqdeph.bath import (
+    DEFAULT_RTOL,
     BathState,
     OhmicSpectralDensity,
     TabulatedSpectralDensity,
-    damping,
-    phase_shift,
-    q1,
-    q1_full,
     q1_grid,
-    q2,
-    q2_full,
     q2_grid,
     q_grids,
     r_factor,
@@ -32,6 +27,22 @@ from cqdeph.bath import (
 from cqdeph.errors import IntegrabilityError, InvalidArgumentError
 
 OHMIC = OhmicSpectralDensity(coupling=0.1, exponent=1.0, omega_c=1.0)
+
+
+def _q1(model, t, rtol=DEFAULT_RTOL):
+    """q1 at the one time t, from a grid of that time."""
+    return float(q1_grid(model, [t], rtol)[0])
+
+
+def _q2(model, state, t, rtol=DEFAULT_RTOL):
+    """q2 at the one time t, from a grid of that time."""
+    return float(q2_grid(model, state, [t], rtol)[0])
+
+
+def _at(model, state, t, rtol=DEFAULT_RTOL):
+    """((q1, q2), (their error estimates)) at the one time t, from q_grids."""
+    values, errors = q_grids(model, state, [t], rtol)
+    return tuple(values[:, 0].tolist()), tuple(errors[:, 0].tolist())
 
 # (exponent, t, beta or None for T=0, kind, value)
 MPMATH_GOLD = [
@@ -93,18 +104,18 @@ def test_q1_ohmic_closed_form():
     # T-independent: Q1 = alpha arctan(w_c t), over nine decades of w_c t,
     # and the reported error covers the true one
     for t in np.geomspace(1e-3, 1e6, 37):
-        res = q1_full(OHMIC, float(t))
+        (value, _), (error, _) = _at(OHMIC, BathState(), float(t))
         law = 0.1 * math.atan(t)
-        assert abs(res.value - law) <= min(1e-8 * law, res.error)
+        assert abs(value - law) <= min(1e-8 * law, error)
 
 
 def test_q2_ohmic_zero_t_closed_form():
     # Q2 = (alpha/2) ln(1 + w_c^2 t^2)
     state = BathState()
     for t in np.geomspace(1e-3, 1e6, 37):
-        res = q2_full(OHMIC, state, float(t))
+        (_, value), (_, error) = _at(OHMIC, state, float(t))
         law = 0.05 * math.log1p(t * t)
-        assert abs(res.value - law) <= min(1e-8 * law, res.error)
+        assert abs(value - law) <= min(1e-8 * law, error)
 
 
 def test_grid_errors_cover_the_ohmic_closed_forms():
@@ -144,7 +155,7 @@ def test_linear_ohmic_thermal_q2_up_to_a_million(beta):
     state = BathState(beta=beta)
     for t in np.geomspace(1e-3, 1e6, 19):
         law = _q2_thermal_law(float(t), beta)
-        assert q2(OHMIC, state, float(t)) == pytest.approx(law, rel=1e-8)
+        assert _q2(OHMIC, state, float(t)) == pytest.approx(law, rel=1e-8)
 
 
 def test_thermal_law_reference_is_converged():
@@ -162,12 +173,10 @@ def test_thermal_law_reference_is_converged():
 def test_other_exponents_within_reported_error(s, t):
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
     law1, law2 = _ohmic_zero_t_law(s, t)
-    r1 = q1_full(model, t)
-    r2 = q2_full(model, BathState(), t)
+    (v1, v2), (e1, e2) = _at(model, BathState(), t)
     # for s > 1, q1 falls like t^(1-s), so only its absolute error is asked for
-    assert abs(r1.value - law1) <= (r1.error if s > 1
-                                    else min(r1.error, 1e-8 * abs(law1)))
-    assert abs(r2.value - law2) <= min(r2.error, 1e-8 * law2)
+    assert abs(v1 - law1) <= (e1 if s > 1 else min(e1, 1e-8 * abs(law1)))
+    assert abs(v2 - law2) <= min(e2, 1e-8 * law2)
 
 
 @pytest.mark.parametrize("t,rtol", [
@@ -176,27 +185,27 @@ def test_other_exponents_within_reported_error(s, t):
 ])
 def test_non_finite_t_and_bad_rtol_rejected(t, rtol):
     with pytest.raises(InvalidArgumentError):
-        q1_full(OHMIC, t, rtol)
+        _q1(OHMIC, t, rtol)
     with pytest.raises(InvalidArgumentError):
-        q2_full(OHMIC, BathState(beta=2.0), t, rtol)
+        _at(OHMIC, BathState(beta=2.0), t, rtol)
 
 
 @pytest.mark.parametrize("s,t,beta,kind,value", MPMATH_GOLD)
 def test_frozen_goldens(s, t, beta, kind, value):
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
     if kind == "q1":
-        got = q1(model, t)
+        got = _q1(model, t)
     else:
         state = BathState() if beta is None else BathState(beta=beta)
-        got = q2(model, state, t)
+        got = _q2(model, state, t)
     assert got == pytest.approx(value, rel=2e-8)
 
 
 @pytest.mark.parametrize("s,t,beta,value", THERMAL_GOLD)
 def test_thermal_sub_ohmic_gold(s, t, beta, value):
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
-    res = q2_full(model, BathState(beta=beta), t)
-    assert abs(res.value - value) <= min(2e-8 * value, res.error)
+    (_, got), (_, error) = _at(model, BathState(beta=beta), t)
+    assert abs(got - value) <= min(2e-8 * value, error)
 
 
 def test_thermal_rtol_1e_11_meets_rtol():
@@ -208,23 +217,23 @@ def test_thermal_rtol_1e_11_meets_rtol():
     model = OhmicSpectralDensity(coupling=0.1, exponent=0.5, omega_c=1.0)
     for s, tg, beta, value in THERMAL_GOLD:
         if s == 0.5:
-            res = q2_full(model, BathState(beta=beta), tg, rtol=1e-11)
-            assert abs(res.value - value) <= res.error
+            (_, got), (_, error) = _at(model, BathState(beta=beta), tg, 1e-11)
+            assert abs(got - value) <= error
 
 
 def test_q1_is_odd_q2_is_even():
     state = BathState(beta=2.0)
-    assert q1(OHMIC, -3.0) == pytest.approx(-q1(OHMIC, 3.0), rel=1e-12)
-    assert q2(OHMIC, state, -3.0) == pytest.approx(
-        q2(OHMIC, state, 3.0), rel=1e-12)
-    assert q1(OHMIC, 0.0) == 0.0
-    assert q2(OHMIC, state, 0.0) == 0.0
+    assert _q1(OHMIC, -3.0) == pytest.approx(-_q1(OHMIC, 3.0), rel=1e-12)
+    assert _q2(OHMIC, state, -3.0) == pytest.approx(
+        _q2(OHMIC, state, 3.0), rel=1e-12)
+    assert _q1(OHMIC, 0.0) == 0.0
+    assert _q2(OHMIC, state, 0.0) == 0.0
 
 
 def test_q2_grows_with_temperature():
-    cold = q2(OHMIC, BathState(beta=5.0), 2.0)
-    warm = q2(OHMIC, BathState(beta=1.0), 2.0)
-    zero = q2(OHMIC, BathState(), 2.0)
+    cold = _q2(OHMIC, BathState(beta=5.0), 2.0)
+    warm = _q2(OHMIC, BathState(beta=1.0), 2.0)
+    zero = _q2(OHMIC, BathState(), 2.0)
     assert zero < cold < warm
 
 
@@ -239,9 +248,9 @@ def test_grid_matches_scalar_calls():
     g1 = q1_grid(OHMIC, t)
     g2 = q2_grid(OHMIC, BathState(beta=3.0), t)
     for k, tk in enumerate(t):
-        assert g1[k] == pytest.approx(q1(OHMIC, float(tk)), rel=1e-12)
+        assert g1[k] == pytest.approx(_q1(OHMIC, float(tk)), rel=1e-12)
         assert g2[k] == pytest.approx(
-            q2(OHMIC, BathState(beta=3.0), float(tk)), rel=1e-12)
+            _q2(OHMIC, BathState(beta=3.0), float(tk)), rel=1e-12)
 
 
 @pytest.mark.parametrize("rtol", [1e-8, 1e-11])
@@ -278,8 +287,8 @@ def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
         alone = kernels.quad_ohmic_grid((kind,), s, 0.1, 1.0, beta, on, rtol)[1][0]
         np.testing.assert_allclose(errors[row], alone, rtol=1e-9, atol=0.0)
     for k, tk in enumerate(t):
-        assert g1[k] == pytest.approx(q1(model, tk, rtol), rel=1e-12, abs=0.0)
-        assert g2[k] == pytest.approx(q2(model, state, tk, rtol), rel=1e-12, abs=0.0)
+        assert g1[k] == pytest.approx(_q1(model, tk, rtol), rel=1e-12, abs=0.0)
+        assert g2[k] == pytest.approx(_q2(model, state, tk, rtol), rel=1e-12, abs=0.0)
     if beta == 2.0 and (s, rtol) in ((3.0, 1e-8), (0.5, 1e-11)):
         # some times are bisected on their own, the others are not
         assert 0 < len(refined) < 2 * np.count_nonzero(t)
@@ -298,7 +307,7 @@ def test_joint_grid_where_q2_has_more_panels(s):
     np.testing.assert_allclose(j1, q1_grid(model, t), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(j2, q2_grid(model, state, t), rtol=1e-12, atol=0.0)
     for k, tk in enumerate(t):
-        assert j1[k] == pytest.approx(q1(model, tk), rel=1e-12, abs=0.0)
+        assert j1[k] == pytest.approx(_q1(model, tk), rel=1e-12, abs=0.0)
 
 
 def test_grid_memory_is_bounded():
@@ -326,7 +335,7 @@ def test_joint_grid_of_tabulated_density_is_its_single_kinds():
     (j1, j2), _ = q_grids(model, state, t)
     assert np.array_equal(j1, q1_grid(model, t))
     assert np.array_equal(j2, q2_grid(model, state, t))
-    assert j1[0] == -q1(model, 1.5)
+    assert j1[0] == -_q1(model, 1.5)
 
 
 @pytest.mark.parametrize("t,rtol", [
@@ -342,31 +351,32 @@ def test_grid_rejects_non_finite_times_and_bad_rtol(t, rtol):
 
 
 def test_error_estimate_brackets_refinement():
+    # q1 and q2 at T = 0
     for t in (0.4, 3.0, 20.0):
-        coarse = q1_full(OHMIC, t, rtol=1e-5)
-        fine = q1_full(OHMIC, t, rtol=1e-10)
-        assert abs(coarse.value - fine.value) <= max(coarse.error, 1e-14)
-        assert fine.error < coarse.error + 1e-14
+        coarse, coarse_err = _at(OHMIC, BathState(), t, 1e-5)
+        fine, fine_err = _at(OHMIC, BathState(), t, 1e-10)
+        for k in range(2):
+            assert abs(coarse[k] - fine[k]) <= max(coarse_err[k], 1e-14)
+            assert fine_err[k] < coarse_err[k] + 1e-14
 
 
-def test_q2_full_reports_error():
-    res = q2_full(OHMIC, BathState(beta=2.0), 4.0, rtol=1e-9)
-    assert res.error < 1e-6 * abs(res.value) + 1e-12
+def test_q_grids_reports_error():
+    (_, value), (_, error) = _at(OHMIC, BathState(beta=2.0), 4.0, 1e-9)
+    assert error < 1e-6 * abs(value) + 1e-12
 
 
 def test_zero_coupling_is_exactly_zero():
     dead = OhmicSpectralDensity(coupling=0.0)
-    assert q1(dead, 5.0) == 0.0
-    assert q2(dead, BathState(), 5.0) == 0.0
+    assert _at(dead, BathState(), 5.0) == ((0.0, 0.0), (0.0, 0.0))
 
 
 def test_tabulated_matches_ohmic_on_dense_grid():
     w = np.linspace(1e-4, 40.0, 6000)
     tab = TabulatedSpectralDensity(w, OHMIC.density(w))
     for t in (0.5, 2.0, 7.0):
-        assert q1(tab, t) == pytest.approx(q1(OHMIC, t), rel=2e-3)
-        assert q2(tab, BathState(), t) == pytest.approx(
-            q2(OHMIC, BathState(), t), rel=2e-3)
+        assert _q1(tab, t) == pytest.approx(_q1(OHMIC, t), rel=2e-3)
+        assert _q2(tab, BathState(), t) == pytest.approx(
+            _q2(OHMIC, BathState(), t), rel=2e-3)
 
 
 def test_tabulated_rejects_nonintegrable_origin():
@@ -391,12 +401,9 @@ def test_bath_state_constructors():
         BathState(beta=-1.0)
 
 
-def test_phase_shift_and_damping_composition():
+def test_r_factor_composition():
     t = 2.0
-    q1c = q1(OHMIC, t)
-    q2c = q2(OHMIC, BathState(), t)
-    assert phase_shift(2.0, 0.0, OHMIC, t) == pytest.approx(4.0 * q1c)
-    assert damping(2.0, 0.0, OHMIC, BathState(), t) == pytest.approx(4.0 * q2c)
+    (q1c, q2c), _ = _at(OHMIC, BathState(), t)
     r = r_factor(2.0, 0.0, OHMIC, BathState(), t)
     assert abs(r) == pytest.approx(math.exp(-4.0 * q2c), rel=1e-10)
     assert np.angle(r) == pytest.approx(
@@ -428,5 +435,5 @@ def test_r_factor_broadcasts_with_one_pass(monkeypatch):
 def test_mirrored_pair_keeps_modulus_but_gains_phase():
     # E' = -E: damping sees (E'-E)^2 > 0, the quadratic phase cancels
     r = r_factor(1.0, -1.0, OHMIC, BathState(), 2.0)
-    assert abs(r) == pytest.approx(math.exp(-4.0 * q2(OHMIC, BathState(), 2.0)))
-    assert phase_shift(1.0, -1.0, OHMIC, 2.0) == 0.0
+    assert abs(r) == pytest.approx(math.exp(-4.0 * _q2(OHMIC, BathState(), 2.0)))
+    assert r.imag == 0.0

@@ -10,9 +10,7 @@ from cqdeph import hilbert, kernels
 from cqdeph.bath import (
     BathState,
     OhmicSpectralDensity,
-    q1,
     q1_grid,
-    q2,
     q2_grid,
     q_grids,
 )
@@ -77,7 +75,8 @@ def test_element_matches_scalar_closed_form():
     e1, e2 = eigenvalue(hi, eff), eigenvalue(lo, eff)
     k_hi, k_lo = hi.flat_index(cut), lo.flat_index(cut)
     for k, t in enumerate(t_grid):
-        q1c, q2c = q1(OHMIC, float(t)), q2(OHMIC, state, float(t))
+        q1c = float(q1_grid(OHMIC, [t])[0])
+        q2c = float(q2_grid(OHMIC, state, [t])[0])
         want = 0.5 * np.exp(-1j * (e1 - e2) * t
                             - 1j * (e1**2 - e2**2) * q1c
                             - (e1 - e2) ** 2 * q2c)
@@ -240,6 +239,16 @@ def test_mixed_state_fidelity_matches_reference(rng):
     assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-14
 
 
+def _law_reference(rho0, energies, t, q1_vals, q2_vals):
+    """rho0 * kernels.dephasing_multipliers at every time, an evaluation of
+    the law independent of dynamics, and the mask of the elements whose
+    damping exponent that kernel clamps at 350."""
+    ref = np.array([rho0 * dephasing_multipliers(energies, tk, a, b)
+                    for tk, a, b in zip(t, q1_vals, q2_vals)])
+    de = np.subtract.outer(energies, energies)
+    return ref, np.multiply.outer(q2_vals, de * de) > 350.0
+
+
 def test_support_restriction_matches_snapshots(rng):
     cut = FockCutoff(2, 3)
     labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
@@ -248,7 +257,11 @@ def test_support_restriction_matches_snapshots(rng):
     rho0 = _mixed(cut, rng, rank=3, labels=labels)
     traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
                           np.linspace(0.0, 20.0, 9))
-    snaps = traj.snapshots
+    # the reference, not snapshots: snapshots and the tracked elements come
+    # from the same law in dynamics
+    snaps, clamped = _law_reference(rho0.mat, traj.energies, traj.t_grid,
+                                    traj.q1_vals, traj.q2_vals)
+    assert not clamped.any()
     assert len(traj.pairs) == len(labels) * (len(labels) - 1) // 2
     purity = np.einsum("tij,tji->t", snaps, snaps).real
     dab = cut.dim_a * cut.dim_b
@@ -258,6 +271,41 @@ def test_support_restriction_matches_snapshots(rng):
     assert np.abs(traj.qubit_coherence[0]) > 0.01
     for rec in traj.pairs:
         assert np.max(np.abs(rec.element - snaps[:, rec.row, rec.col])) <= 1e-14
+
+
+@pytest.mark.parametrize("case", ["pure", "coherent", "mixed"])
+def test_snapshots_and_oracle_follow_the_reference_law(rng, case):
+    """snapshots and the oracle's analytic side against rho0 times
+    kernels.dephasing_multipliers: the diagonal exactly, every other
+    element within 1e-15 |rho_jk|, except where that kernel clamps."""
+    cut = FockCutoff(11, 1)
+    if case == "pure":
+        rho0 = _random_pure(cut, rng)
+    elif case == "coherent":
+        rho0 = coherent_state("A", 1.0, cut).density()
+    else:
+        rho0 = _mixed(cut, rng, rank=3)
+    support = np.flatnonzero(np.diagonal(rho0.mat).real)
+    assert support.size == (12 if case == "coherent" else cut.dim)
+    diag = np.arange(cut.dim)
+
+    def check(got, rho, ref, clamped):
+        assert np.array_equal(got[:, diag, diag], ref[:, diag, diag])
+        bound = 1e-15 * np.broadcast_to(np.abs(rho), got.shape)
+        assert np.all((np.abs(got - ref) <= bound) | clamped)
+
+    traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
+                          np.linspace(0.0, 30.0, 7))
+    ref, clamped = _law_reference(traj.rho0, traj.energies, traj.t_grid,
+                                  traj.q1_vals, traj.q2_vals)
+    check(traj.snapshots, traj.rho0, ref, clamped)
+
+    spec = FiniteBathSpec(frequencies=(1.3,), couplings=(0.02,), cutoffs=(3,))
+    rep = finite_bath_oracle(rho0, _eff(), spec, np.linspace(2.0, 20.0, 4))
+    ref, clamped = _law_reference(rho0.mat, traj.energies, rep.t_grid,
+                                  rep.q1_vals, rep.q2_vals)
+    check(rep.analytic, rho0.mat, ref, clamped)
+    assert rep.max_deviation < 1e-3
 
 
 def _from_snapshots(traj):
@@ -591,10 +639,8 @@ def test_finite_bath_continuum_limit():
     q2_vals = q2_grid(model, BathState(), t)
     assert np.max(np.abs(rep.q1_vals - q1_vals)) < 1e-12
     assert np.max(np.abs(rep.q2_vals - q2_vals)) < 1e-12
-    energies = energies_vector(eff, cut)
-    closed = np.array([
-        rho0.mat * dephasing_multipliers(energies, tk, a, b)
-        for tk, a, b in zip(t, q1_vals, q2_vals)])
+    closed, _ = _law_reference(rho0.mat, energies_vector(eff, cut), t,
+                               q1_vals, q2_vals)
     assert np.max(np.abs(rep.reduced - closed)) < 1e-6
 
 

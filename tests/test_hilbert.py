@@ -290,6 +290,14 @@ def test_coherent_state_poisson_weights():
     assert np.linalg.norm(psi.vec) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("level", [-1, 2, 1.0])
+def test_coherent_state_rejects_qubit_level_outside_0_1(level):
+    # -1 used to build qubit level 1 through negative indexing, and 2 raised
+    # a bare IndexError
+    with pytest.raises(InvalidArgumentError, match="qubit_level must be 0 or 1"):
+        coherent_state("A", 0.5, FockCutoff(2, 1), qubit_level=level)
+
+
 def test_coherent_state_truncation_warning():
     with pytest.warns(UserWarning, match="truncation tail"):
         coherent_state("A", 3.0, FockCutoff(2, 1))
