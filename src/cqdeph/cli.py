@@ -28,8 +28,9 @@ the output directory; the echo is normalized to base units and loads back
 into the identical RunConfig, and the report lists the warnings the run
 raised under ``warnings``.  Scenario payloads: ``device`` adds nothing
 else, ``spectrum`` adds ``levels.csv``, ``dephasing`` adds
-``trajectory.csv`` and ``observables.csv``.  CSV cells are printed with 17 significant digits so
-repeated runs are byte-identical.
+``trajectory.csv`` and ``observables.csv``.  CSV integer cells are plain
+ints and float cells ``%.17g``, 17 significant digits, so repeated runs are
+byte-identical.
 
 Exit codes: 0 success, 1 config or argument error, 2 capacity or numeric
 error, 3 validation failure.
@@ -227,6 +228,10 @@ def _initial_state(cfg: RunConfig) -> StateVector:
     return StateVector.normalized(amp, cut)
 
 
+# cells formatted by one %-format call of _write_csv
+_CSV_BLOCK = 1 << 16
+
+
 def _json_float(x: float):
     return float(x) if math.isfinite(x) else None
 
@@ -237,15 +242,24 @@ def _write_text(path: str, text: str) -> None:
 
 
 def _write_csv(path: str, header: list[str], columns: list) -> None:
-    # integer columns as plain ints, every other column as %.17g floats
-    cells = []
-    for col in columns:
-        arr = np.asarray(col)
-        values = arr.tolist()
-        cells.append([str(v) for v in values] if arr.dtype.kind in "iu"
-                     else [f"{v:.17g}" for v in values])
-    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
-    _write_text(path, "\n".join(lines) + "\n")
+    """Write equal-length columns as CSV: integer columns as plain ints,
+    every other column as %.17g floats.  The columns are gathered into one
+    table, and each block of about _CSV_BLOCK cells is formatted by one
+    %-format string over its rows and written straight to the file."""
+    cols = [np.asarray(col) for col in columns]
+    ints = [col.dtype.kind in "iu" for col in cols]
+    row = ",".join("%d" if is_int else "%.17g" for is_int in ints) + "\n"
+    # Python objects keep every int of a table with int columns exact
+    table = np.empty((len(cols[0]), len(cols)),
+                     dtype=object if any(ints) else float)
+    for k, col in enumerate(cols):
+        table[:, k] = col
+    step = max(1, _CSV_BLOCK // len(cols))
+    with open(path, "w", encoding="utf-8", newline="\n") as f:
+        f.write(",".join(header) + "\n")
+        for i in range(0, len(table), step):
+            block = table[i:i + step]
+            f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
 def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:

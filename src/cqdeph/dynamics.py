@@ -57,6 +57,8 @@ OBSERVABLE_NAMES = ("purity", "qubit_coherence", "fidelity_to_initial")
 
 # largest number of complex elements DephasingTrajectory.snapshots may hold
 SNAPSHOT_CAP = 50_000_000
+# most coherences evolve_reduced tracks when it is given no pairs
+DEFAULT_PAIR_CAP = 256
 # elements of the gathered damping g that evolve_reduced's observables hold
 # for a block of times: 150 times of a few classes form one block, and a
 # 208-class state takes one time per block
@@ -230,9 +232,11 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     element rho_jk is the product psi_j conj(psi_k) that np.outer forms.
     A mixed rho0 also gathers its support block rho_S, whose elements and
     exact zeros root root^dag keeps only to rounding.
-    ``pairs`` selects which coherences get PairRecords (defaults to every
-    nonzero element above the diagonal of rho0; a requested element off S
-    is 0).  The tracked elements and the qubit coherence follow the law
+    ``pairs`` selects which coherences get PairRecords (a requested element
+    off S is 0).  It defaults to every nonzero element above the diagonal
+    of rho0; above DEFAULT_PAIR_CAP of them, to the DEFAULT_PAIR_CAP largest
+    in |rho_jk| (ties to the lower flat index), in flat order, with a
+    warning.  The tracked elements and the qubit coherence follow the law
     rho_jk exp(-i (dE t + (E_j^2 - E_k^2) Q1) - dE^2 Q2), written once in
     ``_element_law``.  The observables come from the factored law
 
@@ -339,7 +343,19 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     np.minimum(fidelity, 1.0, out=fidelity)
 
     if pairs is None:
-        a, b = np.nonzero(np.triu(_support_block(root) if pure else rho_s, k=1))
+        upper = np.triu(_support_block(root) if pure else rho_s, k=1)
+        a, b = np.nonzero(upper)
+        if a.size > DEFAULT_PAIR_CAP:
+            # the largest |rho_jk|, ties to the lower flat index, in flat order
+            keep = np.sort(np.argsort(-np.abs(upper[a, b]),
+                                      kind="stable")[:DEFAULT_PAIR_CAP])
+            warnings.warn(
+                f"rho0 has {a.size} nonzero elements above the diagonal; "
+                f"tracking the {DEFAULT_PAIR_CAP} largest in |rho_jk| "
+                "(give pairs, or a [pairs] section, to choose them)",
+                stacklevel=2,
+            )
+            a, b = a[keep], b[keep]
         req = list(zip(support[a].tolist(), support[b].tolist()))
     else:
         req = []

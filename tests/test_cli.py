@@ -1,9 +1,11 @@
 """Config parsing, echo roundtrip, scenario runs, exit codes."""
 
 import dataclasses
+import glob
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -102,6 +104,8 @@ COHERENT_BODY = DEPHASING_BODY.replace(
 
 SHIPPED_DEPHASING = os.path.join(os.path.dirname(__file__), os.pardir,
                                  "configs", "dephasing_dfs.cfg")
+SHIPPED_CONFIGS = sorted(glob.glob(os.path.join(
+    os.path.dirname(__file__), os.pardir, "configs", "*.cfg")))
 
 
 def _write(tmp_path, text, name="run.cfg"):
@@ -581,22 +585,43 @@ def _written_maxima(out_dir):
                  for name in ("purity", "fidelity_to_initial"))
 
 
-def test_written_purity_and_fidelity_are_at_most_one(tmp_path, rng):
-    run(load_config(SHIPPED_DEPHASING), str(tmp_path / "shipped"))
-    assert max(_written_maxima(tmp_path / "shipped")) <= 1.0
-    # a seeded pure state on all 288 labels of the (11, 11) cutoff
+def _dense_body(rng) -> str:
+    """DEPHASING_BODY with a seeded pure state on all 288 labels of the
+    (11, 11) cutoff; its one [pairs] entry stays."""
     amps = rng.normal(size=(288, 2)).tolist()
     lines = [f"amp_{k} = {m} {n} {i} : {re!r} {im!r}"
              for k, ((i, m, n), (re, im)) in enumerate(
                  zip(np.ndindex(2, 12, 12), amps))]
     body = DEPHASING_BODY.replace("n_max_a = 1\nn_max_b = 3",
                                   "n_max_a = 11\nn_max_b = 11")
-    body = body.replace("amp_0 = 0 0 0 : 0.7071067811865476 0\n"
+    return body.replace("amp_0 = 0 0 0 : 0.7071067811865476 0\n"
                         "amp_1 = 0 1 0 : 0 0.7071067811865476",
                         "\n".join(lines))
-    run(load_config(_write(tmp_path, body)), str(tmp_path / "dense"))
+
+
+def test_written_purity_and_fidelity_are_at_most_one(tmp_path, rng):
+    run(load_config(SHIPPED_DEPHASING), str(tmp_path / "shipped"))
+    assert max(_written_maxima(tmp_path / "shipped")) <= 1.0
+    run(load_config(_write(tmp_path, _dense_body(rng))), str(tmp_path / "dense"))
     purity, fidelity = _written_maxima(tmp_path / "dense")
     assert purity <= 1.0 and fidelity <= 1.0
+
+
+def test_dense_state_without_pairs_tracks_the_capped_default(tmp_path, rng):
+    # 41,328 nonzero upper elements: all of them wrote a 96 MB trajectory
+    body = _dense_body(rng).split("[pairs]")[0]
+    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "o"))
+    assert len(report["pairs"]) == 256
+    assert len(report["warnings"]) == 1
+    assert "41328 nonzero elements" in report["warnings"][0]
+    assert "256 largest" in report["warnings"][0]
+    # in flat order: a label (m, n, i) sorts as (i, m, n) does
+    keys = [(r[2], r[0], r[1], c[2], c[0], c[1]) for r, c in
+            ((p["row_label"], p["col_label"]) for p in report["pairs"])]
+    assert keys == sorted(keys)
+    table = tmp_path / "o" / "trajectory.csv"
+    assert len(table.read_text().splitlines()[0].split(",")) == 1 + 4 * 256
+    assert table.stat().st_size < 1_000_000
 
 
 def test_run_validate_report(tmp_path):
@@ -615,6 +640,98 @@ def test_run_records_warnings_in_report(tmp_path):
         assert "coherent state truncation tail" in report["warnings"][0]
         texts.append((tmp_path / name / "report.json").read_bytes())
     assert texts[0] == texts[1]
+
+
+# --------------------------------------------------------------- CSV tables
+
+def _reference_cell(v) -> str:
+    """One CSV cell formatted on its own, the independent reference for
+    cli._write_csv, which formats a block of rows per call."""
+    return str(v) if isinstance(v, int) else f"{v:.17g}"
+
+
+def _reference_csv(header, columns) -> str:
+    cells = [[_reference_cell(v) for v in np.asarray(col).tolist()]
+             for col in columns]
+    lines = [",".join(header)] + [",".join(row) for row in zip(*cells)]
+    return "\n".join(lines) + "\n"
+
+
+def _first_difference(got: str, want: str):
+    """(line number, got line, wanted line) of the first line that differs,
+    or None: a short message where pytest would diff megabytes."""
+    a, b = got.split("\n"), want.split("\n")
+    for k, (x, y) in enumerate(zip(a, b)):
+        if x != y:
+            return k, x, y
+    return None if len(a) == len(b) else (min(len(a), len(b)), "", "")
+
+
+def _parse_cell(cell: str):
+    # str never writes "-0": that is a float cell
+    if re.fullmatch(r"-?[0-9]+", cell) and cell != "-0":
+        return int(cell)
+    return float(cell)
+
+
+_EDGE_FLOATS = [-0.0, 0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                9.9999999999999991e-06, 1e-5, 9.9999999999999991e-05, 1e-4,
+                0.1, 1.0, -3.0, 1e16, 12345678901234568.0, 1e17,
+                1.7976931348623157e308, float("nan"), float("inf"),
+                float("-inf")]
+
+
+def _block_rows(columns: int) -> int:
+    """Rows that fill two blocks of the writer and start a third."""
+    return 2 * (cli._CSV_BLOCK // columns) + 5
+
+
+def _csv_case(name, rng):
+    if name == "edges":
+        n = len(_EDGE_FLOATS)
+        labels = np.array([0, -1, 7, 2 ** 53 + 1, 2 ** 63 - 1, -2 ** 63]
+                          + list(range(n - 6)), dtype=np.int64)
+        return ["x", "n", "t"], [_EDGE_FLOATS, labels, np.arange(n) * 0.25]
+    if name == "one row":
+        return ["t", "x", "n"], [np.array([0.5]), np.array([1e-4]),
+                                 np.array([3], dtype=np.int64)]
+    if name == "floats over blocks":
+        n = _block_rows(3)
+        # random odd bit patterns (every sign and exponent, nan payloads) and
+        # magnitudes over every decade
+        bits = rng.integers(0, 2 ** 63, size=n, dtype=np.int64) * 2 + 1
+        mags = rng.random(n) * 10.0 ** rng.integers(-320, 300, n)
+        return ["bits", "mag", "t"], [bits.view(float), mags,
+                                      np.linspace(0.0, 30.0, n)]
+    n = _block_rows(5)
+    return (["flat_index", "m", "n", "i", "energy"],
+            [np.arange(n), rng.integers(0, 40, n), rng.integers(0, 40, n),
+             rng.integers(0, 2, n), rng.normal(size=n) * 1e9])
+
+
+@pytest.mark.parametrize("case", ["edges", "one row", "floats over blocks",
+                                  "ints and floats over blocks"])
+def test_write_csv_matches_the_per_cell_reference(tmp_path, rng, case):
+    header, columns = _csv_case(case, rng)
+    path = tmp_path / "t.csv"
+    cli._write_csv(str(path), header, columns)
+    got = path.read_bytes().decode("ascii")
+    assert _first_difference(got, _reference_csv(header, columns)) is None
+
+
+@pytest.mark.parametrize("config", SHIPPED_CONFIGS,
+                         ids=[os.path.basename(p) for p in SHIPPED_CONFIGS])
+def test_shipped_tables_reparse_to_the_same_text(tmp_path, config):
+    report = run(load_config(config), str(tmp_path))
+    tables = sorted(tmp_path.glob("*.csv"))
+    assert {t.name for t in tables} == set(report.get("tables", {}).values())
+    for table in tables:
+        text = table.read_text()
+        header, *rows = text.splitlines()
+        again = [header] + [",".join(_reference_cell(_parse_cell(c))
+                                     for c in row.split(",")) for row in rows]
+        assert _first_difference(text, "\n".join(again) + "\n") is None, \
+            table.name
 
 
 # --------------------------------------------------------------- subprocess

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from cqdeph.bath import (
 )
 from cqdeph.device import EffectiveParams
 from cqdeph.dynamics import (
+    DEFAULT_PAIR_CAP,
     FiniteBathSpec,
     _class_gaps,
     dispersive_check,
@@ -112,6 +114,38 @@ def test_default_pairs_cover_upper_triangle():
     assert got == want
     for rec in traj.pairs:
         assert rec.label_row.flat_index(cut) == rec.row
+
+
+def _default_pairs(rho0):
+    """The (row, col) of evolve_reduced's default pairs and its warnings."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(),
+                              np.array([0.0, 1.0]))
+    return [(r.row, r.col) for r in traj.pairs], [str(w.message) for w in caught]
+
+
+def test_default_pairs_capped_at_the_largest_elements(rng):
+    cut = FockCutoff(3, 3)
+    assert DEFAULT_PAIR_CAP == 256
+    # equal amplitudes: 23 labels give 253 pairs, all tracked; 24 give 276,
+    # every one a tie, so the 256 lowest flat indices
+    for n, warned in ((23, 0), (24, 1)):
+        labels = [TensorBasisLabel.from_flat(k, cut) for k in range(n)]
+        got, caught = _default_pairs(_plus_state(cut, labels).density())
+        upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
+        assert got == upper[:DEFAULT_PAIR_CAP]
+        assert len(caught) == warned
+    assert caught[0].startswith("rho0 has 276 nonzero elements")
+    # a seeded state on all 32 labels: the 256 largest |rho_jk| of 496
+    psi = StateVector.normalized(rng.normal(size=32) + 1j * rng.normal(size=32),
+                                 cut)
+    rho = np.outer(psi.vec, psi.vec.conj())
+    ranked = sorted(((-abs(rho[a, b]), a, b) for a in range(32)
+                     for b in range(a + 1, 32)))
+    got, caught = _default_pairs(psi.density())
+    assert got == sorted((a, b) for _, a, b in ranked[:DEFAULT_PAIR_CAP])
+    assert len(caught) == 1
 
 
 def test_pairs_accept_flat_indices_and_labels():

@@ -113,3 +113,11 @@ def test_bench_pairs_summarizes_each_metric():
     far[:2] = [30.0, 30.0]
     assert bench_pairs.summarize(base, far, "lower")["gain_holds"] is False
     assert bench_pairs.summarize(far, base, "higher")["gain_holds"] is False
+
+
+def test_bench_pairs_finds_a_nested_pycache(tmp_path):
+    bench_pairs = _load("bench_pairs")
+    (tmp_path / "src" / "cqdeph").mkdir(parents=True)
+    assert bench_pairs.has_pycache(str(tmp_path)) is False
+    (tmp_path / "src" / "cqdeph" / "__pycache__").mkdir()
+    assert bench_pairs.has_pycache(str(tmp_path)) is True

@@ -13,7 +13,11 @@ side's runs with their median and quartiles, the ratio of the medians
 holds (at least 9 of 10 pairs won, and the medians further apart than the
 parent's quartiles, in the change's favour); the failed and
 attempted operations of every run; the per-layer metrics of the traced runs;
-and the environment that ``perfbench/run.py`` reports.
+and the environment that ``perfbench/run.py`` reports.  It also records the
+``PYTHONDONTWRITEBYTECODE`` setting and whether each checkout held
+``__pycache__`` directories before the first run and after the last: a
+process that compiles the package from source pays that in ``setup_s``, and
+the compiler's leftover heap shows in ``peak_rss_mb``.
 """
 
 from __future__ import annotations
@@ -66,6 +70,11 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float,
     return lines[-1], lines[0]["environment"]
 
 
+def has_pycache(checkout: str) -> bool:
+    """Whether ``checkout`` holds a ``__pycache__`` directory."""
+    return any("__pycache__" in dirs for _, dirs, _ in os.walk(checkout))
+
+
 def git_head(checkout: str) -> str:
     got = subprocess.run(["git", "-C", checkout, "rev-parse", "HEAD"],
                          capture_output=True, text=True)
@@ -98,7 +107,11 @@ def main(argv: list[str]) -> int:
                  "in even pairs, change first in odd ones; then one traced run "
                  f"per side and workload (--trace 1, seed {args.first_seed}), "
                  "parent first. Each side ran from its own checkout",
-        "environment": None, "workloads": {}, "traced": {},
+        "environment": None,
+        "python_dont_write_bytecode": os.environ.get("PYTHONDONTWRITEBYTECODE"),
+        "pycache": {side: {"before": has_pycache(path)}
+                    for side, path in checkouts.items()},
+        "workloads": {}, "traced": {},
     }
     for workload in args.workloads.split(","):
         results = {side: [] for side in SIDES}
@@ -124,6 +137,8 @@ def main(argv: list[str]) -> int:
             traced[side] = {name: m["value"] for name, m in result["metrics"].items()}
             traced[side]["failed"] = result["failed"]
         record["traced"][workload] = traced
+    for side, path in checkouts.items():
+        record["pycache"][side]["after"] = has_pycache(path)
     with open(args.out, "w", encoding="utf-8") as f:
         json.dump(record, f, indent=1)
         f.write("\n")
