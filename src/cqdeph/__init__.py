@@ -24,106 +24,49 @@ cli           config-driven command line front end
 
 __version__ = "0.1.0"
 
-from .bath import (
-    BathState,
-    OhmicSpectralDensity,
-    TabulatedSpectralDensity,
-    q1_grid,
-    q2_grid,
-    q_grids,
-    r_factor,
-)
-from .device import (
-    CrossPhase,
-    DeviceParams,
-    EffectiveParams,
-    RegimeReport,
-    cross_kerr,
-    cross_phase,
-    dressed_mode_frequency,
-    effective_couplings,
-    qubit_frequency,
-    regime_report,
-)
-from .dynamics import (
-    DephasingTrajectory,
-    DispersiveCheck,
-    FiniteBathReport,
-    FiniteBathSpec,
-    dispersive_check,
-    evolve_reduced,
-    finite_bath_oracle,
-    observables,
-)
-from .errors import (
-    CapacityError,
-    ConfigError,
-    CqdephError,
-    IntegrabilityError,
-    InvalidArgumentError,
-    NumericsError,
-    ValidationFailure,
-)
-from .hamiltonians import (
-    HamiltonianStage,
-    build_diagonal,
-    build_dispersive,
-    build_full,
-    build_jc,
-    build_quadratic,
-    build_rotated,
-    frame_free_part,
-)
-from .hilbert import (
-    FockCutoff,
-    OperatorMatrix,
-    StateVector,
-    TensorBasisLabel,
-    annihilation,
-    coherent_state,
-    identity,
-    number_operator,
-    number_state,
-    partial_trace,
-    tensor3,
-)
-from .spectrum import (
-    DegeneracyClass,
-    DfsResult,
-    DfsVerification,
-    dfs_find,
-    dfs_verify,
-    eigenvalue,
-    levels,
-)
-from .validation import CheckResult, run_all, summary_text
+import importlib
 
-__all__ = [
-    "__version__",
-    # errors
-    "CqdephError", "InvalidArgumentError", "CapacityError",
-    "IntegrabilityError", "NumericsError", "ConfigError", "ValidationFailure",
-    # hilbert
-    "FockCutoff", "TensorBasisLabel", "OperatorMatrix", "StateVector",
-    "annihilation", "number_operator", "identity", "tensor3", "number_state",
-    "coherent_state", "partial_trace",
-    # device
-    "DeviceParams", "EffectiveParams", "CrossPhase", "RegimeReport",
-    "cross_kerr", "dressed_mode_frequency", "effective_couplings",
-    "qubit_frequency", "cross_phase", "regime_report",
-    # hamiltonians
-    "HamiltonianStage", "build_full", "build_rotated", "build_quadratic",
-    "build_jc", "build_dispersive", "build_diagonal", "frame_free_part",
-    # spectrum
-    "DegeneracyClass", "DfsResult", "DfsVerification", "eigenvalue", "levels",
-    "dfs_find", "dfs_verify",
-    # bath
-    "OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",
-    "q1_grid", "q2_grid", "q_grids", "r_factor",
-    # dynamics
-    "DephasingTrajectory", "FiniteBathSpec", "FiniteBathReport",
-    "DispersiveCheck", "evolve_reduced", "observables", "finite_bath_oracle",
-    "dispersive_check",
-    # validation
-    "CheckResult", "run_all", "summary_text",
-]
+# module -> the public names it defines.  Each module, and each name, is
+# imported on first access (PEP 562), so a CLI call loads only the modules
+# its scenario uses.
+_EXPORTS = {
+    "errors": ("CqdephError", "InvalidArgumentError", "CapacityError",
+               "IntegrabilityError", "NumericsError", "ConfigError",
+               "ValidationFailure"),
+    "hilbert": ("FockCutoff", "TensorBasisLabel", "OperatorMatrix", "StateVector",
+                "annihilation", "number_operator", "identity", "tensor3",
+                "number_state", "coherent_state", "partial_trace"),
+    "device": ("DeviceParams", "EffectiveParams", "CrossPhase", "RegimeReport",
+               "cross_kerr", "dressed_mode_frequency", "effective_couplings",
+               "qubit_frequency", "cross_phase", "regime_report"),
+    "hamiltonians": ("HamiltonianStage", "build_full", "build_rotated",
+                     "build_quadratic", "build_jc", "build_dispersive",
+                     "build_diagonal", "frame_free_part"),
+    "spectrum": ("DegeneracyClass", "DfsResult", "DfsVerification", "eigenvalue",
+                 "levels", "dfs_find", "dfs_verify"),
+    "bath": ("OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",
+             "q1_grid", "q2_grid", "q_grids", "r_factor"),
+    "kernels": (),
+    "dynamics": ("DephasingTrajectory", "FiniteBathSpec", "FiniteBathReport",
+                 "DispersiveCheck", "evolve_reduced", "observables",
+                 "finite_bath_oracle", "dispersive_check"),
+    "validation": ("CheckResult", "run_all", "summary_text"),
+    "cli": (),
+}
+_ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}
+
+__all__ = ["__version__", *_ORIGIN]
+
+
+def __getattr__(name):
+    if name in _EXPORTS:
+        return importlib.import_module(f".{name}", __name__)
+    if name not in _ORIGIN:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_ORIGIN[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_EXPORTS})

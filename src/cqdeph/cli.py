@@ -45,12 +45,11 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
-from fractions import Fraction
-from typing import Callable
+from typing import TYPE_CHECKING, Callable
 
 import numpy as np
 
-from . import __version__, hilbert, validation
+from . import __version__, hilbert
 from .bath import (
     DEFAULT_RTOL,
     BathState,
@@ -80,6 +79,9 @@ from .errors import (
 )
 from .hilbert import FockCutoff, StateVector, TensorBasisLabel, coherent_state
 from .spectrum import TRUNCATION_NOTE, _check_ratio, dfs_find, energies_vector
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 __all__ = ["RunConfig", "load_config", "render_config", "run", "main"]
 
@@ -373,6 +375,8 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
 
 
 def _run_validate(cfg: RunConfig, out_dir: str, tol) -> dict:
+    from . import validation  # only this scenario loads the check suite
+
     results = validation.run_all(tol_scale=tol if tol is not None else 1.0)
     return {
         "checks": [{**asdict(r), "residual": _json_float(r.residual)}
@@ -676,6 +680,8 @@ def _read_kind(kind: str, raw: str, key: str, line: int, config_dir: str,
     if kind == "beta":
         return math.inf if raw == "inf" else _dimensional(raw, "time", key, line)
     if kind == "rational":
+        from fractions import Fraction
+
         try:
             value = Fraction(raw)
         except (ValueError, ZeroDivisionError):

@@ -39,12 +39,6 @@ import numpy as np
 from . import bath, spectrum
 from .device import EffectiveParams
 from .errors import CapacityError, InvalidArgumentError, NumericsError
-from .hamiltonians import (
-    FRAME_B_ROTATING,
-    build_diagonal,
-    build_jc,
-    frame_free_part,
-)
 from .hilbert import (
     FockCutoff,
     OperatorMatrix,
@@ -617,6 +611,9 @@ def dispersive_check(psi0: StateVector, eff: EffectiveParams, e_j_max: float,
     The initial mean photon number of mode A is reported because the
     dispersive approximation degrades as photons increase.
     """
+    # the dephasing path never builds a Hamiltonian matrix
+    from .hamiltonians import FRAME_B_ROTATING, build_diagonal, build_jc, frame_free_part
+
     cutoff = _need_cutoff(psi0)
     t = _check_t_grid(t_grid)
     jc = build_jc(eff, e_j_max, cutoff)

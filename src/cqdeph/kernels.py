@@ -10,12 +10,16 @@ ln r, so their cost grows like ln(omega_c t) and t has no limit.  Below the
 first panel the integrand is a power law in ln r, added in closed form, and
 the first panel sits where the bound on that head's remainder meets 1e-3
 rtol (initial_panels), so the count stays within 2x of the s = 1 count as
-s goes to 0.  In the thermal q2 at s < 1 the lowest nodes weigh much, and
-there the cancelling difference h - expm1(i w t) of its integrand is
-summed as a series.  The panels of every time lie on one lattice in ln r,
-so a grid of times shares its nodes and the t-independent part of the
-integrand (quad_ohmic_grid), q1 and q2 of a grid share expm1(i w t) as
-well, and a single time is a grid of one.  Tabulated densities are
+s goes to 0.  The panels of every time lie on one lattice in ln r, so a
+grid of times shares its nodes and the t-independent part of the integrand
+(quad_ohmic_grid), q1 and q2 of a grid share expm1(i w t) as well, and a
+single time is a grid of one.  With u = t Re w, only about 11 panels of a
+time, those with 0.1 <= u <= 40, need that time's nodes: below, in the
+head, the integrand is a power series in u, and above, in the dead tail,
+e^{iwt} is below rounding and it is a series in 1/u.  There a panel is a
+sum of t-independent node moments times powers of u, one matrix product
+for a block of times; in the head the series also avoids the cancelling
+difference h - expm1(i w t) of the kind-2 integrand.  Tabulated densities are
 piecewise linear, not analytic, and keep real-axis panels of at most half
 an oscillation period, at most PANEL_CAP of them.  Zero
 temperature is beta = inf, the one encoding of T = 0 here: there the
@@ -68,10 +72,12 @@ _W7 = np.array([
     0.129484966168870, 0.0,
 ])
 # quad_ohmic_grid: the GK15 nodes and then the lower edge of a panel, as
-# fractions of its width from that edge, and per unit width the weights of
-# the Kronrod value and of its error estimate on them (columns)
+# fractions of its width from that edge, and on them the weights (columns)
+# of the Kronrod value and of its error estimate, per unit width, and of the
+# lower edge's integrand, which the closed-form head reads
 _U16 = np.append(0.5 * (_X15 + 1.0), 0.0)
-_W_GK = 0.5 * np.stack([np.append(_W15, 0.0), np.append(_W15 - _W7, 0.0)], axis=1)
+_W_GK = np.stack([np.append(0.5 * _W15, 0.0), np.append(0.5 * (_W15 - _W7), 0.0),
+                  np.eye(16)[15]], axis=1)
 for _arr in (_X15, _W15, _W7, _U16, _W_GK):
     _arr.flags.writeable = False
 
@@ -81,14 +87,66 @@ _ROT = complex(math.sqrt(0.5), math.sqrt(0.5))  # e^{i pi/4}, the integration ra
 _RAY_WIDTH = 0.6  # width of the initial ray panels in x = ln r
 _X_MIN = math.log(np.finfo(float).tiny)  # below this r = e^x is no longer a normal float
 _EPS = float(np.finfo(float).eps)
-# h - expm1(z) with z = u (i - 1) is u^2 times a polynomial in u with the
-# coefficients c_n (i - 1)^n, c_n = [n odd] - 1/n!, here from n = 16 down to
-# 2 with Re and Im in two rows; that meets eps up to u = _U_SERIES
-_U_SERIES = 0.05
-_SERIES = np.array([((n % 2) - 1.0 / math.factorial(n)) * complex(-1.0, 1.0) ** n
-                    for n in range(16, 1, -1)])
-_SERIES = np.stack([_SERIES.real, _SERIES.imag])
-_SERIES.flags.writeable = False
+# With u = t Re w, z = i w t = u (i - 1).  Below _U_LO, expm1(z) and
+# h - expm1(z) are their power series sum_n c_n z^n, c_n = 1/n! and
+# [n odd] - 1/n!, cut after n = 20.  Above _U_HI, |e^z| = e^-u is below
+# rounding, so expm1(z) = -1 and h - expm1(z) = 1 - sum_k z^-(2k+1), cut
+# after k = 4.  _SERIES[kind] holds the exponents n and the coefficients
+# c_n (i - 1)^n of u^n in the head and in the tail.  ln(_U_HI / _U_LO) is
+# just below 10 panel widths, so a time's live band, the panels between,
+# has at most 11.
+_U_LO, _U_HI = 0.1, 40.0
+_LIVE = 11
+# grids of fewer times evaluate every panel node by node: below 8 to 16
+# times, by the grid's span, the moments cost more than the nodes they save
+_FEW = 16
+_HEAD_N = np.arange(1.0, 21.0)
+_TAIL_N = np.array([0.0, -1.0, -3.0, -5.0, -7.0, -9.0])
+_Z_HEAD, _Z_TAIL = (np.array([complex(-1.0, 1.0) ** int(n) for n in ns])
+                    for ns in (_HEAD_N, _TAIL_N))
+_INV_FACT = np.array([1.0 / math.factorial(int(n)) for n in _HEAD_N])
+_SERIES = {1: ((_HEAD_N, _Z_HEAD * _INV_FACT), (_TAIL_N, np.where(_TAIL_N == 0.0, -1.0, 0.0) + 0j)),
+           2: ((_HEAD_N, _Z_HEAD * (_HEAD_N % 2 - _INV_FACT)),
+               (_TAIL_N, np.where(_TAIL_N == 0.0, 1.0, -_Z_TAIL)))}
+# the exponents of quad_ohmic_grid's moments: the head's, then n = 21 of
+# its truncation bound, then the tail's
+_N = np.concatenate([_HEAD_N, [21.0], _TAIL_N])
+_N_HEAD = _HEAD_N.size + 1
+# a ray panel's nodes as offsets from its lower edge in x = ln r, and the
+# weights on them of its columns: the Kronrod value, its error estimate,
+# the lower edge's integrand, and (zero here) the series truncation bound
+_D16 = _RAY_WIDTH * _U16
+_W_RAY = np.append(_W_GK * np.array([_RAY_WIDTH, _RAY_WIDTH, 1.0]), np.zeros((16, 1)), axis=1)
+_W_RAY.flags.writeable = False
+
+
+def _moment_matrix(kind):
+    """The matrix that takes a panel's row [Re F, Im F, |F|] of F = w g coth
+    at its 16 nodes to its moments m[n, c]: in Re (kind 2) or Im (kind 1),
+    sum_j W_jc F_j c_n rho_j^n over the exponents n of _N with the series
+    coefficients c_n of _SERIES[kind], rho_j = e^{d_j} for the node offsets
+    d_j of _D16 and the first three columns W of _W_RAY.  Column 3 is the
+    bound on the series' truncation: sum_j W_j0 |F_j| times, in the head,
+    |z|^21 / (1 - |z|) at |z| = sqrt(2) u <= sqrt(2) _U_LO (n = 21), and in
+    the tail the dropped e^-u and |z|^-11 / (1 - |z|^-2) at u >= _U_HI
+    (n = 0).  A panel's columns at u = t Re w of its lower edge are then
+    sum_n u^n m[n]; shape (_N.size * 4, 48)."""
+    (_, head), (_, tail) = _SERIES[kind]
+    c = np.concatenate([head, [0.0], tail])
+    m = np.zeros((3, 16, _N.size, 4), dtype=complex)
+    m[0, :, :, :3] = c[:, None] * np.exp(np.outer(_D16, _N))[:, :, None] * _W_RAY[:, None, :3]
+    m[1] = 1j * m[0]
+    m = m.imag if kind == 1 else m.real
+    z_lo, z_hi = math.sqrt(2.0) * _U_LO, math.sqrt(2.0) * _U_HI
+    m[2, :, _N_HEAD - 1, 3] = (_W_RAY[:, 0] * np.exp(21.0 * _D16)
+                               * (math.sqrt(2.0) ** 21 / (1.0 - z_lo)))
+    m[2, :, _N_HEAD, 3] = _W_RAY[:, 0] * (math.exp(-_U_HI) + z_hi ** -11 / (1.0 - z_hi ** -2))
+    m = np.ascontiguousarray(m.reshape(48, -1).T)
+    m.flags.writeable = False
+    return m
+
+
+_MOMENTS = {kind: _moment_matrix(kind) for kind in (1, 2)}
 
 
 def _panel_counts(t, omega_c: float, s: float, rtol: float,
@@ -197,26 +255,35 @@ def _adaptive(f, a, b, vals, errs, rtol, cap):
     return float(vals.sum()), float(errs.sum())
 
 
-def _ray_factors(kind, s, alpha, omega_c, beta, x):
-    """The factors of the ray integrand that do not depend on t, at nodes x:
-    Re w / 2 (= Im w / 2) with w = e^x e^{i pi/4}, Re and Im of w g(w), and
-    for kind 2 at beta < inf Re and Im of coth(beta w / 2)."""
-    rc = np.exp(x) * _ROT.real  # Re w = Im w
+def _ray_factors(kinds, s, alpha, omega_c, beta, lo, offsets=0.0):
+    """The factors of the ray integrand that do not depend on t, at nodes
+    x = lo + offsets: Re w / 2 (= Im w / 2) with w = e^x e^{i pi/4}, then
+    per kind of kinds Re and Im of F = w g(w), times coth(beta w / 2) for
+    kind 2 at beta < inf.  Re w is e^lo e^offsets, so that a panel's nodes
+    are its lower edge's times the factors _MOMENTS takes them as.  F
+    overflows below r ~ 1e-154, which the panels reach only at t > 1e140."""
+    x = lo + offsets
+    rc = np.exp(lo) * _ROT.real  # Re w = Im w
+    rc = rc * np.exp(offsets)
     # in x = ln r, dw = w dx: w g(w) = scale w^(s-1) exp(-w/omega_c),
     # with ln w = x + i pi/4
     decay = rc / omega_c
     mag = np.exp((s - 1.0) * x - decay)
     mag *= alpha * omega_c ** (1.0 - s)
     phase = (s - 1.0) * (math.pi / 4.0) - decay
-    factors = [0.5 * rc, mag * np.cos(phase), mag * np.sin(phase)]
-    # beta = inf would make the factor nan on the ray (sin(inf)), so T = 0
-    # drops it instead
-    if kind == 2 and not math.isinf(beta):
+    wg = [mag * np.cos(phase), mag * np.sin(phase)]
+    factors = [0.5 * rc]
+    for kind in kinds:
+        # beta = inf would make coth nan on the ray (sin(inf)), so T = 0
+        # drops it instead
+        if kind == 1 or math.isinf(beta):
+            factors += wg
+            continue
         # coth(beta w / 2) = -1 - 2 / expm1(-beta w), and expm1(-beta w) is
         # the conjugate of expm1(i w beta)
         e_re, e_im = _expm1_iwt(beta * factors[0])
-        coth = -1.0 - 2.0 / (e_re - 1j * e_im)
-        factors += [coth.real, coth.imag]
+        f = (wg[0] + 1j * wg[1]) * (-1.0 - 2.0 / (e_re - 1j * e_im))
+        factors += [f.real, f.imag]
     return factors
 
 
@@ -240,52 +307,25 @@ def _expm1_iwt(hu):
     return e_re, e_im
 
 
-def _series_bound(t, omega_c: float, s: float, rtol: float) -> np.ndarray:
-    """Per time t, the u = t Re w below which the thermal kind-2 integrand
-    takes h - expm1(i w t) from its series (s < 1 only).
-
-    The direct difference cancels to a relative error of about eps / u,
-    and below the scale u_s = t r_s Re e^{i pi/4} a node weighs about
-    (u / u_s)^s of the integrand there, so it loses eps u^(s-1) u_s^-s.
-    That exceeds 1e-3 rtol below u = (eps / (1e-3 rtol u_s^s))^(1/(1-s)),
-    which is taken no higher than u_s and _U_SERIES.
-    """
-    u_s = np.minimum(omega_c * t, 1.0) * _ROT.real
-    ln_u = np.log(u_s)
-    ln_u *= -s
-    ln_u += math.log(_EPS / (1e-3 * rtol))
-    ln_u /= 1.0 - s
-    return np.exp(np.minimum(ln_u, np.log(np.minimum(u_s, _U_SERIES))))
+def _series_nodes(kind, tail, u, f_re, f_im):
+    """The integrand of kind at nodes u = t Re w of the head (tail false)
+    or of the dead tail, from the series of _SERIES and Re and Im of F
+    (_ray_factors)."""
+    n, c = _SERIES[kind][tail]
+    v = (u[:, None] ** n) @ c
+    v *= f_re + 1j * f_im
+    return v.imag if kind == 1 else v.real
 
 
-def _series_fill(hu, a_re, a_im, u_max):
-    """Overwrite Re and Im of h - expm1(i w t), a_re and a_im, by their
-    series in u = 2 hu wherever u < u_max."""
-    on = hu < 0.5 * u_max
-    if not on.any():
-        return
-    u = 2.0 * hu[on]
-    acc = np.repeat(_SERIES[:, :1], u.size, axis=1)  # Horner, Re and Im rows
-    for c in _SERIES[:, 1:].T:
-        acc *= u
-        acc += c[:, None]
-    acc *= u * u
-    a_re[on], a_im[on] = acc
-
-
-def _ray_kernel(kind, hu, e_re, e_im, wg_re, wg_im, coth_re=None, coth_im=None, *,
-                u_max=None, head=None):
+def _ray_kernel(kind, hu, e_re, e_im, f_re, f_im):
     """The integrand in x = ln r at hu = t Re w / 2, from Re and Im of
-    expm1(i w t) (_expm1_iwt(hu)) and the t-independent factors of
+    expm1(i w t) (_expm1_iwt(hu)) and of the t-independent factor F of
     _ray_factors, all broadcast against each other.  Kind 2 only reads its
     inputs and kind 1 overwrites e_re and e_im, so both kinds take their
-    integrand from one expm1 when kind 2 goes first.  For kind 2 with
-    u_max given (also broadcast), h - expm1(i w t) is taken from its series
-    where u = t Re w < u_max, looked for in the first head panels (the next
-    to last axis; all of them by default)."""
+    integrand from one expm1 when kind 2 goes first."""
     if kind == 1:
-        e_re *= wg_im
-        e_im *= wg_re
+        e_re *= f_im
+        e_im *= f_re
         e_im += e_re
         return e_im
     # h = u ((q - 1) + i (q + 1)) / (1 + q^2) with u = 2 hu, q = 2 u^2:
@@ -301,25 +341,16 @@ def _ray_kernel(kind, hu, e_re, e_im, wg_re, wg_im, coth_re=None, coth_im=None, 
     a_re -= e_re  # Re(h - expm1(i w t))
     q += d
     q -= e_im  # Im(h - expm1(i w t))
-    if u_max is not None:
-        _series_fill(hu[..., :head, :], a_re[..., :head, :], q[..., :head, :], u_max)
-    v_re = wg_re * a_re
-    v_re -= wg_im * q
-    # coth last: near the smallest normal r, w g(w) coth alone overflows
-    if coth_re is None:
-        return v_re
-    v_re *= coth_re
-    a_re *= wg_im
-    q *= wg_re
-    q += a_re
-    q *= coth_im
-    v_re -= q
-    return v_re
+    a_re *= f_re
+    q *= f_im
+    a_re -= q
+    return a_re
 
 
-# (time, node) pairs quad_ohmic_grid evaluates at once: blocks of about 8
-# times at omega_c t ~ 400, which keeps its temporaries near 0.6 MB and out
-# of the peak resident memory of a run
+# (time, node) pairs quad_ohmic_grid evaluates at once, a time's live band
+# or, without moments, all its panels: blocks of about 46 or 14 times,
+# which keeps its temporaries below 1 MB and out of the peak resident
+# memory of a run
 _GRID_BLOCK = 1 << 13
 
 
@@ -344,17 +375,31 @@ def quad_ohmic_grid(kinds: tuple[int, ...], s: float, alpha: float, omega_c: flo
 
     Each time's initial panels (initial_panels) are the top panels of those
     of the largest t, and kind 2's are those of kind 1 and, at beta < inf,
-    a few more (C below grows with beta).  So w, w g(w) and coth are
-    evaluated once, on the GK15 nodes and the lower edge of each panel of
-    the last kind's set, and per time and node only expm1(i w t), shared by
-    both kinds, and h are.  Each kind keeps its own panel counts: a time's
-    sums run down from the top panel and stop at its own first one, and a
-    time whose estimate misses rtol is bisected on its own (_adaptive).
-    A time's values agree with those of a call for that time alone to
-    1e-12 relative, not bit for bit: the stacked GK15 matmul rounds a row
-    differently with the shape and offset of its block.  The times go in
-    blocks of at most _GRID_BLOCK (time, node) pairs, so memory does not
-    grow with the grid.
+    a few more (C below grows with beta).  So w and F = w g(w) (times coth
+    for kind 2) are evaluated once, on the GK15 nodes and the lower edge of
+    each panel of the last kind's set.  With u = t Re w, a time's head
+    panels have every node at u <= _U_LO, its dead-tail panels every node
+    at u >= _U_HI, and its live band, the at most _LIVE panels between, is
+    evaluated node by node, with expm1(i w t) shared by both kinds.  In the
+    head and tail the integrand is F times a series in u (_SERIES), so a
+    panel's GK15 value, error estimate and lower-edge integrand are
+    sum_n u^n m_n, u at its lower edge, with moments m_n of its nodes
+    (_MOMENTS) taken once per grid; a block of times gets them from one
+    matrix product per kind.  Each panel's error estimate adds the
+    truncation bound of its series and the dropped e^-u of the tail.  A
+    grid of fewer than _FEW times evaluates all its panels node by node,
+    where the moments would cost more than they save, unless the head
+    needs its series: in the thermal kind 2 at s < 1 (below), and at a
+    time whose panels all lie in the head, where the direct form of
+    kind 2 loses digits to cancellation.  Each kind keeps its own panel
+    counts: a time's sums run over its own panels, from its first one up
+    to the top, and a time whose estimate misses rtol is bisected on its
+    own (_adaptive), on nodes that take the series below _U_LO and above
+    _U_HI.  A time's values agree with those of a call for that time alone
+    to 1e-12 relative, not bit for bit: its live band and the stacked
+    products round differently with the shape of its block.  The times go
+    in blocks of at most _GRID_BLOCK (time, node) pairs, so memory does not
+    grow with the grid, and of a span in t of at most _U_HI / _U_LO.
 
     Below the first panel, x < x_lo, the integrand in x = ln r is a power
     law f(x) ~ f(x_lo) e^{p (x - x_lo)}, with p = s, or s + 1 for kind 2 at
@@ -363,14 +408,10 @@ def quad_ohmic_grid(kinds: tuple[int, ...], s: float, alpha: float, omega_c: flo
     1).  So f(x_lo) / p is added to the value, and initial_panels puts the
     cut where the remainder bound 2 |f(x_lo)| r_lo C / p is 1e-3 rtol of
     the integrand's scale.  For small s the head holds much of the
-    integral.  In the thermal kind 2 at s < 1, h - expm1(i w t) cancels to
-    a relative error of about eps / u at small u = t Re w, and the head
-    weighs the lowest nodes like (u / u_s)^s; there it is summed as its
-    series sum_n c_n z^n, z = i w t = u (i - 1), c_n = [n odd] - 1/n!,
-    on the nodes where the direct form would lose more than 1e-3 rtol
-    (_series_bound).  Those nodes lie in the lowest panels only, so a
-    block looks for them in the panels whose lower edge (node 15) is
-    below the bound, and at p >= 1 no node needs the series.
+    integral.  In the thermal kind 2 at s < 1 the direct h - expm1(i w t)
+    cancels to a relative error of about eps / u at small u, and the head
+    weighs the lowest nodes like (u / u_s)^s; there the head always comes
+    from its series.
     Returns arrays (values, errors) of shape (len(kinds), t.size), one row
     per kind; an error includes the bound 2 |f(x_lo)| r_lo C / p on the
     head remainder and the rounding 4 eps |x_lo| |f(x_lo)| / p of the head
@@ -389,62 +430,100 @@ def quad_ohmic_grid(kinds: tuple[int, ...], s: float, alpha: float, omega_c: flo
     beta_c = [beta if kind == 2 else math.inf for kind in kinds]  # the beta of C
     n = [_panel_counts(t, omega_c, s, rtol, bc) for bc in beta_c]
     a, b = initial_panels(float(t[np.argmax(n[-1])]), omega_c, s, rtol, beta_c[-1])
-    first = [a.size - nk for nk in n]  # each time's first panel, per kind
-    width = b - a
+    top = a.size
+    first = [top - nk for nk in n]  # each time's first panel, per kind
     # node 15 is the lower edge of the panel, where the head is taken
-    half, *factors = _ray_factors(kinds[-1], s, alpha, omega_c, beta,
-                                  a[:, None] + width[:, None] * _U16)
-    u_max = (_series_bound(t, omega_c, s, rtol)
-             if kinds[-1] == 2 and not zero_t and s < 1.0 else None)
-    # neighbouring times of a sorted grid, as evolve_reduced requires,
-    # share a block and most of its panels
-    step = max(1, _GRID_BLOCK // half.size)
-    for i in range(0, t.size, step):
-        k = slice(i, i + step)
-        p0 = int(first[-1][k].min())
-        hu = t[k, None, None] * half[p0:]
-        shared = (hu, *_expm1_iwt(hu))
-        # kind 2 first: kind 1 forms its integrand in place of expm1
+    half, *factors = _ray_factors(kinds, s, alpha, omega_c, beta, a[:, None], _D16)
+    # per kind, the moments of every panel, in (n, column, panel)
+    moments = []
+    if (t.size >= _FEW or (kinds[-1] == 2 and not zero_t and s < 1.0)
+            or t.min() * half[-1, 14] <= 0.5 * _U_LO):
+        for row, kind in enumerate(kinds):
+            re, im = factors[2 * row:2 * row + 2]
+            m = _MOMENTS[kind] @ np.concatenate([re, im, np.hypot(re, im)], axis=1).T
+            moments.append(m.reshape(_N.size, 4, top))
+        rc_edge = 2.0 * half[:, 15]
+        # a time's head panels, every node at u <= _U_LO, lie below ph, its
+        # tail panels, every node at u >= _U_HI, from pt up
+        ph = np.searchsorted(half[:, 14], 0.5 * _U_LO / t, "right")
+        pt = np.searchsorted(half[:, 15], 0.5 * _U_HI / t, "left")
+    step = max(1, _GRID_BLOCK // (16 * (_LIVE if moments else top)))
+    i = 0
+    while i < t.size:
+        k = slice(i, min(i + step, t.size))
+        if moments:
+            # a block spans at most _U_HI / _U_LO in t, so that no panel is
+            # in the head of one of its times and in the tail of another
+            span = t[k]
+            span = np.maximum.accumulate(span) / np.minimum.accumulate(span)
+            k = slice(i, i + int(np.searchsorted(span, _U_HI / _U_LO, "right")))
+        i = k.stop
+        tk = t[k]
+        rows = np.arange(tk.size)
+        p0 = int(first[-1][k].min())  # the block's lowest panel
+        live, idx = top - p0, slice(p0, top)
+        if moments:
+            # each time's live band [lo, pt), evaluated on the same number
+            # of panels from start up
+            lo = np.maximum(ph[k], first[-1][k])
+            live = max(int((pt[k] - lo).max()), 0)
+            idx = np.minimum(lo, top - live)[:, None] + np.arange(live)
+            # the powers u^n = (t / tau)^n (tau Re w)^n at the lower edges
+            # of the head and tail panels, with tau at the middle of the
+            # block's span, so that neither factor leaves the range of floats
+            tau = math.sqrt(float(tk.min()) * float(tk.max()))
+            h1, t0 = max(p0, int(ph[k].max())), max(p0, int(pt[k].min()))
+            powers = np.zeros((_N.size, 1, top - p0))
+            powers[:_N_HEAD, 0, :h1 - p0] = (tau * rc_edge[p0:h1]) ** _N[:_N_HEAD, None]
+            powers[_N_HEAD:, 0, t0 - p0:] = (tau * rc_edge[t0:]) ** _N[_N_HEAD:, None]
+            scaled = (tk / tau)[:, None] ** _N
+        if live:
+            # kind 2 first: kind 1 forms its integrand in place of expm1
+            hu = tk[:, None, None] * half[idx]
+            shared = (hu, *_expm1_iwt(hu))
+            band = [f[idx] for f in factors]
         for row in range(len(kinds) - 1, -1, -1):
             kind = kinds[row]
-            pk = int(first[row][k].min())
-            u_blk = head = None
-            if kind == 2 and u_max is not None:
-                # the panels whose lower edge is below some time's bound, and
-                # one more against rounding: the series mask decides in them
-                u_blk = u_max[k, None, None]
-                head = 1 + int(np.searchsorted(half[pk:, -1],
-                                               float((0.5 * u_max[k] / t[k]).max())))
-            # kind 1 takes w g(w) and not coth
-            fv = _ray_kernel(kind, *(x[:, pk - p0:] for x in shared),
-                             *(x[pk:] for x in factors[:2 if kind == 1 else None]),
-                             u_max=u_blk, head=head)
-            rows, start = np.arange(fv.shape[0]), first[row][k] - pk
-            heads[row, k] = fv[rows, start, -1]
-            # [value, error] of each panel, then [|value|, |error|] beside them
-            gk = (fv @ _W_GK) * width[pk:, None]
-            gk = np.concatenate([gk, np.abs(gk)], axis=2)
-            # in sequence down from the top panel: row n - 1 of the running sum
-            # holds a time's own panels and none below them
-            total, _, size, err_total = np.add.accumulate(
-                gk[:, ::-1], axis=1)[rows, n[row][k] - 1].T
+            # [value, error, lower edge, truncation bound] of each panel,
+            # in (time, column, panel)
+            if moments:
+                tab = (scaled @ (moments[row][:, :, p0:] * powers).reshape(_N.size, -1)
+                       ).reshape(tk.size, 4, -1)
+            if live:
+                fv = _ray_kernel(kind, *shared, *band[2 * row:2 * row + 2])
+                if moments:
+                    tab[rows[:, None], :, idx - p0] = fv @ _W_RAY
+                else:
+                    tab = (fv @ _W_RAY).transpose(0, 2, 1)
+            heads[row, k] = tab[rows, 2, first[row][k] - p0]
+            # a time's sums over its own panels, those from its first up:
+            # [|value|, |error| + bound, value]
+            own = (np.arange(p0, top) >= first[row][k][:, None]).astype(float)
+            gk = np.abs(tab)
+            gk[:, 2] = tab[:, 0]
+            gk[:, 1] += gk[:, 3]
+            mass, err_total, total = (gk[:, :3] @ own[:, :, None])[..., 0].T
             values[row, k], errors[row, k] = total, err_total
-            for j, (tot, sz, err) in enumerate(zip(total.tolist(), size.tolist(),
+            for j, (tot, sz, err) in enumerate(zip(total.tolist(), mass.tolist(),
                                                    err_total.tolist())):
                 if err <= max(rtol * abs(tot), 30.0 * _EPS * sz):
                     continue
-                kj, pj = i + j, first[row][i + j]
+                kj, pj = k.start + j, first[row][k.start + j]
 
-                def f(x, kind=kind, tj=t[kj], um=None if u_blk is None else u_max[kj]):
-                    half_x, *factors_x = _ray_factors(kind, s, alpha, omega_c, beta, x)
+                def f(x, kind=kind, tj=t[kj]):
+                    half_x, *factors_x = _ray_factors((kind,), s, alpha, omega_c, beta, x)
                     hu_x = tj * half_x
-                    return _ray_kernel(kind, hu_x, *_expm1_iwt(hu_x), *factors_x,
-                                       u_max=um)
+                    fv = _ray_kernel(kind, hu_x, *_expm1_iwt(hu_x), *factors_x)
+                    for tail, on in enumerate((hu_x <= 0.5 * _U_LO, hu_x >= 0.5 * _U_HI)):
+                        if on.any():
+                            fv[on] = _series_nodes(kind, tail, 2.0 * hu_x[on],
+                                                   *(g[on] for g in factors_x))
+                    return fv
 
                 # six bisections of every panel: far more than the analytic
                 # integrand needs
                 values[row, kj], errors[row, kj] = _adaptive(
-                    f, a[pj:], b[pj:], gk[j, start[j]:, 0], gk[j, start[j]:, 3],
+                    f, a[pj:], b[pj:], gk[j, 2, pj - p0:], gk[j, 1, pj - p0:],
                     rtol, cap=64 * n[row][kj])
     for row, kind in enumerate(kinds):
         heads[row] /= s + 1.0 if kind == 2 and zero_t else s

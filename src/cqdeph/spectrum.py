@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from numbers import Rational
 
 import numpy as np
@@ -200,6 +199,8 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
             raise InvalidArgumentError(
                 f"ratio must be a rational number, got {type(ratio).__name__}"
             )
+        from fractions import Fraction
+
         _check_ratio(eff, ratio)
         ratio = Fraction(ratio)
         groups: dict[Fraction, list[int]] = {}

@@ -258,7 +258,9 @@ def test_grid_matches_scalar_calls():
 @pytest.mark.parametrize("s", [0.03, 0.5, 1.0, 3.0, 20.0])
 def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     """One grid call gives each time what a call for that time alone gives,
-    on negative times, t = 0, and linear and log grids over [1e-2, 1e6];
+    on negative times, t = 0, a time whose panels are all head (1e-4), and
+    linear and log grids over [1e-2, 1e6], where the grid takes its head
+    and tail from moments and the single times, below _FEW, do not;
     q_grids, one kernel pass for both integrals, gives what the grids of
     one integral give, values and errors, and bisects the same times."""
     bisected = []
@@ -271,7 +273,7 @@ def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     monkeypatch.setattr(kernels, "_adaptive", counting)
     model = OhmicSpectralDensity(coupling=0.1, exponent=s)
     state = BathState(beta=beta)
-    t = np.concatenate([[-5.0, -0.3, 0.0], np.linspace(1e-2, 1e6, 9),
+    t = np.concatenate([[-5.0, -0.3, 0.0, 1e-4], np.linspace(1e-2, 1e6, 9),
                         np.geomspace(1e-2, 1e6, 13)])
     g1 = q1_grid(model, t, rtol)
     g2 = q2_grid(model, state, t, rtol)

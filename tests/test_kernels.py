@@ -71,6 +71,74 @@ def test_initial_panels_of_every_time_are_the_top_panels_of_the_latest(s, rtol):
         assert np.array_equal(b, b_max[b_max.size - b.size:])
 
 
+@pytest.mark.parametrize("beta", [math.inf, 2.0])
+@pytest.mark.parametrize("s", [1e-4, 0.5, 1.0, 3.0, 20.0])
+def test_head_and_tail_series_match_the_direct_integrand(s, beta):
+    """Panel by panel, the head and tail moments give the GK15 value and
+    error estimate of the direct integrand, here evaluated in long double,
+    to a few eps of the panel's mass sum_j W_j |f_j|.  Head panels below
+    u = 1e-2 are left out: there the direct h - expm1(i w t) of kind 2
+    cancels even in long double, and the series is the accurate form."""
+    ld = np.longdouble
+    if np.finfo(ld).eps > 1e-18:
+        pytest.skip("the reference needs an extended-precision long double")
+    a, _ = kernels.initial_panels(1e6, 1.0, s, 1e-11, beta)
+    half, *factors = kernels._ray_factors((1, 2), s, 0.1, 1.0, beta, a[:, None],
+                                          kernels._D16)
+    checked = 0
+    for t in (0.5, 30.0, 400.0):
+        u = 2.0 * t * half
+        hu = ld(t) * half.astype(ld)
+        regions = ((u[:, 14] <= kernels._U_LO) & (u[:, 14] >= 1e-2),
+                   u[:, 15] >= kernels._U_HI)
+        for row, kind in ((1, 2), (0, 1)):
+            re, im = factors[2 * row:2 * row + 2]
+            fv = kernels._ray_kernel(kind, hu, *kernels._expm1_iwt(hu),
+                                     re.astype(ld), im.astype(ld))
+            direct = fv @ kernels._W_RAY[:, :2].astype(ld)
+            mass = np.abs(fv) @ kernels._W_RAY[:, 0].astype(ld)
+            moments = (kernels._MOMENTS[kind]
+                       @ np.concatenate([re, im, np.hypot(re, im)], axis=1).T
+                       ).reshape(kernels._N.size, 4, -1)
+            powers = u[:, 15] ** kernels._N[:, None]
+            for sel, n in zip(regions, (slice(0, kernels._N_HEAD),
+                                        slice(kernels._N_HEAD, None))):
+                series = np.einsum("np,ncp->pc", powers[n][:, sel], moments[n][:, :2, sel])
+                assert np.all(np.abs(series - direct[sel]) <= 1e-15 * mass[sel, None])
+                # the truncation bound is far below the panel's mass
+                bound = np.einsum("np,np->p", powers[n][:, sel], moments[n][:, 3, sel])
+                assert np.all((0.0 <= bound) & (bound <= 1e-15 * mass[sel]))
+                checked += np.count_nonzero(sel)
+    assert checked > 0
+
+
+def test_grid_evaluates_only_the_live_bands(monkeypatch):
+    """A grid evaluates the integrand node by node on at most _LIVE panels
+    per time, those that meet _U_LO <= u <= _U_HI, against 36 per time for
+    all of them on this grid."""
+    width = kernels._RAY_WIDTH
+    # a live panel's lower edge lies within ln(_U_HI / _U_LO) plus the
+    # offset of its top node below the edge that starts the band
+    span = math.log(kernels._U_HI / kernels._U_LO) + kernels._D16[14]
+    assert kernels._LIVE == math.ceil(span / width)
+    shapes = []
+    expm1 = kernels._expm1_iwt
+
+    def counting(hu):
+        if hu.ndim == 3:  # the time blocks, not coth(beta w / 2) of the nodes
+            shapes.append(hu.shape)
+        return expm1(hu)
+
+    monkeypatch.setattr(kernels, "_expm1_iwt", counting)
+    t = np.linspace(0.01, 400.0, 150)
+    kernels.quad_ohmic_grid((1, 2), 1.0, 0.1, 1.0, 2.0, t, 1e-8)
+    assert sum(nb for nb, _, _ in shapes) == t.size
+    assert max(panels for _, panels, _ in shapes) <= kernels._LIVE
+    assert sum(nb * panels for nb, panels, _ in shapes) <= 12 * t.size
+    # the panels every time would otherwise evaluate
+    assert kernels._panel_counts(t, 1.0, 1.0, 1e-8, 2.0).mean() > 36
+
+
 def test_quad_ohmic_grid_needs_positive_times():
     for t in ([1.0, 0.0], [-2.0], [[1.0]], [1.0, math.nan]):
         with pytest.raises(NumericsError):

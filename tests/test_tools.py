@@ -75,8 +75,30 @@ def test_compare_outputs_reports_each_difference(tmp_path, capsys):
         "(1 of 2 rows)",
         "run/report.json: y[1]: 2 against 3",
         "run/report.json: z: (absent) against True",
+        "largest relative difference over all CSV cells: 2.000e-07 in "
+        "run/observables.csv, column purity",
     ]
     assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "a")]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "largest relative difference over all CSV cells: none")
+
+
+def test_compare_outputs_summary_takes_the_largest_cell_of_all_files(tmp_path, capsys):
+    compare_outputs = _load("compare_outputs")
+    files = {
+        "one/trajectory.csv": ("t,re\n1,2\n2,4\n", "t,re\n1,2.000002\n2,4.00004\n"),
+        "two/trajectory.csv": ("t,im\n1,-8\n", "t,im\n1,-8.0008\n"),
+        "two/levels.csv": ("n,e\n1,3\n", "n,e\n1,3\n"),
+    }
+    for rel, texts in files.items():
+        for side, text in zip("ab", texts):
+            (tmp_path / side / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / side / rel).write_text(text)
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    # 8e-4 / 8.0008 beats 4e-5 / 4.00004 and 2e-6 / 2.000002
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        "largest relative difference over all CSV cells: 9.999e-05 in "
+        "two/trajectory.csv, column im")
 
 
 def test_bench_pairs_summarizes_each_metric():

@@ -41,6 +41,21 @@ def test_run_all_quadrature_and_kron_budget(monkeypatch):
     assert calls["kron"] == 0
 
 
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-4])
+def test_small_t_check_fails_a_scaled_quadrature(scale, monkeypatch):
+    # the small-t limits of q1 and q2 are fixed numbers, so a quadrature
+    # that is off by 1e-4 relative fails the check
+    grid = kernels.quad_ohmic_grid
+
+    def scaled(*args, **kwargs):
+        values, errors = grid(*args, **kwargs)
+        return values * scale, errors
+
+    monkeypatch.setattr(kernels, "quad_ohmic_grid", scaled)
+    residual, tolerance, _ = validation._check_q1_q2_small_t()
+    assert (residual <= tolerance) == (scale == 1.0)
+
+
 def test_tol_scale_zero_rejected():
     with pytest.raises(InvalidArgumentError):
         validation.run_all(tol_scale=0.0)

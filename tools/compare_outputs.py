@@ -7,7 +7,10 @@ the bytes agree, ``only in A``/``only in B`` when one tree lacks it, and
 otherwise, for a CSV file, one line per column that differs with its
 largest absolute and relative difference (relative to the larger
 magnitude of the two cells), for a JSON file one line per differing leaf
-with both values, and for any other file ``differ``.  The exit code is 0
+with both values, and for any other file ``differ``.  A last line gives
+the largest relative difference over all CSV cells, with its file and
+column, so that the drift between two trees reads in one line.  The exit
+code is 0
 when the trees are byte-identical, 1 when anything differs, 2 on a usage
 error.  Where ``diff -r`` only says that two CSVs differ, this says by how
 much.
@@ -33,10 +36,12 @@ def _csv_columns(path: str) -> dict[str, list[float]]:
             for k, name in enumerate(rows[0])}
 
 
-def compare_csv(path_a: str, path_b: str) -> list[str]:
+def compare_csv(path_a: str, path_b: str) -> tuple[list[str], tuple[float, str] | None]:
     """One line per column whose values differ, or whose presence or
-    length does."""
+    length does, and the largest relative difference of a cell with its
+    column (None when no cell differs)."""
     a, b = _csv_columns(path_a), _csv_columns(path_b)
+    worst = None
     lines = [f"{name}: only in {side}"
              for side, this, other in (("A", a, b), ("B", b, a))
              for name in this if name not in other]
@@ -47,10 +52,13 @@ def compare_csv(path_a: str, path_b: str) -> list[str]:
         diffs = [(abs(x - y), abs(x - y) / max(abs(x), abs(y)))
                  for x, y in zip(a[name], b[name]) if x != y]
         if diffs:
+            largest = max(d[1] for d in diffs)
             lines.append(f"{name}: max abs {max(d[0] for d in diffs):.3e}, "
-                         f"max rel {max(d[1] for d in diffs):.3e} "
+                         f"max rel {largest:.3e} "
                          f"({len(diffs)} of {len(a[name])} rows)")
-    return lines
+            if worst is None or largest > worst[0]:
+                worst = (largest, name)
+    return lines, worst
 
 
 def _leaves(tree, path: str = ""):
@@ -84,6 +92,7 @@ def compare_trees(dest_a: str, dest_b: str) -> tuple[list[str], bool]:
     files_a, files_b = _files(dest_a), _files(dest_b)
     lines = []
     same = True
+    worst = None  # (relative difference, file, column)
     for rel in sorted(files_a | files_b):
         if rel not in files_b or rel not in files_a:
             lines.append(f"{rel}: only in {'A' if rel in files_a else 'B'}")
@@ -96,12 +105,16 @@ def compare_trees(dest_a: str, dest_b: str) -> tuple[list[str], bool]:
                 continue
         same = False
         if rel.endswith(".csv"):
-            found = compare_csv(path_a, path_b)
+            found, cell = compare_csv(path_a, path_b)
+            if cell is not None and (worst is None or cell[0] > worst[0]):
+                worst = (cell[0], rel, cell[1])
         elif rel.endswith(".json"):
             found = compare_json(path_a, path_b)
         else:
             found = []
         lines += [f"{rel}: {line}" for line in found] or [f"{rel}: differ"]
+    lines.append("largest relative difference over all CSV cells: "
+                 + (f"{worst[0]:.3e} in {worst[1]}, column {worst[2]}" if worst else "none"))
     return lines, same
 
 
