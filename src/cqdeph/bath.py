@@ -11,7 +11,11 @@ levels E1 and E2 (hbar = 1) then picks up the factor
     r_factor = exp(-i (E1^2 - E2^2) q1) * exp(-(E1 - E2)^2 q2),
 
 so energies, frequencies, 1/t, and 1/beta must share one frequency unit and
-the coupling strength is dimensionless in that system.
+the coupling strength is dimensionless in that system.  The element law
+that applies these integrals to a density-matrix element, with the free
+phase exp(-i dE t), is written once, in ``_element_law``: ``r_factor`` is
+that law without the free phase, and :mod:`cqdeph.dynamics` writes every
+element with it.
 
 Ohmic densities are integrated along the complex ray w = r e^{i pi/4}
 (``kernels.quad_ohmic_grid``), whose cost barely grows with t, so they have
@@ -183,6 +187,30 @@ def q_grids(model, state: BathState, t_grid,
     return values, errors
 
 
+def _element_law(rho_jk: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
+                 t: np.ndarray, q1_vals: np.ndarray, q2_vals: np.ndarray):
+    """The closed-form law for the elements rho_jk between levels e_row and
+    e_col, which broadcast against each other: the arrays phase
+    (E_row^2 - E_col^2) Q1, damping (E_row - E_col)^2 Q2 and
+    rho_jk exp(-i (dE t + phase) - damping), of shape t.shape + the shape
+    of the elements.  The exponent is built in place in the result, so a
+    call holds at most five real arrays of that shape at once."""
+    de = e_row - e_col
+    # damping and the result first, so that de is freed before the phase is
+    # formed: the other order holds the same arrays but left a larger heap
+    damping = np.multiply.outer(q2_vals, de * de)
+    element = np.empty(damping.shape, dtype=complex)
+    np.negative(damping, out=element.real)
+    np.multiply.outer(t, de, out=element.imag)
+    del de
+    phase = np.multiply.outer(q1_vals, e_row ** 2 - e_col ** 2)
+    element.imag += phase
+    np.negative(element.imag, out=element.imag)
+    np.exp(element, out=element)
+    # rho_jk stays the left operand: the product is not bitwise commutative
+    return phase, damping, np.multiply(rho_jk, element, out=element)
+
+
 def r_factor(e1, e2, model, state: BathState, t: float,
              rtol: float = DEFAULT_RTOL) -> complex | np.ndarray:
     """Coherence multiplier exp(-i (e1^2 - e2^2) q1(t) - (e1 - e2)^2 q2(t));
@@ -190,13 +218,9 @@ def r_factor(e1, e2, model, state: BathState, t: float,
 
     The energies e1 and e2 broadcast against each other: arrays give the
     array of multipliers, from one quadrature pass at t for all of them,
-    and two scalars give a Python complex through the same formula."""
+    and two scalars give a Python complex through the same formula:
+    ``_element_law`` for rho_jk = 1 with its free phase dE t set to 0."""
     (q1t,), (q2t,) = q_grids(model, state, [float(t)], rtol)[0].tolist()
-    e1 = np.asarray(e1, dtype=float)
-    e2 = np.asarray(e2, dtype=float)
-    de = e1 - e2
-    r = np.empty(de.shape, dtype=complex)
-    r.real = -(de * de * q2t)
-    r.imag = -((e1 * e1 - e2 * e2) * q1t)
-    np.exp(r, out=r)
+    r = _element_law(1.0, np.asarray(e1, dtype=float),
+                     np.asarray(e2, dtype=float), 0.0, q1t, q2t)[2]
     return complex(r) if r.ndim == 0 else r

@@ -268,7 +268,7 @@ def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
     rep = regime_report(cfg.device, eff)
     regime = {**asdict(rep), "worst_flag": rep.worst_flag()}
-    # the two ratios are inf at a zero detuning, which JSON cannot hold
+    # a ratio is inf where its denominator is 0, which JSON cannot hold
     regime["rows"] = [{**row, "g_over_delta": _json_float(row["g_over_delta"]),
                        "rwa_ratio": _json_float(row["rwa_ratio"])}
                       for row in regime["rows"]]

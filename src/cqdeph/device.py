@@ -27,6 +27,9 @@ __all__ = [
     "cross_kerr",
     "dressed_mode_frequency",
     "qubit_frequency",
+    "regime_ratios",
+    "regime_flag",
+    "REGIME_THRESHOLDS",
     "cross_phase",
     "CrossPhase",
     "regime_report",
@@ -187,6 +190,35 @@ def qubit_frequency(eff: EffectiveParams, e_j_max: float, n_b,
     return float(out) if out.ndim == 0 else out
 
 
+# a regime ratio at or above its threshold reads "warn"
+REGIME_THRESHOLDS = {"phi_b": 0.2, "dispersive": 0.1, "rwa": 0.5}
+
+
+def regime_flag(name: str, ratio: float) -> str:
+    """"warn" when ratio is at or above REGIME_THRESHOLDS[name] (or nan),
+    else "pass"."""
+    return "pass" if ratio < REGIME_THRESHOLDS[name] else "warn"
+
+
+def regime_ratios(eff: EffectiveParams, e_j_max: float, omega_a: float,
+                  n_b, hbar: float = 1.0):
+    """The regime quantities at mode-B photon numbers n_b, arrays of its
+    shape: omega_q(n_b), the detuning Delta = omega_q - omega_a, the
+    dispersive ratio g_a/|Delta| and the RWA ratio |Delta|/|omega_q +
+    omega_a|, the kept slow scale over the dropped fast one.  A ratio
+    whose denominator is 0 is inf.  regime_report tabulates them, and the
+    reduced builders of :mod:`cqdeph.hamiltonians` warn from their worst
+    over the kept n_b, both by regime_flag.
+    """
+    wq = np.asarray(qubit_frequency(eff, e_j_max, n_b, hbar), dtype=float)
+    delta = wq - omega_a
+    fast = np.abs(wq + omega_a)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g_over = np.where(delta == 0.0, np.inf, eff.g_a / np.abs(delta))
+        rwa = np.where(fast == 0.0, np.inf, np.abs(delta) / fast)
+    return wq, delta, g_over, rwa
+
+
 @dataclass(frozen=True)
 class CrossPhase:
     radians: float
@@ -237,36 +269,23 @@ class RegimeReport:
         return "\n".join(lines)
 
 
-# regime_report flags a ratio "warn" at or above its threshold
-_THRESHOLDS = {"phi_b": 0.2, "dispersive": 0.1, "rwa": 0.5}
-
-
 def regime_report(p: DeviceParams, eff: EffectiveParams,
                   n_b_max: int = 4) -> RegimeReport:
     """Diagnostic table of approximation-validity ratios; never raises.
 
-    Per mode-B photon number n_b it reports omega_q(n_b), the detuning
-    Delta = omega_q - omega_a, the dispersive ratio g_a/|Delta|, and an RWA
-    ratio defined as |omega_a - omega_q| / (omega_a + omega_q) (the kept slow
-    scale over the dropped fast scale).  Flags are "pass" below the threshold
-    of _THRESHOLDS and "warn" at or above it.
+    Per mode-B photon number n_b = 0 .. n_b_max it lists the columns of
+    regime_ratios and flags each ratio by regime_flag: "pass" below its
+    threshold in REGIME_THRESHOLDS, "warn" at or above it.
     """
-    rows = []
-    for n_b in range(n_b_max + 1):
-        wq = qubit_frequency(eff, p.E_J_max, n_b, p.hbar)
-        delta = wq - p.omega_a
-        g_over = eff.g_a / abs(delta) if delta != 0.0 else math.inf
-        rwa = abs(delta) / (wq + p.omega_a) if (wq + p.omega_a) != 0.0 else math.inf
-        rows.append(RegimeRow(
-            n_b=n_b, omega_q=wq, detuning=delta,
-            g_over_delta=g_over, rwa_ratio=rwa,
-            dispersive_flag=("pass" if g_over < _THRESHOLDS["dispersive"]
-                             else "warn"),
-            rwa_flag="pass" if rwa < _THRESHOLDS["rwa"] else "warn",
-        ))
+    table = np.stack(regime_ratios(eff, p.E_J_max, p.omega_a,
+                                   np.arange(n_b_max + 1), p.hbar), axis=1)
+    rows = tuple(RegimeRow(n, wq, delta, g_over, rwa,
+                           regime_flag("dispersive", g_over),
+                           regime_flag("rwa", rwa))
+                 for n, (wq, delta, g_over, rwa) in enumerate(table.tolist()))
     return RegimeReport(
         phi_b=eff.phi_b,
-        phi_b_flag="pass" if eff.phi_b < _THRESHOLDS["phi_b"] else "warn",
-        rows=tuple(rows),
-        thresholds=dict(_THRESHOLDS),
+        phi_b_flag=regime_flag("phi_b", eff.phi_b),
+        rows=rows,
+        thresholds=dict(REGIME_THRESHOLDS),
     )

@@ -14,10 +14,10 @@ a real damping per pair of energy classes that is 1 inside a class (the
 decoherence-free subspace), so `evolve_reduced` computes |S| phases and
 one damping per distinct squared gap between the u energies of a support
 S per time, not a complex exponential per element.  The element-wise law
-is written once, in `_element_law`: it gives the tracked elements and the
-qubit coherence that the CLI writes, `DephasingTrajectory.snapshots` and
-the analytic side of `finite_bath_oracle`, so the oracle checks the law
-whose numbers are written.  A pure rho0, the
+is written once, in `bath._element_law`: it gives the tracked elements and
+the qubit coherence that the CLI writes, `DephasingTrajectory.snapshots`
+and the analytic side of `finite_bath_oracle`, so the oracle checks the
+law whose numbers are written.  A pure rho0, the
 state every CLI run starts from, needs no eigendecomposition, and one
 built by ``StateVector.density`` is read from its vector alone: its
 observables are sums over the u energy classes.
@@ -116,7 +116,7 @@ class DephasingTrajectory:
     def snapshots(self) -> np.ndarray:
         """rho(t) at every grid time, (nt, dim, dim), built on each access.
 
-        Each time fills the support block from ``_element_law``, the law
+        Each time fills the support block from ``bath._element_law``, the law
         that gives the tracked elements and the qubit coherence, so a time
         holds temporaries of the size of the block, not of the tensor."""
         nt, dim = self.t_grid.size, self.dim
@@ -128,9 +128,9 @@ class DephasingTrajectory:
         block = np.ix_(self.support, self.support)
         out = np.zeros((nt, dim, dim), dtype=complex)
         for k in range(nt):
-            out[k][block] = _element_law(rho_s, e[:, None], e[None, :],
-                                         self.t_grid[k], self.q1_vals[k],
-                                         self.q2_vals[k])[2]
+            out[k][block] = bath._element_law(rho_s, e[:, None], e[None, :],
+                                              self.t_grid[k], self.q1_vals[k],
+                                              self.q2_vals[k])[2]
         return out
 
 
@@ -149,30 +149,6 @@ def _elements(root: np.ndarray, rho_s: np.ndarray | None, a: np.ndarray,
     if rho_s is None:
         return root[a, 0] * root[b, 0].conj()
     return rho_s[a, b]
-
-
-def _element_law(rho_jk: np.ndarray, e_row: np.ndarray, e_col: np.ndarray,
-                 t: np.ndarray, q1_vals: np.ndarray, q2_vals: np.ndarray):
-    """The closed-form law for the elements rho_jk between levels e_row and
-    e_col, which broadcast against each other: the arrays phase
-    (E_row^2 - E_col^2) Q1, damping (E_row - E_col)^2 Q2 and
-    rho_jk exp(-i (dE t + phase) - damping), of shape t.shape + the shape
-    of the elements.  The exponent is built in place in the result, so a
-    call holds at most five real arrays of that shape at once."""
-    de = e_row - e_col
-    # damping and the result first, so that de is freed before the phase is
-    # formed: the other order holds the same arrays but left a larger heap
-    damping = np.multiply.outer(q2_vals, de * de)
-    element = np.empty(damping.shape, dtype=complex)
-    np.negative(damping, out=element.real)
-    np.multiply.outer(t, de, out=element.imag)
-    del de
-    phase = np.multiply.outer(q1_vals, e_row ** 2 - e_col ** 2)
-    element.imag += phase
-    np.negative(element.imag, out=element.imag)
-    np.exp(element, out=element)
-    # rho_jk stays the left operand: the product is not bitwise commutative
-    return phase, damping, np.multiply(rho_jk, element, out=element)
 
 
 def _check_t_grid(t_grid) -> np.ndarray:
@@ -232,7 +208,7 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     in |rho_jk| (ties to the lower flat index), in flat order, with a
     warning.  The tracked elements and the qubit coherence follow the law
     rho_jk exp(-i (dE t + (E_j^2 - E_k^2) Q1) - dE^2 Q2), written once in
-    ``_element_law``.  The observables come from the factored law
+    ``bath._element_law``.  The observables come from the factored law
 
         M_jk(t) = a_j(t) conj(a_k(t)) g_c(j)c(k)(t),
         a_j = exp(-i (E_j t + E_j^2 Q1)),  g_ab = exp(-Q2 (E_a - E_b)^2),
@@ -246,8 +222,9 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     - purity(t) = sum_ab P_ab g_ab^2, with P_ab the sum of |rho_jk|^2 over
       j in a, k in b, folded once onto the K gaps; the phases cancel;
     - the qubit coherence sums its <= |S|/2 elements
-      rho[(m, n, 0), (m, n, 1)] over the grid as one (nt, pairs) array; a
-      (m, n, 1) label sits dim_a dim_b flat indices after its partner;
+      rho[(m, n, 0), (m, n, 1)] over the grid as one (nt, pairs) array,
+      each (m, n, 0) of S paired with its (m, n, 1) through
+      ``FockCutoff.flat_indices``;
     - a pure rho0 = |psi><psi| (root is one column, found without an
       eigendecomposition) has P_ab = p_a p_b with p_a the class sums of
       p_j = |psi_j|^2, and Uhlmann's fidelity is <psi|rho(t)|psi> =
@@ -288,13 +265,16 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     # the position of each label in S, -1 off the support
     at = np.full(cutoff.dim, -1)
     at[support] = np.arange(support.size)
-    # a (m, n, 1) label sits dim_a dim_b flat indices after (m, n, 0)
-    dab = cutoff.dim_a * cutoff.dim_b
-    lo = support[np.isin(support + dab, support)]
-    hi = lo + dab
-    coherence = _element_law(_elements(root, rho_s, at[lo], at[hi]),
-                             energies[lo], energies[hi], t, q1_vals,
-                             q2_vals)[2].sum(axis=1)
+    # each (m, n, 0) label of S with its partner (m, n, 1), where that is
+    # in S too
+    m, n, i = cutoff.numbers()
+    lo = support[i[support] == 0]
+    hi = cutoff.flat_indices(m[lo], n[lo], np.ones_like(lo))
+    both = at[hi] >= 0
+    lo, hi = lo[both], hi[both]
+    coherence = bath._element_law(_elements(root, rho_s, at[lo], at[hi]),
+                                  energies[lo], energies[hi], t, q1_vals,
+                                  q2_vals)[2].sum(axis=1)
 
     if pure:
         p = np.abs(root[:, 0]) ** 2
@@ -368,8 +348,8 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     rho_jk = np.where((at_row >= 0) & (at_col >= 0),
                       _elements(root, rho_s, at_row, at_col), 0.0)
     e_row, e_col = energies[rows], energies[cols]
-    phase, damping, element = _element_law(rho_jk, e_row, e_col, t, q1_vals,
-                                           q2_vals)
+    phase, damping, element = bath._element_law(rho_jk, e_row, e_col, t,
+                                                q1_vals, q2_vals)
     records = tuple(
         PairRecord(row=row, col=col, label_row=label_row, label_col=label_col,
                    delta_e=float(e_row[k] - e_col[k]),
@@ -466,7 +446,7 @@ class FiniteBathSpec:
 class FiniteBathReport:
     t_grid: np.ndarray
     reduced: np.ndarray         # (nt, dim_S, dim_S), brute-force propagation
-    analytic: np.ndarray        # (nt, dim_S, dim_S), _element_law
+    analytic: np.ndarray        # (nt, dim_S, dim_S), bath._element_law
     deviation: np.ndarray       # per-t max entrywise |reduced - analytic|
     max_deviation: float
     displacement_metric: float
@@ -517,7 +497,7 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
 
     with eps = E + E^2 sum_k c_k^2/w_k.  This is the exact propagation of
     the truncated bath, no composite matrix is formed, and the Q1/Q2 sums
-    enter only the analytic side, which ``_element_law`` evaluates: the
+    enter only the analytic side, which ``bath._element_law`` evaluates: the
     law that writes every tracked element and the qubit coherence.
 
     The only approximation left is the bath Fock truncation; its reach is
@@ -576,8 +556,8 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
         [2.0 * np.sum(weight * np.sin(0.5 * ws * tk) ** 2 * coth) for tk in t]
     )
 
-    analytic = _element_law(rho_s, energies[:, None], energies[None, :], t,
-                            q1_vals, q2_vals)[2]
+    analytic = bath._element_law(rho_s, energies[:, None], energies[None, :],
+                                 t, q1_vals, q2_vals)[2]
     deviation = np.max(np.abs(reduced - analytic), axis=(1, 2))
     return FiniteBathReport(
         t_grid=t, reduced=reduced, analytic=analytic, deviation=deviation,

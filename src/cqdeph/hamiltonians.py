@@ -34,7 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .device import DeviceParams, EffectiveParams, qubit_frequency
+from .device import (
+    REGIME_THRESHOLDS,
+    DeviceParams,
+    EffectiveParams,
+    regime_flag,
+    regime_ratios,
+)
 from .errors import InvalidArgumentError, NumericsError
 from .hilbert import (
     SIGMA_MINUS,
@@ -74,21 +80,24 @@ _HERM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class HamiltonianStage:
-    """One rung of the reduction chain.
-
-    ``dropped`` records (name, magnitude) for terms discarded on the way to
-    this stage, magnitudes in the same angular-frequency units as the matrix.
-    """
+    """One rung of the reduction chain."""
 
     stage: str
     matrix: OperatorMatrix
     frame: str
-    notes: tuple[str, ...] = ()
-    dropped: tuple[tuple[str, float], ...] = ()
 
     @property
     def dim(self) -> int:
         return self.matrix.dim
+
+
+def _warn_regime(name: str, ratios, what: str, consequence: str) -> None:
+    """Warn the builder's caller when the worst of ratios reads "warn" by
+    device.regime_flag."""
+    worst = float(np.max(ratios))
+    if regime_flag(name, worst) == "warn":
+        warnings.warn(f"{what} = {worst:.3g} >= {REGIME_THRESHOLDS[name]}: "
+                      f"{consequence}", stacklevel=3)
 
 
 def _checked(stage: str, mat: np.ndarray, cutoff: FockCutoff) -> OperatorMatrix:
@@ -194,16 +203,13 @@ def build_quadratic(p: DeviceParams, eff: EffectiveParams,
                - (E_J_max/hbar) (phi_b^2/2) (b^2 + b^dag^2) sigma_z
                - g_a (a + a^dag) sigma_x
 
-    The discarded remainder is O(phi_b^4 E_J_max); a warning is emitted for
-    phi_b >= 0.2 where that is no longer comfortably small.
+    The discarded remainder is O(phi_b^4 E_J_max); a warning is emitted
+    when device.regime_flag flags phi_b, where that is no longer
+    comfortably small.
     """
     a, b, i2, ia, ib = _ladders(cutoff)
-    if eff.phi_b >= 0.2:
-        warnings.warn(
-            f"phi_b = {eff.phi_b:.3g} >= 0.2: quadratic expansion error "
-            "O(phi_b^4 E_J) is no longer negligible",
-            stacklevel=2,
-        )
+    _warn_regime("phi_b", eff.phi_b, "phi_b", "quadratic expansion error "
+                 "O(phi_b^4 E_J) is no longer negligible")
     ej = p.E_J_max / p.hbar
     n_b = b.conj().T @ b
     squeeze = b @ b + b.conj().T @ b.conj().T
@@ -229,15 +235,17 @@ def build_jc(eff: EffectiveParams, e_j_max: float,
 
     Mode B enters only through its number operator, so [H, n_b] = 0, and the
     coupling conserves N = n_a + sigma_+ sigma_-.  Two terms were dropped to
-    get here; their coefficient magnitudes are recorded in ``dropped``:
+    get here:
 
     * the counter-rotating coupling g_a (a sigma_- + a^dag sigma_+), valid
-      while omega_q + omega_a >> |omega_q - omega_a|, g_a;
+      while |omega_q + omega_a| >> |omega_q - omega_a|, g_a; a warning
+      reports the worst RWA ratio of device.regime_ratios over the kept
+      n_b range when device.regime_flag flags it;
     * the non-secular squeeze term (E_J phi_b^2 / 2hbar)(b^2 + b^dag^2) sigma_z
       removed by the mode-B interaction picture.
     """
     a, _, i2, ia, ib = _ladders(cutoff)
-    wq = _wq_grid(eff, e_j_max, cutoff)
+    wq, _, _, rwa = _kept_regime(eff, e_j_max, cutoff)
     wq_op = np.diag(wq.astype(complex))
     h = (
         eff.omega_a * tensor3(i2, a.conj().T @ a, ib).mat
@@ -245,28 +253,15 @@ def build_jc(eff: EffectiveParams, e_j_max: float,
         - eff.g_a * (tensor3(SIGMA_PLUS, a, ib).mat
                      + tensor3(SIGMA_MINUS, a.conj().T, ib).mat)
     )
-    rwa_ratio = float(np.max(np.abs(wq - eff.omega_a) / np.abs(wq + eff.omega_a)))
-    if rwa_ratio > 0.5:
-        warnings.warn(
-            f"worst |w_q - w_a|/(w_q + w_a) = {rwa_ratio:.3g} > 0.5 over the "
-            "kept n_b range: rotating-wave step is unreliable here",
-            stacklevel=2,
-        )
-    dropped = (
-        ("counter_rotating_coupling", float(eff.g_a)),
-        ("b_squeeze_term", float(e_j_max * eff.phi_b**2 / 2.0)),
-    )
-    return HamiltonianStage(
-        STAGE_JC, _checked(STAGE_JC, h, cutoff), FRAME_B_ROTATING,
-        notes=(f"worst RWA ratio over kept n_b: {rwa_ratio:.3g}",),
-        dropped=dropped,
-    )
+    _warn_regime("rwa", rwa, "worst |w_q - w_a|/|w_q + w_a| over the kept "
+                 "n_b range", "rotating-wave step is unreliable here")
+    return HamiltonianStage(STAGE_JC, _checked(STAGE_JC, h, cutoff),
+                            FRAME_B_ROTATING)
 
 
-def _wq_grid(eff: EffectiveParams, e_j_max: float,
-             cutoff: FockCutoff) -> np.ndarray:
-    return np.asarray(qubit_frequency(eff, e_j_max, np.arange(cutoff.dim_b)),
-                      dtype=float)
+def _kept_regime(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff):
+    """device.regime_ratios over the kept n_b = 0 .. n_max_b."""
+    return regime_ratios(eff, e_j_max, eff.omega_a, np.arange(cutoff.dim_b))
 
 
 def _free_entries(eff: EffectiveParams, wq: np.ndarray,
@@ -277,10 +272,9 @@ def _free_entries(eff: EffectiveParams, wq: np.ndarray,
 
 
 def _diag_stage(stage: str, entries: np.ndarray, cutoff: FockCutoff,
-                frame: str, notes: tuple[str, ...] = ()) -> HamiltonianStage:
+                frame: str) -> HamiltonianStage:
     mat = np.diag(entries.astype(complex))
-    return HamiltonianStage(stage, _checked(stage, mat, cutoff), frame,
-                            notes=notes)
+    return HamiltonianStage(stage, _checked(stage, mat, cutoff), frame)
 
 
 def build_dispersive(eff: EffectiveParams, e_j_max: float,
@@ -294,26 +288,18 @@ def build_dispersive(eff: EffectiveParams, e_j_max: float,
 
     that is, the free part of :func:`frame_free_part` plus the shift.
     Valid for |omega_q - omega_a| >> g_a; a warning reports the worst
-    g_a/|detuning| over the kept n_b range.
+    g_a/|detuning| of device.regime_ratios over the kept n_b range when
+    device.regime_flag flags it.
     """
     check_dense_dim(cutoff)
-    wq = _wq_grid(eff, e_j_max, cutoff)
+    wq, _, g_over, _ = _kept_regime(eff, e_j_max, cutoff)
     lam = (eff.g_a**2 / eff.omega_a) * (1.0 + wq / eff.omega_a)
     m, n, i = cutoff.numbers()
     # (s + 1)/2 is the qubit level i
     ent = _free_entries(eff, wq, cutoff) - lam[n] * ((2.0 * i - 1.0) * m + i)
-    det = np.abs(wq - eff.omega_a)
-    worst = float(np.max(eff.g_a / det)) if np.all(det > 0) else float("inf")
-    if worst > 0.1:
-        warnings.warn(
-            f"worst g_a/|w_q - w_a| = {worst:.3g} > 0.1 over the kept n_b "
-            "range: dispersive stage outside its validity regime",
-            stacklevel=2,
-        )
-    return _diag_stage(
-        STAGE_DISPERSIVE, ent, cutoff, FRAME_B_ROTATING,
-        notes=(f"worst g_a/|detuning| over kept n_b: {worst:.3g}",),
-    )
+    _warn_regime("dispersive", g_over, "worst g_a/|w_q - w_a| over the kept "
+                 "n_b range", "dispersive stage outside its validity regime")
+    return _diag_stage(STAGE_DISPERSIVE, ent, cutoff, FRAME_B_ROTATING)
 
 
 def build_diagonal(eff: EffectiveParams, cutoff: FockCutoff) -> HamiltonianStage:
@@ -343,5 +329,5 @@ def frame_free_part(eff: EffectiveParams, e_j_max: float,
     in the mode-B picture of the jc/dispersive stages.
     """
     check_dense_dim(cutoff)
-    ent = _free_entries(eff, _wq_grid(eff, e_j_max, cutoff), cutoff)
+    ent = _free_entries(eff, _kept_regime(eff, e_j_max, cutoff)[0], cutoff)
     return OperatorMatrix(np.diag(ent.astype(complex)), cutoff)

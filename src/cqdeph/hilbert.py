@@ -198,8 +198,8 @@ class StateVector:
     Constructors in this module always produce unit norm; direct construction
     rejects vectors whose squared norm, the trace of :meth:`density`,
     deviates from 1 by more than _DENSITY_TOL (1e-10), the trace condition of
-    ``require_density_matrix``.  Use :meth:`normalized` for raw amplitude
-    lists.
+    ``require_density_matrix``, or is nan, as a nan or inf amplitude makes
+    it.  Use :meth:`normalized` for raw amplitude lists.
     """
 
     vec: np.ndarray
@@ -214,7 +214,8 @@ class StateVector:
                 f"vector dimension {arr.shape[0]} does not match cutoff dimension {self.cutoff.dim}"
             )
         norm2 = float(np.linalg.norm(arr)) ** 2
-        if abs(norm2 - 1.0) > _DENSITY_TOL:
+        # written so that a nan norm fails too
+        if not abs(norm2 - 1.0) <= _DENSITY_TOL:
             raise InvalidArgumentError(
                 f"state norm squared {norm2} deviates from 1 beyond {_DENSITY_TOL}")
         object.__setattr__(self, "vec", _readonly(arr))
@@ -223,8 +224,9 @@ class StateVector:
     def normalized(amplitudes, cutoff: FockCutoff | None = None) -> "StateVector":
         arr = np.asarray(amplitudes, dtype=complex)
         norm = float(np.linalg.norm(arr))
-        if norm == 0.0:
-            raise InvalidArgumentError("cannot normalize a zero vector")
+        # written so that a nan norm fails too
+        if not 0.0 < norm < math.inf:
+            raise InvalidArgumentError(f"cannot normalize a vector of norm {norm}")
         return StateVector(arr / norm, cutoff)
 
     @property
@@ -359,7 +361,8 @@ def require_density_matrix(
     """Raise unless rho is hermitian, unit trace, positive semidefinite.
 
     _DENSITY_TOL bounds the hermiticity defect, |trace - 1| and the
-    negative eigenvalues.  Returns ``(support, root)``: the indices of the
+    negative eigenvalues, and a nan fails each bound, so a matrix with a
+    nan or inf entry raises.  Returns ``(support, root)``: the indices of the
     nonzero rows of rho, and a |S| x r factor of the support block
     B = rho[support][:, support] with ``root @ root^dag`` = B.
 
@@ -383,10 +386,11 @@ def require_density_matrix(
         support = np.flatnonzero(psi)
         return support, psi[support][:, None]
     mat = rho.mat
-    if hermiticity_defect(mat) > _DENSITY_TOL:
+    # each bound is written so that a nan fails it
+    if not hermiticity_defect(mat) <= _DENSITY_TOL:
         raise InvalidArgumentError("density matrix is not hermitian")
     tr = complex(np.trace(mat))
-    if abs(tr - 1.0) > _DENSITY_TOL:
+    if not abs(tr - 1.0) <= _DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix trace {tr} deviates from 1")
     support = np.flatnonzero(np.any(mat != 0, axis=1))
     block = mat[np.ix_(support, support)]
@@ -395,7 +399,7 @@ def require_density_matrix(
     if np.linalg.norm(block - np.outer(psi, psi.conj())) <= _DENSITY_TOL:
         return support, psi[:, None]
     w, v = np.linalg.eigh(block)
-    if float(w[0]) < -_DENSITY_TOL:
+    if not float(w[0]) >= -_DENSITY_TOL:
         raise InvalidArgumentError(f"density matrix has negative eigenvalue {w[0]:.3e}")
     keep = w > w[-1] * support.size * np.finfo(float).eps
     return support, v[:, keep] * np.sqrt(w[keep])

@@ -428,7 +428,9 @@ def quad_ohmic_grid(kinds: tuple[int, ...], s: float, alpha: float, omega_c: flo
         return values, errors
     zero_t = math.isinf(beta)
     beta_c = [beta if kind == 2 else math.inf for kind in kinds]  # the beta of C
-    n = [_panel_counts(t, omega_c, s, rtol, bc) for bc in beta_c]
+    # one pass per distinct beta of C: at T = 0 both kinds share it
+    counts = {bc: _panel_counts(t, omega_c, s, rtol, bc) for bc in set(beta_c)}
+    n = [counts[bc] for bc in beta_c]
     a, b = initial_panels(float(t[np.argmax(n[-1])]), omega_c, s, rtol, beta_c[-1])
     top = a.size
     first = [top - nk for nk in n]  # each time's first panel, per kind

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -14,9 +15,12 @@ from cqdeph.device import (
     dressed_mode_frequency,
     effective_couplings,
     qubit_frequency,
+    regime_ratios,
     regime_report,
 )
 from cqdeph.errors import InvalidArgumentError
+from cqdeph.hamiltonians import build_dispersive, build_jc, build_quadratic
+from cqdeph.hilbert import FockCutoff
 
 
 def _natural_device() -> DeviceParams:
@@ -150,3 +154,82 @@ def test_regime_report_pass_case():
     assert rep.worst_flag() == "pass"
     assert all(r.dispersive_flag == "pass" and r.rwa_flag == "pass"
                for r in rep.rows)
+
+
+def _caught(build, *args) -> list:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        build(*args)
+    return caught
+
+
+def test_rwa_ratio_is_non_negative_where_omega_q_plus_omega_a_is_not():
+    # S_loop = 2 gives phi_b = 1, so omega_q(n_b) = 1 - 2 n_b: omega_q +
+    # omega_a is 2, 0, -2, -4, -6 over n_b = 0..4
+    p = dataclasses.replace(_natural_device(), S_loop=2.0)
+    eff = effective_couplings(p)
+    assert eff.phi_b == 1.0
+    rows = regime_report(p, eff).rows
+    assert [r.rwa_ratio for r in rows] == [0.0, math.inf, 2.0, 1.5, 8.0 / 6.0]
+    assert [r.rwa_flag for r in rows] == ["pass"] + ["warn"] * 4
+    # the report's columns are those of the shared function
+    columns = regime_ratios(eff, p.E_J_max, p.omega_a, np.arange(5), p.hbar)
+    for r, *col in zip(rows, *columns):
+        assert (r.omega_q, r.detuning, r.g_over_delta, r.rwa_ratio) == \
+            tuple(col)
+    # the zero denominator at n_b = 1 gives inf without numpy's warning
+    caught = _caught(build_jc, eff, p.E_J_max, FockCutoff(1, 4))
+    assert len(caught) == 1
+    assert caught[0].category is UserWarning
+    assert "rotating-wave" in str(caught[0].message)
+
+
+def test_a_ratio_at_its_threshold_warns_in_the_report_and_its_builder():
+    # omega_q = 2 E_J = 3 against omega_a = 1: |Delta| / |omega_q + omega_a|
+    # is 2 / 4 = 0.5 and g_a / |Delta| is 0.2 / 2 = 0.1, both exactly
+    p = dataclasses.replace(_natural_device(), E_J_max=1.5)
+    eff = EffectiveParams(g_a=0.2, phi_b=0.0, phi_e=0.0, n_g_dc=0.5,
+                          omega_a=1.0, omega_a_prime=0.9, chi=0.0)
+    row = regime_report(p, eff).rows[0]
+    assert (row.rwa_ratio, row.g_over_delta) == (0.5, 0.1)
+    assert (row.rwa_flag, row.dispersive_flag) == ("warn", "warn")
+    cut = FockCutoff(1, 1)
+    with pytest.warns(UserWarning, match="rotating-wave"):
+        build_jc(eff, p.E_J_max, cut)
+    with pytest.warns(UserWarning, match="dispersive stage"):
+        build_dispersive(eff, p.E_J_max, cut)
+    at_phi = dataclasses.replace(eff, phi_b=0.2)
+    assert regime_report(p, at_phi).phi_b_flag == "warn"
+    with pytest.warns(UserWarning, match="quadratic expansion"):
+        build_quadratic(p, at_phi, cut)
+    # one ulp below each threshold is quiet
+    below = math.nextafter(0.2, 0.0)
+    below_g = dataclasses.replace(eff, g_a=below)
+    assert regime_report(p, below_g).rows[0].dispersive_flag == "pass"
+    assert not _caught(build_dispersive, below_g, p.E_J_max, cut)
+    below_phi = dataclasses.replace(eff, phi_b=below)
+    assert regime_report(p, below_phi).phi_b_flag == "pass"
+    assert not _caught(build_quadratic, p, below_phi, cut)
+    e_j = math.nextafter(1.5, 0.0)
+    assert regime_report(dataclasses.replace(p, E_J_max=e_j), eff).rows[0] \
+        .rwa_flag == "pass"
+    assert not _caught(build_jc, eff, e_j, cut)
+
+
+@pytest.mark.parametrize("n_max_b", [1, 3, 5])
+def test_each_builder_warns_with_the_worst_shared_ratio_over_the_cutoff(
+        n_max_b):
+    # phi_b = 0.3 moves omega_q with n_b, so the worst ratio depends on the
+    # kept range
+    eff = EffectiveParams(g_a=0.3, phi_b=0.3, phi_e=0.0, n_g_dc=0.5,
+                          omega_a=1.0, omega_a_prime=0.9, chi=0.01)
+    cut = FockCutoff(1, n_max_b)
+    n_b = np.arange(n_max_b + 1)
+    for build, e_j, column in ((build_jc, 0.1, 3), (build_dispersive, 0.6, 2)):
+        ratios = regime_ratios(eff, e_j, eff.omega_a, n_b)[column]
+        worst = np.max(ratios)
+        assert worst > ratios[0]
+        (caught,) = _caught(build, eff, e_j, cut)
+        assert f"= {worst:.3g} >=" in str(caught.message)
+    (caught,) = _caught(build_quadratic, _natural_device(), eff, cut)
+    assert f"phi_b = {eff.phi_b:.3g} >=" in str(caught.message)

@@ -185,6 +185,37 @@ def test_state_vector_holds_the_density_trace_condition():
         assert support.tolist() == [3] and root.shape == (1, 1)
 
 
+def test_state_vector_rejects_a_nan_amplitude():
+    # a nan norm used to pass the bound |norm^2 - 1| > tol
+    cut = FockCutoff(1, 1)
+    vec = np.zeros(cut.dim, dtype=complex)
+    vec[0], vec[3] = 1.0, np.nan
+    with pytest.raises(InvalidArgumentError, match="norm squared nan"):
+        StateVector(vec, cut)
+
+
+def test_normalized_rejects_an_inf_amplitude():
+    # inf / inf used to leave a vector of nans that the norm check accepted
+    cut = FockCutoff(1, 1)
+    amps = np.zeros(cut.dim, dtype=complex)
+    amps[0], amps[3] = 1.0, np.inf
+    with pytest.raises(InvalidArgumentError, match="norm inf"):
+        StateVector.normalized(amps, cut)
+    amps[3] = np.nan
+    with pytest.raises(InvalidArgumentError, match="norm nan"):
+        StateVector.normalized(amps, cut)
+
+
+def test_density_check_rejects_a_nan_diagonal():
+    # every bound used to pass a nan, and the eigenvalue cut then kept no
+    # column: a rank-0 "mixed" state
+    cut = FockCutoff(1, 1)
+    mat = np.zeros((cut.dim, cut.dim), dtype=complex)
+    mat[0, 0], mat[1, 1] = 1.0, np.nan
+    with pytest.raises(InvalidArgumentError, match="not hermitian"):
+        require_density_matrix(OperatorMatrix(mat, cut))
+
+
 def test_flat_indices_follow_the_labels():
     cut = FockCutoff(2, 3)
     m, n, i = cut.numbers()

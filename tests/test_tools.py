@@ -2,8 +2,11 @@
 
 import importlib.util
 import pathlib
+import subprocess
+import sys
 
-_TOOLS = pathlib.Path(__file__).resolve().parent.parent / "tools"
+_ROOT = pathlib.Path(__file__).resolve().parent.parent
+_TOOLS = _ROOT / "tools"
 
 
 def _load(name):
@@ -143,3 +146,20 @@ def test_bench_pairs_finds_a_nested_pycache(tmp_path):
     assert bench_pairs.has_pycache(str(tmp_path)) is False
     (tmp_path / "src" / "cqdeph" / "__pycache__").mkdir()
     assert bench_pairs.has_pycache(str(tmp_path)) is True
+
+
+def test_cli_outputs_writes_one_run_per_config_and_workload(tmp_path):
+    # every byte-identity check of a change reads these directories
+    dest = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, str(_TOOLS / "cli_outputs.py"), str(_ROOT), str(dest)],
+        capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    configs = {p.stem for p in (_ROOT / "configs").glob("*.cfg")}
+    workloads = set(_load("cli_outputs").WORKLOADS)
+    assert configs and workloads
+    expected = configs | workloads
+    assert {p.name for p in dest.iterdir()} == expected
+    for name in expected:
+        assert (dest / name / "report.json").is_file(), name
+        assert (dest / name / "config_echo.cfg").is_file(), name
