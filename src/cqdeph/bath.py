@@ -17,18 +17,20 @@ phase exp(-i dE t), is written once, in ``_element_law``: ``r_factor`` is
 that law without the free phase, and :mod:`cqdeph.dynamics` writes every
 element with it.
 
-Ohmic densities are integrated along the complex ray w = r e^{i pi/4}
-(``kernels.quad_ohmic_grid``), whose cost barely grows with t, so they have
-no limit on t.  A whole grid is one kernel call: the times share the ray
-nodes and the t-independent part of the integrand, and ``q_grids`` takes
-q1 and q2 from one pass that also shares expm1(i w t).  Tabulated
-densities keep real-axis panels that resolve the oscillation of sin(w t),
-one time at a time, and stop at ``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
+For an ohmic density, q1 at every temperature and q2 at T = 0 are
+Gamma-function integrals, evaluated in closed form (``_ohmic_closed_forms``),
+and the thermal q2, which has none, is integrated along the complex ray
+w = r e^{i pi/4} (``kernels.quad_ohmic_grid``); a whole grid is one call of
+each.  Tabulated densities keep real-axis panels that resolve the
+oscillation of sin(w t), one time at a time, and stop at
+``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
 finite and that rtol is finite and positive.
 
-Closed forms (arctan / log for the strictly ohmic case) are deliberately NOT
-used here: the quadrature is the product, and tests compare it against those
-forms independently.
+The closed forms that ship are held to references that do not use them:
+frozen mpmath values of both integrals (``tools/zero_t_gold.py``), the
+thermal ray quadrature at beta omega_c = 1e8, whose q2 lies within 4.1e-10
+relative of the T = 0 one for omega_c t up to 50, and the finite-bath
+oracle of :mod:`cqdeph.dynamics` in its continuum limit.
 """
 
 from __future__ import annotations
@@ -52,12 +54,18 @@ __all__ = [
 ]
 
 DEFAULT_RTOL = 1e-8
+# the largest ohmic exponent: Gamma(s) of the closed forms and the peak
+# ~ Gamma(s - 1) 2^(s/2) of the thermal ray integrand stay far inside the
+# floats (Gamma overflows from s = 171.6, the ray's peak near s = 160)
+EXPONENT_MAX = 100.0
+# 16 eps: the rounding bound of the closed forms (_ohmic_closed_forms)
+_ROUND = 16.0 * float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
 class OhmicSpectralDensity:
     """D(w) = coupling * w^exponent * omega_c^(1-exponent) * exp(-w/omega_c),
-    with finite parameters."""
+    with finite parameters and 0 < exponent <= EXPONENT_MAX."""
 
     coupling: float
     exponent: float = 1.0
@@ -67,8 +75,9 @@ class OhmicSpectralDensity:
         _require_finite(self)
         if self.coupling < 0:
             raise InvalidArgumentError(f"coupling must be >= 0, got {self.coupling}")
-        if self.exponent <= 0:
-            raise InvalidArgumentError(f"exponent must be > 0, got {self.exponent}")
+        if not 0 < self.exponent <= EXPONENT_MAX:
+            raise InvalidArgumentError(
+                f"exponent must be > 0 and <= {EXPONENT_MAX:g}, got {self.exponent}")
         if self.omega_c <= 0:
             raise InvalidArgumentError(f"omega_c must be > 0, got {self.omega_c}")
 
@@ -137,6 +146,46 @@ class BathState:
         return math.isinf(self.beta)
 
 
+def _ohmic_closed_forms(model: OhmicSpectralDensity, t: np.ndarray) -> np.ndarray:
+    """[values, errors] of q1 and of the T = 0 q2 of the ohmic density at
+    the times t > 0, rows (q1, q2): shape (2, 2, t.size).
+
+    With x = omega_c t and L = ln(1 - i x) = log1p(x^2) / 2 - i arctan(x),
+    both are Gamma-function integrals (Gradshteyn & Ryzhik 3.944):
+
+        q1 = alpha Gamma(s) Im[expm1((1 - s) L)] / (s - 1),
+        q2 = -alpha Gamma(s) Re[expm1((1 - s) L)] / (s - 1),
+
+    with the limits alpha arctan(x) and (alpha / 2) log1p(x^2) at s = 1.
+    The expm1 of z = (1 - s) L = a + ib is taken from real functions,
+    Im = e^a sin b and Re = expm1(a) cos b - 2 sin^2(b / 2), so q1 keeps its
+    relative accuracy as s -> 1 and t -> 0, and from x = 1e8 on Re L is
+    ln omega_c + ln t, which stays a float where x^2 does not.
+
+    The errors are a rounding bound, 16 eps |alpha Gamma(s) / (s - 1)|
+    times e^a |z| + |Im| for q1 and e^a |z| + |expm1(a) cos b| +
+    2 sin^2(b / 2) for q2: an error of 16 eps |z| in z moves expm1(z) by
+    e^a 16 eps |z|, and each term and the prefactor round to 16 eps.  At
+    small t and s -> 0 the two terms of Re cancel, and the bound of q2
+    grows with them.  At s = 1 the errors are 16 eps times the values.
+    """
+    s, alpha = model.exponent, model.coupling
+    x = model.omega_c * t
+    lr = np.log(t) + math.log(model.omega_c)  # Re L from x = 1e8 on
+    small = x < 1e8
+    lr[small] = 0.5 * np.log1p(x[small] ** 2)
+    if s == 1.0:
+        values = alpha * np.stack([np.arctan(x), lr])
+        return np.stack([values, _ROUND * values])
+    a, b = (1.0 - s) * lr, (s - 1.0) * np.arctan(x)
+    ea, em1, sin2 = np.exp(a), np.expm1(a), 2.0 * np.sin(0.5 * b) ** 2
+    scale = alpha * math.gamma(s) / (s - 1.0)
+    im, re = ea * np.sin(b), em1 * np.cos(b)
+    errors = ea * np.hypot(a, b)
+    errors = _ROUND * abs(scale) * np.stack([errors + np.abs(im), errors + np.abs(re) + sin2])
+    return np.stack([scale * np.stack([im, sin2 - re]), errors])
+
+
 def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
               rtol: float) -> np.ndarray:
     """[values, errors] at the 1-d times t, one row per integral of
@@ -151,11 +200,15 @@ def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
     out = np.zeros((2, len(kinds), t.size))
     # symmetry: q1 is odd in t, q2 even; both vanish at t = 0
     on = np.flatnonzero(t)
+    t_on = np.abs(t[on])
     if isinstance(model, OhmicSpectralDensity):
         if model.coupling != 0.0 and on.size:
-            out[:, :, on] = kernels.quad_ohmic_grid(
-                kinds, model.exponent, model.coupling, model.omega_c, beta,
-                np.abs(t[on]), rtol)
+            # q1 and the T = 0 q2 in closed form, the thermal q2 (always the
+            # last kind) on the ray
+            out[:, :, on] = _ohmic_closed_forms(model, t_on)[:, np.subtract(kinds, 1)]
+            if kinds[-1] == 2 and not math.isinf(beta):
+                out[:, -1, on] = kernels.quad_ohmic_grid(
+                    model.exponent, model.coupling, model.omega_c, beta, t_on, rtol)
     elif isinstance(model, TabulatedSpectralDensity):
         for row, kind in enumerate(kinds):
             for k in on:
@@ -169,20 +222,21 @@ def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
 
 
 def q1_grid(model, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """q1 at every time of the 1-d grid t_grid, one quadrature for the grid."""
+    """q1 at every time of the 1-d grid t_grid, one evaluation for the grid."""
     return _dispatch(model, (1,), math.inf, t_grid, rtol)[0, 0]
 
 
 def q2_grid(model, state: BathState, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:
-    """q2 at every time of the 1-d grid t_grid, one quadrature for the grid."""
+    """q2 at every time of the 1-d grid t_grid, one evaluation for the grid."""
     return _dispatch(model, (2,), state.beta, t_grid, rtol)[0, 0]
 
 
 def q_grids(model, state: BathState, t_grid,
             rtol: float = DEFAULT_RTOL) -> tuple[np.ndarray, np.ndarray]:
     """``(values, errors)`` at every time of the 1-d grid t_grid: the rows
-    (q1, q2) and their quadrature error estimates, each of shape (2, nt).
-    For an ohmic bath one quadrature pass computes both integrals."""
+    (q1, q2) and their error estimates, each of shape (2, nt).  For an
+    ohmic bath q1 is a closed form, and so is q2 at T = 0; the thermal q2
+    is one quadrature pass for the grid."""
     values, errors = _dispatch(model, (1, 2), state.beta, t_grid, rtol)
     return values, errors
 

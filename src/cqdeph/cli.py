@@ -52,6 +52,7 @@ import numpy as np
 from . import __version__, hilbert
 from .bath import (
     DEFAULT_RTOL,
+    EXPONENT_MAX,
     BathState,
     OhmicSpectralDensity,
     TabulatedSpectralDensity,
@@ -453,8 +454,9 @@ class _Key:
     cross-key rule reads.  ``required`` asks for the key, or for at least
     one line of an indexed key.  ``choices`` lists the values a word or
     integer may take; ``bound = (op, limit)`` asks for ``value op limit``
-    with op ``>`` or ``>=``.  ``when = (key, value)`` accepts the key only
-    when that other key of the section holds that value.
+    with op ``>`` or ``>=``, and ``at_most`` asks for ``value <= at_most``.
+    ``when = (key, value)`` accepts the key only when that other key of the
+    section holds that value.
     """
 
     section: str
@@ -465,6 +467,7 @@ class _Key:
     choices: tuple = ()
     when: tuple[str, str] | None = None
     bound: tuple[str, int] | None = None
+    at_most: float | None = None
 
     @property
     def indexed(self) -> bool:
@@ -511,7 +514,8 @@ _SCHEMA = (
     _Key("cutoff", "n_max_b", "integer", "cutoff.n_max_b", True, bound=_GE1),
     _Key("bath", "family", "word", "bath_family", True, ("ohmic", "tabulated")),
     _Key("bath", "coupling", "number", "bath_coupling", True, when=_OHMIC, bound=_GE0),
-    _Key("bath", "exponent", "number", "bath_exponent", when=_OHMIC, bound=_GT0),
+    _Key("bath", "exponent", "number", "bath_exponent", when=_OHMIC, bound=_GT0,
+         at_most=EXPONENT_MAX),
     _Key("bath", "omega_c", "frequency", "bath_omega_c", True, when=_OHMIC, bound=_GT0),
     _Key("bath", "table", "path", "bath_table", True, when=_TABULATED),
     _Key("bath", "beta", "beta", "beta", bound=_GT0),
@@ -664,6 +668,8 @@ def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str,
         op, limit = row.bound
         if not (value > limit if op == ">" else value >= limit):
             raise ConfigError(f"{key} must be {op} {limit}, got {value}", line)
+    if row.at_most is not None and not value <= row.at_most:
+        raise ConfigError(f"{key} must be <= {row.at_most:g}, got {value}", line)
     return value
 
 

@@ -102,7 +102,8 @@ def _warn_regime(name: str, ratios, what: str, consequence: str) -> None:
 
 def _checked(stage: str, mat: np.ndarray, cutoff: FockCutoff) -> OperatorMatrix:
     defect = hermiticity_defect(mat)
-    if defect >= _HERM_TOL:
+    # written so that a nan defect, from a matrix that is not finite, fails
+    if not defect < _HERM_TOL:
         raise NumericsError(f"{stage} stage hermiticity defect {defect:.3e}")
     return OperatorMatrix(mat, cutoff)
 

@@ -409,16 +409,32 @@ def _check_q1_q2_small_t() -> _Measured:
             "both zero at t = 0, q2 >= 0")
 
 
+# q1 of the ohmic density (alpha = 0.1, omega_c = 1) at T = 0 and
+# t = 0.02 and 50, by exponent, from mpmath (tools/zero_t_gold.py)
+_Q1_GOLD = {
+    0.5: (0.0035447304874365748, 1.7548188100853677),
+    1.0: (0.0019997333973150535, 0.15507989928217462),
+    3.0: (0.0039968019189765121, 1.5987207675906048e-6),
+    20.0: (236546621502402.76, -3.1054793259136016e-18),
+}
+
+
 def _check_ohmic_closed_form() -> _Measured:
+    # neither reference evaluates the closed forms: q1 meets frozen mpmath
+    # values, and the T = 0 q2 of the linear bath the thermal ray quadrature
+    # at beta omega_c = 1e8, which exceeds it by alpha t^2 zeta(2) / beta^2,
+    # 1.0e-13 relative at t = 50
+    worst = 0.0
+    for s, gold in _Q1_GOLD.items():
+        model = bath.OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
+        worst = max(worst, float(np.max(np.abs(bath.q1_grid(model, [0.02, 50.0]) / gold - 1.0))))
     ts = np.geomspace(0.02, 50.0, 12)
-    exact1 = 0.1 * np.arctan(ts)
-    exact2 = 0.05 * np.log1p(ts * ts)
-    worst = max(np.max(np.abs(bath.q1_grid(_OHMIC, ts) - exact1) / exact1),
-                np.max(np.abs(bath.q2_grid(_OHMIC, bath.BathState(), ts) - exact2)
-                       / exact2))
-    return (float(worst), 1e-6,
-            "quadrature matches the arctan / log laws of the linear "
-            "zero-temperature reservoir over t in [0.02, 50]")
+    cold, warm = (bath.q2_grid(_OHMIC, bath.BathState(beta), ts) for beta in (math.inf, 1e8))
+    worst = max(worst, float(np.max(np.abs(warm / cold - 1.0))))
+    return (worst, 1e-6,
+            "ohmic q1 at exponents 0.5, 1, 3 and 20 meets frozen mpmath values, "
+            "and the linear T = 0 q2 the thermal ray quadrature at "
+            "beta omega_c = 1e8, over t in [0.02, 50]")
 
 
 def _check_q2_temperature() -> _Measured:
@@ -441,30 +457,29 @@ def _check_q2_monotone() -> _Measured:
 def _check_r_factor_modulus() -> _Measured:
     rng = np.random.default_rng(11)
     warm = bath.BathState(beta=3.0)
-    t0 = bath.BathState()
+    hot = bath.BathState(beta=1.0)
     e1, e2 = rng.uniform(-2.0, 2.0, size=(10, 2)).T
     mods = [np.abs(bath.r_factor(e1, e2, _OHMIC, warm, t)) for t in (0.5, 2.0)]
     worst = max(0.0, float(np.max(mods)) - 1.0)
     worst = max(worst, abs(abs(bath.r_factor(1.3, 1.3, _OHMIC, warm, 2.0)) - 1.0))
-    # frozen closed-form composition at t = 2, levels 2 and 0
-    q1c = 0.1 * math.atan(2.0)
-    q2c = 0.05 * math.log(5.0)
+    # the composition at t = 2, levels 2 and 0, of frozen mpmath values:
+    # q1 = 0.1 arctan(2) at any temperature, q2 at beta = 1 (the
+    # MPMATH_GOLD rows of tests/test_bath.py)
+    q1c, q2c = 0.11071487177940905, 0.29474386166448085
     expected = cmath.exp(complex(-4.0 * q2c, -4.0 * q1c))
-    worst = max(worst, abs(bath.r_factor(2.0, 0.0, _OHMIC, t0, 2.0) - expected))
+    worst = max(worst, abs(bath.r_factor(2.0, 0.0, _OHMIC, hot, 2.0) - expected))
     return (worst, 1e-6,
-            "|r| <= 1 always, = 1 on degenerate pairs; frozen arctan/log "
-            "composition reproduced at t = 2")
+            "|r| <= 1 always, = 1 on degenerate pairs; frozen mpmath "
+            "q1/q2 composition reproduced at t = 2, beta = 1")
 
 
 def _check_quadrature_error() -> _Measured:
-    worst = 0.0
-    # q1 and q2 at T = 0, t = 2 and at beta = 2, t = 5
-    for state, t in ((bath.BathState(), 2.0), (bath.BathState(beta=2.0), 5.0)):
-        (coarse, error), (fine, _) = (
-            bath.q_grids(_OHMIC, state, [t], rtol) for rtol in (1e-6, 5e-7))
-        worst = max(worst, float(np.max(np.abs(coarse - fine) - error)))
-    return (max(0.0, worst), 1e-15,
-            "halving the tolerance moves each integral by less than its "
+    # the thermal q2 at beta = 2, t = 2 and 5, the one quadrature of an
+    # ohmic bath: q1 and the T = 0 q2 are closed forms, free of the tolerance
+    (_, coarse), (_, error) = bath.q_grids(_OHMIC, bath.BathState(beta=2.0), [2.0, 5.0], 1e-6)
+    fine = bath.q2_grid(_OHMIC, bath.BathState(beta=2.0), [2.0, 5.0], 5e-7)
+    return (max(0.0, float(np.max(np.abs(coarse - fine) - error))), 1e-15,
+            "halving the tolerance moves the thermal q2 by less than its "
             "own reported error estimate")
 
 

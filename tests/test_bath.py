@@ -4,11 +4,14 @@ The frozen numbers were produced once with mpmath at 30 digits (adaptive
 tanh-sinh quadrature over [0, w_c], [w_c, 10 w_c], [10 w_c, inf)); the
 superohmic exponent-3 rows double as closed forms, Q1 = 0.2 t/(1+t^2)^2 and
 Q2 = 0.1 (1 - (1-t^2)/(1+t^2)^2), which mpmath reproduced to all printed
-digits.
+digits.  The package evaluates the ohmic Q1 and the T = 0 Q2 in closed
+form, so the independent references for them are the frozen mpmath values
+(MPMATH_GOLD, ZERO_T_GOLD) and the thermal ray quadrature at a large beta.
 """
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +19,7 @@ import pytest
 from cqdeph import kernels
 from cqdeph.bath import (
     DEFAULT_RTOL,
+    EXPONENT_MAX,
     BathState,
     OhmicSpectralDensity,
     TabulatedSpectralDensity,
@@ -24,7 +28,7 @@ from cqdeph.bath import (
     q_grids,
     r_factor,
 )
-from cqdeph.errors import IntegrabilityError, InvalidArgumentError
+from cqdeph.errors import IntegrabilityError, InvalidArgumentError, NumericsError
 
 OHMIC = OhmicSpectralDensity(coupling=0.1, exponent=1.0, omega_c=1.0)
 
@@ -73,6 +77,38 @@ THERMAL_GOLD = [
     (0.5, 10.0, 2.0, 4.7512514893096008),
 ]
 
+# (exponent, omega_c t, q1, q2) of ohmic baths at T = 0, from
+# tools/zero_t_gold.py: mpmath along the ray w = r e^{i pi/4} with the head
+# below r0 from its series, at r0 = 1e-12, 1e-16, 1e-20 and at 40 and 60
+# digits beyond those that cancel, and the Gamma-function form; the seven
+# agreed to 1e-30 relative or better (the script requires 1e-15)
+ZERO_T_GOLD = [
+    (0.0001, 10.0, 9997.9683406712044, 1.2401004590786013),
+    (0.0001, 400.0, 399777.15830367996, 62.097925257091674),
+    (0.0001, 100000.0, 99889159.993361586, 15689.302133903773),
+    (0.01, 10.0, 97.990847302601663, 1.2136258931402384),
+    (0.01, 400.0, 3783.2276396163915, 58.754156379920168),
+    (0.01, 100000.0, 895034.72964084853, 14059.148427896007),
+    (0.03, 10.0, 31.368468428827307, 1.1623198833920019),
+    (0.03, 400.0, 1128.1571630069035, 52.5648231540154),
+    (0.03, 100000.0, 239012.62644498432, 11270.493018611905),
+    (0.5, 10.0, 0.75406926428829811, 0.47874638782847984),
+    (0.5, 400.0, 5.0069939000701983, 4.6650362614707603),
+    (0.5, 100000.0, 79.266149620381301, 78.912451515659711),
+    (2.0, 10.0, 0.0099009900990099015, 0.099009900990099015),
+    (2.0, 400.0, 0.00024999843750976558, 0.099999375003906238),
+    (2.0, 100000.0, 9.9999999990000006e-7, 0.099999999990000005),
+    (3.0, 10.0, 0.00019605920988138419, 0.10097049308891286),
+    (3.0, 400.0, 3.1249609378662081e-9, 0.10000062498828138),
+    (3.0, 100000.0, 1.9999999996000001e-16, 0.10000000001000001),
+    (20.0, 10.0, 1.8483881484242774e-5, 640237370572800.0),
+    (20.0, 400.0, -2.3264047617596033e-35, 640237370572800.0),
+    (20.0, 100000.0, -6.4023735840829004e-81, 640237370572800.0),
+    (20.0, 2.0, 119696731.09166977, 640237455210035.75),
+    (3.0, 560000.0, 1.1388483964941947e-18, 0.10000000000031889),
+]
+_ZERO_T = {(s, t): (q1, q2) for s, t, q1, q2 in ZERO_T_GOLD}
+
 
 def test_ohmic_density_shape():
     assert OHMIC.density(0.0) == 0.0
@@ -88,6 +124,11 @@ def test_ohmic_rejects_bad_parameters():
         OhmicSpectralDensity(coupling=0.1, exponent=0.0)
     with pytest.raises(InvalidArgumentError):
         OhmicSpectralDensity(coupling=0.1, omega_c=-1.0)
+    # Gamma(s) of the closed forms overflows from s = 171.6
+    OhmicSpectralDensity(coupling=0.1, exponent=EXPONENT_MAX)
+    for s in (np.nextafter(EXPONENT_MAX, math.inf), 300.0):
+        with pytest.raises(InvalidArgumentError, match="exponent must be > 0 and <= 100"):
+            OhmicSpectralDensity(coupling=0.1, exponent=s)
 
 
 @pytest.mark.parametrize("field, value", [
@@ -143,13 +184,6 @@ def _q2_thermal_law(t, beta, alpha=0.1, omega_c=1.0, terms=100_000):
     return alpha * (0.5 * math.log1p((omega_c * t) ** 2) + head + tail)
 
 
-def _ohmic_zero_t_law(s, t, alpha=0.1):
-    """(q1, q2) at T = 0 and omega_c = 1 for exponent s != 1:
-    alpha Gamma(s - 1) (Im, Re 1 -) of (1 - i t)^(1 - s)."""
-    z = (1.0 - 1j * t) ** (1.0 - s)
-    return alpha * math.gamma(s - 1.0) * z.imag, alpha * math.gamma(s - 1.0) * (1.0 - z).real
-
-
 @pytest.mark.parametrize("beta", [1.0, 2.0])
 def test_linear_ohmic_thermal_q2_up_to_a_million(beta):
     state = BathState(beta=beta)
@@ -172,11 +206,65 @@ def test_thermal_law_reference_is_converged():
 @pytest.mark.parametrize("t", [10.0, 400.0, 1e5])
 def test_other_exponents_within_reported_error(s, t):
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
-    law1, law2 = _ohmic_zero_t_law(s, t)
+    law1, law2 = _ZERO_T[(s, t)]
     (v1, v2), (e1, e2) = _at(model, BathState(), t)
     # for s > 1, q1 falls like t^(1-s), so only its absolute error is asked for
     assert abs(v1 - law1) <= (e1 if s > 1 else min(e1, 1e-8 * abs(law1)))
     assert abs(v2 - law2) <= min(e2, 1e-8 * law2)
+
+
+@pytest.mark.parametrize("s,t,q1,q2", ZERO_T_GOLD)
+def test_zero_t_gold(s, t, q1, q2):
+    """The closed forms meet mpmath to 1e-8 relative, and their error rows
+    cover the distance; the ray quadrature they replace missed q1 at s = 20
+    (omega_c t = 2, 10, 400) by ~200 absolute and at s = 3 (5.6e5) by 5.6x."""
+    model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
+    (v1, v2), (e1, e2) = _at(model, BathState(), t)
+    assert abs(v1 - q1) <= min(e1, 1e-8 * abs(q1))
+    assert abs(v2 - q2) <= min(e2, 1e-8 * q2)
+
+
+# zeta(s + 1) at the exponents of the large-beta check, from mpmath
+_ZETA = {0.5: 2.612375348685488, 1.0: math.pi ** 2 / 6.0, 3.0: math.pi ** 4 / 90.0,
+         20.0: 1.0000004769329869}
+
+
+@pytest.mark.parametrize("s", [0.5, 1.0, 3.0, 20.0])
+def test_thermal_ray_at_large_beta_meets_the_zero_t_form(s):
+    """At beta omega_c = 1e8 and omega_c t <= 50 the thermal q2 exceeds the
+    T = 0 one by alpha t^2 Gamma(s + 1) zeta(s + 1) / beta^(s + 1), up to
+    relative corrections of order 1 / (beta omega_c), since
+    coth(beta w / 2) - 1 = 2 / (e^(beta w) - 1) lives at w ~ 1 / beta, where
+    sin^2(w t / 2) = (w t / 2)^2.  So the ray quadrature, which shares no
+    code with the closed form, checks the T = 0 q2 within its own error."""
+    model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
+    t = np.geomspace(0.02, 50.0, 12)
+    cold = q2_grid(model, BathState(), t)
+    (_, warm), (_, error) = q_grids(model, BathState(beta=1e8), t)
+    excess = 0.1 * t * t * math.gamma(s + 1.0) * _ZETA[s] / 1e8 ** (s + 1.0)
+    assert np.all(np.abs(warm - excess - cold) <= np.minimum(error, 1e-11 * cold))
+
+
+@pytest.mark.parametrize("beta", [2.0, math.inf])
+@pytest.mark.parametrize("t", [1e-170, 1e185])
+def test_extreme_times_give_finite_values(t, beta):
+    """No accepted time gives NaN, and no numpy warning leaks: q_grids is
+    finite at t = 1e-170 and 1e185, except that the thermal q2 at an
+    exponent near 0 and t = 1e185, whose head reaches below where the ray
+    integrand is a float, raises NumericsError naming the time and the
+    times the ray serves."""
+    for s in (1e-4, 1.0, 3.0):
+        model = OhmicSpectralDensity(coupling=0.1, exponent=s)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if t > 1.0 and s < 1.0 and beta < math.inf:
+                with pytest.raises(NumericsError,
+                                   match=r"at t = 1e\+185 .* serves t up to about"):
+                    q_grids(model, BathState(beta=beta), [t, -t])
+                continue
+            values, errors = q_grids(model, BathState(beta=beta), [t, -t])
+        assert np.isfinite(values).all() and np.isfinite(errors).all()
+        assert values[0, 0] == -values[0, 1] and values[1, 0] == values[1, 1]
 
 
 @pytest.mark.parametrize("t,rtol", [
@@ -212,7 +300,7 @@ def test_thermal_rtol_1e_11_meets_rtol():
     """At s = 0.5 and beta = 2 every time of a log grid meets rtol 1e-11,
     and the gold values are met within the reported error."""
     t = np.geomspace(1e-2, 1e3, 24)
-    (values,), (errors,) = kernels.quad_ohmic_grid((2,), 0.5, 0.1, 1.0, 2.0, t, 1e-11)
+    values, errors = kernels.quad_ohmic_grid(0.5, 0.1, 1.0, 2.0, t, 1e-11)
     assert np.all(errors <= 1e-11 * np.abs(values))
     model = OhmicSpectralDensity(coupling=0.1, exponent=0.5, omega_c=1.0)
     for s, tg, beta, value in THERMAL_GOLD:
@@ -259,10 +347,11 @@ def test_grid_matches_scalar_calls():
 def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     """One grid call gives each time what a call for that time alone gives,
     on negative times, t = 0, a time whose panels are all head (1e-4), and
-    linear and log grids over [1e-2, 1e6], where the grid takes its head
-    and tail from moments and the single times, below _FEW, do not;
-    q_grids, one kernel pass for both integrals, gives what the grids of
-    one integral give, values and errors, and bisects the same times."""
+    linear and log grids over [1e-2, 1e6], where the blocks of the thermal
+    q2 differ from those of a single time; q_grids gives what the grids of
+    one integral give, with the thermal q2's values and errors those of
+    the kernel, and bisects the same times.  q1, and q2 at T = 0, are
+    closed forms and never reach the kernel."""
     bisected = []
     adaptive = kernels._adaptive
 
@@ -279,37 +368,41 @@ def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     g2 = q2_grid(model, state, t, rtol)
     refined = sorted(bisected)
     del bisected[:]
-    (j1, j2), _ = q_grids(model, state, t, rtol)
+    (j1, j2), (_, e2) = q_grids(model, state, t, rtol)
     assert sorted(bisected) == refined
     np.testing.assert_allclose(j1, g1, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(j2, g2, rtol=1e-12, atol=0.0)
-    on = np.abs(t[t != 0.0])
-    errors = kernels.quad_ohmic_grid((1, 2), s, 0.1, 1.0, beta, on, rtol)[1]
-    for row, kind in enumerate((1, 2)):
-        alone = kernels.quad_ohmic_grid((kind,), s, 0.1, 1.0, beta, on, rtol)[1][0]
-        np.testing.assert_allclose(errors[row], alone, rtol=1e-9, atol=0.0)
+    if beta < math.inf:
+        on = np.abs(t[t != 0.0])
+        values, errors = kernels.quad_ohmic_grid(s, 0.1, 1.0, beta, on, rtol)
+        assert np.array_equal(j2[t != 0.0], values)
+        assert np.array_equal(e2[t != 0.0], errors)
     for k, tk in enumerate(t):
         assert g1[k] == pytest.approx(_q1(model, tk, rtol), rel=1e-12, abs=0.0)
         assert g2[k] == pytest.approx(_q2(model, state, tk, rtol), rel=1e-12, abs=0.0)
-    if beta == 2.0 and (s, rtol) in ((3.0, 1e-8), (0.5, 1e-11)):
+    if beta == math.inf:
+        assert refined == []
+    elif (s, rtol) in ((3.0, 1e-8), (0.5, 1e-11)):
         # some times are bisected on their own, the others are not
-        assert 0 < len(refined) < 2 * np.count_nonzero(t)
+        assert 0 < len(refined) < np.count_nonzero(t)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0])
 def test_joint_grid_where_q2_has_more_panels(s):
-    """At beta >> t every time of the grid, the latest included, needs more
-    q2 panels than q1 panels, so the q1 sums start inside the shared nodes."""
+    """At beta >> t every time of the grid, the latest included, has more
+    q2 panels than at beta = 2, so its head reaches deeper; q_grids gives
+    what the grids of one integral give, and each time what a call for
+    that time alone gives."""
     model = OhmicSpectralDensity(coupling=0.1, exponent=s)
     state = BathState(beta=50.0)
     t = np.geomspace(1e-3, 1.0, 7)
-    n1 = kernels._panel_counts(t, 1.0, s, 1e-8, math.inf)
-    assert np.all(kernels._panel_counts(t, 1.0, s, 1e-8, state.beta) > n1)
+    n2 = kernels._panel_counts(t, 1.0, s, 1e-8, 2.0)
+    assert np.all(kernels._panel_counts(t, 1.0, s, 1e-8, state.beta) > n2)
     (j1, j2), _ = q_grids(model, state, t)
     np.testing.assert_allclose(j1, q1_grid(model, t), rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(j2, q2_grid(model, state, t), rtol=1e-12, atol=0.0)
     for k, tk in enumerate(t):
-        assert j1[k] == pytest.approx(_q1(model, tk), rel=1e-12, abs=0.0)
+        assert j2[k] == pytest.approx(_q2(model, state, tk), rel=1e-12, abs=0.0)
 
 
 def test_grid_memory_is_bounded():

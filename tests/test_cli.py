@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -241,6 +242,22 @@ def test_non_finite_numbers_rejected_at_their_line(tmp_path, capsys, key,
     assert code == 1
     assert f"line {at + 1}: {key}: not a finite number" in capsys.readouterr().err
     assert not (tmp_path / "o" / "report.json").exists()
+
+
+def test_exponent_whose_gamma_overflows_rejected_at_its_line(tmp_path, capsys):
+    # Gamma(300) of the ohmic closed forms is beyond the floats: the key
+    # table bounds the exponent at bath.EXPONENT_MAX, so no run starts
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith("exponent "))
+    lines[at] = "exponent = 300"
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert f"line {at + 1}: exponent must be <= 100, got 300" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # a body that holds each section, for the key-table tests

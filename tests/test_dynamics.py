@@ -708,23 +708,25 @@ def test_finite_bath_spec_rejects_non_integer_cutoffs(cutoff):
 
 
 def test_evolve_reduced_makes_one_ohmic_kernel_pass(monkeypatch):
-    """Q1 and Q2 of an ohmic bath come from one kernel call for the grid."""
+    """Q1 of an ohmic bath, and Q2 at T = 0, are closed forms: the grid
+    makes one kernel call at a finite temperature, for the thermal Q2, and
+    none at T = 0."""
     calls = []
     grid = kernels.quad_ohmic_grid
 
-    def counted(kinds, *args, **kwargs):
-        calls.append(kinds)
-        return grid(kinds, *args, **kwargs)
+    def counted(s, alpha, omega_c, beta, *args, **kwargs):
+        calls.append(beta)
+        return grid(s, alpha, omega_c, beta, *args, **kwargs)
 
     monkeypatch.setattr(kernels, "quad_ohmic_grid", counted)
     cut = FockCutoff(2, 2)
     labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
               TensorBasisLabel(2, 1, 1)]
-    for state in (BathState(), BathState(beta=2.0)):
+    for state, kernel_calls in ((BathState(), []), (BathState(beta=2.0), [2.0])):
         del calls[:]
         evolve_reduced(_plus_state(cut, labels).density(), _eff(), OHMIC, state,
                        np.linspace(0.0, 400.0, 150))
-        assert calls == [(1, 2)]
+        assert calls == kernel_calls
 
 
 def test_evolve_reduced_eigendecomposes_only_mixed_states(rng, monkeypatch):

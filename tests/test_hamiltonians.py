@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from cqdeph.device import DeviceParams, EffectiveParams
-from cqdeph.errors import CapacityError
+from cqdeph.errors import CapacityError, NumericsError
 from cqdeph.hamiltonians import (
     STAGE_DIAGONAL,
     STAGE_DISPERSIVE,
@@ -155,6 +155,16 @@ def test_capacity_guard():
     eff = _eff()
     with pytest.raises(CapacityError):
         build_diagonal(eff, FockCutoff(50, 49))
+
+
+def test_non_finite_stage_is_a_numerics_error():
+    # every field is finite, but E_J_max / hbar overflows: the stage's
+    # hermiticity defect is nan, which its bound must not let through
+    p = dataclasses.replace(_device(), E_J_max=1e300, hbar=1e-10)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(NumericsError, match="hermiticity defect nan"):
+            build_full(p, _eff(), FockCutoff(2, 2))
 
 
 def test_capacity_guard_comes_first_in_every_builder():
