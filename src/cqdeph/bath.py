@@ -21,7 +21,8 @@ For an ohmic density, q1 at every temperature and q2 at T = 0 are
 Gamma-function integrals, evaluated in closed form (``_ohmic_closed_forms``),
 and the thermal q2, which has none, is integrated along the complex ray
 w = r e^{i pi/4} (``kernels.quad_ohmic_grid``); a whole grid is one call of
-each.  Tabulated densities keep real-axis panels that resolve the
+each.  A thermal q2 whose reported error exceeds rtol |q2| at some time of
+the grid warns once, naming the worst time.  Tabulated densities keep real-axis panels that resolve the
 oscillation of sin(w t), one time at a time, and stop at
 ``kernels.PANEL_CAP``.  Every call checks, once per grid, that the times are
 finite and that rtol is finite and positive.
@@ -36,6 +37,7 @@ oracle of :mod:`cqdeph.dynamics` in its continuum limit.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -209,6 +211,7 @@ def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
             if kinds[-1] == 2 and not math.isinf(beta):
                 out[:, -1, on] = kernels.quad_ohmic_grid(
                     model.exponent, model.coupling, model.omega_c, beta, t_on, rtol)
+                _warn_missed_rtol(out[:, -1, on], t_on, rtol)
     elif isinstance(model, TabulatedSpectralDensity):
         for row, kind in enumerate(kinds):
             for k in on:
@@ -219,6 +222,22 @@ def _dispatch(model, kinds: tuple[int, ...], beta: float, t,
     if kinds[0] == 1:
         np.negative(out[0, 0], out=out[0, 0], where=t < 0.0)
     return out
+
+
+def _warn_missed_rtol(q2: np.ndarray, t: np.ndarray, rtol: float) -> None:
+    """Warn the caller of q_grids or q2_grid, once, when the reported error
+    of the thermal q2, the rows (values, errors) of q2, exceeds rtol |q2| at
+    any time of the grid, naming the time where it exceeds it most.  The
+    closed forms are not checked: their errors are rounding bounds, which
+    may read above a tight rtol.  A q2 that underflows to 0 with a nonzero
+    error reads an infinite ratio."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(q2[1] > 0.0, q2[1] / (rtol * np.abs(q2[0])), 0.0)
+    k = int(np.argmax(ratio))
+    if ratio[k] > 1.0:
+        warnings.warn(f"thermal q2 misses its tolerance: the reported error is "
+                      f"{ratio[k]:.3g} x rtol |q2| at t = {t[k]:.6g} (rtol = "
+                      f"{rtol:.3g}), the worst time of {t.size}", stacklevel=4)
 
 
 def q1_grid(model, t_grid, rtol: float = DEFAULT_RTOL) -> np.ndarray:

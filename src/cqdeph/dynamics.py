@@ -25,7 +25,10 @@ observables are sums over the u energy classes.
 Two independent validators live here as well: a finite-mode bath propagated
 exactly, one displaced oscillator per mode and system energy
 (`finite_bath_oracle`), and a fidelity comparison of the number-dependent
-JC stage against its dispersive normal form (`dispersive_check`).
+JC stage against its dispersive normal form (`dispersive_check`).  The JC
+stage conserves n_b and n_a + sigma_+ sigma_-, so it is a direct sum of 2 x 2
+doublets and singletons; `dispersive_check` propagates it in closed form in
+O(nt dim), with no dense matrix and no dimension cap.
 """
 
 from __future__ import annotations
@@ -574,8 +577,6 @@ class DispersiveCheck:
     fidelity: np.ndarray
     min_fidelity: float
     mean_photons_a: float
-    jc_frame: str
-    comparison_frame: str
 
 
 def dispersive_check(psi0: StateVector, eff: EffectiveParams, e_j_max: float,
@@ -583,40 +584,45 @@ def dispersive_check(psi0: StateVector, eff: EffectiveParams, e_j_max: float,
     """Fidelity of the dispersive normal form against the JC stage.
 
     Both states are propagated in the mode-B picture: the JC stage lives
-    there already, and the diagonal stage is pulled back by re-adding the
-    free part that was rotated away.  That comparison Hamiltonian is
-    diagonal, so each label just picks up its own phase.  ``e_j_max`` is an
-    angular frequency, as for the reduced builders.
+    there already, and the cross-Kerr levels of :mod:`cqdeph.spectrum` are
+    pulled back by re-adding the free part that was rotated away, the
+    diagonal of the JC stage.  That comparison Hamiltonian is diagonal, so
+    each label just picks up its own phase.  ``e_j_max`` is an angular
+    frequency, as for the reduced builders.
+
+    The JC stage is a direct sum of doublets and singletons
+    (``hamiltonians.jc_doublets``), so it is propagated in closed form, in
+    O(nt dim) and with no dimension cap: a singleton takes its phase, and
+    a doublet H = mu + delta Z + c X evolves by
+
+        exp(-i mu t) [cos(W t) - i sin(W t)/W (delta Z + c X)],
+        W = hypot(delta, c),
+
+    with sin(W t)/W = t sinc(W t / pi), which is t at W = 0.
 
     The initial mean photon number of mode A is reported because the
     dispersive approximation degrades as photons increase.
     """
-    # the dephasing path never builds a Hamiltonian matrix
-    from .hamiltonians import FRAME_B_ROTATING, build_diagonal, build_jc, frame_free_part
+    # the dephasing path never imports the Hamiltonian builders
+    from .hamiltonians import jc_doublets
 
     cutoff = _need_cutoff(psi0)
     t = _check_t_grid(t_grid)
-    jc = build_jc(eff, e_j_max, cutoff)
-    h_cmp = np.real(np.diagonal(build_diagonal(eff, cutoff).matrix.mat)
-                    + np.diagonal(frame_free_part(eff, e_j_max, cutoff).mat))
+    diag, lo, hi, c = jc_doublets(eff, e_j_max, cutoff)
 
     psi = np.array(psi0.vec, dtype=complex)
     mean_photons = float(np.sum(cutoff.numbers()[0] * np.abs(psi) ** 2))
 
-    psi_jc = _propagate_states(jc.matrix.mat, psi, t)
-    psi_cmp = np.exp(-1j * np.outer(t, h_cmp)) * psi
-    overlap = np.einsum("tj,tj->t", psi_jc.conj(), psi_cmp)
-    fid = np.abs(overlap) ** 2
-    return DispersiveCheck(
-        t_grid=t, fidelity=fid, min_fidelity=float(np.min(fid)),
-        mean_photons_a=mean_photons, jc_frame=jc.frame,
-        comparison_frame=FRAME_B_ROTATING,
-    )
-
-
-def _propagate_states(h: np.ndarray, psi0: np.ndarray,
-                      t_grid: np.ndarray) -> np.ndarray:
-    """Rows are the propagated state at each grid time."""
-    w, v = np.linalg.eigh(h)
-    coeff = v.conj().T @ psi0
-    return (np.exp(-1j * np.outer(t_grid, w)) * coeff) @ v.T
+    # singletons take a phase; the doublets' labels are overwritten below
+    psi_jc = np.exp(-1j * np.outer(t, diag)) * psi
+    mu, delta = 0.5 * (diag[lo] + diag[hi]), 0.5 * (diag[lo] - diag[hi])
+    wt = np.outer(t, np.hypot(delta, c))
+    phase, cos = np.exp(-1j * np.outer(t, mu)), np.cos(wt)
+    sin_w = t[:, None] * np.sinc(wt / np.pi)
+    a, b = psi[lo], psi[hi]
+    psi_jc[:, lo] = phase * (cos * a - 1j * sin_w * (delta * a + c * b))
+    psi_jc[:, hi] = phase * (cos * b - 1j * sin_w * (c * a - delta * b))
+    psi_cmp = np.exp(-1j * np.outer(t, spectrum.energies_vector(eff, cutoff) + diag)) * psi
+    fid = np.abs(np.einsum("tj,tj->t", psi_jc.conj(), psi_cmp)) ** 2
+    return DispersiveCheck(t_grid=t, fidelity=fid, min_fidelity=float(np.min(fid)),
+                           mean_photons_a=mean_photons)

@@ -2,6 +2,8 @@
 
 Every builder returns a :class:`HamiltonianStage` whose matrix is H/hbar on
 the truncated qubit (x) A (x) B space, so entries are angular frequencies.
+:func:`jc_doublets` gives the JC stage without a matrix, as its diagonal
+and the 2 x 2 doublets its coupling forms, for ``dynamics.dispersive_check``.
 Builders that take a :class:`~cqdeph.device.DeviceParams` divide energies by
 ``p.hbar``; the reduced-model builders take the Josephson energy
 ``e_j_max`` as an angular frequency.
@@ -71,10 +73,6 @@ FRAME_FULLY_ROTATING = (
     "omega_a*n_a + omega_q(n_b)*sigma_z/2"
 )
 
-# dim above which rebuilding a stage through a second route for a self-check
-# would dominate the construction cost
-_SELF_CHECK_DIM = 512
-
 _HERM_TOL = 1e-12
 
 
@@ -91,13 +89,13 @@ class HamiltonianStage:
         return self.matrix.dim
 
 
-def _warn_regime(name: str, ratios, what: str, consequence: str) -> None:
+def _warn_regime(name: str, ratios, what: str, consequence: str, stacklevel=3) -> None:
     """Warn the builder's caller when the worst of ratios reads "warn" by
     device.regime_flag."""
     worst = float(np.max(ratios))
     if regime_flag(name, worst) == "warn":
         warnings.warn(f"{what} = {worst:.3g} >= {REGIME_THRESHOLDS[name]}: "
-                      f"{consequence}", stacklevel=3)
+                      f"{consequence}", stacklevel=stacklevel)
 
 
 def _checked(stage: str, mat: np.ndarray, cutoff: FockCutoff) -> OperatorMatrix:
@@ -164,6 +162,11 @@ def build_rotated(p: DeviceParams, eff: EffectiveParams,
 
     H'/hbar = w_a n_a + w_b n_b - g_a (a + a^dag) sigma_x
               + (E_J_max/hbar) cos[phi_b (b + b^dag)] sigma_z
+
+    Built once, from its own operator products: this stage does not
+    rebuild :func:`build_full`.  The identity R H_full R^dag = H' with R
+    from :func:`sweet_spot_rotation` is held entrywise by the tests, and
+    validation's ``rotation_spectrum_match`` row compares the two spectra.
     """
     a, b, i2, ia, ib = _ladders(cutoff)
     if abs(eff.n_g_dc - 0.5) > 1e-12:
@@ -182,15 +185,6 @@ def build_rotated(p: DeviceParams, eff: EffectiveParams,
         - eff.g_a * tensor3(SIGMA_X, a + a.conj().T, ib).mat
         + (p.E_J_max / p.hbar) * tensor3(SIGMA_Z, ia, cos_b).mat
     )
-    if cutoff.dim <= _SELF_CHECK_DIM:
-        full = build_full(p, eff, cutoff).matrix.mat
-        r = tensor3(sweet_spot_rotation(), ia, ib).mat
-        defect = np.max(np.abs(h - r @ full @ r.conj().T))
-        scale = max(np.max(np.abs(h)), 1.0)
-        if defect > 1e-10 * scale:
-            raise NumericsError(
-                f"rotated stage disagrees with R H R^dag by {defect:.3e}"
-            )
     return HamiltonianStage(STAGE_ROTATED, _checked(STAGE_ROTATED, h, cutoff),
                             FRAME_JOSEPHSON)
 
@@ -244,20 +238,46 @@ def build_jc(eff: EffectiveParams, e_j_max: float,
       n_b range when device.regime_flag flags it;
     * the non-secular squeeze term (E_J phi_b^2 / 2hbar)(b^2 + b^dag^2) sigma_z
       removed by the mode-B interaction picture.
+
+    The diagonal and the warning come from :func:`jc_doublets`; the
+    coupling is built here from the operator products, so this dense
+    matrix is a reference independent of the doublet layout that
+    ``dynamics.dispersive_check`` propagates.
     """
-    a, _, i2, ia, ib = _ladders(cutoff)
-    wq, _, _, rwa = _kept_regime(eff, e_j_max, cutoff)
-    wq_op = np.diag(wq.astype(complex))
-    h = (
-        eff.omega_a * tensor3(i2, a.conj().T @ a, ib).mat
-        + 0.5 * tensor3(SIGMA_Z, ia, wq_op).mat
-        - eff.g_a * (tensor3(SIGMA_PLUS, a, ib).mat
-                     + tensor3(SIGMA_MINUS, a.conj().T, ib).mat)
-    )
-    _warn_regime("rwa", rwa, "worst |w_q - w_a|/|w_q + w_a| over the kept "
-                 "n_b range", "rotating-wave step is unreliable here")
+    a, _, _, _, ib = _ladders(cutoff)
+    diag = jc_doublets(eff, e_j_max, cutoff)[0]
+    h = np.diag(diag.astype(complex)) - eff.g_a * (
+        tensor3(SIGMA_PLUS, a, ib).mat + tensor3(SIGMA_MINUS, a.conj().T, ib).mat)
     return HamiltonianStage(STAGE_JC, _checked(STAGE_JC, h, cutoff),
                             FRAME_B_ROTATING)
+
+
+def jc_doublets(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff
+                ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The JC stage of :func:`build_jc` without its matrix:
+    ``(diagonal, lower, upper, coupling)``.
+
+    ``diagonal`` is w_a m + omega_q(n) s / 2 per label in flat-index order.
+    The coupling joins only the labels (m, n, 0) and (m - 1, n, 1), which
+    share n_b and N = m: entry -g_a sqrt(m) for m = 1 .. n_max_a, with the
+    flat indices of the two labels in ``lower`` and ``upper``.  Every other
+    label, (0, n, 0) and (n_max_a, n, 1), is alone.  So the stage is a
+    direct sum of 2 x 2 doublets and singletons, the Jaynes-Cummings ladder.
+
+    Raises NumericsError when the diagonal is not finite, and warns as
+    build_jc does; the warning names the line that called build_jc or
+    ``dynamics.dispersive_check``, one frame above this function's caller.
+    """
+    wq, _, _, rwa = _kept_regime(eff, e_j_max, cutoff)
+    diag = _free_entries(eff, wq, cutoff)
+    if not np.isfinite(diag).all():
+        raise NumericsError(f"{STAGE_JC} stage is not finite at e_j_max = {e_j_max}")
+    m, n, i = cutoff.numbers()
+    lower = np.flatnonzero((i == 0) & (m > 0))
+    upper = cutoff.flat_indices(m[lower] - 1, n[lower], 1)
+    _warn_regime("rwa", rwa, "worst |w_q - w_a|/|w_q + w_a| over the kept n_b range",
+                 "rotating-wave step is unreliable here", stacklevel=4)
+    return diag, lower, upper, -eff.g_a * np.sqrt(m[lower])
 
 
 def _kept_regime(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff):

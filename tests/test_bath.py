@@ -95,6 +95,9 @@ ZERO_T_GOLD = [
     (0.5, 10.0, 0.75406926428829811, 0.47874638782847984),
     (0.5, 400.0, 5.0069939000701983, 4.6650362614707603),
     (0.5, 100000.0, 79.266149620381301, 78.912451515659711),
+    (1.0, 10.0, 0.14711276743037347, 0.23075602584206298),
+    (1.0, 400.0, 0.15682963320032105, 0.59914676720982163),
+    (1.0, 100000.0, 0.1570786326794897, 1.151292546502023),
     (2.0, 10.0, 0.0099009900990099015, 0.099009900990099015),
     (2.0, 400.0, 0.00024999843750976558, 0.099999375003906238),
     (2.0, 100000.0, 9.9999999990000006e-7, 0.099999999990000005),
@@ -106,6 +109,9 @@ ZERO_T_GOLD = [
     (20.0, 100000.0, -6.4023735840829004e-81, 640237370572800.0),
     (20.0, 2.0, 119696731.09166977, 640237455210035.75),
     (3.0, 560000.0, 1.1388483964941947e-18, 0.10000000000031889),
+    (1.0, 0.001, 9.9999966666686674e-5, 4.9999975000016669e-8),
+    (1.0, 0.5, 0.046364760900080614, 0.011157177565710488),
+    (1.0, 1000000.0, 0.15707953267948967, 1.3815510557964774),
 ]
 _ZERO_T = {(s, t): (q1, q2) for s, t, q1, q2 in ZERO_T_GOLD}
 
@@ -141,31 +147,33 @@ def test_ohmic_rejects_non_finite(field, value):
         OhmicSpectralDensity(**kwargs)
 
 
+# (omega_c t, q1, q2) of the linear ohmic bath at T = 0, from 1e-3 to 1e6
+_LINEAR = sorted((t, q1, q2) for s, t, q1, q2 in ZERO_T_GOLD if s == 1.0)
+
+
 def test_q1_ohmic_closed_form():
-    # T-independent: Q1 = alpha arctan(w_c t), over nine decades of w_c t,
-    # and the reported error covers the true one
-    for t in np.geomspace(1e-3, 1e6, 37):
-        (value, _), (error, _) = _at(OHMIC, BathState(), float(t))
-        law = 0.1 * math.atan(t)
+    # T-independent: Q1 = alpha arctan(w_c t), held to mpmath over nine
+    # decades of w_c t, and the reported error covers the distance
+    for t, law, _ in _LINEAR:
+        (value, _), (error, _) = _at(OHMIC, BathState(), t)
         assert abs(value - law) <= min(1e-8 * law, error)
 
 
 def test_q2_ohmic_zero_t_closed_form():
-    # Q2 = (alpha/2) ln(1 + w_c^2 t^2)
+    # Q2 = (alpha/2) ln(1 + w_c^2 t^2), held to mpmath
     state = BathState()
-    for t in np.geomspace(1e-3, 1e6, 37):
-        (_, value), (_, error) = _at(OHMIC, state, float(t))
-        law = 0.05 * math.log1p(t * t)
+    for t, _, law in _LINEAR:
+        (_, value), (_, error) = _at(OHMIC, state, t)
         assert abs(value - law) <= min(1e-8 * law, error)
 
 
 def test_grid_errors_cover_the_ohmic_closed_forms():
     # T = 0: the error rows of one q_grids call bound the distance of each
-    # time's values to alpha arctan(w_c t) and (alpha/2) ln(1 + w_c^2 t^2)
-    t = np.geomspace(1e-3, 1e6, 37)
+    # time's values to the mpmath values of both integrals
+    t, q1, q2 = np.array(_LINEAR).T
     (v1, v2), (e1, e2) = q_grids(OHMIC, BathState(), t)
-    assert np.all(np.abs(v1 - 0.1 * np.arctan(t)) <= e1)
-    assert np.all(np.abs(v2 - 0.05 * np.log1p(t * t)) <= e2)
+    assert np.all(np.abs(v1 - q1) <= np.minimum(1e-8 * q1, e1))
+    assert np.all(np.abs(v2 - q2) <= np.minimum(1e-8 * q2, e2))
 
 
 def _q2_thermal_law(t, beta, alpha=0.1, omega_c=1.0, terms=100_000):
@@ -307,6 +315,25 @@ def test_thermal_rtol_1e_11_meets_rtol():
         if s == 0.5:
             (_, got), (_, error) = _at(model, BathState(beta=beta), tg, 1e-11)
             assert abs(got - value) <= error
+
+
+def test_thermal_q2_that_misses_its_tolerance_warns_once():
+    """At exponent 100, omega_c = 1e-3 and beta = 2 the ray panels do not
+    resolve the integrand, and the reported error of the thermal q2 reads
+    ~1e10 x rtol |q2|: one warning names the worst time and ratio.  The
+    closed forms are not judged by rtol, and a grid that meets it is quiet."""
+    model = OhmicSpectralDensity(coupling=1.0, exponent=100.0, omega_c=1e-3)
+    t = np.geomspace(1e-3, 1e6, 40)
+    with pytest.warns(UserWarning) as caught:
+        q_grids(model, BathState(beta=2.0), t)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(
+        "thermal q2 misses its tolerance: the reported error is 9.82e+09 x "
+        "rtol |q2| at t = 119.378 (rtol = 1e-08), the worst time of 40")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q_grids(model, BathState(), t, 1e-11)
+        q_grids(OHMIC, BathState(beta=2.0), t)
 
 
 def test_q1_is_odd_q2_is_even():

@@ -648,6 +648,19 @@ def test_run_validate_report(tmp_path):
     assert report["check_count"] == report["passed_count"]
 
 
+def test_missed_q2_tolerance_reaches_the_report(tmp_path):
+    body = DEPHASING_BODY
+    for section, key, value in (
+            ("bath", "coupling", "1"), ("bath", "exponent", "100"),
+            ("bath", "omega_c", "1e-3 Hz_rad"), ("bath", "beta", "2 s"),
+            ("grid", "t_start", "1e-3 s"), ("grid", "t_stop", "1e6 s"),
+            ("grid", "t_count", "40"), ("grid", "spacing", "log")):
+        body, _ = _set_key(body, section, key, value)
+    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "o"))
+    assert len(report["warnings"]) == 1
+    assert report["warnings"][0].startswith("thermal q2 misses its tolerance")
+
+
 def test_run_records_warnings_in_report(tmp_path):
     cfg = load_config(_write(tmp_path, COHERENT_BODY))
     texts = []

@@ -25,7 +25,7 @@ from cqdeph.dynamics import (
     finite_bath_oracle,
     observables,
 )
-from cqdeph.errors import CapacityError, InvalidArgumentError
+from cqdeph.errors import CapacityError, InvalidArgumentError, NumericsError
 from cqdeph.hilbert import (
     FockCutoff,
     OperatorMatrix,
@@ -782,26 +782,116 @@ def test_dispersive_check_fidelity_high_in_regime():
     assert np.all(chk.fidelity <= 1.0 + 1e-9)
 
 
-def test_dispersive_check_phases_match_dense_propagation():
-    # the comparison Hamiltonian is diagonal: one phase per label must give
-    # what eigh-based propagation of the same diagonal gives
-    from cqdeph.dynamics import _propagate_states
+def _eigh_propagate(h: np.ndarray, psi0: np.ndarray,
+                    t: np.ndarray) -> np.ndarray:
+    """Rows are psi0 propagated by the dense hermitian h at each time."""
+    w, v = np.linalg.eigh(h)
+    return (np.exp(-1j * np.outer(t, w)) * (v.conj().T @ psi0)) @ v.T
+
+
+def _dense_fidelity(psi0: StateVector, eff: EffectiveParams, e_j: float,
+                    t: np.ndarray) -> np.ndarray:
+    """The dispersive check by dense eigh of build_jc's operator-product
+    matrix, against the phases of the diagonal of build_diagonal plus
+    frame_free_part: a reference that shares neither the doublet layout
+    nor the level law of dispersive_check."""
     from cqdeph.hamiltonians import build_diagonal, build_jc, frame_free_part
-    eff = EffectiveParams(g_a=0.05, phi_b=0.1, phi_e=0.0, n_g_dc=0.5,
-                          omega_a=1.0, omega_a_prime=0.9, chi=0.3)
-    cut = FockCutoff(3, 2)
-    rng = np.random.default_rng(5)
-    psi0 = StateVector.normalized(rng.normal(size=cut.dim)
-                                  + 1j * rng.normal(size=cut.dim), cut)
-    t = np.linspace(0.0, 40.0, 23)
-    chk = dispersive_check(psi0, eff, 0.4, t)
-    jc = build_jc(eff, 0.4, cut).matrix.mat
-    h_cmp = build_diagonal(eff, cut).matrix.mat \
-        + frame_free_part(eff, 0.4, cut).mat
+    cut = psi0.cutoff
+    h_cmp = np.real(np.diagonal(build_diagonal(eff, cut).matrix.mat)
+                    + np.diagonal(frame_free_part(eff, e_j, cut).mat))
     psi = psi0.vec
-    dense = np.abs(np.einsum("tj,tj->t",
-                             _propagate_states(jc, psi, t).conj(),
-                             _propagate_states(h_cmp, psi, t))) ** 2
-    assert np.max(np.abs(chk.fidelity - dense)) <= 1e-15
-    phases = np.exp(-1j * np.outer(t, np.real(np.diagonal(h_cmp)))) * psi
-    assert np.max(np.abs(phases - _propagate_states(h_cmp, psi, t))) <= 1e-15
+    psi_jc = _eigh_propagate(build_jc(eff, e_j, cut).matrix.mat, psi, t)
+    psi_cmp = np.exp(-1j * np.outer(t, h_cmp)) * psi
+    return np.abs(np.einsum("tj,tj->t", psi_jc.conj(), psi_cmp)) ** 2
+
+
+_JC_EFF = EffectiveParams(g_a=0.05, phi_b=0.1, phi_e=0.0, n_g_dc=0.5,
+                          omega_a=1.0, omega_a_prime=0.9, chi=0.3)
+
+
+def _random_state(cut: FockCutoff, seed: int = 5) -> StateVector:
+    rng = np.random.default_rng(seed)
+    return StateVector.normalized(rng.normal(size=cut.dim)
+                                  + 1j * rng.normal(size=cut.dim), cut)
+
+
+# (t, fidelity) of dispersive_check's input in the test below, from
+# tools/jc_gold.py: mpmath expm of the dense JC matrix at 40 and 60 digits,
+# which agreed to 5.2e-42
+JC_GOLD = [
+    (0.0, 1.0000000000000001),
+    (1.8181818181818181, 0.048149556664542062),
+    (3.6363636363636362, 0.017325495035236607),
+    (5.454545454545454, 0.017575815805696553),
+    (7.2727272727272725, 0.12103371907136424),
+    (9.09090909090909, 0.047914693708932853),
+    (10.909090909090908, 0.15213786311816519),
+    (12.727272727272727, 0.0625177248419519),
+    (14.545454545454545, 0.11484930272232673),
+    (16.363636363636363, 0.0072236241026447916),
+    (18.18181818181818, 0.023995435566183886),
+    (20.0, 0.067468842218770648),
+    (21.818181818181817, 0.50029749664134508),
+    (23.636363636363637, 0.020329912291044787),
+    (25.454545454545453, 0.0065816023210241142),
+    (27.272727272727273, 0.013762731289441742),
+    (29.09090909090909, 0.0045491866662226565),
+    (30.909090909090907, 0.20697354417318867),
+    (32.72727272727273, 0.12053564885068115),
+    (34.54545454545455, 0.0037673826841160257),
+    (36.36363636363636, 0.069859508794679241),
+    (38.18181818181818, 0.00046839743373480091),
+    (40.0, 0.044571183886126321),
+]
+
+
+def test_dispersive_check_meets_the_40_digit_propagation():
+    # the closed-form doublets read 1.2e-15 from these values, a few eps of
+    # rounding in the 24-term overlap; the dense eigh reference reads
+    # 4.6e-15, its eigenvalue rounding grown over t = 40
+    t, gold = np.array(JC_GOLD).T
+    psi0 = _random_state(FockCutoff(3, 2))
+    chk = dispersive_check(psi0, _JC_EFF, 0.4, t)
+    assert np.max(np.abs(chk.fidelity - gold)) <= 1.7e-15
+    assert np.max(np.abs(_dense_fidelity(psi0, _JC_EFF, 0.4, t) - gold)) <= 1e-13
+
+
+def test_dispersive_check_phases_match_dense_propagation():
+    # the closed-form doublets against dense eigh propagation of the JC
+    # matrix, over random states up to dim 462
+    t = np.linspace(0.0, 40.0, 23)
+    for cut in (FockCutoff(3, 2), FockCutoff(8, 4), FockCutoff(20, 10)):
+        psi0 = _random_state(cut)
+        chk = dispersive_check(psi0, _JC_EFF, 0.4, t)
+        assert np.max(np.abs(chk.fidelity
+                             - _dense_fidelity(psi0, _JC_EFF, 0.4, t))) <= 1e-12
+
+
+def test_dispersive_check_runs_past_the_dense_cap(monkeypatch):
+    # dim 5002 > DENSE_DIM_CAP: a state over low labels reads as it does at
+    # (4, 2), where it lies inside the same doublets; (4, n, 1) is left
+    # empty, a singleton at (4, 2) but paired with (5, n, 0) here
+    small, big = FockCutoff(4, 2), FockCutoff(60, 40)
+    assert big.dim > hilbert.DENSE_DIM_CAP
+    rng = np.random.default_rng(11)
+    labels = [TensorBasisLabel(m, n, i) for m in range(5) for n in range(3)
+              for i in range(2) if (m, i) != (4, 1)]
+    amp = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
+    states = []
+    for cut in (small, big):
+        vec = np.zeros(cut.dim, dtype=complex)
+        vec[[lab.flat_index(cut) for lab in labels]] = amp
+        states.append(StateVector.normalized(vec, cut))
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("dispersive_check diagonalised a matrix")
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    t = np.linspace(0.0, 200.0, 41)
+    fids = [dispersive_check(psi0, _JC_EFF, 0.4, t).fidelity for psi0 in states]
+    assert np.max(np.abs(fids[1] - fids[0])) <= 1e-15
+
+
+@pytest.mark.parametrize("e_j", [math.nan, math.inf])
+def test_dispersive_check_non_finite_stage_raises(e_j):
+    with pytest.raises(NumericsError, match="jc stage is not finite"):
+        dispersive_check(_random_state(FockCutoff(2, 1)), _JC_EFF, e_j, [0.0, 1.0])

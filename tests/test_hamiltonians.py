@@ -87,6 +87,20 @@ def test_rotation_preserves_spectrum():
     assert np.max(np.abs(e_full - e_rot)) < 1e-10 * max(1, np.max(np.abs(e_full)))
 
 
+@pytest.mark.parametrize("cut", [FockCutoff(2, 3), FockCutoff(4, 5)])
+def test_rotated_is_the_rotated_full_stage(cut):
+    # R H_full R^dag = H_rot entrywise, to 1e-10 of max |H_rot|, at two
+    # parameter sets
+    r = np.kron(sweet_spot_rotation(), np.eye(cut.dim_a * cut.dim_b))
+    other = dataclasses.replace(_device(), E_J_max=1.3, omega_b=0.7)
+    for p, eff in ((_device(), _eff()),
+                   (other, _eff(g_a=0.05, phi_b=0.25, e_j=1.3))):
+        full = build_full(p, eff, cut).matrix.mat
+        rot = build_rotated(p, eff, cut).matrix.mat
+        scale = max(float(np.max(np.abs(rot))), 1.0)
+        assert np.max(np.abs(r @ full @ r.conj().T - rot)) <= 1e-10 * scale
+
+
 def test_quadratic_tracks_rotated_for_small_flux():
     cut = FockCutoff(2, 6)
     p = _device()

@@ -34,11 +34,13 @@ import mpmath
 
 ALPHA = 0.1
 # the times of test_other_exponents_within_reported_error at each of its
-# exponents, and the points where the ray quadrature of the parent code
-# missed: s = 20 at omega_c t = 2, s = 3 at omega_c t = 5.6e5
-TEST_CASES = ([(s, t) for s in (1e-4, 0.01, 0.03, 0.5, 2.0, 3.0, 20.0)
+# exponents, the points where the ray quadrature of the parent code
+# missed: s = 20 at omega_c t = 2, s = 3 at omega_c t = 5.6e5, and the ends
+# and middle of the range of the s = 1 closed-form tests
+TEST_CASES = ([(s, t) for s in (1e-4, 0.01, 0.03, 0.5, 1.0, 2.0, 3.0, 20.0)
                for t in (10.0, 400.0, 1e5)]
-              + [(20.0, 2.0), (3.0, 5.6e5)])
+              + [(20.0, 2.0), (3.0, 5.6e5)]
+              + [(1.0, t) for t in (1e-3, 0.5, 1e6)])
 # the q1 values of validation's ohmic_closed_form_q1q2 check
 VALIDATE_EXPONENTS = (0.5, 1.0, 3.0, 20.0)
 VALIDATE_TIMES = (0.02, 50.0)
