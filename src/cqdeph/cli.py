@@ -976,7 +976,8 @@ def main(argv=None) -> int:
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override: quadrature rtol (dephasing), "
+                       help="tolerance override: quadrature rtol of a "
+                            "tabulated bath (dephasing), "
                             "clustering tol (spectrum), tolerance scale "
                             "(validate)")
     args = parser.parse_args(argv)

@@ -86,8 +86,9 @@ class DephasingTrajectory:
     the dense matrices on each access.  For a pure rho0 that is exact; a
     mixed rho0 comes back as root root^dag, its numerical range, within
     rounding of the matrix given.  ``q1_err`` and
-    ``q2_err`` are the quadrature error estimates of ``q1_vals`` and
-    ``q2_vals``.
+    ``q2_err`` are the error estimates of ``q1_vals`` and ``q2_vals``:
+    rounding and truncation bounds for an ohmic bath, quadrature estimates
+    for a tabulated one.
     """
 
     cutoff: FockCutoff
@@ -196,7 +197,7 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
                    pairs=None) -> DephasingTrajectory:
     """Closed-form reduced evolution of a density matrix under dephasing.
 
-    Q1 and Q2 come from one quadrature pass over the grid (bath.q_grids)
+    Q1 and Q2 come from one evaluation over the grid (bath.q_grids)
     and are shared by all element pairs; the trajectory keeps their error
     estimates.  rho0 is read only through ``require_density_matrix``: its
     support S (the rows with a nonzero entry) and a factor root of the

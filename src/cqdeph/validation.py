@@ -409,32 +409,51 @@ def _check_q1_q2_small_t() -> _Measured:
             "both zero at t = 0, q2 >= 0")
 
 
-# q1 of the ohmic density (alpha = 0.1, omega_c = 1) at T = 0 and
+# q1 and q2 of the ohmic density (alpha = 0.1, omega_c = 1) at T = 0 and
 # t = 0.02 and 50, by exponent, from mpmath (tools/zero_t_gold.py)
-_Q1_GOLD = {
-    0.5: (0.0035447304874365748, 1.7548188100853677),
-    1.0: (0.0019997333973150535, 0.15507989928217462),
-    3.0: (0.0039968019189765121, 1.5987207675906048e-6),
-    20.0: (236546621502402.76, -3.1054793259136016e-18),
+_ZERO_T_GOLD = {
+    0.5: ((0.0035447304874365748, 1.7548188100853677),
+          (1.7722323406891891e-5, 1.4357753447786303)),
+    1.0: ((0.0019997333973150535, 0.15507989928217462),
+          (1.9996001066346772e-5, 0.39122229654388097)),
+    3.0: ((0.0039968019189765121, 1.5987207675906048e-6),
+          (0.00011992004477697126, 0.1000399520319821)),
+    20.0: ((236546621502402.76, -3.1054793259136016e-18),
+           (47914195921920.82, 640237370572800.0)),
 }
 
 
 def _check_ohmic_closed_form() -> _Measured:
-    # neither reference evaluates the closed forms: q1 meets frozen mpmath
-    # values, and the T = 0 q2 of the linear bath the thermal ray quadrature
-    # at beta omega_c = 1e8, which exceeds it by alpha t^2 zeta(2) / beta^2,
-    # 1.0e-13 relative at t = 50
+    # q1 and the T = 0 q2 meet frozen mpmath values, a reference that does
+    # not evaluate the closed forms
     worst = 0.0
-    for s, gold in _Q1_GOLD.items():
+    for s, gold in _ZERO_T_GOLD.items():
         model = bath.OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
-        worst = max(worst, float(np.max(np.abs(bath.q1_grid(model, [0.02, 50.0]) / gold - 1.0))))
-    ts = np.geomspace(0.02, 50.0, 12)
-    cold, warm = (bath.q2_grid(_OHMIC, bath.BathState(beta), ts) for beta in (math.inf, 1e8))
-    worst = max(worst, float(np.max(np.abs(warm / cold - 1.0))))
+        values = bath.q_grids(model, bath.BathState(), [0.02, 50.0])[0]
+        worst = max(worst, float(np.max(np.abs(values / np.array(gold) - 1.0))))
     return (worst, 1e-6,
-            "ohmic q1 at exponents 0.5, 1, 3 and 20 meets frozen mpmath values, "
-            "and the linear T = 0 q2 the thermal ray quadrature at "
-            "beta omega_c = 1e8, over t in [0.02, 50]")
+            "ohmic q1 and T = 0 q2 at exponents 0.5, 1, 3 and 20 meet frozen "
+            "mpmath values at t = 0.02 and 50")
+
+
+# the thermal q2 of the linear bath (alpha = 0.1, omega_c = 1) at t = 0.5,
+# 10 and 1e6, by beta, from the Gamma-function product in 40-digit mpmath
+# (tools/thermal_gold.py)
+_LOG_GAMMA_GOLD = {
+    0.01: (2.405073909714875, 248.07449470828027, 31415630.22585344),
+    1.0: (0.027031922271645387, 2.496790411807391, 314156.3184691611),
+    100.0: (0.011161230566974156, 0.2323720618852888, 3141.8498241594166),
+}
+
+
+def _check_q2_thermal_ohmic1() -> _Measured:
+    worst = 0.0
+    for beta, gold in _LOG_GAMMA_GOLD.items():
+        q2 = bath.q2_grid(_OHMIC, bath.BathState(beta), [0.5, 10.0, 1e6])
+        worst = max(worst, float(np.max(np.abs(q2 / np.array(gold) - 1.0))))
+    return (worst, 1e-12,
+            "thermal q2 of the linear reservoir meets frozen mpmath values of "
+            "its Gamma-function product at beta = 0.01, 1 and 100, t = 0.5 to 1e6")
 
 
 def _check_q2_temperature() -> _Measured:
@@ -443,15 +462,6 @@ def _check_q2_temperature() -> _Measured:
     worst = max(0.0, float(np.max(mid - hot)), float(np.max(cold - mid)))
     return (worst, 1e-12,
             "warming the reservoir can only increase q2, pointwise in t")
-
-
-def _check_q2_monotone() -> _Measured:
-    t0 = bath.BathState()
-    ts = np.linspace(0.0, 8.0, 17)
-    vals = bath.q2_grid(_OHMIC, t0, ts)
-    resid = max(0.0, float(np.max(vals[:-1] - vals[1:])))
-    return (resid, 1e-10,
-            "q2 never decreases in t for the linear reservoir at T = 0")
 
 
 def _check_r_factor_modulus() -> _Measured:
@@ -473,14 +483,20 @@ def _check_r_factor_modulus() -> _Measured:
             "q1/q2 composition reproduced at t = 2, beta = 1")
 
 
+# a 60-point table of the linear density (alpha = 0.1, omega_c = 1)
+_TABLE_W = np.linspace(0.05, 10.0, 60)
+
+
 def _check_quadrature_error() -> _Measured:
-    # the thermal q2 at beta = 2, t = 2 and 5, the one quadrature of an
-    # ohmic bath: q1 and the T = 0 q2 are closed forms, free of the tolerance
-    (_, coarse), (_, error) = bath.q_grids(_OHMIC, bath.BathState(beta=2.0), [2.0, 5.0], 1e-6)
-    fine = bath.q2_grid(_OHMIC, bath.BathState(beta=2.0), [2.0, 5.0], 5e-7)
+    # the tabulated q1 and q2 at beta = 2 and t = 2: the quadrature that
+    # takes rtol; the ohmic integrals are closed forms and take none
+    model = bath.TabulatedSpectralDensity(_TABLE_W, _OHMIC.density(_TABLE_W))
+    state = bath.BathState(beta=2.0)
+    coarse, error = bath.q_grids(model, state, [2.0], 1e-5)
+    fine = bath.q_grids(model, state, [2.0], 5e-6)[0]
     return (max(0.0, float(np.max(np.abs(coarse - fine) - error))), 1e-15,
-            "halving the tolerance moves the thermal q2 by less than its "
-            "own reported error estimate")
+            "halving the tolerance moves the tabulated q1 and q2 by less than "
+            "their own reported error estimates")
 
 
 # --------------------------------------------------------------- dynamics
@@ -620,7 +636,7 @@ _CHECKS = (
     ("q1_q2_small_t", _check_q1_q2_small_t),
     ("ohmic_closed_form_q1q2", _check_ohmic_closed_form),
     ("q2_temperature_monotonic", _check_q2_temperature),
-    ("q2_zero_t_monotone_ohmic1", _check_q2_monotone),
+    ("q2_thermal_ohmic1_gold", _check_q2_thermal_ohmic1),
     ("r_factor_modulus", _check_r_factor_modulus),
     ("quadrature_error_estimate", _check_quadrature_error),
     ("factorization_reconstruction", _check_factorization),

@@ -180,21 +180,21 @@ def test_criterion_4_dfs_protection():
 
 
 def test_criterion_5_reservoir_integral_oracles():
-    # the T = 0 q2 is also the limit of the thermal ray quadrature, which
-    # at beta*w_c = 1e8 exceeds it by alpha t^2 zeta(2) / beta^2, 1.0e-13
+    # the T = 0 q2 is also the limit of the thermal q2, which at
+    # beta*w_c = 1e8 exceeds it by alpha t^2 zeta(2) / beta^2, 1.0e-13
     # relative at t = 50
     t = np.geomspace(0.02, 50.0, 50)
     got_q1 = q1_grid(OHMIC, t)
     got_q2 = q2_grid(OHMIC, BathState(), t)
-    ray_q2 = q2_grid(OHMIC, BathState(beta=1e8), t)
+    warm_q2 = q2_grid(OHMIC, BathState(beta=1e8), t)
     want_q1 = 0.1 * np.arctan(t)
     want_q2 = 0.05 * np.log1p(t * t)
     worst = max(float(np.max(np.abs(got_q1 / want_q1 - 1.0))),
                 float(np.max(np.abs(got_q2 / want_q2 - 1.0))),
-                float(np.max(np.abs(ray_q2 / want_q2 - 1.0))))
+                float(np.max(np.abs(warm_q2 / want_q2 - 1.0))))
     ok = worst < 1e-6
     _report(5, ok,
-            f"ohmic q1/q2 and the thermal ray quadrature at beta*w_c = 1e8 "
+            f"ohmic q1/q2 and the thermal q2 at beta*w_c = 1e8 "
             f"vs arctan/log closed forms on 50 log-spaced times: worst "
             f"relative deviation {worst:.3e} (need < 1e-6)")
 

@@ -4,9 +4,10 @@ The frozen numbers were produced once with mpmath at 30 digits (adaptive
 tanh-sinh quadrature over [0, w_c], [w_c, 10 w_c], [10 w_c, inf)); the
 superohmic exponent-3 rows double as closed forms, Q1 = 0.2 t/(1+t^2)^2 and
 Q2 = 0.1 (1 - (1-t^2)/(1+t^2)^2), which mpmath reproduced to all printed
-digits.  The package evaluates the ohmic Q1 and the T = 0 Q2 in closed
-form, so the independent references for them are the frozen mpmath values
-(MPMATH_GOLD, ZERO_T_GOLD) and the thermal ray quadrature at a large beta.
+digits.  The package evaluates the ohmic Q1 and Q2 in closed form, the
+thermal Q2 as a sum of T = 0 closed forms over its images, so the
+independent references for them are the frozen mpmath values (MPMATH_GOLD,
+ZERO_T_GOLD, THERMAL_GOLD, LOG_GAMMA_GOLD) and a Gamma-product law.
 """
 
 import math
@@ -16,7 +17,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqdeph import kernels
+from cqdeph import bath
 from cqdeph.bath import (
     DEFAULT_RTOL,
     EXPONENT_MAX,
@@ -64,10 +65,10 @@ MPMATH_GOLD = [
     (3.0, 2.0, 2.0, "q2", 0.13290388243018324),
 ]
 
-# (exponent, t, beta, q2) of sub-ohmic baths at a finite temperature, from
-# tools/thermal_gold.py: mpmath with the head below w0 in closed form; the
-# variants w0 = 1e-12, 1e-16, 1e-20 at 30 and 40 digits agreed to 5e-26
-# relative (the script requires 1e-15)
+# (exponent, t, beta, q2) of ohmic baths at a finite temperature, from
+# tools/thermal_gold.py: mpmath along the real axis with the head below w0 in
+# closed form; the variants w0 = 1e-12, 1e-16, 1e-20 at 30 and 40 digits
+# agreed to 2e-23 relative (the script requires 1e-15)
 THERMAL_GOLD = [
     (0.03, 0.5, 2.0, 0.41268154800565032),
     (0.03, 1.52, 2.0, 3.7890599915000477),
@@ -75,6 +76,37 @@ THERMAL_GOLD = [
     (0.5, 0.5, 2.0, 0.025524100281413654),
     (0.5, 1.52, 2.0, 0.20381309356240301),
     (0.5, 10.0, 2.0, 4.7512514893096008),
+    (3.0, 0.5, 2.0, 0.054114541092598458),
+    (3.0, 1.52, 2.0, 0.12659504925258494),
+    (3.0, 10.0, 2.0, 0.14576961693829871),
+    (20.0, 0.5, 2.0, 702992932274408.17),
+    (20.0, 1.52, 2.0, 640230015169681.28),
+    (20.0, 10.0, 2.0, 640237371674576.99),
+]
+
+# (t, beta, q2) of the linear bath (s = 1, alpha = 0.1, omega_c = 1) at a
+# finite temperature, from tools/thermal_gold.py: the Gamma-function product
+# alpha [log1p(t^2) / 2 + 2 ln Gamma(b) - 2 Re ln Gamma(b + i t / beta)],
+# b = 1 + 1 / beta, at 40 and 60 digits, which agreed to 1e-35 relative
+LOG_GAMMA_GOLD = [
+    (0.001, 0.01, 1.0000164996500914e-5),
+    (0.5, 0.01, 2.4050739097148746),
+    (10.0, 0.01, 248.07449470828028),
+    (1000.0, 0.01, 31257.771593650903),
+    (1000000.0, 0.01, 31415630.22585344),
+    (1000000000.0, 0.01, 31415926101.432783),
+    (0.001, 1.0, 1.1449337756867821e-7),
+    (0.5, 1.0, 0.027031922271645387),
+    (10.0, 1.0, 2.4967904118073913),
+    (1000.0, 1.0, 312.593926546542),
+    (1000000.0, 1.0, 314156.31846916111),
+    (1000000000.0, 1.0, 314159261.03053847),
+    (0.001, 100.0, 5.0016187135299283e-8),
+    (0.5, 100.0, 0.011161230566974157),
+    (10.0, 100.0, 0.2323720618852888),
+    (1000.0, 100.0, 3.4125770650994503),
+    (1000000.0, 100.0, 3141.8498241594165),
+    (1000000000.0, 100.0, 3141592.8969448525),
 ]
 
 # (exponent, omega_c t, q1, q2) of ohmic baths at T = 0, from
@@ -177,7 +209,7 @@ def test_grid_errors_cover_the_ohmic_closed_forms():
 
 
 def _q2_thermal_law(t, beta, alpha=0.1, omega_c=1.0, terms=100_000):
-    """Linear ohmic q2 at finite temperature, independent of the quadrature.
+    """Linear ohmic q2 at finite temperature, independent of the image sum.
 
     alpha [ln(1 + w_c^2 t^2) / 2 + ln(Gamma(b)^2 / |Gamma(b + i y)|^2)] with
     y = t / beta and b = 1 + 1 / (beta w_c); the Gamma ratio is the product
@@ -202,14 +234,12 @@ def test_linear_ohmic_thermal_q2_up_to_a_million(beta):
 
 def test_thermal_law_reference_is_converged():
     # the test-only reference itself: closing the sum earlier moves it by
-    # far less than the 1e-8 the quadrature is held to
+    # far less than the 1e-8 the image sum is held to
     for t in (3.0, 2e3, 1e6):
         assert _q2_thermal_law(t, 1.0, terms=20_000) == pytest.approx(
             _q2_thermal_law(t, 1.0), rel=1e-11)
 
 
-# at small s the closed-form head below the first ray panel carries much
-# of the integral
 @pytest.mark.parametrize("s", [1e-4, 0.01, 0.03, 0.5, 2.0, 3.0, 20.0])
 @pytest.mark.parametrize("t", [10.0, 400.0, 1e5])
 def test_other_exponents_within_reported_error(s, t):
@@ -243,8 +273,10 @@ def test_thermal_ray_at_large_beta_meets_the_zero_t_form(s):
     T = 0 one by alpha t^2 Gamma(s + 1) zeta(s + 1) / beta^(s + 1), up to
     relative corrections of order 1 / (beta omega_c), since
     coth(beta w / 2) - 1 = 2 / (e^(beta w) - 1) lives at w ~ 1 / beta, where
-    sin^2(w t / 2) = (w t / 2)^2.  So the ray quadrature, which shares no
-    code with the closed form, checks the T = 0 q2 within its own error."""
+    sin^2(w t / 2) = (w t / 2)^2.  The thermal q2 is the T = 0 closed form
+    plus its images, so the two share that closed form; what this holds is
+    the sum of the images, almost all of it the Euler-Maclaurin tail, to
+    that excess, within the reported error."""
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
     t = np.geomspace(0.02, 50.0, 12)
     cold = q2_grid(model, BathState(), t)
@@ -258,21 +290,60 @@ def test_thermal_ray_at_large_beta_meets_the_zero_t_form(s):
 def test_extreme_times_give_finite_values(t, beta):
     """No accepted time gives NaN, and no numpy warning leaks: q_grids is
     finite at t = 1e-170 and 1e185, except that the thermal q2 at an
-    exponent near 0 and t = 1e185, whose head reaches below where the ray
-    integrand is a float, raises NumericsError naming the time and the
-    times the ray serves."""
+    exponent below 1, which grows like t^(2-s) / beta, leaves the floats at
+    t = 1e185 and raises NumericsError naming the time."""
     for s in (1e-4, 1.0, 3.0):
         model = OhmicSpectralDensity(coupling=0.1, exponent=s)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             if t > 1.0 and s < 1.0 and beta < math.inf:
                 with pytest.raises(NumericsError,
-                                   match=r"at t = 1e\+185 .* serves t up to about"):
+                                   match=r"at t = 1e\+185 is not finite: it leaves the floats"):
                     q_grids(model, BathState(beta=beta), [t, -t])
                 continue
             values, errors = q_grids(model, BathState(beta=beta), [t, -t])
         assert np.isfinite(values).all() and np.isfinite(errors).all()
         assert values[0, 0] == -values[0, 1] and values[1, 0] == values[1, 1]
+
+
+def test_sub_ohmic_thermal_q2_is_finite_at_1e130():
+    """At exponent 1e-4 and beta = 2 the thermal q2 at t = 1e130 is within
+    the floats, where the ray quadrature this replaces raised NumericsError
+    from about t = 1e114, and it grows like t^(2-s) there."""
+    model = OhmicSpectralDensity(coupling=0.1, exponent=1e-4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        (_, (late, early)), (_, (error, _)) = q_grids(model, BathState(beta=2.0),
+                                                      [1e130, 1e129])
+    assert math.isfinite(late) and 0.0 <= error <= 1e-10 * late
+    assert late / early == pytest.approx(10.0 ** (2.0 - 1e-4), rel=1e-6)
+
+
+@pytest.mark.parametrize("s0", [1.0, 2.0])
+@pytest.mark.parametrize("beta", [1e-3, 2.0])
+def test_thermal_q2_is_continuous_through_its_limit_exponents(s0, beta):
+    """The image sum takes limits at s = 1 (its terms and its tail
+    integral) and s = 2 (the tail integral).  At s0 +- 1e-9, where it takes
+    the general forms, it moves from its value at s0 by the slope over
+    1e-9, up to the reported errors."""
+    t = np.geomspace(1e-3, 1e5, 17)
+
+    def at(s):
+        (_, value), (_, error) = q_grids(OhmicSpectralDensity(0.1, s), BathState(beta), t)
+        return value, error
+
+    mid, mid_err = at(s0)
+    slope = (at(s0 + 1e-6)[0] - at(s0 - 1e-6)[0]) / 2e-6
+    for step in (-1e-9, 1e-9):
+        value, error = at(s0 + step)
+        assert np.all(np.abs(value - mid - step * slope) <= error + mid_err + 1e-15 * mid)
+
+
+def test_underflowing_beta_omega_c_is_a_numerics_error():
+    # beta omega_c = 1e-400 is 0 in floats: no image sum exists there
+    model = OhmicSpectralDensity(coupling=0.1, omega_c=1e-200)
+    with pytest.raises(NumericsError, match="underflows to 0"):
+        q_grids(model, BathState(beta=1e-200), [1.0])
 
 
 @pytest.mark.parametrize("t,rtol", [
@@ -297,43 +368,73 @@ def test_frozen_goldens(s, t, beta, kind, value):
     assert got == pytest.approx(value, rel=2e-8)
 
 
-@pytest.mark.parametrize("s,t,beta,value", THERMAL_GOLD)
-def test_thermal_sub_ohmic_gold(s, t, beta, value):
+def _meets_gold(s, t, beta, value):
     model = OhmicSpectralDensity(coupling=0.1, exponent=s, omega_c=1.0)
     (_, got), (_, error) = _at(model, BathState(beta=beta), t)
-    assert abs(got - value) <= min(2e-8 * value, error)
+    assert abs(got - value) <= min(1e-14 * value, error)
+
+
+@pytest.mark.parametrize("s,t,beta,value", [r for r in THERMAL_GOLD if r[0] < 1.0])
+def test_thermal_sub_ohmic_gold(s, t, beta, value):
+    _meets_gold(s, t, beta, value)
+
+
+@pytest.mark.parametrize("s,t,beta,value", [r for r in THERMAL_GOLD if r[0] > 1.0])
+def test_thermal_super_ohmic_gold(s, t, beta, value):
+    _meets_gold(s, t, beta, value)
+
+
+@pytest.mark.parametrize("t,beta,value", LOG_GAMMA_GOLD)
+def test_linear_thermal_log_gamma_gold(t, beta, value):
+    """The linear bath's thermal q2 against the Gamma-function product, over
+    twelve decades of t and four of beta."""
+    _meets_gold(1.0, t, beta, value)
 
 
 def test_thermal_rtol_1e_11_meets_rtol():
-    """At s = 0.5 and beta = 2 every time of a log grid meets rtol 1e-11,
-    and the gold values are met within the reported error."""
-    t = np.geomspace(1e-2, 1e3, 24)
-    values, errors = kernels.quad_ohmic_grid(0.5, 0.1, 1.0, 2.0, t, 1e-11)
-    assert np.all(errors <= 1e-11 * np.abs(values))
+    """At s = 0.5 and beta = 2 every time of a log grid reports an error
+    below rtol 1e-11 |q2|, and the gold values are met within the reported
+    error; the tolerance moves no ohmic value."""
     model = OhmicSpectralDensity(coupling=0.1, exponent=0.5, omega_c=1.0)
+    t = np.geomspace(1e-2, 1e3, 24)
+    (_, values), (_, errors) = q_grids(model, BathState(beta=2.0), t, 1e-11)
+    assert np.all(errors <= 1e-11 * np.abs(values))
+    assert np.array_equal(values, q2_grid(model, BathState(beta=2.0), t, 1e-4))
     for s, tg, beta, value in THERMAL_GOLD:
         if s == 0.5:
             (_, got), (_, error) = _at(model, BathState(beta=beta), tg, 1e-11)
             assert abs(got - value) <= error
 
 
+# a 60-point table of the linear density on [0.05, 10]
+_TABLE_W = np.linspace(0.05, 10.0, 60)
+TABLE = TabulatedSpectralDensity(_TABLE_W, OHMIC.density(_TABLE_W))
+
+
 def test_thermal_q2_that_misses_its_tolerance_warns_once():
-    """At exponent 100, omega_c = 1e-3 and beta = 2 the ray panels do not
-    resolve the integrand, and the reported error of the thermal q2 reads
-    ~1e10 x rtol |q2|: one warning names the worst time and ratio.  The
-    closed forms are not judged by rtol, and a grid that meets it is quiet."""
-    model = OhmicSpectralDensity(coupling=1.0, exponent=100.0, omega_c=1e-3)
-    t = np.geomspace(1e-3, 1e6, 40)
+    """On a 60-point table the tabulated thermal q2 at t = 2500 and rtol
+    1e-14 reports an error of 12 x rtol |q2|: one warning names the worst
+    time and ratio.  The ohmic closed forms take no tolerance, and a grid
+    that meets it is quiet."""
+    t = np.array([5.0, 2500.0])
     with pytest.warns(UserWarning) as caught:
-        q_grids(model, BathState(beta=2.0), t)
+        q2_grid(TABLE, BathState(beta=2.0), t, 1e-14)
     assert len(caught) == 1
     assert str(caught[0].message).startswith(
-        "thermal q2 misses its tolerance: the reported error is 9.82e+09 x "
-        "rtol |q2| at t = 119.378 (rtol = 1e-08), the worst time of 40")
+        "tabulated q2 misses its tolerance: the reported error is 12.1 x "
+        "rtol |q2| at t = 2500 (rtol = 1e-14), the worst time of 2")
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        q_grids(model, BathState(), t, 1e-11)
-        q_grids(OHMIC, BathState(beta=2.0), t)
+        q_grids(TABLE, BathState(beta=2.0), [5.0], 1e-6)
+        q_grids(OhmicSpectralDensity(0.1, 100.0, 1e-3), BathState(beta=2.0),
+                np.geomspace(1e-3, 1e6, 40), 1e-15)
+
+
+def test_tabulated_q1_that_misses_its_tolerance_warns():
+    """Kind 1 warns the same way: 34 x rtol |q1| at t = 1000, rtol 1e-12."""
+    with pytest.warns(UserWarning, match=r"tabulated q1 misses its tolerance: "
+                      r"the reported error is 34.4 x rtol \|q1\| at t = 1000 "):
+        q1_grid(TABLE, [1000.0], 1e-12)
 
 
 def test_q1_is_odd_q2_is_even():
@@ -373,72 +474,45 @@ def test_grid_matches_scalar_calls():
 @pytest.mark.parametrize("s", [0.03, 0.5, 1.0, 3.0, 20.0])
 def test_grid_kernel_matches_scalar_rule(s, beta, rtol, monkeypatch):
     """One grid call gives each time what a call for that time alone gives,
-    on negative times, t = 0, a time whose panels are all head (1e-4), and
-    linear and log grids over [1e-2, 1e6], where the blocks of the thermal
-    q2 differ from those of a single time; q_grids gives what the grids of
-    one integral give, with the thermal q2's values and errors those of
-    the kernel, and bisects the same times.  q1, and q2 at T = 0, are
-    closed forms and never reach the kernel."""
-    bisected = []
-    adaptive = kernels._adaptive
-
-    def counting(f, a, *args, **kwargs):
-        bisected.append(a.size)
-        return adaptive(f, a, *args, **kwargs)
-
-    monkeypatch.setattr(kernels, "_adaptive", counting)
+    on negative times, t = 0, a tiny time and linear and log grids over
+    [1e-2, 1e6], where the blocks of the image sum differ from those of a
+    single time; q_grids gives what the grids of one integral give, the
+    thermal q2 is the T = 0 closed form plus its images, and rtol moves no
+    value.  q1 and q2 at T = 0 never reach the image sum."""
     model = OhmicSpectralDensity(coupling=0.1, exponent=s)
     state = BathState(beta=beta)
     t = np.concatenate([[-5.0, -0.3, 0.0, 1e-4], np.linspace(1e-2, 1e6, 9),
                         np.geomspace(1e-2, 1e6, 13)])
+    monkeypatch.setattr(bath, "_BLOCK", 4 * bath._direct_images(s))
     g1 = q1_grid(model, t, rtol)
     g2 = q2_grid(model, state, t, rtol)
-    refined = sorted(bisected)
-    del bisected[:]
     (j1, j2), (_, e2) = q_grids(model, state, t, rtol)
-    assert sorted(bisected) == refined
     np.testing.assert_allclose(j1, g1, rtol=1e-12, atol=0.0)
     np.testing.assert_allclose(j2, g2, rtol=1e-12, atol=0.0)
+    assert np.array_equal(j2, q2_grid(model, state, t, 1e-4))
+    on = np.abs(t[t != 0.0])
+    cold, cold_err = bath._ohmic_closed_forms(model, on)[:, 1]
     if beta < math.inf:
-        on = np.abs(t[t != 0.0])
-        values, errors = kernels.quad_ohmic_grid(s, 0.1, 1.0, beta, on, rtol)
-        assert np.array_equal(j2[t != 0.0], values)
-        assert np.array_equal(e2[t != 0.0], errors)
+        images, images_err = bath._thermal_images(model, beta, on)
+        assert np.array_equal(j2[t != 0.0], cold + images)
+        assert np.array_equal(e2[t != 0.0], cold_err + images_err)
+    else:
+        assert np.array_equal(j2[t != 0.0], cold)
     for k, tk in enumerate(t):
         assert g1[k] == pytest.approx(_q1(model, tk, rtol), rel=1e-12, abs=0.0)
         assert g2[k] == pytest.approx(_q2(model, state, tk, rtol), rel=1e-12, abs=0.0)
-    if beta == math.inf:
-        assert refined == []
-    elif (s, rtol) in ((3.0, 1e-8), (0.5, 1e-11)):
-        # some times are bisected on their own, the others are not
-        assert 0 < len(refined) < np.count_nonzero(t)
-
-
-@pytest.mark.parametrize("s", [0.5, 1.0])
-def test_joint_grid_where_q2_has_more_panels(s):
-    """At beta >> t every time of the grid, the latest included, has more
-    q2 panels than at beta = 2, so its head reaches deeper; q_grids gives
-    what the grids of one integral give, and each time what a call for
-    that time alone gives."""
-    model = OhmicSpectralDensity(coupling=0.1, exponent=s)
-    state = BathState(beta=50.0)
-    t = np.geomspace(1e-3, 1.0, 7)
-    n2 = kernels._panel_counts(t, 1.0, s, 1e-8, 2.0)
-    assert np.all(kernels._panel_counts(t, 1.0, s, 1e-8, state.beta) > n2)
-    (j1, j2), _ = q_grids(model, state, t)
-    np.testing.assert_allclose(j1, q1_grid(model, t), rtol=1e-12, atol=0.0)
-    np.testing.assert_allclose(j2, q2_grid(model, state, t), rtol=1e-12, atol=0.0)
-    for k, tk in enumerate(t):
-        assert j2[k] == pytest.approx(_q2(model, state, tk), rel=1e-12, abs=0.0)
 
 
 def test_grid_memory_is_bounded():
-    """The grid kernel works through the times in blocks, so 2000 times
-    cost no more memory than a few dozen, for one integral or both."""
+    """The image sum works through the times in blocks, so 2000 times cost
+    no more memory than a few dozen, for one integral or both, and at the
+    largest exponent, whose sum takes 200 images term by term."""
     state = BathState(beta=2.0)
     t = np.linspace(0.01, 400.0, 2000)
+    steep = OhmicSpectralDensity(coupling=0.1, exponent=EXPONENT_MAX)
     for grid in (lambda tg: q2_grid(OHMIC, state, tg),
-                 lambda tg: q_grids(OHMIC, state, tg)):
+                 lambda tg: q_grids(OHMIC, state, tg),
+                 lambda tg: q_grids(steep, state, tg)):
         grid(t[:20])
         tracemalloc.start()
         try:
@@ -541,9 +615,9 @@ def test_r_factor_broadcasts_with_one_pass(monkeypatch):
     e1 = np.array([-1.7, 0.0, 0.4, 1.3, 2.0])
     e2 = np.array([0.9, -0.3, 1.3])
     calls = []
-    grid = kernels.quad_ohmic_grid
-    monkeypatch.setattr(kernels, "quad_ohmic_grid",
-                        lambda *args: calls.append(args) or grid(*args))
+    images = bath._thermal_images
+    monkeypatch.setattr(bath, "_thermal_images",
+                        lambda *args: calls.append(args) or images(*args))
     r = r_factor(e1[:, None], e2[None, :], OHMIC, state, 2.0)
     assert len(calls) == 1 and r.shape == (5, 3)
     for j, a in enumerate(e1.tolist()):

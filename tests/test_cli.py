@@ -649,16 +649,24 @@ def test_run_validate_report(tmp_path):
 
 
 def test_missed_q2_tolerance_reaches_the_report(tmp_path):
-    body = DEPHASING_BODY
+    # a 60-point table at t = 2500 and tol 1e-14: the reported errors of the
+    # tabulated q1 and q2 exceed tol times their values, and both warnings
+    # reach report.json
+    w = np.linspace(0.05, 10.0, 60)
+    np.savetxt(tmp_path / "dens.txt", np.column_stack([w, 0.1 * w * np.exp(-w)]))
+    body = DEPHASING_BODY.replace(
+        "family = ohmic\ncoupling = 0.1\nomega_c = 1 Hz_rad",
+        "family = tabulated\ntable = dens.txt")
     for section, key, value in (
-            ("bath", "coupling", "1"), ("bath", "exponent", "100"),
-            ("bath", "omega_c", "1e-3 Hz_rad"), ("bath", "beta", "2 s"),
-            ("grid", "t_start", "1e-3 s"), ("grid", "t_stop", "1e6 s"),
-            ("grid", "t_count", "40"), ("grid", "spacing", "log")):
+            ("bath", "beta", "2 s"), ("grid", "t_start", "2500 s"),
+            ("grid", "t_stop", "2500 s"), ("grid", "t_count", "1")):
         body, _ = _set_key(body, section, key, value)
-    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "o"))
-    assert len(report["warnings"]) == 1
-    assert report["warnings"][0].startswith("thermal q2 misses its tolerance")
+    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "o"), tol=1e-14)
+    assert len(report["warnings"]) == 2
+    assert report["warnings"][0].startswith("tabulated q1 misses its tolerance")
+    assert report["warnings"][1].startswith(
+        "tabulated q2 misses its tolerance: the reported error is 12.1 x rtol |q2| "
+        "at t = 2500 (rtol = 1e-14)")
 
 
 def test_run_records_warnings_in_report(tmp_path):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from cqdeph import hilbert, kernels
+from cqdeph import bath, hilbert, kernels
 from cqdeph.bath import (
     BathState,
     OhmicSpectralDensity,
@@ -709,16 +709,16 @@ def test_finite_bath_spec_rejects_non_integer_cutoffs(cutoff):
 
 def test_evolve_reduced_makes_one_ohmic_kernel_pass(monkeypatch):
     """Q1 of an ohmic bath, and Q2 at T = 0, are closed forms: the grid
-    makes one kernel call at a finite temperature, for the thermal Q2, and
-    none at T = 0."""
+    makes one pass of the image sum at a finite temperature, for the
+    thermal Q2, and none at T = 0."""
     calls = []
-    grid = kernels.quad_ohmic_grid
+    images = bath._thermal_images
 
-    def counted(s, alpha, omega_c, beta, *args, **kwargs):
+    def counted(model, beta, *args, **kwargs):
         calls.append(beta)
-        return grid(s, alpha, omega_c, beta, *args, **kwargs)
+        return images(model, beta, *args, **kwargs)
 
-    monkeypatch.setattr(kernels, "quad_ohmic_grid", counted)
+    monkeypatch.setattr(bath, "_thermal_images", counted)
     cut = FockCutoff(2, 2)
     labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
               TensorBasisLabel(2, 1, 1)]

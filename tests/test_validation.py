@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cqdeph import kernels, validation
+from cqdeph import bath, kernels, validation
 from cqdeph.errors import InvalidArgumentError, ValidationFailure
 
 
@@ -23,10 +23,10 @@ def test_registry_names_match():
 
 
 def test_run_all_quadrature_and_kron_budget(monkeypatch):
-    # each bath state's times go to the kernel as one grid, and tensor3
-    # builds its products without np.kron
-    calls = {"grid": 0, "kron": 0}
-    grid, kron = kernels.quad_ohmic_grid, np.kron
+    # each thermal bath state's times go to the image sum as one grid, and
+    # tensor3 builds its products without np.kron
+    calls = {"images": 0, "kron": 0}
+    images, kron = bath._thermal_images, np.kron
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -34,26 +34,65 @@ def test_run_all_quadrature_and_kron_budget(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(kernels, "quad_ohmic_grid", counted("grid", grid))
+    monkeypatch.setattr(bath, "_thermal_images", counted("images", images))
     monkeypatch.setattr(np, "kron", counted("kron", kron))
     validation.run_all()
-    assert calls["grid"] <= 26
+    assert calls["images"] <= 26
     assert calls["kron"] == 0
+
+
+def _scaled(monkeypatch, name, scale, row=...):
+    """Replace bath.name, which returns [values, errors], by one that scales
+    its values (only their row ``row``, if given)."""
+    inner = getattr(bath, name)
+
+    def scaled(*args, **kwargs):
+        out = inner(*args, **kwargs).copy()
+        out[0][row] *= scale
+        return out
+
+    monkeypatch.setattr(bath, name, scaled)
 
 
 @pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-4])
 def test_small_t_check_fails_a_scaled_quadrature(scale, monkeypatch):
-    # the small-t limits of q1 and q2 are fixed numbers, so a quadrature
-    # that is off by 1e-4 relative fails the check
-    grid = kernels.quad_ohmic_grid
-
-    def scaled(*args, **kwargs):
-        values, errors = grid(*args, **kwargs)
-        return values * scale, errors
-
-    monkeypatch.setattr(kernels, "quad_ohmic_grid", scaled)
+    # the small-t limits of q1 and q2 are fixed numbers, so a thermal q2
+    # whose images are off by 1e-4 relative fails the check
+    _scaled(monkeypatch, "_thermal_images", scale)
     residual, tolerance, _ = validation._check_q1_q2_small_t()
     assert (residual <= tolerance) == (scale == 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-4])
+def test_closed_form_check_fails_a_scaled_zero_t_q2(scale, monkeypatch):
+    # ohmic_closed_form_q1q2 holds the T = 0 q2 to frozen mpmath values
+    _scaled(monkeypatch, "_ohmic_closed_forms", scale, row=1)
+    residual, tolerance, _ = validation._check_ohmic_closed_form()
+    assert (residual <= tolerance) == (scale == 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+def test_log_gamma_check_fails_scaled_images(scale, monkeypatch):
+    # q2_thermal_ohmic1_gold holds the thermal q2 of the linear bath to
+    # frozen mpmath values of its Gamma-function product
+    _scaled(monkeypatch, "_thermal_images", scale)
+    residual, tolerance, _ = validation._check_q2_thermal_ohmic1()
+    assert (residual <= tolerance) == (scale == 1.0)
+
+
+@pytest.mark.parametrize("drift", [0.0, 10.0])
+def test_quadrature_error_check_fails_a_drifting_tabulated_rule(drift, monkeypatch):
+    # a tabulated rule whose value moves by drift x rtol when rtol is
+    # halved, beyond its reported error, fails quadrature_error_estimate
+    quad = kernels.quad_tabulated
+
+    def drifting(kind, omega, values, beta, t, rtol):
+        value, error = quad(kind, omega, values, beta, t, rtol)
+        return value * (1.0 + drift * rtol), error
+
+    monkeypatch.setattr(kernels, "quad_tabulated", drifting)
+    residual, tolerance, _ = validation._check_quadrature_error()
+    assert (residual <= tolerance) == (drift == 0.0)
 
 
 def test_tol_scale_zero_rejected():

@@ -3,7 +3,7 @@
     python3 tools/zero_t_gold.py
 
 Prints the ``ZERO_T_GOLD`` rows of ``tests/test_bath.py`` and the
-``_Q1_GOLD`` rows of ``cqdeph.validation``: for the ohmic density
+``_ZERO_T_GOLD`` rows of ``cqdeph.validation``: for the ohmic density
 D(w) = alpha w^s exp(-w) (omega_c = 1, alpha = 0.1) at T = 0,
 
     q1(t) = integral_0^inf D(w)/w^2 sin(w t) dw = Im J,
@@ -41,7 +41,7 @@ TEST_CASES = ([(s, t) for s in (1e-4, 0.01, 0.03, 0.5, 1.0, 2.0, 3.0, 20.0)
                for t in (10.0, 400.0, 1e5)]
               + [(20.0, 2.0), (3.0, 5.6e5)]
               + [(1.0, t) for t in (1e-3, 0.5, 1e6)])
-# the q1 values of validation's ohmic_closed_form_q1q2 check
+# the q1 and q2 values of validation's ohmic_closed_form_q1q2 check
 VALIDATE_EXPONENTS = (0.5, 1.0, 3.0, 20.0)
 VALIDATE_TIMES = (0.02, 50.0)
 R0S = ("1e-12", "1e-16", "1e-20")
@@ -115,14 +115,16 @@ def main() -> int:
         ok &= spread <= AGREE
         print(f"    ({s!r}, {t!r}, {mpmath.nstr(ref.imag, 17)}, "
               f"{mpmath.nstr(-ref.real, 17)}),  # spread {mpmath.nstr(spread, 2)}")
-    print("]\n_Q1_GOLD = {")
+    print("]\n_ZERO_T_GOLD = {")
     for s in VALIDATE_EXPONENTS:
-        q1s = []
+        q1s, q2s = [], []
         for t in VALIDATE_TIMES:
             ref, spread = reference(s, t)
             ok &= spread <= AGREE
             q1s.append(mpmath.nstr(ref.imag, 17))
-        print(f"    {s!r}: ({', '.join(q1s)}),")
+            q2s.append(mpmath.nstr(-ref.real, 17))
+        print(f"    {s!r}: (({', '.join(q1s)}),\n{' ' * (len(repr(s)) + 7)}"
+              f"({', '.join(q2s)})),")
     print("}")
     if not ok:
         print(f"the r0, digit and Gamma-form variants disagree beyond {AGREE}",
