@@ -13,7 +13,8 @@ Modules
 -------
 hilbert       truncated two-mode-plus-qubit tensor algebra
 device        circuit parameters -> effective couplings, regime checks
-hamiltonians  every stage of the reduction chain as an explicit matrix
+hamiltonians  every stage of the reduction chain in the structure it has:
+              dense where labels mix, energy vectors where it is diagonal
 spectrum      diagonal-model levels and degenerate (protected) subspaces
 bath          spectral densities and the two dephasing integrals
 kernels       quadrature and multiplier hot loops (vectorized numpy)
@@ -39,9 +40,9 @@ _EXPORTS = {
     "device": ("DeviceParams", "EffectiveParams", "CrossPhase", "RegimeReport",
                "cross_kerr", "dressed_mode_frequency", "effective_couplings",
                "qubit_frequency", "cross_phase", "regime_report"),
-    "hamiltonians": ("HamiltonianStage", "build_full", "build_rotated",
-                     "build_quadratic", "build_jc", "build_dispersive",
-                     "build_diagonal", "frame_free_part"),
+    "hamiltonians": ("build_full", "build_rotated", "build_quadratic",
+                     "build_jc", "build_dispersive", "build_diagonal",
+                     "frame_free_part"),
     "spectrum": ("DegeneracyClass", "DfsResult", "DfsVerification", "eigenvalue",
                  "levels", "dfs_find", "dfs_verify"),
     "bath": ("OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",

@@ -24,10 +24,10 @@ that T = 0 form plus its images, the same form at the cutoffs
 omega_c / (1 + k beta omega_c), k >= 1, summed term by term and closed by
 Euler-Maclaurin (``_thermal_images``).  Their errors are rounding and
 truncation bounds; rtol moves no ohmic value.  Tabulated densities keep
-real-axis panels that resolve the oscillation of sin(w t), one time at a
-time, and stop at ``kernels.PANEL_CAP``; a tabulated integral whose
-reported error exceeds rtol |q| at some time of the grid warns once,
-naming the worst time.  Every call checks, once per grid, that the times
+real-axis panels that resolve the oscillation of sin(w t) and end on the
+table's samples, one time at a time, and stop at ``kernels.PANEL_CAP``; a
+tabulated integral whose reported error exceeds rtol |q| at some time of
+the grid warns once, naming the worst time.  Every call checks, once per grid, that the times
 are finite and that rtol is finite and positive.
 
 The closed forms that ship are held to references that do not use them:
@@ -172,8 +172,9 @@ def _expm1_nu_l(nu, lr: np.ndarray, at: np.ndarray):
     (|a sin b| + |b|), and each term rounds to 16 eps, so 16 eps times the
     third value, e^a (|a| + |b sin b|) + |expm1(a) cos b| + 2 sin^2(b / 2),
     bounds the rounding of Re, and 16 eps times the fourth, e^a (|a sin b|
-    + |b|) + |Im|, that of Im.  Where the two terms of Re cancel, at small
-    x and 0 < nu < 1, the bound of Re grows with them."""
+    + |b|) + |Im|, that of Im.  For 0 < nu < 1 the two terms of Re cancel,
+    by a factor near 1 / (1 - nu) at small x, and the bound of Re grows with
+    them; ``_re_expm1`` avoids that for nu above 1/2."""
     a, b = nu * lr, -nu * at
     ea, em1, sin2, sin_b = np.exp(a), np.expm1(a), 2.0 * np.sin(0.5 * b) ** 2, np.sin(b)
     em1 *= np.cos(b)
@@ -181,6 +182,25 @@ def _expm1_nu_l(nu, lr: np.ndarray, at: np.ndarray):
     a, b = np.abs(a), np.abs(b)
     return (em1 - sin2, im, ea * (a + b * np.abs(sin_b)) + np.abs(em1) + sin2,
             ea * (a * np.abs(sin_b) + b) + np.abs(im))
+
+
+def _re_expm1(s: float, x: np.ndarray, lr: np.ndarray, at: np.ndarray,
+              re: np.ndarray, size: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Re expm1((1 - s) L) and the size that bounds its rounding, as
+    ``_expm1_nu_l`` gives them (re, size) for L = ln(1 - i x).
+
+    Below s = 1/2 they come instead from the exact identity
+    Re expm1((1 - s) L) = Re[(1 - i x) expm1(-s L)] = R + x I, with R and I
+    the parts of expm1(-s L): expm1((1 - s) L) cancels to O(s) at every x,
+    and R + x I by at most a factor 2.  The rounding of R and I is bounded
+    by 16 eps times their sizes, and x, the product and the sum add at most
+    3 eps (|R| + x |I|) to it, so 16 eps times 1.25 (size R + x size I)
+    bounds that of R + x I.  From s = 1/2 on, re and size are returned as
+    given, so those exponents keep their values bit for bit."""
+    if s >= 0.5:
+        return re, size
+    r, i, r_size, i_size = _expm1_nu_l(-s, lr, at)
+    return r + x * i, 1.25 * (r_size + x * i_size)
 
 
 def _ohmic_closed_forms(model: OhmicSpectralDensity, t: np.ndarray) -> np.ndarray:
@@ -196,17 +216,20 @@ def _ohmic_closed_forms(model: OhmicSpectralDensity, t: np.ndarray) -> np.ndarra
     with the limits alpha arctan(x) and (alpha / 2) log1p(x^2) at s = 1.
     ``_expm1_nu_l`` takes expm1 from real functions, so q1 keeps its
     relative accuracy as s -> 1 and t -> 0, and from x = 1e8 on Re L is
-    ln omega_c + ln t, which stays a float where x^2 does not.
+    ln omega_c + ln t, which stays a float where x^2 does not.  Below
+    s = 1/2 the real part comes from ``_re_expm1``, which keeps q2's
+    relative accuracy as s -> 0.
 
     The errors are its rounding bounds times 16 eps |alpha Gamma(s) /
     (s - 1)|; at s = 1 they are 16 eps times the values.
     """
-    s, alpha = model.exponent, model.coupling
-    lr, at = _ln_one_minus_ix(model.omega_c * t, np.log(t) + math.log(model.omega_c))
+    s, alpha, x = model.exponent, model.coupling, model.omega_c * t
+    lr, at = _ln_one_minus_ix(x, np.log(t) + math.log(model.omega_c))
     if s == 1.0:
         values = alpha * np.stack([at, lr])
         return np.stack([values, _ROUND * values])
     re, im, re_size, im_size = _expm1_nu_l(1.0 - s, lr, at)
+    re, re_size = _re_expm1(s, x, lr, at, re, re_size)
     scale = alpha * math.gamma(s) / (s - 1.0)
     errors = _ROUND * abs(scale) * np.stack([im_size, re_size])
     return np.stack([scale * np.stack([im, -re]), errors])
@@ -298,7 +321,8 @@ def _image_sum(s: float, h: float, c: np.ndarray, x: np.ndarray,
     else:
         re, im, mass, im_size = _expm1_nu_l(1.0 - s, lr, at)
         scale = (math.gamma(s) / (s - 1.0)) * c[:, None] ** (1.0 - s)
-        g, g_mass = -scale * re, np.abs(scale) * mass
+        re_g, mass_g = _re_expm1(s, y, lr, at, re, mass)
+        g, g_mass = -scale * re_g, np.abs(scale) * mass_g
         if s < 1.5:
             pre = scale[-1] * cn / (2.0 - s)
             tail = pre * (re[-1] + yn * im[-1])

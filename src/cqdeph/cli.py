@@ -63,9 +63,7 @@ from .device import (
     PHI_0_SI,
     DeviceParams,
     EffectiveParams,
-    cross_kerr,
     cross_phase,
-    dressed_mode_frequency,
     effective_couplings,
     regime_report,
 )
@@ -162,29 +160,13 @@ class RunConfig:
 # --------------------------------------------------------------- execution
 
 def resolve_effective(cfg: RunConfig) -> EffectiveParams:
-    """Device map plus overrides, or pure effective parameters.
-
-    Overriding g_a, phi_b, or omega_a with a device present recomputes
-    omega_a_prime and chi unless those are overridden too.
-    """
+    """The device map with the [effective] overrides (the rule of
+    ``device.effective_couplings``), or pure effective parameters."""
     over = dict(cfg.eff_overrides)
     if cfg.device is not None:
-        base = effective_couplings(cfg.device)
-        vals = asdict(base)
-        vals.update(over)
-        if {"g_a", "phi_b", "omega_a"} & over.keys():
-            if "chi" not in over:
-                vals["chi"] = cross_kerr(vals["g_a"], vals["phi_b"],
-                                         cfg.device.E_J_max, vals["omega_a"],
-                                         cfg.device.hbar)
-            if "omega_a_prime" not in over:
-                vals["omega_a_prime"] = dressed_mode_frequency(
-                    vals["g_a"], vals["phi_b"], cfg.device.E_J_max,
-                    vals["omega_a"], cfg.device.hbar)
-        return EffectiveParams(**vals)
-    vals = {"g_a": 0.0, "phi_b": 0.0, "phi_e": 0.0, "n_g_dc": 0.5}
-    vals.update(over)
-    return EffectiveParams(**vals)
+        return effective_couplings(cfg.device, **over)
+    return EffectiveParams(**{"g_a": 0.0, "phi_b": 0.0, "phi_e": 0.0,
+                              "n_g_dc": 0.5, **over})
 
 
 def _time_grid(cfg: RunConfig) -> np.ndarray:
@@ -816,9 +798,11 @@ def load_config(path: str) -> RunConfig:
     header, a missing section at the ``scenario =`` line, after the
     sections that are present have been read.  A density ``table`` is read
     and checked here, once: the run uses the density kept in
-    ``RunConfig.bath_table``.  An exact ``ratio`` must agree with the effective
-    parameters the run will use (the rule of ``dfs_find``); both are
-    reported at their key's line.
+    ``RunConfig.bath_table``.  The effective parameters are resolved here
+    too, so a device map or an override set that fails is reported at the
+    header of [device], or of [effective] without one.  An exact ``ratio``
+    must agree with the effective parameters the run will use (the rule of
+    ``dfs_find``); both are reported at their key's line.
     """
     entries, headers = _tokenize(path)
     config_dir = os.path.dirname(os.path.abspath(path))
@@ -854,10 +838,17 @@ def load_config(path: str) -> RunConfig:
             raise ConfigError("[effective] without [device] must supply "
                               + ", ".join(missing), headers["effective"])
     cfg = RunConfig(**fields)
+    params = "device" if "device" in headers else "effective"
+    if params in headers:
+        # the effective parameters every run of this config uses
+        try:
+            eff = resolve_effective(cfg)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"[{params}]: {exc}", headers[params]) from None
     if cfg.ratio is not None:
         # the rule dfs_find holds the ratio to, on the parameters run uses
         try:
-            _check_ratio(resolve_effective(cfg), cfg.ratio)
+            _check_ratio(eff, cfg.ratio)
         except InvalidArgumentError as exc:
             raise ConfigError(f"ratio: {exc}", ratio_at) from None
     return cfg

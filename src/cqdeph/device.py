@@ -148,31 +148,41 @@ def dressed_mode_frequency(g_a: float, phi_b: float, e_j_max: float,
     return g_a**2 / omega_a + 2.0 * g_a**2 * e_j_max / (hbar * omega_a**2) - chi / 2.0
 
 
-def effective_couplings(p: DeviceParams) -> EffectiveParams:
-    """Reduce DeviceParams to the effective rates.
+def effective_couplings(p: DeviceParams, **overrides: float) -> EffectiveParams:
+    """Reduce DeviceParams to the effective rates, with optional overrides.
 
     g_a    = 2 E_C C_a sqrt(hbar w_a / (L_a c)) / (hbar e)
     phi_b  = mu_0 S sqrt(hbar w_b / (L_b l)) / (2 d Phi_0)
     phi_e  = pi Phi_e / Phi_0
     n_g_dc = C_g V_g_dc / (2 e)
-    chi and omega_a_prime then follow from cross_kerr / dressed_mode_frequency,
-    so chi = 2 g_a^2 phi_b^2 E_J_max / (hbar omega_a^2) holds by construction.
+    omega_a = w_a
+
+    An override, keyed by the EffectiveParams field it sets, replaces one of
+    these first.  chi and omega_a_prime then come from their own override,
+    or from cross_kerr / dressed_mode_frequency of the values above after
+    the overrides, so without one chi = 2 g_a^2 phi_b^2 E_J_max / (hbar
+    omega_a^2) holds by construction.  A map whose float arithmetic fails
+    (omega_a^2 underflowing to 0, a g_a^2 that overflows) raises
+    InvalidArgumentError, as does a rate that is not finite.
     """
-    v_rms_a = math.sqrt(p.hbar * p.omega_a / (p.L_a * p.c_cap))
-    i_rms_b = math.sqrt(p.hbar * p.omega_b / (p.L_b * p.l_ind))
-    g_a = 2.0 * p.E_C * p.C_a * v_rms_a / (p.hbar * p.e_charge)
-    phi_b = p.mu_0 * p.S_loop * i_rms_b / (2.0 * p.d_dist * p.Phi_0)
-    phi_e = math.pi * p.Phi_e / p.Phi_0
-    n_g_dc = p.C_g * p.V_g_dc / (2.0 * p.e_charge)
-    return EffectiveParams(
-        g_a=g_a,
-        phi_b=phi_b,
-        phi_e=phi_e,
-        n_g_dc=n_g_dc,
-        omega_a=p.omega_a,
-        omega_a_prime=dressed_mode_frequency(g_a, phi_b, p.E_J_max, p.omega_a, p.hbar),
-        chi=cross_kerr(g_a, phi_b, p.E_J_max, p.omega_a, p.hbar),
-    )
+    try:
+        v_rms_a = math.sqrt(p.hbar * p.omega_a / (p.L_a * p.c_cap))
+        i_rms_b = math.sqrt(p.hbar * p.omega_b / (p.L_b * p.l_ind))
+        vals = {
+            "g_a": 2.0 * p.E_C * p.C_a * v_rms_a / (p.hbar * p.e_charge),
+            "phi_b": p.mu_0 * p.S_loop * i_rms_b / (2.0 * p.d_dist * p.Phi_0),
+            "phi_e": math.pi * p.Phi_e / p.Phi_0,
+            "n_g_dc": p.C_g * p.V_g_dc / (2.0 * p.e_charge),
+            "omega_a": p.omega_a,
+            **overrides,
+        }
+        rates = (vals["g_a"], vals["phi_b"], p.E_J_max, vals["omega_a"], p.hbar)
+        vals = {"omega_a_prime": dressed_mode_frequency(*rates),
+                "chi": cross_kerr(*rates), **vals}
+    except ArithmeticError as exc:
+        raise InvalidArgumentError(f"the device map fails in float arithmetic "
+                                   f"({type(exc).__name__}: {exc})") from None
+    return EffectiveParams(**vals)
 
 
 def qubit_frequency(eff: EffectiveParams, e_j_max: float, n_b,

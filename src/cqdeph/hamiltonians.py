@@ -1,9 +1,14 @@
 """Builders for the reduction chain of circuit Hamiltonians.
 
-Every builder returns a :class:`HamiltonianStage` whose matrix is H/hbar on
-the truncated qubit (x) A (x) B space, so entries are angular frequencies.
-:func:`jc_doublets` gives the JC stage without a matrix, as its diagonal
-and the 2 x 2 doublets its coupling forms, for ``dynamics.dispersive_check``.
+Each stage is H/hbar on the truncated qubit (x) A (x) B space, so entries
+are angular frequencies, held in the structure it has.  The stages that mix
+labels (full, rotated, quadratic and jc) are checked hermitian
+:class:`~cqdeph.hilbert.OperatorMatrix` values, under the dense cap of
+``hilbert.check_dense_dim``.  The diagonal stages (dispersive, diagonal)
+and the frame's free part are real energy vectors in flat-index order, with
+no cap.  :func:`jc_doublets` gives the JC stage without a matrix, as its
+diagonal and the 2 x 2 doublets its coupling forms, for
+``dynamics.dispersive_check``; :func:`build_jc` is its dense reference.
 Builders that take a :class:`~cqdeph.device.DeviceParams` divide energies by
 ``p.hbar``; the reduced-model builders take the Josephson energy
 ``e_j_max`` as an angular frequency.
@@ -32,7 +37,6 @@ has +E_J cos(...) sigma_z and -g_a (a + a^dag) sigma_x.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,35 +62,7 @@ from .hilbert import (
     tensor3,
 )
 
-STAGE_FULL = "full"
-STAGE_ROTATED = "rotated"
-STAGE_QUADRATIC = "quadratic"
-STAGE_JC = "jc"
-STAGE_DISPERSIVE = "dispersive"
-STAGE_DIAGONAL = "diagonal"
-
-FRAME_CHARGE = "lab frame, charge basis"
-FRAME_JOSEPHSON = "lab frame, Josephson basis"
-FRAME_B_ROTATING = "mode-B interaction picture, Josephson basis"
-FRAME_FULLY_ROTATING = (
-    "mode-B interaction picture, then interaction picture w.r.t. "
-    "omega_a*n_a + omega_q(n_b)*sigma_z/2"
-)
-
 _HERM_TOL = 1e-12
-
-
-@dataclass(frozen=True, eq=False)
-class HamiltonianStage:
-    """One rung of the reduction chain."""
-
-    stage: str
-    matrix: OperatorMatrix
-    frame: str
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
 
 
 def _warn_regime(name: str, ratios, what: str, consequence: str, stacklevel=3) -> None:
@@ -99,11 +75,19 @@ def _warn_regime(name: str, ratios, what: str, consequence: str, stacklevel=3) -
 
 
 def _checked(stage: str, mat: np.ndarray, cutoff: FockCutoff) -> OperatorMatrix:
+    """The dense stage, once its hermiticity defect is below _HERM_TOL."""
     defect = hermiticity_defect(mat)
     # written so that a nan defect, from a matrix that is not finite, fails
     if not defect < _HERM_TOL:
         raise NumericsError(f"{stage} stage hermiticity defect {defect:.3e}")
     return OperatorMatrix(mat, cutoff)
+
+
+def _finite(what: str, energies: np.ndarray) -> np.ndarray:
+    """The energies of a diagonal stage, once every one is finite."""
+    if not np.isfinite(energies).all():
+        raise NumericsError(f"{what} is not finite")
+    return energies
 
 
 def operator_cosine(mat: np.ndarray) -> np.ndarray:
@@ -127,7 +111,7 @@ def sweet_spot_rotation() -> np.ndarray:
 
 
 def build_full(p: DeviceParams, eff: EffectiveParams,
-               cutoff: FockCutoff) -> HamiltonianStage:
+               cutoff: FockCutoff) -> OperatorMatrix:
     """Exact circuit Hamiltonian: charge qubit coupled to both resonators.
 
     H/hbar = w_a n_a + w_b n_b + (2 E_C/hbar)(2 n_g_dc - 1) sigma_z
@@ -148,12 +132,11 @@ def build_full(p: DeviceParams, eff: EffectiveParams,
         - eff.g_a * tensor3(SIGMA_Z, a + a.conj().T, ib).mat
         - (p.E_J_max / p.hbar) * tensor3(SIGMA_X, ia, cos_b).mat
     )
-    return HamiltonianStage(STAGE_FULL, _checked(STAGE_FULL, h, cutoff),
-                            FRAME_CHARGE)
+    return _checked("full", h, cutoff)
 
 
 def build_rotated(p: DeviceParams, eff: EffectiveParams,
-                  cutoff: FockCutoff) -> HamiltonianStage:
+                  cutoff: FockCutoff) -> OperatorMatrix:
     """Sweet-spot Hamiltonian after the qubit-axis rotation.
 
     Requires the charge degeneracy point n_g_dc = 1/2 and zero flux bias
@@ -185,12 +168,11 @@ def build_rotated(p: DeviceParams, eff: EffectiveParams,
         - eff.g_a * tensor3(SIGMA_X, a + a.conj().T, ib).mat
         + (p.E_J_max / p.hbar) * tensor3(SIGMA_Z, ia, cos_b).mat
     )
-    return HamiltonianStage(STAGE_ROTATED, _checked(STAGE_ROTATED, h, cutoff),
-                            FRAME_JOSEPHSON)
+    return _checked("rotated", h, cutoff)
 
 
 def build_quadratic(p: DeviceParams, eff: EffectiveParams,
-                    cutoff: FockCutoff) -> HamiltonianStage:
+                    cutoff: FockCutoff) -> OperatorMatrix:
     """Rotated Hamiltonian with the cosine expanded to O(phi_b^2).
 
     H''/hbar = w_a n_a + w_b n_b
@@ -216,14 +198,11 @@ def build_quadratic(p: DeviceParams, eff: EffectiveParams,
         - 0.5 * ej * eff.phi_b**2 * tensor3(SIGMA_Z, ia, squeeze).mat
         - eff.g_a * tensor3(SIGMA_X, a + a.conj().T, ib).mat
     )
-    return HamiltonianStage(
-        STAGE_QUADRATIC, _checked(STAGE_QUADRATIC, h, cutoff),
-        FRAME_JOSEPHSON,
-    )
+    return _checked("quadratic", h, cutoff)
 
 
 def build_jc(eff: EffectiveParams, e_j_max: float,
-             cutoff: FockCutoff) -> HamiltonianStage:
+             cutoff: FockCutoff) -> OperatorMatrix:
     """Number-dependent Jaynes-Cummings stage.
 
     H/hbar = w_a n_a + omega_q(n_b) sigma_z / 2 - g_a (a sigma_+ + a^dag sigma_-)
@@ -248,8 +227,7 @@ def build_jc(eff: EffectiveParams, e_j_max: float,
     diag = jc_doublets(eff, e_j_max, cutoff)[0]
     h = np.diag(diag.astype(complex)) - eff.g_a * (
         tensor3(SIGMA_PLUS, a, ib).mat + tensor3(SIGMA_MINUS, a.conj().T, ib).mat)
-    return HamiltonianStage(STAGE_JC, _checked(STAGE_JC, h, cutoff),
-                            FRAME_B_ROTATING)
+    return _checked("jc", h, cutoff)
 
 
 def jc_doublets(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff
@@ -269,9 +247,7 @@ def jc_doublets(eff: EffectiveParams, e_j_max: float, cutoff: FockCutoff
     ``dynamics.dispersive_check``, one frame above this function's caller.
     """
     wq, _, _, rwa = _kept_regime(eff, e_j_max, cutoff)
-    diag = _free_entries(eff, wq, cutoff)
-    if not np.isfinite(diag).all():
-        raise NumericsError(f"{STAGE_JC} stage is not finite at e_j_max = {e_j_max}")
+    diag = _finite("jc stage", _free_entries(eff, wq, cutoff))
     m, n, i = cutoff.numbers()
     lower = np.flatnonzero((i == 0) & (m > 0))
     upper = cutoff.flat_indices(m[lower] - 1, n[lower], 1)
@@ -292,17 +268,12 @@ def _free_entries(eff: EffectiveParams, wq: np.ndarray,
     return eff.omega_a * m + 0.5 * wq[n] * (2.0 * i - 1.0)
 
 
-def _diag_stage(stage: str, entries: np.ndarray, cutoff: FockCutoff,
-                frame: str) -> HamiltonianStage:
-    mat = np.diag(entries.astype(complex))
-    return HamiltonianStage(stage, _checked(stage, mat, cutoff), frame)
-
-
 def build_dispersive(eff: EffectiveParams, e_j_max: float,
-                     cutoff: FockCutoff) -> HamiltonianStage:
+                     cutoff: FockCutoff) -> np.ndarray:
     """Dispersive-limit stage: coupling folded into number-dependent shifts.
 
-    Diagonal with entries (per label (m, n, i), s = +/-1 the sigma_z value)
+    Diagonal, returned as its energies in flat-index order (per label
+    (m, n, i), s = +/-1 the sigma_z value)
 
         w_a m + omega_q(n) s / 2 - lam(n) [s m + (s + 1)/2],
         lam(n) = (g_a^2/w_a) (1 + omega_q(n)/w_a)
@@ -312,7 +283,6 @@ def build_dispersive(eff: EffectiveParams, e_j_max: float,
     g_a/|detuning| of device.regime_ratios over the kept n_b range when
     device.regime_flag flags it.
     """
-    check_dense_dim(cutoff)
     wq, _, g_over, _ = _kept_regime(eff, e_j_max, cutoff)
     lam = (eff.g_a**2 / eff.omega_a) * (1.0 + wq / eff.omega_a)
     m, n, i = cutoff.numbers()
@@ -320,11 +290,12 @@ def build_dispersive(eff: EffectiveParams, e_j_max: float,
     ent = _free_entries(eff, wq, cutoff) - lam[n] * ((2.0 * i - 1.0) * m + i)
     _warn_regime("dispersive", g_over, "worst g_a/|w_q - w_a| over the kept "
                  "n_b range", "dispersive stage outside its validity regime")
-    return _diag_stage(STAGE_DISPERSIVE, ent, cutoff, FRAME_B_ROTATING)
+    return _finite("dispersive stage", ent)
 
 
-def build_diagonal(eff: EffectiveParams, cutoff: FockCutoff) -> HamiltonianStage:
-    """Cross-Kerr normal form H_S = H_0 |0><0| + H_1 |1><1|.
+def build_diagonal(eff: EffectiveParams, cutoff: FockCutoff) -> np.ndarray:
+    """Cross-Kerr normal form H_S = H_0 |0><0| + H_1 |1><1|, as its energies
+    in flat-index order.
 
     H_0/hbar = w_a' n_a - chi n_a n_b
     H_1/hbar = -w_a' (n_a + 1) + chi n_b + chi n_a n_b
@@ -333,22 +304,20 @@ def build_diagonal(eff: EffectiveParams, cutoff: FockCutoff) -> HamiltonianStage
     eigenvalue formula, which lives in :mod:`cqdeph.spectrum` as the
     independent route).
     """
-    check_dense_dim(cutoff)
     m, n, i = cutoff.numbers()
     h0 = eff.omega_a_prime * m - eff.chi * m * n
     h1 = -eff.omega_a_prime * (m + 1.0) + eff.chi * n + eff.chi * m * n
-    return _diag_stage(STAGE_DIAGONAL, np.where(i == 0, h0, h1), cutoff,
-                       FRAME_FULLY_ROTATING)
+    return _finite("diagonal stage", np.where(i == 0, h0, h1))
 
 
 def frame_free_part(eff: EffectiveParams, e_j_max: float,
-                    cutoff: FockCutoff) -> OperatorMatrix:
-    """The free part w_a n_a + omega_q(n_b) sigma_z / 2 as a diagonal matrix.
+                    cutoff: FockCutoff) -> np.ndarray:
+    """The free part w_a n_a + omega_q(n_b) sigma_z / 2, as its energies in
+    flat-index order: the diagonal of :func:`jc_doublets`.
 
     Subtracting it from the dispersive stage lands in the fully rotating
     frame of the diagonal stage; adding it to the diagonal stage lands back
     in the mode-B picture of the jc/dispersive stages.
     """
-    check_dense_dim(cutoff)
     ent = _free_entries(eff, _kept_regime(eff, e_j_max, cutoff)[0], cutoff)
-    return OperatorMatrix(np.diag(ent.astype(complex)), cutoff)
+    return _finite("free part", ent)

@@ -10,8 +10,8 @@ An ohmic density needs no quadrature: bath evaluates q1, and q2 at every
 temperature, in closed form, the thermal q2 as a sum of zero-temperature
 closed forms over its images.  Tabulated densities are piecewise linear,
 not analytic, and keep real-axis panels of at most half an oscillation
-period, at most PANEL_CAP of them; for them zero temperature is
-beta = inf, where the coth(beta w / 2) of q2 is 1.
+period that end on the table's samples, at most PANEL_CAP of them; for
+them zero temperature is beta = inf, where the coth(beta w / 2) of q2 is 1.
 
 quad_ohmic, initial_panels and dephasing_multipliers have no caller in the
 package.  The first two stay only because the traced runs of the benchmark
@@ -145,18 +145,29 @@ def quad_tabulated(kind: int, omega_s: np.ndarray, density_s: np.ndarray,
     kind 2 2 D(w)/w^2 sin^2(w t / 2) coth(beta w / 2), with
     beta = inf for zero temperature.  The density is linearly interpolated
     between samples and taken as zero outside the tabulated range, so the
-    integral runs over [omega_s[0], omega_s[-1]] with oscillation-resolved
-    panels.
+    integral runs over [omega_s[0], omega_s[-1]].  Each piece between two
+    samples is split into equal panels no wider than min(pi / t, range / 8),
+    half a period of sin(w t): no panel straddles a kink of the interpolant,
+    where GK15 and its error estimate lose their order.  PANEL_CAP bounds
+    these panels, at least one per piece, and their bisections.
     """
     lo, hi = float(omega_s[0]), float(omega_s[-1])
     if t <= 0.0:
         raise NumericsError("quad_tabulated needs t > 0")
-    width = min(math.pi / t, (hi - lo) / 8.0)
-    n = int(math.ceil((hi - lo) / width))
-    if n + 1 > PANEL_CAP // 2:
-        raise NumericsError(f"t = {t:g} needs {n} panels over the tabulated range, beyond capacity")
-    edges = np.linspace(lo, hi, n + 1)
-    a, b = edges[:-1], edges[1:]
+    pieces = np.diff(omega_s)
+    with np.errstate(over="ignore"):
+        counts = np.ceil(pieces / min(math.pi / t, (hi - lo) / 8.0))
+    # summed as floats, so that a count that overflows to inf is refused too
+    total = counts.sum()
+    if not total + 1 <= PANEL_CAP // 2:
+        raise NumericsError(f"t = {t:g} needs {total:g} panels over the "
+                            "tabulated range, beyond capacity")
+    counts = counts.astype(np.int64)
+    piece = np.repeat(np.arange(pieces.size), counts)
+    # the panel's index within its piece, over the piece's panel count
+    frac = (np.arange(piece.size) - np.repeat(np.cumsum(counts) - counts, counts)) / counts[piece]
+    a = omega_s[piece] + frac * pieces[piece]
+    b = np.append(a[1:], hi)
 
     def f(w):
         g = np.interp(w, omega_s, density_s) / w**2

@@ -260,6 +260,31 @@ def test_exponent_whose_gamma_overflows_rejected_at_its_line(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
+SHIPPED_DEVICE = os.path.join(os.path.dirname(SHIPPED_DEPHASING), "device_headline.cfg")
+
+
+@pytest.mark.parametrize("key, value, error", [
+    ("omega_a", "1e-308 GHz_cyc", "ZeroDivisionError"),
+    ("E_C", "1e300 GHz_cyc", "OverflowError"),
+])
+def test_device_map_arithmetic_failure_is_a_config_error(tmp_path, key, value, error):
+    # omega_a^2 underflows to 0 in cross_kerr, and g_a^2 overflows: both
+    # ended in a traceback; the map is resolved at load time, so the
+    # message names the [device] header and no file is written
+    with open(SHIPPED_DEVICE, encoding="utf-8") as f:
+        lines = f.read().splitlines()
+    at = next(k for k, line in enumerate(lines) if line.startswith(f"{key} "))
+    header = lines.index("[device]") + 1
+    lines[at] = f"{key} = {value}"
+    cfg = _write(tmp_path, "\n".join(lines) + "\n")
+    res = _cli(["device", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert res.returncode == 1
+    assert res.stderr.startswith(f"cqdeph: config error: line {header}: [device]: "
+                                 f"the device map fails in float arithmetic ({error}")
+    assert "Traceback" not in res.stderr
+    assert not (tmp_path / "o").exists()
+
+
 # a body that holds each section, for the key-table tests
 SECTION_BODY = {"device": DEVICE_BODY, "effective": DEVICE_BODY,
                 "cutoff": DEPHASING_BODY, "bath": DEPHASING_BODY,
@@ -649,7 +674,7 @@ def test_run_validate_report(tmp_path):
 
 
 def test_missed_q2_tolerance_reaches_the_report(tmp_path):
-    # a 60-point table at t = 2500 and tol 1e-14: the reported errors of the
+    # a 60-point table at t = 2500 and tol 1e-15: the reported errors of the
     # tabulated q1 and q2 exceed tol times their values, and both warnings
     # reach report.json
     w = np.linspace(0.05, 10.0, 60)
@@ -661,12 +686,12 @@ def test_missed_q2_tolerance_reaches_the_report(tmp_path):
             ("bath", "beta", "2 s"), ("grid", "t_start", "2500 s"),
             ("grid", "t_stop", "2500 s"), ("grid", "t_count", "1")):
         body, _ = _set_key(body, section, key, value)
-    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "o"), tol=1e-14)
+    report = run(load_config(_write(tmp_path, body)), str(tmp_path / "o"), tol=1e-15)
     assert len(report["warnings"]) == 2
     assert report["warnings"][0].startswith("tabulated q1 misses its tolerance")
     assert report["warnings"][1].startswith(
-        "tabulated q2 misses its tolerance: the reported error is 12.1 x rtol |q2| "
-        "at t = 2500 (rtol = 1e-14)")
+        "tabulated q2 misses its tolerance: the reported error is 5.88 x rtol |q2| "
+        "at t = 2500 (rtol = 1e-15)")
 
 
 def test_run_records_warnings_in_report(tmp_path):

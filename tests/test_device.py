@@ -64,6 +64,27 @@ def test_effective_couplings_natural_units():
         dressed_mode_frequency(2.0, 0.5, 1.0, 1.0))
 
 
+def test_overrides_apply_before_the_derived_rates():
+    p = _natural_device()
+    # g_a and omega_a overridden: chi and omega_a' follow the new values
+    eff = effective_couplings(p, g_a=0.3, omega_a=2.0, phi_e=0.1)
+    assert (eff.g_a, eff.phi_b, eff.phi_e, eff.omega_a) == (0.3, 0.5, 0.1, 2.0)
+    assert eff.chi == cross_kerr(0.3, 0.5, 1.0, 2.0)
+    assert eff.omega_a_prime == dressed_mode_frequency(0.3, 0.5, 1.0, 2.0)
+    # a derived rate's own override wins
+    eff = effective_couplings(p, g_a=0.3, chi=0.25)
+    assert eff.chi == 0.25
+    assert eff.omega_a_prime == dressed_mode_frequency(0.3, 0.5, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("change", [{"omega_a": 1e-300}, {"E_C": 1e300}])
+def test_device_map_arithmetic_failure_is_invalid(change):
+    # omega_a^2 underflows to 0, and g_a^2 overflows
+    p = dataclasses.replace(_natural_device(), **change)
+    with pytest.raises(InvalidArgumentError, match="fails in float arithmetic"):
+        effective_couplings(p)
+
+
 def test_device_rejects_nonpositive():
     with pytest.raises(InvalidArgumentError):
         DeviceParams(

@@ -797,10 +797,9 @@ def _dense_fidelity(psi0: StateVector, eff: EffectiveParams, e_j: float,
     nor the level law of dispersive_check."""
     from cqdeph.hamiltonians import build_diagonal, build_jc, frame_free_part
     cut = psi0.cutoff
-    h_cmp = np.real(np.diagonal(build_diagonal(eff, cut).matrix.mat)
-                    + np.diagonal(frame_free_part(eff, e_j, cut).mat))
+    h_cmp = build_diagonal(eff, cut) + frame_free_part(eff, e_j, cut)
     psi = psi0.vec
-    psi_jc = _eigh_propagate(build_jc(eff, e_j, cut).matrix.mat, psi, t)
+    psi_jc = _eigh_propagate(build_jc(eff, e_j, cut).mat, psi, t)
     psi_cmp = np.exp(-1j * np.outer(t, h_cmp)) * psi
     return np.abs(np.einsum("tj,tj->t", psi_jc.conj(), psi_cmp)) ** 2
 

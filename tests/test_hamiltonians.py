@@ -9,12 +9,6 @@ import pytest
 from cqdeph.device import DeviceParams, EffectiveParams
 from cqdeph.errors import CapacityError, NumericsError
 from cqdeph.hamiltonians import (
-    STAGE_DIAGONAL,
-    STAGE_DISPERSIVE,
-    STAGE_FULL,
-    STAGE_JC,
-    STAGE_QUADRATIC,
-    STAGE_ROTATED,
     build_diagonal,
     build_dispersive,
     build_full,
@@ -22,6 +16,7 @@ from cqdeph.hamiltonians import (
     build_quadratic,
     build_rotated,
     frame_free_part,
+    jc_doublets,
     operator_cosine,
     sweet_spot_rotation,
 )
@@ -57,33 +52,30 @@ def test_sweet_spot_rotation_is_unitary():
     assert np.allclose(r @ r.conj().T, np.eye(2))
 
 
-def test_all_stages_hermitian_and_tagged():
+def test_all_stages_hermitian_or_real():
     cut = FockCutoff(2, 2)
     p, eff = _device(), _eff()
     with warnings.catch_warnings():
         # the fixture sits outside the dispersive regime on purpose; only
         # structure is checked here
         warnings.simplefilter("ignore")
-        stages = [
-            (build_full(p, eff, cut), STAGE_FULL),
-            (build_rotated(p, eff, cut), STAGE_ROTATED),
-            (build_quadratic(p, eff, cut), STAGE_QUADRATIC),
-            (build_jc(eff, p.E_J_max, cut), STAGE_JC),
-            (build_dispersive(eff, p.E_J_max, cut), STAGE_DISPERSIVE),
-            (build_diagonal(eff, cut), STAGE_DIAGONAL),
-        ]
-    for st, tag in stages:
-        assert st.stage == tag
-        assert st.frame
-        h = st.matrix.mat
-        assert np.max(np.abs(h - h.conj().T)) < 1e-12
+        dense = [build_full(p, eff, cut), build_rotated(p, eff, cut),
+                 build_quadratic(p, eff, cut), build_jc(eff, p.E_J_max, cut)]
+        diagonal = [build_dispersive(eff, p.E_J_max, cut),
+                    build_diagonal(eff, cut), frame_free_part(eff, p.E_J_max, cut)]
+    for st in dense:
+        assert st.dim == cut.dim
+        assert np.max(np.abs(st.mat - st.mat.conj().T)) < 1e-12
+    for energies in diagonal:
+        assert energies.dtype == np.float64
+        assert energies.shape == (cut.dim,)
 
 
 def test_rotation_preserves_spectrum():
     cut = FockCutoff(3, 3)
     p, eff = _device(), _eff()
-    e_full = np.linalg.eigvalsh(build_full(p, eff, cut).matrix.mat)
-    e_rot = np.linalg.eigvalsh(build_rotated(p, eff, cut).matrix.mat)
+    e_full = np.linalg.eigvalsh(build_full(p, eff, cut).mat)
+    e_rot = np.linalg.eigvalsh(build_rotated(p, eff, cut).mat)
     assert np.max(np.abs(e_full - e_rot)) < 1e-10 * max(1, np.max(np.abs(e_full)))
 
 
@@ -95,8 +87,8 @@ def test_rotated_is_the_rotated_full_stage(cut):
     other = dataclasses.replace(_device(), E_J_max=1.3, omega_b=0.7)
     for p, eff in ((_device(), _eff()),
                    (other, _eff(g_a=0.05, phi_b=0.25, e_j=1.3))):
-        full = build_full(p, eff, cut).matrix.mat
-        rot = build_rotated(p, eff, cut).matrix.mat
+        full = build_full(p, eff, cut).mat
+        rot = build_rotated(p, eff, cut).mat
         scale = max(float(np.max(np.abs(rot))), 1.0)
         assert np.max(np.abs(r @ full @ r.conj().T - rot)) <= 1e-10 * scale
 
@@ -107,8 +99,8 @@ def test_quadratic_tracks_rotated_for_small_flux():
     devs = {}
     for phi in (0.1, 0.05):
         eff = _eff(phi_b=phi)
-        rot = build_rotated(p, eff, cut).matrix.mat
-        quad = build_quadratic(p, eff, cut).matrix.mat
+        rot = build_rotated(p, eff, cut).mat
+        quad = build_quadratic(p, eff, cut).mat
         # skip rows/cols at the top kept B level: the truncated quartic and
         # the truncated expansion disagree there by construction
         keep = np.array([k % cut.dim_b != cut.n_max_b for k in range(cut.dim)])
@@ -124,7 +116,7 @@ def test_jc_resonant_splitting():
     eff = _eff(g_a=g, phi_b=0.0, e_j=0.5)
     st = build_jc(eff, 0.5, FockCutoff(1, 1))
     # phi_b = 0 makes mode B inert, so every level appears twice; dedupe
-    e = np.unique(np.round(np.linalg.eigvalsh(st.matrix.mat), 12))
+    e = np.unique(np.round(np.linalg.eigvalsh(st.mat), 12))
     assert e.size == 4  # ground, doublet pair, double excitation
     assert e[2] - e[1] == pytest.approx(2 * g, rel=1e-12)
 
@@ -134,7 +126,7 @@ def test_jc_detuned_splitting():
     g = 0.05
     eff = _eff(g_a=g, phi_b=0.0, e_j=0.6)
     st = build_jc(eff, 0.6, FockCutoff(1, 1))
-    e = np.unique(np.round(np.linalg.eigvalsh(st.matrix.mat), 12))
+    e = np.unique(np.round(np.linalg.eigvalsh(st.mat), 12))
     assert e[2] - e[1] == pytest.approx(np.sqrt(0.2**2 + 4 * g**2), rel=1e-9)
 
 
@@ -166,9 +158,17 @@ def test_dispersive_quiet_in_regime():
 
 
 def test_capacity_guard():
-    eff = _eff()
+    # dim 5100 > 5000: the dense stages refuse it, and the diagonal stages,
+    # which hold one energy per label, run past it, here at cutoff (60, 60)
+    eff, cut = _eff(g_a=0.01, phi_b=0.01, e_j=0.1), FockCutoff(60, 60)
     with pytest.raises(CapacityError):
-        build_diagonal(eff, FockCutoff(50, 49))
+        build_jc(eff, 0.1, FockCutoff(50, 49))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for energies in (build_dispersive(eff, 0.1, cut), build_diagonal(eff, cut),
+                         frame_free_part(eff, 0.1, cut)):
+            assert energies.shape == (cut.dim,) == (7442,)
+            assert np.isfinite(energies).all()
 
 
 def test_non_finite_stage_is_a_numerics_error():
@@ -181,8 +181,33 @@ def test_non_finite_stage_is_a_numerics_error():
             build_full(p, _eff(), FockCutoff(2, 2))
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda eff, cut: build_dispersive(eff, 1e308, cut), "dispersive stage"),
+    (lambda eff, cut: frame_free_part(eff, 1e308, cut), "free part"),
+    (build_diagonal, "diagonal stage"),
+])
+def test_non_finite_diagonal_stage_is_a_numerics_error(build, name):
+    # omega_q(n) = 2 e_j (...) overflows at e_j_max = 1e308, and omega_a'
+    # times n_a + 1 at omega_a_prime = 1e308: an energy vector that is not
+    # finite raises, naming its stage
+    eff = dataclasses.replace(_eff(), omega_a_prime=1e308)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(NumericsError, match=f"^{name} is not finite"):
+            build(eff, FockCutoff(2, 2))
+
+
+def test_free_part_is_the_jc_diagonal_bit_for_bit():
+    eff, cut = _eff(g_a=0.05, phi_b=0.02, e_j=0.3), FockCutoff(60, 60)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        diag = jc_doublets(eff, 0.3, cut)[0]
+    assert np.array_equal(frame_free_part(eff, 0.3, cut), diag)
+
+
 def test_capacity_guard_comes_first_in_every_builder():
-    # dim 5100 > 5000; build_rotated's preconditions fail too, later
+    # dim 5100 > 5000 in each dense builder; build_rotated's preconditions
+    # fail too, later
     p, eff, cut = _device(), _eff(), FockCutoff(50, 49)
     off_point = dataclasses.replace(eff, n_g_dc=0.3, phi_e=0.1)
     builders = (
@@ -190,8 +215,6 @@ def test_capacity_guard_comes_first_in_every_builder():
         lambda: build_rotated(p, off_point, cut),
         lambda: build_quadratic(p, eff, cut),
         lambda: build_jc(eff, 0.8, cut),
-        lambda: build_dispersive(eff, 0.8, cut),
-        lambda: frame_free_part(eff, 0.8, cut),
     )
     for build in builders:
         with pytest.raises(CapacityError):
@@ -201,8 +224,7 @@ def test_capacity_guard_comes_first_in_every_builder():
 def test_diagonal_matches_level_table():
     eff = _eff()
     cut = FockCutoff(3, 4)
-    st = build_diagonal(eff, cut)
-    diag = np.real(np.diag(st.matrix.mat))
+    diag = build_diagonal(eff, cut)
     for lv in levels(eff, cut):
         k = lv.label.flat_index(cut)
         assert diag[k] == pytest.approx(lv.energy, abs=1e-15)
@@ -211,9 +233,9 @@ def test_diagonal_matches_level_table():
 def test_dispersive_splits_into_free_plus_diagonal():
     eff = _eff(g_a=0.05, phi_b=0.02, e_j=2.0)
     cut = FockCutoff(3, 3)
-    disp = build_dispersive(eff, 2.0, cut).matrix.mat
-    free = frame_free_part(eff, 2.0, cut).mat
-    diag = build_diagonal(eff, cut).matrix.mat
+    disp = build_dispersive(eff, 2.0, cut)
+    free = frame_free_part(eff, 2.0, cut)
+    diag = build_diagonal(eff, cut)
     scale = max(1.0, float(np.max(np.abs(disp))))
     assert np.max(np.abs(disp - free - diag)) < 1e-12 * scale
 
@@ -223,7 +245,7 @@ def test_dispersive_diagonal_conditional_shift():
     # 2 chi n_b + const: check the (m, n, i) energy pattern on raw entries
     eff = _eff()
     cut = FockCutoff(2, 2)
-    diag = build_diagonal(eff, cut).matrix.mat
+    diag = build_diagonal(eff, cut)
     for m in range(3):
         for n in range(3):
             e0 = eigenvalue_of(diag, m, n, 0, cut)
@@ -236,6 +258,4 @@ def test_dispersive_diagonal_conditional_shift():
 
 def eigenvalue_of(diag: np.ndarray, m: int, n: int, i: int,
                   cut: FockCutoff) -> float:
-    from cqdeph.hilbert import TensorBasisLabel
-    return float(np.real(diag[(i * cut.dim_a + m) * cut.dim_b + n,
-                              (i * cut.dim_a + m) * cut.dim_b + n]))
+    return float(diag[(i * cut.dim_a + m) * cut.dim_b + n])

@@ -1,6 +1,7 @@
 """Quadrature and multiplier kernels."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -113,6 +114,21 @@ def test_quad_tabulated_matches_interpolant():
     assert val == pytest.approx(0.1 * math.atan(2.0), rel=1e-3)
 
 
+@pytest.mark.parametrize("points", [20, 60])
+def test_quad_tabulated_error_covers_its_true_error(points):
+    # panels end on the table's samples, so the GK15 estimate sees no kink;
+    # with panels that straddled them, 20 points at T = 0, rtol 1e-4 and
+    # t = 5 gave q2 a true error of 10 x its reported one
+    w = np.linspace(0.05, 10.0, points)
+    dens = 0.1 * w * np.exp(-w)
+    for beta in (2.0, math.inf):
+        for kind in (1, 2):
+            for t in (0.5, 5.0, 30.0):
+                value, error = kernels.quad_tabulated(kind, w, dens, beta, t, 1e-4)
+                exact = kernels.quad_tabulated(kind, w, dens, beta, t, 1e-13)[0]
+                assert abs(value - exact) <= error
+
+
 def test_quad_tabulated_guards():
     w = np.linspace(0.01, 30.0, 50)
     dens = np.ones_like(w)
@@ -120,3 +136,9 @@ def test_quad_tabulated_guards():
         kernels.quad_tabulated(1, w, dens, math.inf, 0.0, 1e-8)
     with pytest.raises(NumericsError):
         kernels.quad_tabulated(1, w, dens, math.inf, 5e4, 1e-8)
+    # a panel count that overflows to inf is refused, not an OverflowError
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="needs inf panels"):
+            kernels.quad_tabulated(1, np.array([1.0, 1e10]), np.ones(2), math.inf,
+                                   1e300, 1e-8)

@@ -1,6 +1,7 @@
 """The repository tools under tools/."""
 
 import importlib.util
+import json
 import pathlib
 import subprocess
 import sys
@@ -156,10 +157,19 @@ def test_cli_outputs_writes_one_run_per_config_and_workload(tmp_path):
         capture_output=True, text=True, timeout=300)
     assert done.returncode == 0, done.stderr
     configs = {p.stem for p in (_ROOT / "configs").glob("*.cfg")}
-    workloads = set(_load("cli_outputs").WORKLOADS)
-    assert configs and workloads
-    expected = configs | workloads
+    tool = _load("cli_outputs")
+    workloads, variants = set(tool.WORKLOADS), set(tool.VARIANTS)
+    assert configs and workloads and variants == {"tabulated-bath", "subohmic-thermal"}
+    expected = configs | workloads | variants
     assert {p.name for p in dest.iterdir()} == expected
     for name in expected:
         assert (dest / name / "report.json").is_file(), name
         assert (dest / name / "config_echo.cfg").is_file(), name
+    # the variants' inputs sit beside their outputs, and each ran its bath
+    assert (dest / "tabulated-bath" / "dens.txt").is_file()
+    for name, family in (("tabulated-bath", "tabulated"), ("subohmic-thermal", "ohmic")):
+        bath = json.loads((dest / name / "report.json").read_text())["bath"]
+        assert bath["family"] == family and bath["beta"] == 2.0
+        assert (dest / name / "observables.csv").is_file()
+    assert json.loads((dest / "subohmic-thermal" / "report.json").read_text()
+                      )["bath"]["exponent"] == 0.3

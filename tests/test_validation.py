@@ -80,6 +80,51 @@ def test_log_gamma_check_fails_scaled_images(scale, monkeypatch):
     assert (residual <= tolerance) == (scale == 1.0)
 
 
+def _scaled_stage(monkeypatch, name, scale):
+    """Replace validation.name, a stage builder, by one whose energy vector
+    or dense matrix is scaled by scale."""
+    inner = getattr(validation, name)
+
+    def scaled(*args, **kwargs):
+        stage = inner(*args, **kwargs)
+        if isinstance(stage, np.ndarray):
+            return stage * scale
+        return type(stage)(stage.mat * scale, stage.cutoff)
+
+    monkeypatch.setattr(validation, name, scaled)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+@pytest.mark.parametrize("name", ["build_dispersive", "build_diagonal"])
+def test_chain_check_fails_a_scaled_diagonal_stage(name, scale, monkeypatch):
+    # chain_consistency: the dispersive energies minus the free part are
+    # the cross-Kerr energies, so either vector scaled by 1 + 1e-9 fails
+    _scaled_stage(monkeypatch, name, scale)
+    residual, tolerance, _ = validation._check_chain_consistency()
+    assert (residual <= tolerance) == (scale == 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9])
+def test_eigenvalue_check_fails_a_scaled_diagonal_stage(scale, monkeypatch):
+    # eigenvalue_matches_diagonal holds the cross-Kerr energies to the
+    # closed-form level function of spectrum
+    _scaled_stage(monkeypatch, "build_diagonal", scale)
+    residual, tolerance, _ = validation._check_eigenvalue_diagonal()
+    assert (residual <= tolerance) == (scale == 1.0)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.0 + 1e-9j])
+@pytest.mark.parametrize("name", ["build_full", "build_rotated", "build_quadratic",
+                                  "build_jc"])
+def test_hermiticity_check_fails_a_phase_scaled_dense_stage(name, scale, monkeypatch):
+    # a real factor keeps any stage hermitian, so stage_hermiticity is shown
+    # a dense stage scaled by 1 + 1e-9 i, whose anti-hermitian part is 1e-9
+    # of the stage
+    _scaled_stage(monkeypatch, name, scale)
+    residual, tolerance, _ = validation._check_stage_hermiticity()
+    assert (residual <= tolerance) == (scale == 1.0)
+
+
 @pytest.mark.parametrize("drift", [0.0, 10.0])
 def test_quadrature_error_check_fails_a_drifting_tabulated_rule(drift, monkeypatch):
     # a tabulated rule whose value moves by drift x rtol when rtol is

@@ -11,7 +11,8 @@ inverse temperature beta,
     q2(t) = integral_0^inf 2 D(w)/w^2 sin^2(w t / 2) coth(beta w / 2) dw.
 
 ``THERMAL_GOLD`` integrates along the real axis, at beta = 2 and
-exponents 0.03, 0.5, 3 and 20.  At small s the integrand goes like
+exponents 0.03, 0.5, 3 and 20, and at beta = 1e8, t = 0.01 and exponents
+1e-4 and 0.01.  At small s the integrand goes like
 alpha t^2 w^(s-1) / beta near w = 0, a singularity that plain
 ``mpmath.quad`` from 0 misses by several percent.  So the integral is split
 at w0: below w0 the expansion alpha t^2 / beta (w^(s-1) - w^s + O(w^(s+1)))
@@ -41,7 +42,9 @@ import sys
 import mpmath
 
 ALPHA = 0.1
-CASES = [(s, t, 2.0) for s in (0.03, 0.5, 3.0, 20.0) for t in (0.5, 1.52, 10.0)]
+CASES = ([(s, t, 2.0) for s in (0.03, 0.5, 3.0, 20.0) for t in (0.5, 1.52, 10.0)]
+         # nearly cold and far sub-ohmic, where Re expm1((1 - s) L) cancels
+         + [(s, 0.01, 1e8) for s in (1e-4, 0.01)])
 LOG_GAMMA_CASES = [(t, beta) for beta in (0.01, 1.0, 100.0)
                    for t in (1e-3, 0.5, 10.0, 1e3, 1e6, 1e9)]
 W0S = ("1e-12", "1e-16", "1e-20")

@@ -40,7 +40,10 @@ ALPHA = 0.1
 TEST_CASES = ([(s, t) for s in (1e-4, 0.01, 0.03, 0.5, 1.0, 2.0, 3.0, 20.0)
                for t in (10.0, 400.0, 1e5)]
               + [(20.0, 2.0), (3.0, 5.6e5)]
-              + [(1.0, t) for t in (1e-3, 0.5, 1e6)])
+              + [(1.0, t) for t in (1e-3, 0.5, 1e6)]
+              # where Re expm1((1 - s) L) cancels to O(s): the sub-ohmic q2
+              # that bath._re_expm1 takes from an identity below s = 1/2
+              + [(s, t) for s in (1e-4, 0.01) for t in (0.01, 1.0, 1e3)])
 # the q1 and q2 values of validation's ohmic_closed_form_q1q2 check
 VALIDATE_EXPONENTS = (0.5, 1.0, 3.0, 20.0)
 VALIDATE_TIMES = (0.02, 50.0)
