@@ -19,7 +19,8 @@ spectrum      diagonal-model levels and degenerate (protected) subspaces
 bath          spectral densities and the two dephasing integrals
 kernels       quadrature and multiplier hot loops (vectorized numpy)
 dynamics      closed-form reduced evolution plus brute-force oracles
-validation    cross-module invariant suite
+validation    cross-module invariant suite; its report's verdict is the
+              CLI's exit code 3
 cli           config-driven command line front end
 """
 
@@ -29,29 +30,28 @@ import importlib
 
 # module -> the public names it defines.  Each module, and each name, is
 # imported on first access (PEP 562), so a CLI call loads only the modules
-# its scenario uses.
+# its scenario uses.  Every function listed has a caller outside its own
+# module, in the package, the README quick start or the benchmark.
 _EXPORTS = {
     "errors": ("CqdephError", "InvalidArgumentError", "CapacityError",
-               "IntegrabilityError", "NumericsError", "ConfigError",
-               "ValidationFailure"),
+               "IntegrabilityError", "NumericsError", "ConfigError"),
     "hilbert": ("FockCutoff", "TensorBasisLabel", "OperatorMatrix", "StateVector",
-                "annihilation", "number_operator", "identity", "tensor3",
-                "number_state", "coherent_state", "partial_trace"),
+                "annihilation", "number_operator", "tensor3", "coherent_state",
+                "partial_trace"),
     "device": ("DeviceParams", "EffectiveParams", "CrossPhase", "RegimeReport",
                "cross_kerr", "dressed_mode_frequency", "effective_couplings",
                "qubit_frequency", "cross_phase", "regime_report"),
     "hamiltonians": ("build_full", "build_rotated", "build_quadratic",
                      "build_jc", "build_dispersive", "build_diagonal",
                      "frame_free_part"),
-    "spectrum": ("DegeneracyClass", "DfsResult", "DfsVerification", "eigenvalue",
-                 "levels", "dfs_find", "dfs_verify"),
+    "spectrum": ("DegeneracyClass", "DfsResult", "eigenvalue", "dfs_find"),
     "bath": ("OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",
              "q1_grid", "q2_grid", "q_grids", "r_factor"),
     "kernels": (),
     "dynamics": ("DephasingTrajectory", "FiniteBathSpec", "FiniteBathReport",
                  "DispersiveCheck", "evolve_reduced", "observables",
                  "finite_bath_oracle", "dispersive_check"),
-    "validation": ("CheckResult", "run_all", "summary_text"),
+    "validation": ("CheckResult", "run_all"),
     "cli": (),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -147,10 +147,6 @@ class BathState:
         if not self.beta > 0:
             raise InvalidArgumentError(f"beta must be positive (inf for T = 0), got {self.beta}")
 
-    @property
-    def zero_temperature(self) -> bool:
-        return math.isinf(self.beta)
-
 
 def _ln_one_minus_ix(x: np.ndarray, ln_x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Re L and -Im L of L = ln(1 - i x) at x >= 0: log1p(x^2) / 2, or ln_x,

@@ -33,7 +33,7 @@ ints and float cells ``%.17g``, 17 significant digits, so repeated runs are
 byte-identical.
 
 Exit codes: 0 success, 1 config or argument error, 2 capacity or numeric
-error, 3 validation failure.
+error, 3 a validate report with a failed check.
 """
 
 from __future__ import annotations
@@ -74,7 +74,6 @@ from .errors import (
     CqdephError,
     InvalidArgumentError,
     NumericsError,
-    ValidationFailure,
 )
 from .hilbert import FockCutoff, StateVector, TensorBasisLabel, coherent_state
 from .spectrum import TRUNCATION_NOTE, _check_ratio, dfs_find, energies_vector
@@ -247,6 +246,16 @@ def _write_csv(path: str, header: list[str], columns: list) -> None:
             f.write(row * len(block) % tuple(block.ravel().tolist()))
 
 
+def _first_non_finite(header: list[str], columns: list) -> tuple[str, int] | None:
+    """The name and the row of the first column that holds a non-finite
+    value, at its first such row; None when every value is finite."""
+    for name, col in zip(header, columns):
+        finite = np.isfinite(col)
+        if not finite.all():
+            return name, int(np.argmin(finite))
+    return None
+
+
 def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
     rep = regime_report(cfg.device, eff)
@@ -323,16 +332,24 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
             "delta_e": rec.delta_e,
             "square_diff": rec.square_diff,
         })
-    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, columns)
-
     coherence = observables(traj, "qubit_coherence")
-    _write_csv(
-        os.path.join(out_dir, "observables.csv"),
-        ["t", "purity", "qubit_coherence_re", "qubit_coherence_im",
-         "fidelity_to_initial"],
-        [traj.t_grid, observables(traj, "purity"), coherence.real,
-         coherence.imag, observables(traj, "fidelity_to_initial")],
-    )
+    obs_header = ["t", "purity", "qubit_coherence_re", "qubit_coherence_im",
+                  "fidelity_to_initial"]
+    obs_columns = [traj.t_grid, observables(traj, "purity"), coherence.real,
+                   coherence.imag, observables(traj, "fidelity_to_initial")]
+    # every float is checked before any file is written; a non-finite
+    # delta_e or square_diff of the legend makes its pair's gamma or dphi
+    # column, Q2 delta_e^2 or Q1 square_diff, non-finite too
+    for table, names, cols in (("trajectory.csv", header, columns),
+                               ("observables.csv", obs_header, obs_columns)):
+        bad = _first_non_finite(names, cols)
+        if bad is not None:
+            raise NumericsError(
+                f"{table} column {bad[0]} is not finite, first at "
+                f"t = {float(traj.t_grid[bad[1]])!r}; no output file was written")
+    _write_csv(os.path.join(out_dir, "trajectory.csv"), header, columns)
+    _write_csv(os.path.join(out_dir, "observables.csv"), obs_header,
+               obs_columns)
     return {
         "pairs": legend,
         "grid": {
@@ -997,9 +1014,6 @@ def main(argv=None) -> int:
     except (CapacityError, NumericsError) as exc:
         print(f"cqdeph: numeric error: {exc}", file=sys.stderr)
         return 2
-    except ValidationFailure as exc:
-        print(f"cqdeph: validation failure: {exc}", file=sys.stderr)
-        return 3
     except CqdephError as exc:  # pragma: no cover - safety net
         print(f"cqdeph: error: {exc}", file=sys.stderr)
         return 2

@@ -265,19 +265,6 @@ class RegimeReport:
         flags = [self.phi_b_flag] + [f for r in self.rows for f in (r.dispersive_flag, r.rwa_flag)]
         return "warn" if "warn" in flags else "pass"
 
-    def to_text(self) -> str:
-        lines = [
-            f"phi_b = {self.phi_b:.6g} [{self.phi_b_flag}]  (threshold {self.thresholds['phi_b']})",
-            f"{'n_b':>4} {'omega_q':>14} {'detuning':>14} {'g/|Delta|':>12} {'rwa':>10}  flags",
-        ]
-        for r in self.rows:
-            lines.append(
-                f"{r.n_b:>4} {r.omega_q:>14.6g} {r.detuning:>14.6g} "
-                f"{r.g_over_delta:>12.4g} {r.rwa_ratio:>10.4g}  "
-                f"dispersive:{r.dispersive_flag} rwa:{r.rwa_flag}"
-            )
-        return "\n".join(lines)
-
 
 def regime_report(p: DeviceParams, eff: EffectiveParams,
                   n_b_max: int = 4) -> RegimeReport:

@@ -436,15 +436,6 @@ class FiniteBathSpec:
                 math.isfinite(x) and x >= 0 for x in self.occupations):
             raise InvalidArgumentError("occupations must be finite and >= 0")
 
-    @property
-    def n_modes(self) -> int:
-        return len(self.frequencies)
-
-    def mean_occupations(self) -> tuple[float, ...]:
-        if self.occupations is None:
-            return (0.0,) * self.n_modes
-        return self.occupations
-
 
 @dataclass(frozen=True, eq=False)
 class FiniteBathReport:
@@ -531,7 +522,8 @@ def finite_bath_oracle(rho0_system: OperatorMatrix, eff: EffectiveParams,
             stacklevel=2,
         )
 
-    occ = spec.mean_occupations()
+    occ = (spec.occupations if spec.occupations is not None
+           else (0.0,) * len(spec.frequencies))
     levels, index = np.unique(energies, return_inverse=True)
     # bath[a, b, t] = prod_k Tr[u_k(E_a, t) rho_k u_k(E_b, t)^dag]
     bath_factor = np.ones((levels.size, levels.size, t.size), dtype=complex)

@@ -1,7 +1,9 @@
 """Exception types shared across the package.
 
 The CLI maps these onto process exit codes: config problems -> 1,
-capacity/numeric problems -> 2, validation failures -> 3.
+capacity/numeric problems -> 2.  Exit code 3, a failed validate check,
+comes from the validate report's ``all_passed`` verdict, not from an
+exception.
 """
 
 from __future__ import annotations
@@ -38,10 +40,6 @@ class ConfigError(CqdephError):
             message = f"line {line}: {message}"
         super().__init__(message)
         self.line = line
-
-
-class ValidationFailure(CqdephError):
-    """One or more self-consistency checks exceeded tolerance."""
 
 
 def _require_finite(record) -> None:

@@ -37,9 +37,7 @@ __all__ = [
     "SIGMA_MINUS",
     "annihilation",
     "number_operator",
-    "identity",
     "tensor3",
-    "number_state",
     "coherent_state",
     "partial_trace",
     "hermiticity_defect",
@@ -186,10 +184,6 @@ class OperatorMatrix:
     def hermiticity_defect(self) -> float:
         return hermiticity_defect(self.mat)
 
-    def __matmul__(self, other):
-        rhs = other.mat if isinstance(other, OperatorMatrix) else other
-        return OperatorMatrix(self.mat @ rhs, self.cutoff)
-
 
 @dataclass(frozen=True, eq=False)
 class StateVector:
@@ -262,10 +256,6 @@ def number_operator(n_max: int) -> OperatorMatrix:
     return OperatorMatrix(np.diag(np.arange(0.0, n_max + 1)).astype(complex))
 
 
-def identity(dim: int) -> OperatorMatrix:
-    return OperatorMatrix(np.eye(dim, dtype=complex))
-
-
 def _as_array(op) -> np.ndarray:
     return op.mat if isinstance(op, OperatorMatrix) else np.asarray(op, dtype=complex)
 
@@ -287,12 +277,6 @@ def tensor3(op_qubit, op_a, op_b) -> OperatorMatrix:
     ab = a[:, None, :, None] * b[None, :, None, :]
     out = q[:, None, None, :, None, None] * ab[None, :, :, None, :, :]
     return OperatorMatrix(out.reshape(cutoff.dim, cutoff.dim), cutoff)
-
-
-def number_state(label: TensorBasisLabel, cutoff: FockCutoff) -> StateVector:
-    vec = np.zeros(cutoff.dim, dtype=complex)
-    vec[label.flat_index(cutoff)] = 1.0
-    return StateVector(vec, cutoff)
 
 
 def coherent_state(

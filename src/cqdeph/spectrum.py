@@ -26,7 +26,6 @@ from numbers import Rational
 
 import numpy as np
 
-from . import bath
 from .device import EffectiveParams
 from .errors import InvalidArgumentError
 from .hilbert import FockCutoff, TensorBasisLabel, all_labels
@@ -48,12 +47,6 @@ TRUNCATION_NOTE = (
 )
 
 
-@dataclass(frozen=True)
-class EnergyLevel:
-    label: TensorBasisLabel
-    energy: float
-
-
 def _level(m, n, i, w, chi):
     """The level E(m, n, i) = (w - chi n)(m - i (2m + 1)) of the module
     docstring, with w = omega_a_prime; for ints, Fractions and arrays."""
@@ -65,20 +58,9 @@ def eigenvalue(label: TensorBasisLabel, eff: EffectiveParams) -> float:
     return _level(label.m, label.n, label.i, eff.omega_a_prime, eff.chi)
 
 
-def energy_difference(label1: TensorBasisLabel, label2: TensorBasisLabel,
-                      eff: EffectiveParams) -> float:
-    """eigenvalue(label1) - eigenvalue(label2)."""
-    return eigenvalue(label1, eff) - eigenvalue(label2, eff)
-
-
 def energies_vector(eff: EffectiveParams, cutoff: FockCutoff) -> np.ndarray:
     """All eigenvalues in flat-index order, vectorized."""
     return _level(*cutoff.numbers(), eff.omega_a_prime, eff.chi)
-
-
-def levels(eff: EffectiveParams, cutoff: FockCutoff) -> list[EnergyLevel]:
-    return [EnergyLevel(lab, e) for lab, e in
-            zip(all_labels(cutoff), energies_vector(eff, cutoff).tolist())]
 
 
 def cluster_energies(energies, tol: float) -> list[np.ndarray]:
@@ -111,9 +93,6 @@ class DegeneracyClass:
     def __len__(self) -> int:
         return len(self.members)
 
-    def member_energies(self, eff: EffectiveParams) -> np.ndarray:
-        return np.array([eigenvalue(lab, eff) for lab in self.members])
-
 
 @dataclass(frozen=True)
 class DfsResult:
@@ -130,9 +109,6 @@ class DfsResult:
 
     def __iter__(self):
         return iter(self.classes)
-
-    def __getitem__(self, idx) -> DegeneracyClass:
-        return self.classes[idx]
 
     def multi_member(self) -> tuple[DegeneracyClass, ...]:
         """The protected subspaces: every class with at least two labels."""
@@ -225,89 +201,3 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
                     for energy, idxs in found)
     return DfsResult(classes, ratio=ratio_f, exact=ratio is not None,
                      tolerance=tol)
-
-
-@dataclass(frozen=True)
-class PairCheck:
-    """Damping/phase bounds for one ordered label pair inside a class."""
-
-    label_hi: TensorBasisLabel
-    label_lo: TensorBasisLabel
-    delta_e: float
-    square_diff: float
-    max_gamma: float
-    max_abs_phase: float
-
-
-@dataclass(frozen=True, eq=False)
-class DfsVerification:
-    cls: DegeneracyClass
-    t_grid: np.ndarray
-    q1_vals: np.ndarray
-    q2_vals: np.ndarray
-    pairs: tuple[PairCheck, ...]
-    max_gamma: float
-    max_abs_phase: float
-    threshold: float
-    protected: bool
-    note: str
-
-    def to_text(self) -> str:
-        head = (
-            f"class at E = {self.cls.energy:.9g}, {len(self.cls)} members, "
-            f"{len(self.pairs)} ordered pairs, {self.t_grid.size} times\n"
-            f"max Gamma = {self.max_gamma:.3e} (threshold {self.threshold:.3e})"
-            f" -> {'protected' if self.protected else 'NOT protected'}\n"
-            f"max |dphi| = {self.max_abs_phase:.3e}"
-        )
-        return head + "\n" + self.note
-
-
-def dfs_verify(cls: DegeneracyClass, eff: EffectiveParams, model,
-               state: bath.BathState, t_grid,
-               rtol: float = bath.DEFAULT_RTOL) -> DfsVerification:
-    """Evaluate damping and phase shift for every ordered pair in a class.
-
-    Gamma = (E' - E)^2 Q2(t) and dphi = (E'^2 - E^2) Q1(t) on the grid;
-    a genuine protected class keeps max Gamma below tol^2 * max Q2 (the
-    worst residual its own clustering tolerance permits).
-    """
-    if len(cls) == 0:
-        raise InvalidArgumentError("empty degeneracy class")
-    t_grid = np.asarray(t_grid, dtype=float)
-    (q1_vals, q2_vals), _ = bath.q_grids(model, state, t_grid, rtol)
-    member_e = cls.member_energies(eff)
-    pairs = []
-    max_gamma = 0.0
-    max_phase = 0.0
-    q2_peak = float(np.max(q2_vals)) if q2_vals.size else 0.0
-    q1_peak = float(np.max(np.abs(q1_vals))) if q1_vals.size else 0.0
-    for j, lab_hi in enumerate(cls.members):
-        for k, lab_lo in enumerate(cls.members):
-            if j == k:
-                continue
-            de = float(member_e[j] - member_e[k])
-            sq = float(member_e[j] ** 2 - member_e[k] ** 2)
-            g = de * de * q2_peak
-            ph = abs(sq) * q1_peak
-            pairs.append(PairCheck(lab_hi, lab_lo, de, sq, g, ph))
-            max_gamma = max(max_gamma, g)
-            max_phase = max(max_phase, ph)
-    threshold = cls.tolerance**2 * q2_peak + 1e-30
-    note = (
-        "dphi = (E'^2 - E^2) Q1 can survive degeneracy only for mirrored "
-        "pairs E' = -E; within an equal-energy class E' = E, so both the "
-        "damping and the extra phase vanish."
-    )
-    return DfsVerification(
-        cls=cls,
-        t_grid=t_grid,
-        q1_vals=q1_vals,
-        q2_vals=q2_vals,
-        pairs=tuple(pairs),
-        max_gamma=max_gamma,
-        max_abs_phase=max_phase,
-        threshold=threshold,
-        protected=max_gamma <= threshold,
-        note=note,
-    )

@@ -38,7 +38,7 @@ from .dynamics import (
     evolve_reduced,
     finite_bath_oracle,
 )
-from .errors import InvalidArgumentError, ValidationFailure
+from .errors import InvalidArgumentError
 from .hamiltonians import (
     build_diagonal,
     build_dispersive,
@@ -60,7 +60,7 @@ from .hilbert import (
     tensor3,
 )
 
-__all__ = ["CheckResult", "CHECK_NAMES", "run_all", "require_all", "summary_text"]
+__all__ = ["CheckResult", "CHECK_NAMES", "run_all"]
 
 
 @dataclass(frozen=True)
@@ -326,8 +326,8 @@ def _check_diagonal_level_values() -> _Measured:
         abs(spectrum.eigenvalue(TensorBasisLabel(2, 3, 1), eff) + 6.0),
         max(abs(spectrum.eigenvalue(TensorBasisLabel(0, n, 0), eff))
             for n in range(4)),
-        abs(spectrum.energy_difference(TensorBasisLabel(1, 0, 0),
-                                       TensorBasisLabel(1, 1, 0), eff) - 1.0),
+        abs(spectrum.eigenvalue(TensorBasisLabel(1, 0, 0), eff)
+            - spectrum.eigenvalue(TensorBasisLabel(1, 1, 0), eff) - 1.0),
     )
     return (resid, 1e-12,
             "hand-computed levels at ladder 5, coupling 1: "
@@ -552,15 +552,22 @@ def _check_offdiag_contraction() -> _Measured:
     rho0 = traj.rho0
     diag0 = np.diagonal(rho0).real
     snaps = traj.snapshots
+    # rho0 = |psi><psi|, so <psi|rho(t)|psi> = Tr rho0 rho(t)
+    purity = np.sum(np.abs(snaps) ** 2, axis=(1, 2))
+    fidelity = np.einsum("jk,tjk->t", rho0.conj(), snaps).real
     worst = max(
         float(np.max(np.abs(np.diagonal(snaps, axis1=1, axis2=2) - diag0))),
         max(0.0, float(np.max(np.abs(snaps) - np.abs(rho0)))),
+        float(np.max(np.abs(traj.purity - purity))),
+        float(np.max(np.abs(traj.fidelity_to_initial - fidelity))),
     )
     for rec in traj.pairs:
         worst = max(worst, max(0.0, float(np.max(rec.damping[:-1] - rec.damping[1:]))))
     return (worst, 1e-12,
             "populations frozen, |coherences| never above their initial "
-            "value, damping exponents non-decreasing at T = 0")
+            "value, damping exponents non-decreasing at T = 0, purity and "
+            "fidelity columns equal Tr rho(t)^2 and <psi|rho(t)|psi> of the "
+            "dense rho(t)")
 
 
 def _check_finite_bath_quick() -> _Measured:
@@ -660,28 +667,3 @@ def run_all(tol_scale: float = 1.0) -> list[CheckResult]:
         results.append(_row(name, residual, tolerance * tol_scale, detail))
     return results
 
-
-def require_all(results) -> None:
-    """Raise ValidationFailure naming every check whose residual is red."""
-    bad = [r for r in results if not r.passed]
-    if bad:
-        parts = ", ".join(
-            f"{r.name} (residual {r.residual:.3e} > tol {r.tolerance:.3e})"
-            for r in bad
-        )
-        raise ValidationFailure(
-            f"{len(bad)} of {len(results)} checks failed: {parts}"
-        )
-
-
-def summary_text(results) -> str:
-    width = max(len(r.name) for r in results)
-    lines = []
-    for r in results:
-        lines.append(
-            f"{'PASS' if r.passed else 'FAIL'}  {r.name:<{width}}  "
-            f"residual {r.residual:.3e}  tol {r.tolerance:.3e}"
-        )
-    n_bad = sum(not r.passed for r in results)
-    lines.append(f"{len(results) - n_bad}/{len(results)} checks passed")
-    return "\n".join(lines)

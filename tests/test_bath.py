@@ -610,8 +610,8 @@ def test_tabulated_rejects_malformed():
 
 
 def test_bath_state_constructors():
-    assert BathState().zero_temperature
-    assert not BathState(beta=2.0).zero_temperature
+    assert BathState().beta == math.inf
+    assert BathState(beta=2.0).beta == 2.0
     with pytest.raises(InvalidArgumentError):
         BathState(beta=-1.0)
 

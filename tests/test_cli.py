@@ -285,6 +285,24 @@ def test_device_map_arithmetic_failure_is_a_config_error(tmp_path, key, value, e
     assert not (tmp_path / "o").exists()
 
 
+def test_non_finite_dephasing_output_is_a_numerics_error(tmp_path, capsys):
+    # omega_a_prime = 1e300 squares past the float range: the tables held
+    # NaN and inf, and report.json ended in a ValueError traceback after
+    # config_echo.cfg and both CSVs were written
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e300 Hz_rad", text)
+    cfg = _write(tmp_path, text)
+    # a failed run shows the warnings it raised on the way
+    with pytest.warns(RuntimeWarning):
+        code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err.endswith(
+        "cqdeph: numeric error: trajectory.csv column abs_p1 is not finite, "
+        "first at t = 0.0; no output file was written\n")
+    assert os.listdir(tmp_path / "o") == []
+
+
 # a body that holds each section, for the key-table tests
 SECTION_BODY = {"device": DEVICE_BODY, "effective": DEVICE_BODY,
                 "cutoff": DEPHASING_BODY, "bath": DEPHASING_BODY,

@@ -601,7 +601,7 @@ def _dense_reduced(rho0, eff, spec, t_grid):
     renorm = sum(c * c / w for c, w in zip(spec.couplings, spec.frequencies))
     h = np.kron(np.diag(energies + energies**2 * renorm), np.eye(dim_b))
     rho_b = np.ones((1, 1))
-    for k, nbar in enumerate(spec.mean_occupations()):
+    for k, nbar in enumerate(spec.occupations or (0.0,) * len(spec.cutoffs)):
         b = np.diag(np.sqrt(np.arange(1, dims_b[k], dtype=float)), k=1)
         left = np.eye(int(np.prod(dims_b[:k])))
         right = np.eye(int(np.prod(dims_b[k + 1:])))

@@ -11,13 +11,17 @@ from cqdeph.hilbert import (
     TensorBasisLabel,
     annihilation,
     coherent_state,
-    identity,
     number_operator,
-    number_state,
     partial_trace,
     require_density_matrix,
     tensor3,
 )
+
+
+def _number_state(label, cutoff):
+    vec = np.zeros(cutoff.dim, dtype=complex)
+    vec[label.flat_index(cutoff)] = 1.0
+    return StateVector(vec, cutoff)
 
 
 def test_cutoff_dimensions():
@@ -101,14 +105,14 @@ def test_commutator_truncation_corner():
 
 def test_tensor3_shapes_and_cutoff():
     cut = FockCutoff(2, 3)
-    op = tensor3(np.eye(2), annihilation(2).mat, identity(cut.dim_b).mat)
+    op = tensor3(np.eye(2), annihilation(2).mat, np.eye(cut.dim_b))
     assert op.mat.shape == (cut.dim, cut.dim)
     assert op.cutoff == cut
 
 
 def test_tensor3_acts_on_correct_factor():
     cut = FockCutoff(2, 3)
-    num_a = tensor3(np.eye(2), number_operator(2).mat, identity(cut.dim_b).mat)
+    num_a = tensor3(np.eye(2), number_operator(2).mat, np.eye(cut.dim_b))
     for lab in (TensorBasisLabel(2, 1, 0), TensorBasisLabel(1, 3, 1)):
         k = lab.flat_index(cut)
         assert num_a.mat[k, k] == pytest.approx(lab.m)
@@ -141,24 +145,16 @@ def test_states_and_operators_compare_by_identity():
     vec = np.full(cut.dim, 1.0 / np.sqrt(cut.dim))
     for x, y in ((StateVector(vec, cut), StateVector(vec, cut)),
                  (StateVector(vec, cut).density(), StateVector(vec, cut).density()),
-                 (identity(3), identity(3))):
+                 (OperatorMatrix(np.eye(3)), OperatorMatrix(np.eye(3)))):
         assert x == x
         assert not x == y and x != y
         assert hash(x) == hash(x) and {x, y} == {x, y}
 
 
 def test_operator_matrix_is_readonly():
-    op = identity(3)
+    op = OperatorMatrix(np.eye(3))
     with pytest.raises(ValueError):
         op.mat[0, 0] = 5.0
-
-
-def test_state_number_state_amplitude():
-    cut = FockCutoff(1, 2)
-    lab = TensorBasisLabel(1, 2, 1)
-    psi = number_state(lab, cut)
-    assert psi.vec[lab.flat_index(cut)] == 1.0
-    assert np.count_nonzero(psi.vec) == 1
 
 
 def test_state_normalization_enforced():
@@ -337,7 +333,7 @@ def test_coherent_state_truncation_warning():
 def test_partial_trace_reduces_to_qubit():
     cut = FockCutoff(2, 2)
     lab = TensorBasisLabel(1, 2, 1)
-    rho = number_state(lab, cut).density()
+    rho = _number_state(lab, cut).density()
     q = partial_trace(rho, ("qubit",))
     assert q.mat.shape == (2, 2)
     assert q.mat[1, 1] == pytest.approx(1.0)
@@ -357,7 +353,7 @@ def test_partial_trace_is_trace_preserving(rng):
 def test_partial_trace_of_product_state():
     # qubit part of |1,0,1><1,0,1| x anything is |1><1|
     cut = FockCutoff(1, 1)
-    psi = number_state(TensorBasisLabel(1, 0, 1), cut)
+    psi = _number_state(TensorBasisLabel(1, 0, 1), cut)
     rho = psi.density()
     ab = partial_trace(rho, ("A", "B"))
     lab = TensorBasisLabel(1, 0, 0)  # m=1, n=0 inside the (A, B) factor

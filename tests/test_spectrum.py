@@ -5,18 +5,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from cqdeph.bath import BathState, OhmicSpectralDensity
 from cqdeph.device import EffectiveParams
 from cqdeph.errors import InvalidArgumentError
 from cqdeph.hilbert import FockCutoff, TensorBasisLabel, all_labels
 from cqdeph.spectrum import (
     cluster_energies,
     dfs_find,
-    dfs_verify,
     eigenvalue,
     energies_vector,
-    energy_difference,
-    levels,
 )
 
 
@@ -32,8 +28,8 @@ def test_eigenvalue_closed_values():
     assert eigenvalue(TensorBasisLabel(0, 7, 0), eff) == 0.0
     # one extra mode-A photon at fixed n adds omega' - chi n
     eff2 = _eff(0.9, 0.3)
-    gap = energy_difference(TensorBasisLabel(2, 1, 0),
-                            TensorBasisLabel(1, 1, 0), eff2)
+    gap = (eigenvalue(TensorBasisLabel(2, 1, 0), eff2)
+           - eigenvalue(TensorBasisLabel(1, 1, 0), eff2))
     assert gap == pytest.approx(0.9 - 0.3)
 
 
@@ -44,14 +40,6 @@ def test_energies_vector_matches_labels():
     for lab in all_labels(cut):
         assert vec[lab.flat_index(cut)] == pytest.approx(
             eigenvalue(lab, eff), abs=1e-15)
-
-
-def test_levels_cover_every_label_in_flat_order():
-    eff = _eff(0.9, 0.3)
-    cut = FockCutoff(1, 2)
-    table = levels(eff, cut)
-    assert len(table) == cut.dim
-    assert [lv.label.flat_index(cut) for lv in table] == list(range(cut.dim))
 
 
 def test_exact_ratio_three_zero_class():
@@ -149,30 +137,3 @@ def test_report_text_mentions_index_convention():
     assert "Index convention" in text
     assert "truncat" in text.lower()
 
-
-def test_dfs_verify_protected_class():
-    eff = _eff(0.9, 0.3)
-    res = dfs_find(eff, FockCutoff(2, 3), ratio=Fraction(3))
-    zero = res.class_of(TensorBasisLabel(0, 0, 0))
-    model = OhmicSpectralDensity(coupling=0.1)
-    ver = dfs_verify(zero, eff, model, BathState(), np.linspace(0.0, 20.0, 9))
-    assert ver.protected
-    assert ver.max_gamma <= ver.threshold
-    assert ver.max_abs_phase <= ver.threshold
-    assert len(ver.pairs) == len(zero) * (len(zero) - 1)
-
-
-def test_dfs_verify_unprotected_class():
-    # a class whose members actually differ in energy far beyond its
-    # recorded tolerance must be flagged
-    from cqdeph.spectrum import DegeneracyClass
-    eff = _eff(0.9, 0.3)
-    bogus = DegeneracyClass(
-        energy=0.75,
-        members=(TensorBasisLabel(1, 0, 0), TensorBasisLabel(1, 1, 0)),
-        tolerance=1e-9,
-    )
-    ver = dfs_verify(bogus, eff, OhmicSpectralDensity(coupling=0.1),
-                     BathState(), np.linspace(0.0, 5.0, 5))
-    assert not ver.protected
-    assert ver.max_gamma > ver.threshold

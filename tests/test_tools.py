@@ -105,6 +105,25 @@ def test_compare_outputs_summary_takes_the_largest_cell_of_all_files(tmp_path, c
         "two/trajectory.csv, column im")
 
 
+def test_compare_outputs_reads_each_tree_root_as_one_placeholder(tmp_path, capsys):
+    # a tabulated run echoes its table's absolute path, inside its own tree
+    compare_outputs = _load("compare_outputs")
+    for side in "ab":
+        run = tmp_path / side / "run"
+        run.mkdir(parents=True)
+        table = str(run / "dens.txt")
+        (run / "config_echo.cfg").write_text(f"table = {table}\n")
+        (run / "report.json").write_text(json.dumps({"table": table}))
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 0
+    assert capsys.readouterr().out.splitlines()[:2] == [
+        "run/config_echo.cfg: identical", "run/report.json: identical"]
+    # a path outside the tree still differs
+    (tmp_path / "b" / "run" / "config_echo.cfg").write_text(
+        f"table = {tmp_path / 'c' / 'run' / 'dens.txt'}\n")
+    assert compare_outputs.main([str(tmp_path / "a"), str(tmp_path / "b")]) == 1
+    assert capsys.readouterr().out.splitlines()[0] == "run/config_echo.cfg: differ"
+
+
 def test_bench_pairs_summarizes_each_metric():
     bench_pairs = _load("bench_pairs")
     # the reservoir-long run_s pairs of BENCH_13.json

@@ -14,9 +14,10 @@ two variants write their inputs, ``run.cfg`` and the table ``dens.txt``,
 there too, not under ``configs/``, whose every file the benchmark runs.
 The table's absolute path is echoed in ``report.json`` and
 ``config_echo.cfg``, so those two files of ``tabulated-bath`` differ
-between destinations in that path.  Run it on two checkouts and compare
-the destinations with ``tools/compare_outputs.py`` (or ``diff -r``) to see
-every byte a change moved.
+between destinations in that path, which ``tools/compare_outputs.py``
+reads as one placeholder.  Run it on two checkouts and compare the
+destinations with ``tools/compare_outputs.py`` to see every number a
+change moved.
 """
 
 from __future__ import annotations

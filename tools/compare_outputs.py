@@ -9,11 +9,13 @@ largest absolute and relative difference (relative to the larger
 magnitude of the two cells), for a JSON file one line per differing leaf
 with both values, and for any other file ``differ``.  A last line gives
 the largest relative difference over all CSV cells, with its file and
-column, so that the drift between two trees reads in one line.  The exit
-code is 0
-when the trees are byte-identical, 1 when anything differs, 2 on a usage
-error.  Where ``diff -r`` only says that two CSVs differ, this says by how
-much.
+column, so that the drift between two trees reads in one line.  Each
+tree's own absolute path, which a run echoes where its config names a file
+inside the tree (the table of ``tabulated-bath``), is read as one
+placeholder, so two destinations of the same outputs compare identical.
+The exit code is 0 when the trees are identical in that sense, 1 when
+anything differs, 2 on a usage error.  Where ``diff -r`` only says that two
+CSVs differ, this says by how much.
 """
 
 from __future__ import annotations
@@ -29,18 +31,26 @@ def _files(root: str) -> set[str]:
             for d, _, names in os.walk(root) for name in names}
 
 
-def _csv_columns(path: str) -> dict[str, list[float]]:
-    with open(path, newline="", encoding="utf-8") as f:
-        rows = list(csv.reader(f))
+def _read(root: str, rel: str) -> bytes:
+    """The bytes of ``root/rel`` with every ``root/`` in them, as an
+    absolute path, replaced by ``<root>/``."""
+    with open(os.path.join(root, rel), "rb") as f:
+        data = f.read()
+    prefix = os.path.join(os.path.abspath(root), "")
+    return data.replace(os.fsencode(prefix), os.fsencode(os.path.join("<root>", "")))
+
+
+def _csv_columns(data: bytes) -> dict[str, list[float]]:
+    rows = list(csv.reader(data.decode("utf-8").splitlines()))
     return {name: [float(row[k]) for row in rows[1:]]
             for k, name in enumerate(rows[0])}
 
 
-def compare_csv(path_a: str, path_b: str) -> tuple[list[str], tuple[float, str] | None]:
+def compare_csv(data_a: bytes, data_b: bytes) -> tuple[list[str], tuple[float, str] | None]:
     """One line per column whose values differ, or whose presence or
     length does, and the largest relative difference of a cell with its
     column (None when no cell differs)."""
-    a, b = _csv_columns(path_a), _csv_columns(path_b)
+    a, b = _csv_columns(data_a), _csv_columns(data_b)
     worst = None
     lines = [f"{name}: only in {side}"
              for side, this, other in (("A", a, b), ("B", b, a))
@@ -72,12 +82,9 @@ def _leaves(tree, path: str = ""):
         yield path, tree
 
 
-def compare_json(path_a: str, path_b: str) -> list[str]:
+def compare_json(data_a: bytes, data_b: bytes) -> list[str]:
     """One line per leaf that differs or exists on one side only."""
-    with open(path_a, encoding="utf-8") as f:
-        a = dict(_leaves(json.load(f)))
-    with open(path_b, encoding="utf-8") as f:
-        b = dict(_leaves(json.load(f)))
+    a, b = dict(_leaves(json.loads(data_a))), dict(_leaves(json.loads(data_b)))
 
     def show(leaves: dict, key: str) -> str:
         return repr(leaves[key]) if key in leaves else "(absent)"
@@ -88,7 +95,8 @@ def compare_json(path_a: str, path_b: str) -> list[str]:
 
 
 def compare_trees(dest_a: str, dest_b: str) -> tuple[list[str], bool]:
-    """The report lines, and whether the two trees are byte-identical."""
+    """The report lines, and whether the two trees are identical, each
+    with its own root read as ``<root>``."""
     files_a, files_b = _files(dest_a), _files(dest_b)
     lines = []
     same = True
@@ -98,18 +106,17 @@ def compare_trees(dest_a: str, dest_b: str) -> tuple[list[str], bool]:
             lines.append(f"{rel}: only in {'A' if rel in files_a else 'B'}")
             same = False
             continue
-        path_a, path_b = os.path.join(dest_a, rel), os.path.join(dest_b, rel)
-        with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
-            if fa.read() == fb.read():
-                lines.append(f"{rel}: identical")
-                continue
+        data_a, data_b = _read(dest_a, rel), _read(dest_b, rel)
+        if data_a == data_b:
+            lines.append(f"{rel}: identical")
+            continue
         same = False
         if rel.endswith(".csv"):
-            found, cell = compare_csv(path_a, path_b)
+            found, cell = compare_csv(data_a, data_b)
             if cell is not None and (worst is None or cell[0] > worst[0]):
                 worst = (cell[0], rel, cell[1])
         elif rel.endswith(".json"):
-            found = compare_json(path_a, path_b)
+            found = compare_json(data_a, data_b)
         else:
             found = []
         lines += [f"{rel}: {line}" for line in found] or [f"{rel}: differ"]
