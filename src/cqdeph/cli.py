@@ -18,10 +18,12 @@ Two tables hold the rules.  The scenario table ``_SCENARIOS`` has one row
 per scenario: its help text, the sections it allows and requires, its runner
 and its summary line; the subcommands, the dispatch of ``run`` and the
 section checks read it.  The key table ``_SCHEMA`` has one row per config
-key: section, value kind, the RunConfig field it fills, whether it is
-required, its choices or bound, and the key value it depends on; parsing,
-the echo and the error messages read it.  ``_cross_key_rules`` holds the few
-rules that read two keys at once.  Every config error names its line.
+key: section, value kind, whether it is required, its choices or bound, the
+key value it depends on and its default; parsing, the echo and the error
+messages read it.  A RunConfig holds each section of the file as
+``{key: value}`` in the table's own terms, so the runners read the keys the
+table names.  ``_cross_key_rules`` holds the few rules that read two keys
+at once.  Every config error names its line.
 
 Every successful run writes ``report.json`` plus ``config_echo.cfg`` into
 the output directory; the echo is normalized to base units and loads back
@@ -45,6 +47,7 @@ import os
 import sys
 import warnings
 from dataclasses import asdict, dataclass, field
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Callable
 
 import numpy as np
@@ -79,7 +82,7 @@ from .hilbert import FockCutoff, StateVector, TensorBasisLabel, coherent_state
 from .spectrum import TRUNCATION_NOTE, _check_ratio, dfs_find, energies_vector
 
 if TYPE_CHECKING:
-    from fractions import Fraction
+    from collections.abc import Mapping
 
 __all__ = ["RunConfig", "load_config", "render_config", "run", "main"]
 
@@ -129,49 +132,39 @@ class DensityTable:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """A fully normalized run description; everything SI, everything frozen."""
+    """A fully normalized run description: each section the file gives, as
+    ``{key: value}`` in the key table's terms, everything SI, defaults filled
+    in, everything frozen.  The top level is the section ``""``."""
 
-    scenario: str
-    device: DeviceParams | None = None
-    tau: float | None = None
-    eff_overrides: tuple[tuple[str, float], ...] = ()
-    cutoff: FockCutoff | None = None
-    bath_family: str | None = None
-    bath_coupling: float | None = None
-    bath_exponent: float = 1.0
-    bath_omega_c: float | None = None
-    bath_table: DensityTable | None = None
-    beta: float = math.inf
-    grid_start: float = 0.0
-    grid_stop: float | None = None
-    grid_count: int | None = None
-    grid_spacing: str = "linear"
-    state_kind: str | None = None
-    state_labels: tuple[tuple[int, int, int, float, float], ...] = ()
-    state_mode: str | None = None
-    state_alpha: complex = 0j
-    state_qubit: int = 0
-    pairs: tuple[tuple[tuple[int, int, int], tuple[int, int, int]], ...] = ()
-    ratio: Fraction | None = None
-    cluster_tol: float | None = None
+    sections: Mapping[str, Mapping]
+
+    @property
+    def scenario(self) -> str:
+        return self.sections[""]["scenario"]
+
+    def __getitem__(self, section: str) -> Mapping:
+        """The keys of ``section``; {} for a section the file does not give."""
+        return self.sections.get(section, {})
 
 
 # --------------------------------------------------------------- execution
 
+def _device(cfg: RunConfig) -> DeviceParams:
+    return DeviceParams(**{k: v for k, v in cfg["device"].items() if k != "tau"})
+
+
 def resolve_effective(cfg: RunConfig) -> EffectiveParams:
     """The device map with the [effective] overrides (the rule of
     ``device.effective_couplings``), or pure effective parameters."""
-    over = dict(cfg.eff_overrides)
-    if cfg.device is not None:
-        return effective_couplings(cfg.device, **over)
+    if cfg["device"]:
+        return effective_couplings(_device(cfg), **cfg["effective"])
     return EffectiveParams(**{"g_a": 0.0, "phi_b": 0.0, "phi_e": 0.0,
-                              "n_g_dc": 0.5, **over})
+                              "n_g_dc": 0.5, **cfg["effective"]})
 
 
-def _time_grid(cfg: RunConfig) -> np.ndarray:
-    if cfg.grid_spacing == "log":
-        return np.geomspace(cfg.grid_start, cfg.grid_stop, cfg.grid_count)
-    return np.linspace(cfg.grid_start, cfg.grid_stop, cfg.grid_count)
+def _time_grid(grid: Mapping) -> np.ndarray:
+    space = np.geomspace if grid["spacing"] == "log" else np.linspace
+    return space(grid["t_start"], grid["t_stop"], grid["t_count"])
 
 
 def _tabulated(path: str, line: int | None = None) -> TabulatedSpectralDensity:
@@ -190,20 +183,20 @@ def _tabulated(path: str, line: int | None = None) -> TabulatedSpectralDensity:
         raise ConfigError(f"table: {path}: {exc}", line) from None
 
 
-def _bath_model(cfg: RunConfig):
-    if cfg.bath_family == "ohmic":
-        return OhmicSpectralDensity(coupling=cfg.bath_coupling,
-                                    exponent=cfg.bath_exponent,
-                                    omega_c=cfg.bath_omega_c)
-    return cfg.bath_table.density
+def _bath_model(bath: Mapping):
+    if bath["family"] == "ohmic":
+        return OhmicSpectralDensity(coupling=bath["coupling"],
+                                    exponent=bath["exponent"],
+                                    omega_c=bath["omega_c"])
+    return bath["table"].density
 
 
-def _initial_state(cfg: RunConfig) -> StateVector:
-    cut = cfg.cutoff
-    if cfg.state_kind == "coherent":
-        return coherent_state(cfg.state_mode, cfg.state_alpha, cut,
-                              cfg.state_qubit)
-    m, n, i, re_part, im_part = zip(*cfg.state_labels)
+def _initial_state(state: Mapping, cut: FockCutoff) -> StateVector:
+    if state["kind"] == "coherent":
+        return coherent_state(state["mode"],
+                              complex(state["alpha_re"], state["alpha_im"]),
+                              cut, state["qubit_level"])
+    m, n, i, re_part, im_part = zip(*state["amp"])
     index = cut.flat_indices(m, n, i)
     # a label given twice adds its amplitudes, in the order given
     amp = np.empty(cut.dim, dtype=complex)
@@ -258,28 +251,30 @@ def _first_non_finite(header: list[str], columns: list) -> tuple[str, int] | Non
 
 def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
-    rep = regime_report(cfg.device, eff)
+    rep = regime_report(_device(cfg), eff)
     regime = {**asdict(rep), "worst_flag": rep.worst_flag()}
     # a ratio is inf where its denominator is 0, which JSON cannot hold
     regime["rows"] = [{**row, "g_over_delta": _json_float(row["g_over_delta"]),
                        "rwa_ratio": _json_float(row["rwa_ratio"])}
                       for row in regime["rows"]]
     payload = {"effective": asdict(eff), "regime": regime}
-    if cfg.tau is not None:
-        payload["cross_phase"] = {"chi_rad_per_s": eff.chi, "tau_s": cfg.tau,
-                                  **asdict(cross_phase(eff.chi, cfg.tau))}
+    tau = cfg["device"].get("tau")
+    if tau is not None:
+        payload["cross_phase"] = {"chi_rad_per_s": eff.chi, "tau_s": tau,
+                                  **asdict(cross_phase(eff.chi, tau))}
     return payload
 
 
 def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
-    cluster_tol = tol if tol is not None else cfg.cluster_tol
-    res = dfs_find(eff, cfg.cutoff, cluster_tol, ratio=cfg.ratio)
+    cut = FockCutoff(**cfg["cutoff"])
+    spec = cfg["spectrum"]
+    cluster_tol = tol if tol is not None else spec.get("tol")
+    res = dfs_find(eff, cut, cluster_tol, ratio=spec.get("ratio"))
 
     _write_csv(os.path.join(out_dir, "levels.csv"),
                ["flat_index", "m", "n", "i", "energy"],
-               [np.arange(cfg.cutoff.dim), *cfg.cutoff.numbers(),
-                energies_vector(eff, cfg.cutoff)])
+               [np.arange(cut.dim), *cut.numbers(), energies_vector(eff, cut)])
     return {
         "ratio": _json_float(res.ratio),
         "exact": res.exact,
@@ -302,19 +297,18 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
 
 def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     eff = resolve_effective(cfg)
+    cut, bath, grid = FockCutoff(**cfg["cutoff"]), cfg["bath"], cfg["grid"]
     # refuse before materializing a dim x dim density matrix
-    hilbert.check_dense_dim(cfg.cutoff)
-    rho0 = _initial_state(cfg).density()
-    model = _bath_model(cfg)
-    state = BathState(beta=cfg.beta)
-    grid = _time_grid(cfg)
+    hilbert.check_dense_dim(cut)
+    rho0 = _initial_state(cfg["state"], cut).density()
     rtol = tol if tol is not None else DEFAULT_RTOL
     pairs = [
         (TensorBasisLabel(*hi), TensorBasisLabel(*lo))
-        for hi, lo in cfg.pairs
+        for hi, lo in cfg["pairs"].get("pair", ())
     ] or None
-    traj = evolve_reduced(rho0, eff, model, state, grid, rtol=rtol,
-                          pairs=pairs)
+    traj = evolve_reduced(rho0, eff, _bath_model(bath),
+                          BathState(beta=bath["beta"]), _time_grid(grid),
+                          rtol=rtol, pairs=pairs)
 
     header = ["t"]
     columns: list = [traj.t_grid]
@@ -353,20 +347,19 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     return {
         "pairs": legend,
         "grid": {
-            "t_start": cfg.grid_start,
-            "t_stop": cfg.grid_stop,
-            "count": cfg.grid_count,
-            "spacing": cfg.grid_spacing,
+            "t_start": grid["t_start"],
+            "t_stop": grid["t_stop"],
+            "count": grid["t_count"],
+            "spacing": grid["spacing"],
         },
         "bath": {
-            "family": cfg.bath_family,
-            "coupling": cfg.bath_coupling,
-            "exponent": (cfg.bath_exponent
-                         if cfg.bath_family == "ohmic" else None),
-            "omega_c": cfg.bath_omega_c,
-            "table": cfg.bath_table and cfg.bath_table.path,
-            "beta": _json_float(cfg.beta),
-            "zero_temperature": math.isinf(cfg.beta),
+            "family": bath["family"],
+            "coupling": bath.get("coupling"),
+            "exponent": bath.get("exponent"),
+            "omega_c": bath.get("omega_c"),
+            "table": bath["table"].path if "table" in bath else None,
+            "beta": _json_float(bath["beta"]),
+            "zero_temperature": math.isinf(bath["beta"]),
         },
         "quadrature_rtol": rtol,
         "tables": {"trajectory": "trajectory.csv",
@@ -442,31 +435,31 @@ SCENARIOS = tuple(_SCENARIOS)
 
 @dataclass(frozen=True)
 class _Key:
-    """One config key: where it lives, how its value reads, what it fills.
+    """One config key: where it lives, how its value reads, its default.
 
     ``kind`` is a unit kind of _KINDS, or number (dimensionless), integer,
     word, rational, path, beta (a time or ``inf``), amplitude
     (``m n i : re im``) or pair (``m n i : m n i``).  Amplitude and pair
-    keys are indexed: the file spells them ``amp_0``, ``amp_1``, ...
-    ``field`` is the RunConfig field filled; ``group.attr`` fills one part of
-    a compound field (see _COMPOUND), and None marks a key that only a
-    cross-key rule reads.  ``required`` asks for the key, or for at least
-    one line of an indexed key.  ``choices`` lists the values a word or
-    integer may take; ``bound = (op, limit)`` asks for ``value op limit``
-    with op ``>`` or ``>=``, and ``at_most`` asks for ``value <= at_most``.
-    ``when = (key, value)`` accepts the key only when that other key of the
-    section holds that value.
+    keys are indexed: the file spells them ``amp_0``, ``amp_1``, ... and
+    the section holds their values as one tuple under the key.
+    ``required`` asks for the key, or for at least one line of an indexed
+    key.  ``choices`` lists the values a word or integer may take;
+    ``bound = (op, limit)`` asks for ``value op limit`` with op ``>`` or
+    ``>=``, and ``at_most`` asks for ``value <= at_most``.  ``when = (key,
+    value)`` accepts the key only when that other key of the section holds
+    that value.  ``default``, in SI units, is the value a section the key
+    is accepted in holds when the file omits the key; None leaves it out.
     """
 
     section: str
     key: str
     kind: str
-    field: str | None
     required: bool = False
     choices: tuple = ()
     when: tuple[str, str] | None = None
     bound: tuple[str, int] | None = None
     at_most: float | None = None
+    default: object = None
 
     @property
     def indexed(self) -> bool:
@@ -485,68 +478,58 @@ _GE1 = (">=", 1)
 # the bounds restate those of DeviceParams, EffectiveParams, FockCutoff,
 # OhmicSpectralDensity, BathState and cross_phase, so that they name a line
 _SCHEMA = (
-    _Key("", "scenario", "word", "scenario", True, SCENARIOS),
-    _Key("device", "E_C", "energy", "device.E_C", True, bound=_GT0),
-    _Key("device", "E_J_max", "energy", "device.E_J_max", True, bound=_GT0),
-    _Key("device", "omega_a", "frequency", "device.omega_a", True, bound=_GT0),
-    _Key("device", "omega_b", "frequency", "device.omega_b", True, bound=_GT0),
-    _Key("device", "L_a", "length", "device.L_a", True, bound=_GT0),
-    _Key("device", "L_b", "length", "device.L_b", True, bound=_GT0),
-    _Key("device", "c_cap", "capacitance_per_length", "device.c_cap", True, bound=_GT0),
-    _Key("device", "l_ind", "inductance_per_length", "device.l_ind", True, bound=_GT0),
-    _Key("device", "C_g", "capacitance", "device.C_g", True, bound=_GE0),
-    _Key("device", "C_a", "capacitance", "device.C_a", True, bound=_GT0),
-    _Key("device", "V_g_dc", "voltage", "device.V_g_dc", True),
-    _Key("device", "S_loop", "area", "device.S_loop", True, bound=_GE0),
-    _Key("device", "d_dist", "length", "device.d_dist", True, bound=_GT0),
-    _Key("device", "Phi_e", "flux", "device.Phi_e"),
-    _Key("device", "tau", "time", "tau", bound=_GE0),
-    # alphabetical, the order in which eff_overrides is stored and echoed
-    _Key("effective", "chi", "frequency", "eff_overrides.chi"),
-    _Key("effective", "g_a", "frequency", "eff_overrides.g_a", bound=_GE0),
-    _Key("effective", "n_g_dc", "number", "eff_overrides.n_g_dc"),
-    _Key("effective", "omega_a", "frequency", "eff_overrides.omega_a", bound=_GT0),
-    _Key("effective", "omega_a_prime", "frequency", "eff_overrides.omega_a_prime"),
-    _Key("effective", "phi_b", "number", "eff_overrides.phi_b", bound=_GE0),
-    _Key("effective", "phi_e", "number", "eff_overrides.phi_e"),
-    _Key("cutoff", "n_max_a", "integer", "cutoff.n_max_a", True, bound=_GE1),
-    _Key("cutoff", "n_max_b", "integer", "cutoff.n_max_b", True, bound=_GE1),
-    _Key("bath", "family", "word", "bath_family", True, ("ohmic", "tabulated")),
-    _Key("bath", "coupling", "number", "bath_coupling", True, when=_OHMIC, bound=_GE0),
-    _Key("bath", "exponent", "number", "bath_exponent", when=_OHMIC, bound=_GT0,
-         at_most=EXPONENT_MAX),
-    _Key("bath", "omega_c", "frequency", "bath_omega_c", True, when=_OHMIC, bound=_GT0),
-    _Key("bath", "table", "path", "bath_table", True, when=_TABULATED),
-    _Key("bath", "beta", "beta", "beta", bound=_GT0),
-    _Key("bath", "temperature", "temperature", None, bound=_GE0),
-    _Key("grid", "t_start", "time", "grid_start", bound=_GE0),
-    _Key("grid", "t_stop", "time", "grid_stop", True),
-    _Key("grid", "t_count", "integer", "grid_count", True, bound=_GE1),
-    _Key("grid", "spacing", "word", "grid_spacing", choices=("linear", "log")),
-    _Key("state", "kind", "word", "state_kind", True, ("labels", "coherent")),
-    _Key("state", "amp", "amplitude", "state_labels", True, when=_LABELS),
-    _Key("state", "mode", "word", "state_mode", True, ("A", "B"), _COHERENT),
-    _Key("state", "alpha_re", "number", "state_alpha.real", when=_COHERENT),
-    _Key("state", "alpha_im", "number", "state_alpha.imag", when=_COHERENT),
-    _Key("state", "qubit_level", "integer", "state_qubit", False, (0, 1), _COHERENT),
-    _Key("pairs", "pair", "pair", "pairs", True),
-    _Key("spectrum", "ratio", "rational", "ratio"),
-    _Key("spectrum", "tol", "number", "cluster_tol", bound=_GT0),
+    _Key("", "scenario", "word", True, SCENARIOS),
+    _Key("device", "E_C", "energy", True, bound=_GT0),
+    _Key("device", "E_J_max", "energy", True, bound=_GT0),
+    _Key("device", "omega_a", "frequency", True, bound=_GT0),
+    _Key("device", "omega_b", "frequency", True, bound=_GT0),
+    _Key("device", "L_a", "length", True, bound=_GT0),
+    _Key("device", "L_b", "length", True, bound=_GT0),
+    _Key("device", "c_cap", "capacitance_per_length", True, bound=_GT0),
+    _Key("device", "l_ind", "inductance_per_length", True, bound=_GT0),
+    _Key("device", "C_g", "capacitance", True, bound=_GE0),
+    _Key("device", "C_a", "capacitance", True, bound=_GT0),
+    _Key("device", "V_g_dc", "voltage", True),
+    _Key("device", "S_loop", "area", True, bound=_GE0),
+    _Key("device", "d_dist", "length", True, bound=_GT0),
+    _Key("device", "Phi_e", "flux", default=0.0),
+    _Key("device", "tau", "time", bound=_GE0),
+    # the EffectiveParams fields a config may set
+    _Key("effective", "chi", "frequency"),
+    _Key("effective", "g_a", "frequency", bound=_GE0),
+    _Key("effective", "n_g_dc", "number"),
+    _Key("effective", "omega_a", "frequency", bound=_GT0),
+    _Key("effective", "omega_a_prime", "frequency"),
+    _Key("effective", "phi_b", "number", bound=_GE0),
+    _Key("effective", "phi_e", "number"),
+    _Key("cutoff", "n_max_a", "integer", True, bound=_GE1),
+    _Key("cutoff", "n_max_b", "integer", True, bound=_GE1),
+    _Key("bath", "family", "word", True, ("ohmic", "tabulated")),
+    _Key("bath", "coupling", "number", True, when=_OHMIC, bound=_GE0),
+    _Key("bath", "exponent", "number", when=_OHMIC, bound=_GT0,
+         at_most=EXPONENT_MAX, default=1.0),
+    _Key("bath", "omega_c", "frequency", True, when=_OHMIC, bound=_GT0),
+    _Key("bath", "table", "path", True, when=_TABULATED),
+    _Key("bath", "beta", "beta", bound=_GT0, default=math.inf),
+    # read into beta by _cross_key_rules, and not kept
+    _Key("bath", "temperature", "temperature", bound=_GE0),
+    _Key("grid", "t_start", "time", bound=_GE0, default=0.0),
+    _Key("grid", "t_stop", "time", True),
+    _Key("grid", "t_count", "integer", True, bound=_GE1),
+    _Key("grid", "spacing", "word", choices=("linear", "log"), default="linear"),
+    _Key("state", "kind", "word", True, ("labels", "coherent")),
+    _Key("state", "amp", "amplitude", True, when=_LABELS),
+    _Key("state", "mode", "word", True, ("A", "B"), _COHERENT),
+    _Key("state", "alpha_re", "number", when=_COHERENT, default=0.0),
+    _Key("state", "alpha_im", "number", when=_COHERENT, default=0.0),
+    _Key("state", "qubit_level", "integer", False, (0, 1), _COHERENT, default=0),
+    _Key("pairs", "pair", "pair", True),
+    _Key("spectrum", "ratio", "rational"),
+    _Key("spectrum", "tol", "number", bound=_GT0),
 )
 
 _SECTIONS = tuple(dict.fromkeys(row.section for row in _SCHEMA))
 _ROWS = {s: tuple(row for row in _SCHEMA if row.section == s) for s in _SECTIONS}
-_ROW = {(row.section, row.key): row for row in _SCHEMA}
-
-# compound fields: (build from {attr: value}, read one attr back)
-_COMPOUND = {
-    "device": (lambda parts: DeviceParams(**parts), getattr),
-    "cutoff": (lambda parts: FockCutoff(**parts), getattr),
-    "eff_overrides": (lambda parts: tuple(sorted(parts.items())),
-                      lambda overrides, key: dict(overrides).get(key)),
-    "state_alpha": (lambda parts: complex(parts.get("real", 0.0),
-                                          parts.get("imag", 0.0)), getattr),
-}
 
 
 # ------------------------------------------------------------------ parsing
@@ -626,18 +609,18 @@ def _dimensionless(raw: str, key: str, line: int) -> float:
 
 
 def _label_triplet(raw: str, key: str, line: int,
-                   cutoff: FockCutoff | None) -> tuple[int, int, int]:
-    """Read ``m n i``; with a cutoff, the label must lie inside it."""
+                   cutoff: Mapping | None) -> tuple[int, int, int]:
+    """Read ``m n i``; with a [cutoff] section, the label must lie inside it."""
     parts = raw.split()
     if len(parts) != 3:
         raise ConfigError(f"{key}: expected 'm n i', got {raw!r}", line)
     m, n, i = (_integer(p, key, line) for p in parts)
     if m < 0 or n < 0 or i not in (0, 1):
         raise ConfigError(f"{key}: label out of range: {raw!r}", line)
-    if cutoff is not None and (m > cutoff.n_max_a or n > cutoff.n_max_b):
+    if cutoff is not None and (m > cutoff["n_max_a"] or n > cutoff["n_max_b"]):
         raise ConfigError(
             f"{key}: label {raw!r} outside the cutoff (n_max_a = "
-            f"{cutoff.n_max_a}, n_max_b = {cutoff.n_max_b})", line)
+            f"{cutoff['n_max_a']}, n_max_b = {cutoff['n_max_b']})", line)
     return m, n, i
 
 
@@ -655,7 +638,7 @@ def _indexed_lines(entries: dict, section: str, prefix: str):
 
 
 def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str,
-             cutoff: FockCutoff | None):
+             cutoff: Mapping | None):
     """Read one value of ``row`` and check its choices and bound; ``key`` is
     the key as spelled (``amp_3``)."""
     value = _read_kind(row.kind, raw, key, line, config_dir, cutoff)
@@ -673,7 +656,7 @@ def _convert(row: _Key, raw: str, key: str, line: int, config_dir: str,
 
 
 def _read_kind(kind: str, raw: str, key: str, line: int, config_dir: str,
-               cutoff: FockCutoff | None):
+               cutoff: Mapping | None):
     if kind in _KINDS:
         return _dimensional(raw, kind, key, line)
     if kind == "number":
@@ -723,17 +706,17 @@ def _cross_key_rules(section: str, vals: dict, lines: dict,
         if "table" in vals:
             vals["table"] = DensityTable(
                 vals["table"], _tabulated(vals["table"], lines["table"]))
-        if "beta" in vals and "temperature" in vals:
+        if "beta" in lines and "temperature" in lines:
             raise ConfigError("give either 'beta' or 'temperature', not both",
                               lines["temperature"])
         if "temperature" in vals:
-            t_kelvin = vals["temperature"]
+            t_kelvin = vals.pop("temperature")
             # beta multiplies angular frequency, so it is hbar/(k_B T), seconds
             vals["beta"] = (math.inf if t_kelvin == 0
                             else HBAR_SI / (K_B_SI * t_kelvin))
     elif section == "grid":
-        start = vals.get("t_start", 0.0)
-        if vals.get("spacing") == "log" and start <= 0:
+        start = vals["t_start"]
+        if vals["spacing"] == "log" and start <= 0:
             raise ConfigError("log spacing requires t_start > 0",
                               lines.get("t_start", lines.get("spacing")))
         if vals["t_count"] > 1 and vals["t_stop"] <= start:
@@ -749,8 +732,9 @@ def _cross_key_rules(section: str, vals: dict, lines: dict,
 
 
 def _parse_section(section: str, entries: dict, headers: dict,
-                   config_dir: str, cutoff: FockCutoff | None) -> dict:
-    """Pop and check one section's keys; returns the RunConfig fields.
+                   config_dir: str, cutoff: Mapping | None) -> dict:
+    """Pop and check one section's keys; returns its ``{key: value}``, with
+    the defaults of the keys it accepts but does not give.
 
     A key's own value is checked as it is read; then come unknown keys,
     missing required keys (at the section header; the top level starts at
@@ -774,6 +758,8 @@ def _parse_section(section: str, entries: dict, headers: dict,
             vals[row.key] = _convert(row, raw, row.key, line, config_dir,
                                      cutoff)
             lines[row.key] = line
+        elif row.default is not None:
+            vals[row.key] = row.default
 
     known = ", ".join(f"{row.key}_<k>" if row.indexed else row.key
                       for row in accepted)
@@ -791,20 +777,7 @@ def _parse_section(section: str, entries: dict, headers: dict,
             raise ConfigError(f"{where} is missing required key "
                               f"{row.key!r}", header)
     _cross_key_rules(section, vals, lines, header)
-
-    fields: dict = {}
-    parts: dict = {}
-    for row in accepted:
-        if row.field is None or row.key not in vals:
-            continue
-        name, _, attr = row.field.partition(".")
-        if attr:
-            parts.setdefault(name, {})[attr] = vals[row.key]
-        else:
-            fields[name] = vals[row.key]
-    for name, attrs in parts.items():
-        fields[name] = _COMPOUND[name][0](attrs)
-    return fields
+    return vals
 
 
 def load_config(path: str) -> RunConfig:
@@ -814,20 +787,23 @@ def load_config(path: str) -> RunConfig:
     cannot be read.  A section the scenario does not use is reported at its
     header, a missing section at the ``scenario =`` line, after the
     sections that are present have been read.  A density ``table`` is read
-    and checked here, once: the run uses the density kept in
-    ``RunConfig.bath_table``.  The effective parameters are resolved here
-    too, so a device map or an override set that fails is reported at the
-    header of [device], or of [effective] without one.  An exact ``ratio``
-    must agree with the effective parameters the run will use (the rule of
-    ``dfs_find``); both are reported at their key's line.
+    and checked here, once: the run uses the density kept in the
+    DensityTable of ``cfg["bath"]["table"]``.  The effective parameters are
+    resolved here too, so a device map or an override set that fails is
+    reported at the header of [device], or of [effective] without one; so
+    is, with a [bath], a level-energy span over [cutoff] whose square is
+    not finite.  An exact ``ratio`` must agree with the effective
+    parameters the run will use (the rule of ``dfs_find``); both are
+    reported at their key's line.
     """
     entries, headers = _tokenize(path)
     config_dir = os.path.dirname(os.path.abspath(path))
     at = entries.get(("", "scenario"), ("", 1))[1]
     ratio_at = entries.get(("spectrum", "ratio"), ("", None))[1]
 
-    fields = _parse_section("", entries, headers, config_dir, None)
-    name = fields["scenario"]
+    sections = {"": MappingProxyType(
+        _parse_section("", entries, headers, config_dir, None))}
+    name = sections[""]["scenario"]
     scenario = _SCENARIOS[name]
     for section, line in headers.items():
         if section not in scenario.sections:
@@ -839,22 +815,23 @@ def load_config(path: str) -> RunConfig:
     # the top level "" is never a header, so it is not parsed twice
     for section in _SECTIONS:
         if section in headers:
-            fields.update(_parse_section(section, entries, headers,
-                                         config_dir, fields.get("cutoff")))
+            vals = _parse_section(section, entries, headers, config_dir,
+                                  sections.get("cutoff"))
+            if vals:
+                sections[section] = MappingProxyType(vals)
 
     for alternatives in scenario.requires:
         if not any(section in headers for section in alternatives):
             raise ConfigError(
                 f"scenario {name!r} requires section "
                 + " or ".join(f"[{section}]" for section in alternatives), at)
+    cfg = RunConfig(MappingProxyType(sections))
     if "effective" in headers and "device" not in headers:
-        over = dict(fields.get("eff_overrides", ()))
         missing = [k for k in ("omega_a", "omega_a_prime", "chi")
-                   if k not in over]
+                   if k not in cfg["effective"]]
         if missing:
             raise ConfigError("[effective] without [device] must supply "
                               + ", ".join(missing), headers["effective"])
-    cfg = RunConfig(**fields)
     params = "device" if "device" in headers else "effective"
     if params in headers:
         # the effective parameters every run of this config uses
@@ -862,10 +839,24 @@ def load_config(path: str) -> RunConfig:
             eff = resolve_effective(cfg)
         except InvalidArgumentError as exc:
             raise ConfigError(f"[{params}]: {exc}", headers[params]) from None
-    if cfg.ratio is not None:
+        cut = FockCutoff(**cfg["cutoff"]) if cfg["bath"] else None
+        # a cutoff over the dense cap is refused by the run before any
+        # level is built, so no dim-sized vector is built for it here
+        if cut is not None and cut.dim <= hilbert.DENSE_DIM_CAP:
+            # evolve_reduced squares the levels and their gaps; the label
+            # (0, n, 0) sits at 0, so none of them is larger than the span
+            with np.errstate(all="ignore"):
+                levels = energies_vector(eff, cut)
+                span = float(levels.max() - levels.min())
+            if not math.isfinite(span * span):
+                raise ConfigError(
+                    f"[{params}]: the level energies over [cutoff] span "
+                    f"{span!r} rad/s, whose square is not finite",
+                    headers[params])
+    if "ratio" in cfg["spectrum"]:
         # the rule dfs_find holds the ratio to, on the parameters run uses
         try:
-            _check_ratio(eff, cfg.ratio)
+            _check_ratio(eff, cfg["spectrum"]["ratio"])
         except InvalidArgumentError as exc:
             raise ConfigError(f"ratio: {exc}", ratio_at) from None
     return cfg
@@ -895,39 +886,23 @@ def _format(kind: str, value) -> str:
     return str(value)
 
 
-def _read(cfg: RunConfig, row: _Key):
-    """The value ``row`` filled in ``cfg``, or None."""
-    if row.field is None:
-        return None
-    name, _, attr = row.field.partition(".")
-    value = getattr(cfg, name)
-    if attr and value is not None:
-        value = _COMPOUND[name][1](value, attr)
-    return value
-
-
 def render_config(cfg: RunConfig) -> str:
     """Echo a RunConfig as normalized config text; load_config inverts it."""
     lines = []
     for section in _SECTIONS:
-        rows = _ROWS[section]
-        anchors = [row for row in rows if row.required] or rows
-        if all(_read(cfg, row) in (None, ()) for row in anchors):
+        vals = cfg[section]
+        if not vals:
             continue
         if section:
             lines.append(f"[{section}]")
-        for row in rows:
-            if row.when is not None and \
-                    _read(cfg, _ROW[section, row.when[0]]) != row.when[1]:
-                continue
-            value = _read(cfg, row)
-            if value is None:
+        for row in _ROWS[section]:
+            if row.key not in vals:
                 continue
             if row.indexed:
                 lines += [f"{row.key}_{k} = {_format(row.kind, item)}"
-                          for k, item in enumerate(value)]
+                          for k, item in enumerate(vals[row.key])]
             else:
-                lines.append(f"{row.key} = {_format(row.kind, value)}")
+                lines.append(f"{row.key} = {_format(row.kind, vals[row.key])}")
         lines.append("")
     return "\n".join(lines)
 

@@ -617,6 +617,32 @@ def _check_dispersive_fidelity() -> _Measured:
             "scaling lives in the acceptance suite")
 
 
+# (t, fidelity) of the dispersive check at cutoff (3, 2) below, rows of
+# JC_GOLD in tests/test_dynamics.py: mpmath expm of the dense JC matrix at
+# 40 digits (tools/jc_gold.py)
+_JC_GOLD = (
+    (10.909090909090908, 0.15213786311816519),
+    (14.545454545454545, 0.11484930272232673),
+    (21.818181818181817, 0.50029749664134508),
+    (36.36363636363636, 0.069859508794679241),
+)
+
+
+def _check_jc_gold() -> _Measured:
+    cut = FockCutoff(3, 2)
+    eff = EffectiveParams(g_a=0.05, phi_b=0.1, phi_e=0.0, n_g_dc=0.5,
+                          omega_a=1.0, omega_a_prime=0.9, chi=0.3)
+    rng = np.random.default_rng(5)
+    psi0 = StateVector.normalized(rng.normal(size=cut.dim)
+                                  + 1j * rng.normal(size=cut.dim), cut)
+    t, gold = np.array(_JC_GOLD).T
+    fidelity = dispersive_check(psi0, eff, 0.4, t).fidelity
+    return (float(np.max(np.abs(fidelity - gold))), 1e-12,
+            "the closed-form JC doublets meet frozen 40-digit mpmath "
+            "fidelities of the dense JC propagation at cutoff (3, 2), "
+            "t = 10.9 to 36.4")
+
+
 # the registry: every check under its report name, in report order
 _CHECKS = (
     ("ladder_number_eigenvalues", _check_ladder_number),
@@ -648,6 +674,7 @@ _CHECKS = (
     ("finite_bath_quick", _check_finite_bath_quick),
     ("finite_bath_convergence", _check_finite_bath_convergence),
     ("dispersive_fidelity_quick", _check_dispersive_fidelity),
+    ("jc_doublet_gold", _check_jc_gold),
 )
 
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)

@@ -1,6 +1,5 @@
 """Config parsing, echo roundtrip, scenario runs, exit codes."""
 
-import dataclasses
 import glob
 import json
 import math
@@ -24,6 +23,7 @@ from cqdeph.cli import (
 )
 from cqdeph.device import HBAR_SI, K_B_SI
 from cqdeph.errors import ConfigError, InvalidArgumentError
+from cqdeph.hilbert import FockCutoff
 
 DEVICE_BODY = """
 scenario = device
@@ -124,14 +124,14 @@ def _cli(args, cwd=None):
 
 def test_unit_conversions(tmp_path):
     cfg = load_config(_write(tmp_path, DEVICE_BODY))
-    over = dict(cfg.eff_overrides)
-    assert over["chi"] == pytest.approx(3.6e8)
-    assert cfg.tau == pytest.approx(1.6e-7)
-    assert cfg.device.omega_a == pytest.approx(2 * math.pi * 6e9)
+    device = cfg["device"]
+    assert cfg["effective"]["chi"] == pytest.approx(3.6e8)
+    assert device["tau"] == pytest.approx(1.6e-7)
+    assert device["omega_a"] == pytest.approx(2 * math.pi * 6e9)
     # energies are entered as frequencies and converted through hbar
-    assert cfg.device.E_C == pytest.approx(HBAR_SI * 2 * math.pi * 5e9)
-    assert cfg.device.L_a == pytest.approx(0.012)
-    assert cfg.device.C_g == pytest.approx(0.6e-15)
+    assert device["E_C"] == pytest.approx(HBAR_SI * 2 * math.pi * 5e9)
+    assert device["L_a"] == pytest.approx(0.012)
+    assert device["C_g"] == pytest.approx(0.6e-15)
 
 
 def test_empty_file_names_scenario(tmp_path):
@@ -205,7 +205,7 @@ def test_beta_and_temperature_conflict(tmp_path):
 def test_temperature_converts_to_beta(tmp_path):
     body = DEPHASING_BODY.replace("beta = inf", "temperature = 20 mK")
     cfg = load_config(_write(tmp_path, body))
-    assert cfg.beta == pytest.approx(HBAR_SI / (K_B_SI * 0.020))
+    assert cfg["bath"]["beta"] == pytest.approx(HBAR_SI / (K_B_SI * 0.020))
 
 
 def test_comments_and_blank_lines_ignored(tmp_path):
@@ -286,12 +286,13 @@ def test_device_map_arithmetic_failure_is_a_config_error(tmp_path, key, value, e
 
 
 def test_non_finite_dephasing_output_is_a_numerics_error(tmp_path, capsys):
-    # omega_a_prime = 1e300 squares past the float range: the tables held
-    # NaN and inf, and report.json ended in a ValueError traceback after
-    # config_echo.cfg and both CSVs were written
+    # the squared levels are finite, but q1(t) times them is not by
+    # t = 1e300 s: the tables held NaN and inf, and report.json ended in a
+    # ValueError traceback after config_echo.cfg and both CSVs were written
     with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
         text = f.read()
-    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e300 Hz_rad", text)
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e150 Hz_rad", text)
+    text = re.sub(r"(?m)^t_stop = .*$", "t_stop = 1e300 s", text)
     cfg = _write(tmp_path, text)
     # a failed run shows the warnings it raised on the way
     with pytest.warns(RuntimeWarning):
@@ -299,7 +300,45 @@ def test_non_finite_dephasing_output_is_a_numerics_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.endswith(
         "cqdeph: numeric error: trajectory.csv column abs_p1 is not finite, "
-        "first at t = 0.0; no output file was written\n")
+        "first at t = 4.0000000000000003e+298; no output file was written\n")
+    assert os.listdir(tmp_path / "o") == []
+
+
+def test_level_span_whose_square_overflows_is_a_config_error(tmp_path, capsys):
+    # omega_a_prime = 1e300 squares past the float range in evolve_reduced,
+    # which printed 15 RuntimeWarnings before the writer guard refused the
+    # tables; the span is checked at load time, at the [effective] header
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e300 Hz_rad", text)
+    header = text.splitlines().index("[effective]") + 1
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"cqdeph: config error: line {header}: [effective]: the level energies "
+        "over [cutoff] span 5e+300 rad/s, whose square is not finite\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cutoff_over_the_dense_cap_is_refused_before_any_level_is_built(
+        tmp_path, capsys):
+    # dim 2e10: the load-time span check must not build the level vector,
+    # so the run refuses the cutoff at once, as it does with a small span
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e300 Hz_rad", text)
+    text = re.sub(r"(?m)^n_max_(a|b) = .*$", r"n_max_\1 = 100000", text)
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "cqdeph: numeric error: dimension 20000400002 exceeds the "
+        "dense-matrix cap 5000\n")
     assert os.listdir(tmp_path / "o") == []
 
 
@@ -350,11 +389,6 @@ def test_every_bound_and_choice_rejected_at_its_line(tmp_path, row):
         load_config(_write(tmp_path, text))
     assert err.value.line == line
     assert str(err.value).startswith(f"line {line}: {row.key}")
-
-
-def test_run_config_fields_match_the_key_table():
-    filled = {row.field.partition(".")[0] for row in cli._SCHEMA if row.field}
-    assert filled == {f.name for f in dataclasses.fields(cli.RunConfig)}
 
 
 @pytest.mark.parametrize("edits, line, message", [
@@ -423,8 +457,8 @@ def test_table_path_resolves_relative_to_config(tmp_path):
         "family = ohmic\ncoupling = 0.1\nomega_c = 1 Hz_rad",
         "family = tabulated\ntable = dens.txt")
     cfg = load_config(_write(tmp_path, body))
-    assert os.path.isabs(cfg.bath_table)
-    assert os.path.isfile(cfg.bath_table)
+    assert os.path.isabs(cfg["bath"]["table"])
+    assert os.path.isfile(cfg["bath"]["table"])
 
 
 def test_tabulated_run_reads_its_table_once(tmp_path, monkeypatch):
@@ -576,7 +610,7 @@ def test_echo_roundtrips_rational_ratio(tmp_path):
     body = SPECTRUM_BODY.replace("ratio = 3", "ratio = 3/2\ntol = 1e-10") \
         .replace("omega_a_prime = 0.9 Hz_rad", "omega_a_prime = 0.45 Hz_rad")
     cfg = load_config(_write(tmp_path, body))
-    assert cfg.ratio == Fraction(3, 2)
+    assert cfg["spectrum"]["ratio"] == Fraction(3, 2)
     echo = tmp_path / "echo.cfg"
     echo.write_text(render_config(cfg))
     assert load_config(str(echo)) == cfg
@@ -592,8 +626,8 @@ def test_override_recomputes_derived_rates(tmp_path):
     eff_moved = resolve_effective(moved)
     from cqdeph.device import cross_kerr
     assert eff_moved.chi == pytest.approx(cross_kerr(
-        1e8, eff_moved.phi_b, moved.device.E_J_max, eff_moved.omega_a,
-        moved.device.hbar))
+        1e8, eff_moved.phi_b, moved["device"]["E_J_max"], eff_moved.omega_a,
+        HBAR_SI))
 
 
 # ------------------------------------------------------------ scenario runs
@@ -919,12 +953,12 @@ def test_initial_state_adds_a_repeated_label_and_rejects_one_outside(tmp_path):
         "amp_1 = 0 1 0 : 0 0.7071067811865476\n",
         "amp_1 = 0 1 0 : 0 0.5\namp_2 = 0 0 0 : 0.25 -0.5\n")
     cfg = load_config(_write(tmp_path, body))
-    amp = np.zeros(cfg.cutoff.dim, dtype=complex)
+    state, cut = cfg["state"], FockCutoff(**cfg["cutoff"])
+    amp = np.zeros(cut.dim, dtype=complex)
     amp[0] = complex(0.7071067811865476, 0.0) + complex(0.25, -0.5)
     amp[1] = 0.5j
-    psi = cli._initial_state(cfg)
+    psi = cli._initial_state(state, cut)
     assert np.array_equal(psi.vec, amp / np.linalg.norm(amp))
-    outside = dataclasses.replace(
-        cfg, state_labels=cfg.state_labels + ((2, 0, 0, 0.1, 0.0),))
+    outside = {**state, "amp": state["amp"] + ((2, 0, 0, 0.1, 0.0),)}
     with pytest.raises(InvalidArgumentError, match="exceeds cutoff"):
-        cli._initial_state(outside)
+        cli._initial_state(outside, cut)

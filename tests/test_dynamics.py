@@ -855,6 +855,13 @@ def test_dispersive_check_meets_the_40_digit_propagation():
     assert np.max(np.abs(_dense_fidelity(psi0, _JC_EFF, 0.4, t) - gold)) <= 1e-13
 
 
+def test_validate_jc_gold_rows_are_rows_of_jc_gold():
+    # the jc_doublet_gold validate row holds four of these rows; a
+    # regenerated gold must reach both copies
+    from cqdeph.validation import _JC_GOLD
+    assert set(_JC_GOLD) <= set(JC_GOLD)
+
+
 def test_dispersive_check_phases_match_dense_propagation():
     # the closed-form doublets against dense eigh propagation of the JC
     # matrix, over random states up to dim 462

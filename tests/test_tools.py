@@ -6,6 +6,8 @@ import pathlib
 import subprocess
 import sys
 
+from cqdeph import cli
+
 _ROOT = pathlib.Path(__file__).resolve().parent.parent
 _TOOLS = _ROOT / "tools"
 
@@ -178,7 +180,9 @@ def test_cli_outputs_writes_one_run_per_config_and_workload(tmp_path):
     configs = {p.stem for p in (_ROOT / "configs").glob("*.cfg")}
     tool = _load("cli_outputs")
     workloads, variants = set(tool.WORKLOADS), set(tool.VARIANTS)
-    assert configs and workloads and variants == {"tabulated-bath", "subohmic-thermal"}
+    assert configs and workloads and variants == {
+        "tabulated-bath", "subohmic-thermal", "temperature-log-grid",
+        "coherent-mode-b", "device-flux", "device-overrides", "spectrum-rational"}
     expected = configs | workloads | variants
     assert {p.name for p in dest.iterdir()} == expected
     for name in expected:
@@ -192,3 +196,10 @@ def test_cli_outputs_writes_one_run_per_config_and_workload(tmp_path):
         assert (dest / name / "observables.csv").is_file()
     assert json.loads((dest / "subohmic-thermal" / "report.json").read_text()
                       )["bath"]["exponent"] == 0.3
+    # the shipped configs and the variants set every key of the key table
+    given = set()
+    for path in [*(_ROOT / "configs").glob("*.cfg"), *dest.glob("*/run.cfg")]:
+        given.update(cli._tokenize(str(path))[0])
+    for row in cli._SCHEMA:
+        key = f"{row.key}_0" if row.indexed else row.key
+        assert (row.section, key) in given, (row.section, key)

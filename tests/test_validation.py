@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from cqdeph import bath, dynamics, kernels, validation
+from cqdeph import bath, dynamics, hamiltonians, kernels, validation
 from cqdeph.errors import InvalidArgumentError
 
 
@@ -183,3 +183,19 @@ def test_regrading_keeps_the_finite_residual_rule(monkeypatch):
     results = validation.run_all(tol_scale=10.0)
     assert [r.passed for r in results] == [False, False, True]
     assert [r.tolerance for r in results] == [math.inf, 10.0, 10.0]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1.001])
+def test_jc_gold_check_fails_a_scaled_doublet_coupling(scale, monkeypatch):
+    # dispersive_fidelity_quick only asks for fidelity >= 0.99, which a
+    # coupling off by 1e-3 still meets; the frozen fidelities move by 3.4e-4
+    inner = hamiltonians.jc_doublets
+
+    def scaled(*args):
+        diag, lower, upper, coupling = inner(*args)
+        return diag, lower, upper, coupling * scale
+
+    monkeypatch.setattr(hamiltonians, "jc_doublets", scaled)
+    residual, tolerance, _ = validation._check_jc_gold()
+    assert (residual <= tolerance) == (scale == 1.0)
+    assert validation._check_dispersive_fidelity()[0] <= 1e-2

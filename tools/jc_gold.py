@@ -2,12 +2,14 @@
 
     python3 tools/jc_gold.py
 
-Prints the ``JC_GOLD`` rows of ``tests/test_dynamics.py``: the fidelity
-|<psi_jc(t)|psi_cmp(t)>|^2 that ``dynamics.dispersive_check`` returns for
-the input of ``test_dispersive_check_meets_the_40_digit_propagation``:
-cutoff (3, 2), E_J = 0.4, g_a = 0.05, phi_b = 0.1, omega_a = 1,
-omega_a' = 0.9, chi = 0.3, a random state of ``numpy.random.default_rng(5)``
-and 23 times on [0, 40].
+Prints the ``JC_GOLD`` rows: the fidelity |<psi_jc(t)|psi_cmp(t)>|^2
+that ``dynamics.dispersive_check`` returns for cutoff (3, 2), E_J = 0.4,
+g_a = 0.05, phi_b = 0.1, omega_a = 1, omega_a' = 0.9, chi = 0.3, a random
+state of ``numpy.random.default_rng(5)`` and 23 times on [0, 40].  Two
+places hold them: all 23 rows are ``JC_GOLD`` of ``tests/test_dynamics.py``
+(``test_dispersive_check_meets_the_40_digit_propagation``), and four are
+``_JC_GOLD`` of ``cqdeph.validation``, the ``jc_doublet_gold`` row of the
+validate scenario.
 
 The floats that define the problem are taken from the package: the state
 vector as ``StateVector.normalized`` stores it and omega_q(n_b) from
