@@ -78,7 +78,7 @@ from .errors import (
     InvalidArgumentError,
     NumericsError,
 )
-from .hilbert import FockCutoff, StateVector, TensorBasisLabel, coherent_state
+from .hilbert import FockCutoff, StateVector, coherent_state
 from .spectrum import TRUNCATION_NOTE, _check_ratio, dfs_find, energies_vector
 
 if TYPE_CHECKING:
@@ -302,30 +302,26 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
     hilbert.check_dense_dim(cut)
     rho0 = _initial_state(cfg["state"], cut).density()
     rtol = tol if tol is not None else DEFAULT_RTOL
-    pairs = [
-        (TensorBasisLabel(*hi), TensorBasisLabel(*lo))
-        for hi, lo in cfg["pairs"].get("pair", ())
-    ] or None
+    # (P, 2, 3): the (m, n, i) labels of each pair's row and column
+    labels = np.array(cfg["pairs"].get("pair", ()), dtype=np.intp)
+    pairs = cut.flat_indices(*labels.T).T if labels.size else None
     traj = evolve_reduced(rho0, eff, _bath_model(bath),
                           BathState(beta=bath["beta"]), _time_grid(grid),
                           rtol=rtol, pairs=pairs)
 
-    header = ["t"]
-    columns: list = [traj.t_grid]
-    legend = []
-    for k, rec in enumerate(traj.pairs):
-        name = f"p{k}"
-        header += [f"abs_{name}", f"arg_{name}", f"gamma_{name}",
-                   f"dphi_{name}"]
-        columns += [np.abs(rec.element), np.angle(rec.element), rec.damping,
-                    rec.phase]
-        legend.append({
-            "column": name,
-            "row_label": [rec.label_row.m, rec.label_row.n, rec.label_row.i],
-            "col_label": [rec.label_col.m, rec.label_col.n, rec.label_col.i],
-            "delta_e": rec.delta_e,
-            "square_diff": rec.square_diff,
-        })
+    nt, count = traj.element.shape
+    header = ["t"] + [f"{column}_p{k}" for k in range(count)
+                      for column in ("abs", "arg", "gamma", "dphi")]
+    # (nt, 4P): abs, arg, gamma and dphi of each pair, pair by pair
+    block = np.stack((np.abs(traj.element), np.angle(traj.element),
+                      traj.damping, traj.phase), axis=2).reshape(nt, 4 * count)
+    columns = [traj.t_grid, *block.T]
+    e_row, e_col = traj.energies[traj.pairs].T
+    legend = [{"column": f"p{k}", "row_label": row, "col_label": col,
+               "delta_e": delta_e, "square_diff": square_diff}
+              for k, ((row, col), delta_e, square_diff) in enumerate(zip(
+                  np.stack(cut.numbers(), axis=1)[traj.pairs].tolist(),
+                  (e_row - e_col).tolist(), (e_row ** 2 - e_col ** 2).tolist()))]
     coherence = observables(traj, "qubit_coherence")
     obs_header = ["t", "purity", "qubit_coherence_re", "qubit_coherence_im",
                   "fidelity_to_initial"]
@@ -792,14 +788,16 @@ def load_config(path: str) -> RunConfig:
     resolved here too, so a device map or an override set that fails is
     reported at the header of [device], or of [effective] without one; so
     is, with a [bath], a level-energy span over [cutoff] whose square is
-    not finite.  An exact ``ratio`` must agree with the effective
-    parameters the run will use (the rule of ``dfs_find``); both are
-    reported at their key's line.
+    not finite, and a span whose product with ``t_stop`` is not finite is
+    reported at the ``t_stop`` line.  An exact ``ratio`` must agree with the
+    effective parameters the run will use (the rule of ``dfs_find``); both
+    are reported at their key's line.
     """
     entries, headers = _tokenize(path)
     config_dir = os.path.dirname(os.path.abspath(path))
     at = entries.get(("", "scenario"), ("", 1))[1]
     ratio_at = entries.get(("spectrum", "ratio"), ("", None))[1]
+    t_stop_at = entries.get(("grid", "t_stop"), ("", None))[1]
 
     sections = {"": MappingProxyType(
         _parse_section("", entries, headers, config_dir, None))}
@@ -853,6 +851,12 @@ def load_config(path: str) -> RunConfig:
                     f"[{params}]: the level energies over [cutoff] span "
                     f"{span!r} rad/s, whose square is not finite",
                     headers[params])
+            # the free phase of a coherence is its gap times t
+            t_stop = cfg["grid"]["t_stop"]
+            if not math.isfinite(t_stop * span):
+                raise ConfigError(
+                    f"t_stop: {t_stop!r} s times the level-energy span "
+                    f"{span!r} rad/s over [cutoff] is not finite", t_stop_at)
     if "ratio" in cfg["spectrum"]:
         # the rule dfs_find holds the ratio to, on the parameters run uses
         try:

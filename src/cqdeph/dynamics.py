@@ -46,7 +46,6 @@ from .hilbert import (
     FockCutoff,
     OperatorMatrix,
     StateVector,
-    TensorBasisLabel,
     require_density_matrix,
 )
 
@@ -63,21 +62,6 @@ _OBS_BLOCK = 1 << 13
 
 
 @dataclass(frozen=True, eq=False)
-class PairRecord:
-    """Per-element bookkeeping for one coherence rho[row, col]."""
-
-    row: int
-    col: int
-    label_row: TensorBasisLabel
-    label_col: TensorBasisLabel
-    delta_e: float
-    square_diff: float
-    phase: np.ndarray     # dphi(t) = (E_row^2 - E_col^2) Q1(t)
-    damping: np.ndarray   # Gamma(t) = (E_row - E_col)^2 Q2(t)
-    element: np.ndarray   # rho[row, col](t)
-
-
-@dataclass(frozen=True, eq=False)
 class DephasingTrajectory:
     """Observables of rho(t) = rho0 * M(t) at each grid time.
 
@@ -89,6 +73,12 @@ class DephasingTrajectory:
     ``q2_err`` are the error estimates of ``q1_vals`` and ``q2_vals``:
     rounding and truncation bounds for an ohmic bath, quadrature estimates
     for a tabulated one.
+
+    The P tracked coherences are arrays: ``pairs`` is a (P, 2) array of
+    flat (row, col) indices, and column k of the (nt, P) arrays ``element``,
+    ``phase`` and ``damping`` holds, for the pair ``pairs[k]``, the element
+    rho[row, col](t), its reservoir phase (E_row^2 - E_col^2) Q1(t) and its
+    damping exponent (E_row - E_col)^2 Q2(t).
     """
 
     cutoff: FockCutoff
@@ -100,7 +90,10 @@ class DephasingTrajectory:
     q2_vals: np.ndarray
     q1_err: np.ndarray
     q2_err: np.ndarray
-    pairs: tuple[PairRecord, ...]
+    pairs: np.ndarray
+    element: np.ndarray
+    phase: np.ndarray
+    damping: np.ndarray
     purity: np.ndarray
     qubit_coherence: np.ndarray
     fidelity_to_initial: np.ndarray
@@ -206,13 +199,16 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
     element rho_jk is the product psi_j conj(psi_k) that np.outer forms.
     A mixed rho0 also gathers its support block rho_S, whose elements and
     exact zeros root root^dag keeps only to rounding.
-    ``pairs`` selects which coherences get PairRecords (a requested element
-    off S is 0).  It defaults to every nonzero element above the diagonal
-    of rho0; above DEFAULT_PAIR_CAP of them, to the DEFAULT_PAIR_CAP largest
-    in |rho_jk| (ties to the lower flat index), in flat order, with a
-    warning.  The tracked elements and the qubit coherence follow the law
-    rho_jk exp(-i (dE t + (E_j^2 - E_k^2) Q1) - dE^2 Q2), written once in
-    ``bath._element_law``.  The observables come from the factored law
+    ``pairs`` selects the tracked coherences as (row, col) pairs of flat
+    indices, each in [0, dim); a requested element off S is 0, and
+    ``pairs=()`` tracks none.  It defaults to every nonzero element above
+    the diagonal of rho0; above DEFAULT_PAIR_CAP of them, to the
+    DEFAULT_PAIR_CAP largest in |rho_jk| (ties to the lower flat index), in
+    flat order, with a warning.  The trajectory holds them as arrays: the
+    (P, 2) ``pairs`` and the (nt, P) ``element``, ``phase`` and
+    ``damping``.  The tracked elements and the qubit coherence follow the
+    law rho_jk exp(-i (dE t + (E_j^2 - E_k^2) Q1) - dE^2 Q2), written once
+    in ``bath._element_law``.  The observables come from the factored law
 
         M_jk(t) = a_j(t) conj(a_k(t)) g_c(j)c(k)(t),
         a_j = exp(-i (E_j t + E_j^2 Q1)),  g_ab = exp(-Q2 (E_a - E_b)^2),
@@ -334,38 +330,32 @@ def evolve_reduced(rho0: OperatorMatrix, eff: EffectiveParams, model,
                 stacklevel=2,
             )
             a, b = a[keep], b[keep]
-        req = list(zip(support[a].tolist(), support[b].tolist()))
+        pairs = np.stack((support[a], support[b]), axis=1)
     else:
-        req = []
-        for pa, pb in pairs:
-            if isinstance(pa, TensorBasisLabel):
-                pa = pa.flat_index(cutoff)
-            if isinstance(pb, TensorBasisLabel):
-                pb = pb.flat_index(cutoff)
-            req.append((int(pa), int(pb)))
-    # from_flat rejects an index outside the space before it is used
-    labels = [(TensorBasisLabel.from_flat(row, cutoff),
-               TensorBasisLabel.from_flat(col, cutoff)) for row, col in req]
-    rows, cols = np.array(req, dtype=np.intp).reshape(-1, 2).T
+        pairs = np.asarray(pairs) if len(pairs) else np.empty((0, 2), np.intp)
+        if pairs.ndim != 2 or pairs.shape[1] != 2 or pairs.dtype.kind not in "iu":
+            raise InvalidArgumentError(
+                "pairs must be (row, col) pairs of flat indices")
+        # a negative index would wrap
+        outside = (pairs < 0) | (pairs >= cutoff.dim)
+        if outside.any():
+            raise InvalidArgumentError(
+                f"flat index {pairs[outside][0]} outside dimension {cutoff.dim}")
+    pairs = pairs.astype(np.intp, copy=False)
+    rows, cols = pairs.T
     at_row, at_col = at[rows], at[cols]
     # an element off the support is 0
     rho_jk = np.where((at_row >= 0) & (at_col >= 0),
                       _elements(root, rho_s, at_row, at_col), 0.0)
-    e_row, e_col = energies[rows], energies[cols]
-    phase, damping, element = bath._element_law(rho_jk, e_row, e_col, t,
-                                                q1_vals, q2_vals)
-    records = tuple(
-        PairRecord(row=row, col=col, label_row=label_row, label_col=label_col,
-                   delta_e=float(e_row[k] - e_col[k]),
-                   square_diff=float(e_row[k] ** 2 - e_col[k] ** 2),
-                   phase=phase[:, k], damping=damping[:, k],
-                   element=element[:, k])
-        for k, ((row, col), (label_row, label_col)) in enumerate(zip(req, labels)))
+    phase, damping, element = bath._element_law(rho_jk, energies[rows],
+                                                energies[cols], t, q1_vals,
+                                                q2_vals)
     return DephasingTrajectory(
         cutoff=cutoff, t_grid=t, support=support, root=root,
         energies=energies, q1_vals=q1_vals, q2_vals=q2_vals, q1_err=q1_err,
-        q2_err=q2_err, pairs=records, purity=purity,
-        qubit_coherence=coherence, fidelity_to_initial=fidelity,
+        q2_err=q2_err, pairs=pairs, element=element, phase=phase,
+        damping=damping, purity=purity, qubit_coherence=coherence,
+        fidelity_to_initial=fidelity,
     )
 
 

@@ -135,8 +135,8 @@ def test_criterion_4_dfs_protection():
     rho0 = StateVector.normalized(amp, cut).density()
     w0 = 1.0 / len(support)
 
-    pairs = [(a, b) for k, a in enumerate(protected)
-             for b in protected[k + 1:]]
+    pairs = [(a.flat_index(cut), b.flat_index(cut))
+             for k, a in enumerate(protected) for b in protected[k + 1:]]
     t_grid = np.unique(np.concatenate([np.linspace(0.0, 50.0, 26),
                                        [0.5, 2.0, 10.0]]))
 
@@ -150,12 +150,13 @@ def test_criterion_4_dfs_protection():
     ):
         state = BathState(beta=beta)
         traj = evolve_reduced(rho0, eff, OHMIC, state, t_grid,
-                              pairs=pairs + [(control_hi, control_lo)])
-        for rec in traj.pairs[:-1]:
-            mods = np.abs(traj.snapshots[:, rec.row, rec.col])
+                              pairs=pairs + [(control_hi.flat_index(cut),
+                                              control_lo.flat_index(cut))])
+        for row, col in traj.pairs[:-1]:
+            mods = np.abs(traj.snapshots[:, row, col])
             worst_const = max(worst_const, float(np.max(np.abs(mods - w0))))
-        ctrl = traj.pairs[-1]
-        mods = np.abs(traj.snapshots[:, ctrl.row, ctrl.col]) / w0
+        row, col = traj.pairs[-1]
+        mods = np.abs(traj.snapshots[:, row, col]) / w0
         if gold is None:
             expect = np.exp(-chi**2 * 0.05 * np.log1p(t_grid**2))
             worst_control = max(worst_control, float(np.max(

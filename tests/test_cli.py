@@ -286,13 +286,15 @@ def test_device_map_arithmetic_failure_is_a_config_error(tmp_path, key, value, e
 
 
 def test_non_finite_dephasing_output_is_a_numerics_error(tmp_path, capsys):
-    # the squared levels are finite, but q1(t) times them is not by
-    # t = 1e300 s: the tables held NaN and inf, and report.json ended in a
-    # ValueError traceback after config_echo.cfg and both CSVs were written
+    # the squared levels and t_stop times their span are finite, but q1(t)
+    # times the squares is not by t = 1e299 s: the tables held NaN and inf,
+    # and report.json ended in a ValueError traceback after config_echo.cfg
+    # and both CSVs were written
     with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
         text = f.read()
-    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e150 Hz_rad", text)
-    text = re.sub(r"(?m)^t_stop = .*$", "t_stop = 1e300 s", text)
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e7 Hz_rad", text)
+    text = re.sub(r"(?m)^exponent = .*$", "exponent = 0.01", text)
+    text = re.sub(r"(?m)^t_stop = .*$", "t_stop = 1e299 s", text)
     cfg = _write(tmp_path, text)
     # a failed run shows the warnings it raised on the way
     with pytest.warns(RuntimeWarning):
@@ -300,8 +302,29 @@ def test_non_finite_dephasing_output_is_a_numerics_error(tmp_path, capsys):
     assert code == 2
     assert capsys.readouterr().err.endswith(
         "cqdeph: numeric error: trajectory.csv column abs_p1 is not finite, "
-        "first at t = 4.0000000000000003e+298; no output file was written\n")
+        "first at t = 4e+297; no output file was written\n")
     assert os.listdir(tmp_path / "o") == []
+
+
+def test_free_phase_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # the squared levels are finite, but t_stop times their span is not:
+    # the free phase overflowed in the element law, which printed numpy
+    # RuntimeWarnings before the writer guard refused the tables
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e150 Hz_rad", text)
+    text = re.sub(r"(?m)^t_stop = .*$", "t_stop = 1e300 s", text)
+    line = text.splitlines().index("t_stop = 1e300 s") + 1
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    assert capsys.readouterr().err == (
+        f"cqdeph: config error: line {line}: t_stop: 1e+300 s times the "
+        "level-energy span 4.999999999999999e+150 rad/s over [cutoff] is not "
+        "finite\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_level_span_whose_square_overflows_is_a_config_error(tmp_path, capsys):

@@ -61,7 +61,8 @@ def test_populations_frozen_coherences_damped():
     diag0 = np.real(np.diagonal(traj.snapshots[0]))
     for k in range(t.size):
         assert np.allclose(np.real(np.diagonal(traj.snapshots[k])), diag0)
-    mods = np.abs(traj.snapshots[:, traj.pairs[0].row, traj.pairs[0].col])
+    row, col = traj.pairs[0]
+    mods = np.abs(traj.snapshots[:, row, col])
     assert np.all(np.diff(mods) < 0)
 
 
@@ -72,10 +73,10 @@ def test_element_matches_scalar_closed_form():
     rho0 = _plus_state(cut, [hi, lo]).density()
     state = BathState(beta=2.0)
     t_grid = np.array([0.5, 3.0, 9.0])
-    traj = evolve_reduced(rho0, eff, OHMIC, state, t_grid,
-                          pairs=[(hi, lo)])
-    e1, e2 = eigenvalue(hi, eff), eigenvalue(lo, eff)
     k_hi, k_lo = hi.flat_index(cut), lo.flat_index(cut)
+    traj = evolve_reduced(rho0, eff, OHMIC, state, t_grid,
+                          pairs=[(k_hi, k_lo)])
+    e1, e2 = eigenvalue(hi, eff), eigenvalue(lo, eff)
     for k, t in enumerate(t_grid):
         q1c = float(q1_grid(OHMIC, [t])[0])
         q2c = float(q2_grid(OHMIC, state, [t])[0])
@@ -83,9 +84,8 @@ def test_element_matches_scalar_closed_form():
                             - 1j * (e1**2 - e2**2) * q1c
                             - (e1 - e2) ** 2 * q2c)
         assert traj.snapshots[k, k_hi, k_lo] == pytest.approx(want, rel=1e-9)
-        rec = traj.pairs[0]
-        assert rec.damping[k] == pytest.approx((e1 - e2) ** 2 * q2c, rel=1e-9)
-        assert rec.phase[k] == pytest.approx((e1**2 - e2**2) * q1c, rel=1e-9)
+        assert traj.damping[k, 0] == pytest.approx((e1 - e2) ** 2 * q2c, rel=1e-9)
+        assert traj.phase[k, 0] == pytest.approx((e1**2 - e2**2) * q1c, rel=1e-9)
 
 
 def test_protected_pair_keeps_modulus():
@@ -95,9 +95,10 @@ def test_protected_pair_keeps_modulus():
     assert eigenvalue(hi, eff) == eigenvalue(lo, eff) == 0.0
     rho0 = _plus_state(cut, [hi, lo]).density()
     t = np.linspace(0.0, 50.0, 11)
+    row, col = hi.flat_index(cut), lo.flat_index(cut)
     for state in (BathState(), BathState(beta=1.0)):
-        traj = evolve_reduced(rho0, eff, OHMIC, state, t, pairs=[(hi, lo)])
-        mods = np.abs(traj.snapshots[:, traj.pairs[0].row, traj.pairs[0].col])
+        traj = evolve_reduced(rho0, eff, OHMIC, state, t, pairs=[(row, col)])
+        mods = np.abs(traj.snapshots[:, row, col])
         assert np.max(np.abs(mods - 0.5)) < 1e-12
 
 
@@ -108,12 +109,10 @@ def test_default_pairs_cover_upper_triangle():
     rho0 = _plus_state(cut, labels).density()
     traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(),
                           np.array([0.0, 1.0]))
-    got = {(r.row, r.col) for r in traj.pairs}
     idx = sorted(lab.flat_index(cut) for lab in labels)
-    want = {(a, b) for a in idx for b in idx if a < b}
-    assert got == want
-    for rec in traj.pairs:
-        assert rec.label_row.flat_index(cut) == rec.row
+    want = [[a, b] for a in idx for b in idx if a < b]
+    assert traj.pairs.dtype == np.intp and traj.pairs.tolist() == want
+    assert traj.element.shape == (2, len(want))
 
 
 def _default_pairs(rho0):
@@ -122,7 +121,8 @@ def _default_pairs(rho0):
         warnings.simplefilter("always")
         traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(),
                               np.array([0.0, 1.0]))
-    return [(r.row, r.col) for r in traj.pairs], [str(w.message) for w in caught]
+    return ([tuple(p) for p in traj.pairs.tolist()],
+            [str(w.message) for w in caught])
 
 
 def test_default_pairs_capped_at_the_largest_elements(rng):
@@ -148,16 +148,37 @@ def test_default_pairs_capped_at_the_largest_elements(rng):
     assert len(caught) == 1
 
 
-def test_pairs_accept_flat_indices_and_labels():
+def test_pairs_take_flat_indices_only():
     cut = FockCutoff(1, 1)
     hi, lo = TensorBasisLabel(1, 0, 0), TensorBasisLabel(0, 0, 0)
     rho0 = _plus_state(cut, [hi, lo]).density()
     t = np.array([2.0])
-    a = evolve_reduced(rho0, _eff(), OHMIC, BathState(), t, pairs=[(hi, lo)])
-    b = evolve_reduced(rho0, _eff(), OHMIC, BathState(), t,
-                       pairs=[(hi.flat_index(cut), lo.flat_index(cut))])
-    assert a.pairs[0].row == b.pairs[0].row
-    assert np.allclose(a.pairs[0].damping, b.pairs[0].damping)
+    flat = [lo.flat_index(cut), hi.flat_index(cut)]
+    given = evolve_reduced(rho0, _eff(), OHMIC, BathState(), t, pairs=[flat])
+    default = evolve_reduced(rho0, _eff(), OHMIC, BathState(), t)
+    assert given.pairs.tolist() == default.pairs.tolist() == [flat]
+    assert np.array_equal(given.element, default.element)
+    assert np.array_equal(given.damping, default.damping)
+    # labels, floats and triplets are not flat index pairs
+    for bad in ([(hi, lo)], [(0.0, 1.0)], [(0, 1, 0)]):
+        with pytest.raises(InvalidArgumentError, match="pairs of flat indices"):
+            evolve_reduced(rho0, _eff(), OHMIC, BathState(), t, pairs=bad)
+
+
+def test_no_pairs_track_nothing_and_leave_the_observables(rng):
+    cut = FockCutoff(2, 3)
+    rho0 = _random_pure(cut, rng)
+    t = np.linspace(0.0, 20.0, 5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the default caps its 276 pairs
+        default = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0), t)
+    none = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0), t,
+                          pairs=())
+    assert none.pairs.shape == (0, 2) and none.pairs.dtype == np.intp
+    for name in ("element", "phase", "damping"):
+        assert getattr(none, name).shape == (t.size, 0)
+    for name in ("purity", "qubit_coherence", "fidelity_to_initial"):
+        assert np.array_equal(getattr(none, name), getattr(default, name))
 
 
 def test_t_grid_validation():
@@ -177,12 +198,15 @@ def test_t_grid_rejects_non_finite_entries():
             evolve_reduced(rho0, _eff(), OHMIC, BathState(), bad)
 
 
-def test_pair_index_outside_space_rejected():
+@pytest.mark.parametrize("pair", [(0, 8), (-1, 0)],
+                         ids=["past-the-end", "negative"])
+def test_pair_index_outside_space_rejected(pair):
+    # a negative index would wrap to the end of the space
     cut = FockCutoff(1, 1)
     rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
     with pytest.raises(InvalidArgumentError, match="outside dimension 8"):
         evolve_reduced(rho0, _eff(), OHMIC, BathState(), [1.0],
-                       pairs=[(0, 8)])
+                       pairs=[pair])
 
 
 def test_capacity_guard_on_snapshots():
@@ -303,8 +327,8 @@ def test_support_restriction_matches_snapshots(rng):
     assert np.max(np.abs(traj.purity - purity)) <= 1e-14
     assert np.max(np.abs(traj.qubit_coherence - coherence[:, 0, 1])) <= 1e-14
     assert np.abs(traj.qubit_coherence[0]) > 0.01
-    for rec in traj.pairs:
-        assert np.max(np.abs(rec.element - snaps[:, rec.row, rec.col])) <= 1e-14
+    rows, cols = traj.pairs.T
+    assert np.max(np.abs(traj.element - snaps[:, rows, cols])) <= 1e-14
 
 
 @pytest.mark.parametrize("case", ["pure", "coherent", "mixed"])
@@ -329,7 +353,7 @@ def test_snapshots_and_oracle_follow_the_reference_law(rng, case):
         assert np.all((np.abs(got - ref) <= bound) | clamped)
 
     traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
-                          np.linspace(0.0, 30.0, 7))
+                          np.linspace(0.0, 30.0, 7), pairs=())
     ref, clamped = _law_reference(traj.rho0, traj.energies, traj.t_grid,
                                   traj.q1_vals, traj.q2_vals)
     check(traj.snapshots, traj.rho0, ref, clamped)
@@ -377,7 +401,7 @@ def test_class_factored_observables_match_snapshots(rng, case, omega_a_prime,
             else _mixed(cut, rng, rank=3, labels=_PARTIAL))
     eff = _eff(omega_a_prime=omega_a_prime)
     traj = evolve_reduced(rho0, eff, OHMIC, BathState(beta=2.0),
-                          np.linspace(0.0, t_stop, 25))
+                          np.linspace(0.0, t_stop, 25), pairs=())
     support = np.flatnonzero(np.diagonal(traj.rho0).real)
     u = np.unique(traj.energies[support]).size
     if classes == "degenerate":
@@ -399,7 +423,7 @@ def test_class_sums_match_snapshots_at_the_workload_size(rng):
     rho0 = _random_pure(cut, rng)
     for rho in (rho0, OperatorMatrix(rho0.mat, cut)):
         traj = evolve_reduced(rho, _eff(), OHMIC, BathState(beta=2.0),
-                              np.linspace(0.0, 30.0, 5))
+                              np.linspace(0.0, 30.0, 5), pairs=())
         assert traj.root.shape == (cut.dim, 1)
         purity, coherence, fidelity = _from_snapshots(traj)
         assert np.max(np.abs(traj.purity - purity)) <= 1e-12
@@ -458,15 +482,14 @@ def test_density_state_is_read_from_its_vector(rng, monkeypatch):
     assert np.array_equal(traj.q2_err, q2_err)
     for name in ("purity", "qubit_coherence", "fidelity_to_initial"):
         assert np.max(np.abs(getattr(traj, name) - getattr(plain, name))) <= 1e-15
-    assert [(r.row, r.col) for r in traj.pairs] == \
-        [(r.row, r.col) for r in plain.pairs]
-    for rec, ref in zip(traj.pairs, plain.pairs):
-        assert np.max(np.abs(rec.element - ref.element)) <= 1e-15
+    assert np.array_equal(traj.pairs, plain.pairs)
+    assert np.max(np.abs(traj.element - plain.element)) <= 1e-15
     assert np.array_equal(traj.rho0, np.outer(psi.vec, psi.vec.conj()))
     # a requested element off the support stays 0
     off = evolve_reduced(rho0, _eff(), OHMIC, state, t,
-                         pairs=[(labels[0], TensorBasisLabel(1, 0, 0))])
-    assert not np.any(off.pairs[0].element)
+                         pairs=[(labels[0].flat_index(cut),
+                                 TensorBasisLabel(1, 0, 0).flat_index(cut))])
+    assert not np.any(off.element)
 
 
 def test_mixed_state_keeps_its_exact_zeros(rng):
@@ -483,8 +506,8 @@ def test_mixed_state_keeps_its_exact_zeros(rng):
     traj = evolve_reduced(OperatorMatrix(rho, cut), _eff(), OHMIC,
                           BathState(beta=2.0), np.array([0.0, 2.0]))
     rows, cols = np.nonzero(np.triu(rho, k=1))
-    assert [(r.row, r.col) for r in traj.pairs] == list(zip(rows, cols))
-    assert all(r.element[0] == rho[r.row, r.col] for r in traj.pairs)
+    assert np.array_equal(traj.pairs, np.stack((rows, cols), axis=1))
+    assert np.array_equal(traj.element[0], rho[rows, cols])
 
 
 def test_density_state_costs_no_dense_pass():
@@ -529,7 +552,7 @@ def test_nearly_pure_state_takes_the_general_fidelity(rng):
         + 1e-9 * np.outer(q[:, 1], q[:, 1].conj())
     traj = evolve_reduced(OperatorMatrix(rho0 / np.trace(rho0).real, cut),
                           _eff(), OHMIC, BathState(beta=2.0),
-                          np.linspace(0.0, 30.0, 7))
+                          np.linspace(0.0, 30.0, 7), pairs=())
     assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-15
     # at t = 0 the reference's cutoff drops the eigenvalue 1e-18 of rho0^2;
     # later the range adds the root of an eigenvalue near 1e-10 to
@@ -537,7 +560,8 @@ def test_nearly_pure_state_takes_the_general_fidelity(rng):
     ref = [_uhlmann(traj.rho0, snap) for snap in traj.snapshots[1:]]
     assert np.max(np.abs(traj.fidelity_to_initial[1:] - ref)) <= 1e-11
     pure = evolve_reduced(OperatorMatrix(np.outer(q[:, 0], q[:, 0].conj()), cut),
-                          _eff(), OHMIC, BathState(beta=2.0), traj.t_grid)
+                          _eff(), OHMIC, BathState(beta=2.0), traj.t_grid,
+                          pairs=())
     assert np.min(np.abs(traj.fidelity_to_initial - pure.fidelity_to_initial)[1:]) > 1e-7
 
 
@@ -548,7 +572,8 @@ def test_observables_need_no_element_multipliers(rng, monkeypatch):
     monkeypatch.setattr(kernels, "dephasing_multipliers", refuse)
     cut = FockCutoff(3, 3)
     traj = evolve_reduced(_random_pure(cut, rng), _eff(), OHMIC,
-                          BathState(beta=2.0), np.linspace(0.0, 20.0, 11))
+                          BathState(beta=2.0), np.linspace(0.0, 20.0, 11),
+                          pairs=())
     assert abs(traj.fidelity_to_initial[0] - 1.0) <= 1e-14
     assert abs(traj.purity[0] - 1.0) <= 1e-14
     assert np.all(np.diff(traj.purity) <= 1e-14)

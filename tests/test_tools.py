@@ -182,7 +182,8 @@ def test_cli_outputs_writes_one_run_per_config_and_workload(tmp_path):
     workloads, variants = set(tool.WORKLOADS), set(tool.VARIANTS)
     assert configs and workloads and variants == {
         "tabulated-bath", "subohmic-thermal", "temperature-log-grid",
-        "coherent-mode-b", "device-flux", "device-overrides", "spectrum-rational"}
+        "coherent-mode-b", "pairs-edge", "device-flux", "device-overrides",
+        "spectrum-rational"}
     expected = configs | workloads | variants
     assert {p.name for p in dest.iterdir()} == expected
     for name in expected:

@@ -9,7 +9,9 @@ Imports ``cqdeph`` from ``<checkout>/src`` and runs ``cli.run`` on each
 A variant is a shipped config with some of its sections replaced or added
 to; between them the variants set every config key that no shipped config
 or benchmark input sets, so that the echoes hold a line of every key-table
-row.  ``tabulated-bath`` reads a 60-point table of 0.1 w exp(-w) over
+row, and ``pairs-edge`` gives the pairs that no shipped config does: one
+below the diagonal, one off the state's support, a repeated one and a
+diagonal one.  ``tabulated-bath`` reads a 60-point table of 0.1 w exp(-w) over
 [0.05, 10] rad/s.  The files of each run go into ``<dest>/<config stem,
 workload or variant name>/``; each variant writes its inputs, ``run.cfg``
 and the table ``dens.txt``, there too, not under ``configs/``, whose every
@@ -48,6 +50,11 @@ VARIANTS = {
         "state": ("kind = coherent\nmode = B\nalpha_re = 0.6\nalpha_im = -0.3\n"
                   "qubit_level = 1\n"),
         "pairs": "pair_0 = 0 1 1 : 0 0 1\npair_1 = 0 2 1 : 1 0 1\n"}),
+    # a lower-triangle pair, a pair off the state's support, that first
+    # pair again and a diagonal pair
+    "pairs-edge": ("dephasing_dfs", {
+        "pairs": ("pair_0 = 0 0 1 : 0 1 0\npair_1 = 2 3 1 : 1 2 0\n"
+                  "pair_2 = 0 0 1 : 0 1 0\npair_3 = 0 0 0 : 0 0 0\n")}),
     "device-flux": ("device_headline", {"+device": "Phi_e = 0.1 Phi0\n"}),
     "device-overrides": ("device_headline", {
         "effective": ("g_a = 100 MHz_rad\nn_g_dc = 0.45\nomega_a = 6.1 GHz_cyc\n"
