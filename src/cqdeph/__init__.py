@@ -35,16 +35,15 @@ import importlib
 _EXPORTS = {
     "errors": ("CqdephError", "InvalidArgumentError", "CapacityError",
                "IntegrabilityError", "NumericsError", "ConfigError"),
-    "hilbert": ("FockCutoff", "TensorBasisLabel", "OperatorMatrix", "StateVector",
-                "annihilation", "number_operator", "tensor3", "coherent_state",
-                "partial_trace"),
+    "hilbert": ("FockCutoff", "OperatorMatrix", "StateVector", "annihilation",
+                "number_operator", "tensor3", "coherent_state", "partial_trace"),
     "device": ("DeviceParams", "EffectiveParams", "CrossPhase", "RegimeReport",
                "cross_kerr", "dressed_mode_frequency", "effective_couplings",
                "qubit_frequency", "cross_phase", "regime_report"),
     "hamiltonians": ("build_full", "build_rotated", "build_quadratic",
                      "build_jc", "build_dispersive", "build_diagonal",
                      "frame_free_part"),
-    "spectrum": ("DegeneracyClass", "DfsResult", "eigenvalue", "dfs_find"),
+    "spectrum": ("DfsResult", "dfs_find"),
     "bath": ("OhmicSpectralDensity", "TabulatedSpectralDensity", "BathState",
              "q1_grid", "q2_grid", "q_grids", "r_factor"),
     "kernels": (),

@@ -79,7 +79,8 @@ from .errors import (
     NumericsError,
 )
 from .hilbert import FockCutoff, StateVector, coherent_state
-from .spectrum import TRUNCATION_NOTE, _check_ratio, dfs_find, energies_vector
+from .spectrum import (TRUNCATION_NOTE, _check_ratio, _level, dfs_find,
+                       energies_vector)
 
 if TYPE_CHECKING:
     from collections.abc import Mapping
@@ -275,19 +276,16 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
     _write_csv(os.path.join(out_dir, "levels.csv"),
                ["flat_index", "m", "n", "i", "energy"],
                [np.arange(cut.dim), *cut.numbers(), energies_vector(eff, cut)])
+    labels = np.stack(cut.numbers(), axis=1)
     return {
         "ratio": _json_float(res.ratio),
         "exact": res.exact,
         "cluster_tolerance": res.tolerance,
-        "class_count": len(res),
-        "protected_class_count": len(res.multi_member()),
+        "class_count": len(res.classes),
+        "protected_class_count": sum(c.size >= 2 for c in res.classes),
         "classes": [
-            {
-                "energy": c.energy,
-                "size": len(c),
-                "members": [[lab.m, lab.n, lab.i] for lab in c.members],
-            }
-            for c in res
+            {"energy": energy, "size": c.size, "members": labels[c].tolist()}
+            for energy, c in zip(res.energies.tolist(), res.classes)
         ],
         "index_convention_note": res.note,
         "truncation_note": TRUNCATION_NOTE,
@@ -787,8 +785,8 @@ def load_config(path: str) -> RunConfig:
     DensityTable of ``cfg["bath"]["table"]``.  The effective parameters are
     resolved here too, so a device map or an override set that fails is
     reported at the header of [device], or of [effective] without one; so
-    is, with a [bath], a level-energy span over [cutoff] whose square is
-    not finite, and a span whose product with ``t_stop`` is not finite is
+    is a level-energy span over [cutoff] whose square is not finite, and,
+    with a [bath], a span whose product with ``t_stop`` is not finite is
     reported at the ``t_stop`` line.  An exact ``ratio`` must agree with the
     effective parameters the run will use (the rule of ``dfs_find``); both
     are reported at their key's line.
@@ -837,20 +835,26 @@ def load_config(path: str) -> RunConfig:
             eff = resolve_effective(cfg)
         except InvalidArgumentError as exc:
             raise ConfigError(f"[{params}]: {exc}", headers[params]) from None
-        cut = FockCutoff(**cfg["cutoff"]) if cfg["bath"] else None
-        # a cutoff over the dense cap is refused by the run before any
-        # level is built, so no dim-sized vector is built for it here
-        if cut is not None and cut.dim <= hilbert.DENSE_DIM_CAP:
-            # evolve_reduced squares the levels and their gaps; the label
-            # (0, n, 0) sits at 0, so none of them is larger than the span
-            with np.errstate(all="ignore"):
-                levels = energies_vector(eff, cut)
-                span = float(levels.max() - levels.min())
+        if cfg["cutoff"]:
+            # at fixed n the levels lie between E(n_max_a, n, 0) and
+            # E(n_max_a, n, 1), which bracket 0, and E is linear in n: these
+            # corners and 0 hold the extreme levels, so no dim-sized vector
+            # is built here
+            m, n_max = cfg["cutoff"]["n_max_a"], cfg["cutoff"]["n_max_b"]
+            # Python floats overflow to inf without a numpy warning
+            w, chi = float(eff.omega_a_prime), float(eff.chi)
+            corners = [0.0, *(_level(m, n, i, w, chi)
+                              for n in (0, n_max) for i in (0, 1))]
+            span = max(corners) - min(corners)
+            # evolve_reduced squares the levels and their gaps, and
+            # dfs_find sums up to dim of them; the label (0, n, 0) sits at
+            # 0, so none of them is larger than the span
             if not math.isfinite(span * span):
                 raise ConfigError(
                     f"[{params}]: the level energies over [cutoff] span "
                     f"{span!r} rad/s, whose square is not finite",
                     headers[params])
+        if cfg["bath"]:
             # the free phase of a coherence is its gap times t
             t_stop = cfg["grid"]["t_stop"]
             if not math.isfinite(t_stop * span):

@@ -3,13 +3,12 @@
 Composite ordering is qubit (x) mode A (x) mode B.  The qubit basis is
 (|0>, |1>) with sigma_z = diag(-1, +1), i.e. sigma_z|0> = -|0> and
 sigma_z|1> = +|1>.  A basis label (m, n, i) means m photons in mode A,
-n photons in mode B, qubit level i, and maps to the flat index
-
-    i * (n_max_a + 1) * (n_max_b + 1) + m * (n_max_b + 1) + n.
-
-Code outside this module reads that order from ``FockCutoff.numbers()``
-(the label arrays in flat order) or ``TensorBasisLabel.flat_index`` /
-``from_flat``, never from the formula.
+n photons in mode B, qubit level i, and is held as its flat index, the
+row-major position of (i, m, n) in a (2, n_max_a + 1, n_max_b + 1) array.
+That layout is written once, in ``FockCutoff.numbers()`` (the label
+arrays in flat order) and ``FockCutoff.flat_indices`` (labels to flat
+indices); code outside this module reads it from those two, never from a
+formula.
 
 All matrices are dense complex ndarrays; the spaces this package targets
 stay below a few thousand states.
@@ -27,7 +26,6 @@ from .errors import CapacityError, InvalidArgumentError
 
 __all__ = [
     "FockCutoff",
-    "TensorBasisLabel",
     "OperatorMatrix",
     "StateVector",
     "SIGMA_X",
@@ -92,11 +90,16 @@ class FockCutoff:
 
     def flat_indices(self, m, n, i) -> np.ndarray:
         """The flat indices of the labels (m[k], n[k], i[k]); raises
-        InvalidArgumentError when a label lies outside the cutoff."""
+        InvalidArgumentError when a number is not an integer or a label
+        lies outside the cutoff."""
         try:
             return np.ravel_multi_index((i, m, n), (2, self.dim_a, self.dim_b))
         except ValueError:
             raise InvalidArgumentError(f"a label exceeds cutoff {self}") from None
+        except TypeError:
+            raise InvalidArgumentError(
+                f"label numbers must be integers, got m={m!r}, n={n!r}, "
+                f"i={i!r}") from None
 
 
 DENSE_DIM_CAP = 5000  # largest dim of which a dense dim x dim matrix is built
@@ -107,45 +110,6 @@ def check_dense_dim(cutoff: FockCutoff) -> None:
     if cutoff.dim > DENSE_DIM_CAP:
         raise CapacityError(
             f"dimension {cutoff.dim} exceeds the dense-matrix cap {DENSE_DIM_CAP}")
-
-
-@dataclass(frozen=True, order=True)
-class TensorBasisLabel:
-    """Number-state label (m, n, i): mode A, mode B, qubit level."""
-
-    m: int
-    n: int
-    i: int
-
-    def __post_init__(self):
-        for name in ("m", "n", "i"):
-            if not isinstance(getattr(self, name), (int, np.integer)):
-                raise InvalidArgumentError(
-                    f"TensorBasisLabel.{name} must be an integer, got "
-                    f"{getattr(self, name)!r}")
-        if self.m < 0 or self.n < 0:
-            raise InvalidArgumentError(f"photon numbers must be >= 0, got {self}")
-        if self.i not in (0, 1):
-            raise InvalidArgumentError(f"qubit level must be 0 or 1, got {self.i}")
-
-    def flat_index(self, cutoff: FockCutoff) -> int:
-        if self.m > cutoff.n_max_a or self.n > cutoff.n_max_b:
-            raise InvalidArgumentError(f"{self} exceeds cutoff {cutoff}")
-        return (self.i * cutoff.dim_a + self.m) * cutoff.dim_b + self.n
-
-    @staticmethod
-    def from_flat(index: int, cutoff: FockCutoff) -> "TensorBasisLabel":
-        if not 0 <= index < cutoff.dim:
-            raise InvalidArgumentError(f"flat index {index} outside dimension {cutoff.dim}")
-        index, n = divmod(index, cutoff.dim_b)
-        i, m = divmod(index, cutoff.dim_a)
-        return TensorBasisLabel(m=m, n=n, i=i)
-
-
-def all_labels(cutoff: FockCutoff) -> list[TensorBasisLabel]:
-    """Every basis label, in flat-index order."""
-    return [TensorBasisLabel(*lab)
-            for lab in zip(*(x.tolist() for x in cutoff.numbers()))]
 
 
 # bound of require_density_matrix on the hermiticity defect, |trace - 1|

@@ -14,8 +14,9 @@ phase, so every multi-member degeneracy class is a protected subspace of
 the pure-dephasing dynamics.  The classes come by clustering the float
 energy line, or by exact grouping of the levels in rational arithmetic
 when omega_a_prime/chi is given as a rational, not by a closed-form index
-condition (see INDEX_CONVENTION_NOTE); either way they are listed in
-ascending energy, for either sign of chi.
+condition (see INDEX_CONVENTION_NOTE); either way a class is the array of
+its labels' flat indices, and the classes are listed in ascending energy,
+for either sign of chi.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ import numpy as np
 
 from .device import EffectiveParams
 from .errors import InvalidArgumentError
-from .hilbert import FockCutoff, TensorBasisLabel, all_labels
+from .hilbert import FockCutoff
 
 INDEX_CONVENTION_NOTE = (
     "Index convention: the computed eigenvalues vanish for every m and both "
@@ -51,11 +52,6 @@ def _level(m, n, i, w, chi):
     """The level E(m, n, i) = (w - chi n)(m - i (2m + 1)) of the module
     docstring, with w = omega_a_prime; for ints, Fractions and arrays."""
     return (w - chi * n) * (m - i * (2 * m + 1))
-
-
-def eigenvalue(label: TensorBasisLabel, eff: EffectiveParams) -> float:
-    """Closed-form energy of one basis label (H/hbar units)."""
-    return _level(label.m, label.n, label.i, eff.omega_a_prime, eff.chi)
 
 
 def energies_vector(eff: EffectiveParams, cutoff: FockCutoff) -> np.ndarray:
@@ -82,48 +78,27 @@ def cluster_energies(energies, tol: float) -> list[np.ndarray]:
     return [np.sort(chunk) for chunk in np.split(order, breaks)]
 
 
-@dataclass(frozen=True)
-class DegeneracyClass:
-    """One energy cluster: all labels whose energies coincide within tol."""
-
-    energy: float
-    members: tuple[TensorBasisLabel, ...]
-    tolerance: float
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DfsResult:
-    """Partition of every truncated label into degeneracy classes."""
+    """Partition of every truncated label into degeneracy classes.
 
-    classes: tuple[DegeneracyClass, ...]
+    ``classes[k]`` holds the ascending flat indices of the labels of class
+    k, whose energy is ``energies[k]``; the classes run in ascending energy.
+    """
+
+    cutoff: FockCutoff
+    energies: np.ndarray
+    classes: tuple[np.ndarray, ...]
     ratio: float
     exact: bool
     tolerance: float
     note: str = INDEX_CONVENTION_NOTE
 
-    def __len__(self) -> int:
-        return len(self.classes)
-
-    def __iter__(self):
-        return iter(self.classes)
-
-    def multi_member(self) -> tuple[DegeneracyClass, ...]:
-        """The protected subspaces: every class with at least two labels."""
-        return tuple(c for c in self.classes if len(c) >= 2)
-
-    def class_of(self, label: TensorBasisLabel) -> DegeneracyClass:
-        for c in self.classes:
-            if label in c.members:
-                return c
-        raise InvalidArgumentError(f"label {label} outside the scanned cutoff")
-
     def to_text(self) -> str:
+        protected = [k for k, c in enumerate(self.classes) if c.size >= 2]
         lines = [
             f"degeneracy classes: {len(self.classes)} "
-            f"({len(self.multi_member())} with >= 2 members)",
+            f"({len(protected)} with >= 2 members)",
             f"omega_a_prime/chi = {self.ratio!r}"
             + (" (exact rational arithmetic)" if self.exact
                else f" (float clustering, tol = {self.tolerance:.3e})"),
@@ -133,11 +108,12 @@ class DfsResult:
                 f"integer ratio r = {int(self.ratio)}: the E = 0 class joins "
                 f"every (m, n = r, i) with the m = 0, i = 0 zero modes"
             )
-        for k, c in enumerate(self.classes):
-            if len(c) < 2:
-                continue
-            members = " ".join(f"({l.m},{l.n},{l.i})" for l in c.members)
-            lines.append(f"class {k}: E = {c.energy:.9g}  size {len(c)}: {members}")
+        labels = np.stack(self.cutoff.numbers(), axis=1)
+        for k in protected:
+            members = " ".join("({},{},{})".format(*lab)
+                               for lab in labels[self.classes[k]].tolist())
+            lines.append(f"class {k}: E = {self.energies[k]:.9g}  "
+                         f"size {self.classes[k].size}: {members}")
         lines.append(self.note)
         lines.append(TRUNCATION_NOTE)
         return "\n".join(lines)
@@ -169,7 +145,6 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
     1e-9 |omega_a_prime|, otherwise InvalidArgumentError.  Either path lists
     the classes in ascending energy, for either sign of chi.
     """
-    labels = all_labels(cutoff)
     if ratio is not None:
         if not isinstance(ratio, Rational):
             raise InvalidArgumentError(
@@ -180,24 +155,22 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
         _check_ratio(eff, ratio)
         ratio = Fraction(ratio)
         groups: dict[Fraction, list[int]] = {}
-        for k, lab in enumerate(labels):
-            groups.setdefault(_level(lab.m, lab.n, lab.i, ratio, 1),
-                              []).append(k)
+        for k, lab in enumerate(zip(*(x.tolist() for x in cutoff.numbers()))):
+            groups.setdefault(_level(*lab, ratio, 1), []).append(k)
         # E = chi * key, so the keys sort in energy order reversed if chi < 0
-        found = [(float(key) * eff.chi, idxs) for key, idxs in
-                 sorted(groups.items(), reverse=eff.chi < 0)]
+        found = sorted(groups.items(), reverse=eff.chi < 0)
+        energies = [float(key) * eff.chi for key, _ in found]
+        classes = [np.array(idxs, dtype=np.intp) for _, idxs in found]
         ratio_f, tol = float(ratio), 0.0
     else:
-        energies = energies_vector(eff, cutoff)
+        levels = energies_vector(eff, cutoff)
         if tol is None:
-            scale = float(np.max(np.abs(energies)))
+            scale = float(np.max(np.abs(levels)))
             tol = 1e-9 * scale if scale > 0 else 1e-30
         elif not (math.isfinite(tol) and tol > 0):
             raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
-        found = [(float(np.mean(energies[idxs])), idxs)
-                 for idxs in cluster_energies(energies, tol)]
+        classes = cluster_energies(levels, tol)
+        energies = [float(np.mean(levels[idxs])) for idxs in classes]
         ratio_f = eff.omega_a_prime / eff.chi if eff.chi != 0 else math.inf
-    classes = tuple(DegeneracyClass(energy, tuple(labels[i] for i in idxs), tol)
-                    for energy, idxs in found)
-    return DfsResult(classes, ratio=ratio_f, exact=ratio is not None,
-                     tolerance=tol)
+    return DfsResult(cutoff, np.array(energies), tuple(classes), ratio=ratio_f,
+                     exact=ratio is not None, tolerance=tol)

@@ -53,7 +53,6 @@ from .hilbert import (
     FockCutoff,
     OperatorMatrix,
     StateVector,
-    TensorBasisLabel,
     annihilation,
     number_operator,
     partial_trace,
@@ -153,11 +152,9 @@ def _check_tensor_index() -> _Measured:
     t3 = tensor3(np.diag(dq), np.diag(da), np.diag(db)).mat
     worst = 0.0
     for _ in range(20):
-        lab = TensorBasisLabel(m=int(rng.integers(0, cut.dim_a)),
-                               n=int(rng.integers(0, cut.dim_b)),
-                               i=int(rng.integers(0, 2)))
-        k = lab.flat_index(cut)
-        worst = max(worst, abs(t3[k, k] - dq[lab.i] * da[lab.m] * db[lab.n]))
+        m, n, i = (int(rng.integers(0, d)) for d in (cut.dim_a, cut.dim_b, 2))
+        k = cut.flat_indices(m, n, i)
+        worst = max(worst, abs(t3[k, k] - dq[i] * da[m] * db[n]))
     return (worst, 1e-12,
             "diagonal of qubit x A x B Kronecker product matches the "
             "flat-index formula on random labels")
@@ -320,14 +317,17 @@ def _check_eigenvalue_diagonal() -> _Measured:
 
 
 def _check_diagonal_level_values() -> _Measured:
-    eff = _kerr_effective(5.0, 1.0)
+    cut = FockCutoff(3, 3)
+    levels = spectrum.energies_vector(_kerr_effective(5.0, 1.0), cut)
+
+    def e(m, n, i):
+        return float(levels[cut.flat_indices(m, n, i)])
+
     resid = max(
-        abs(spectrum.eigenvalue(TensorBasisLabel(2, 3, 0), eff) - 4.0),
-        abs(spectrum.eigenvalue(TensorBasisLabel(2, 3, 1), eff) + 6.0),
-        max(abs(spectrum.eigenvalue(TensorBasisLabel(0, n, 0), eff))
-            for n in range(4)),
-        abs(spectrum.eigenvalue(TensorBasisLabel(1, 0, 0), eff)
-            - spectrum.eigenvalue(TensorBasisLabel(1, 1, 0), eff) - 1.0),
+        abs(e(2, 3, 0) - 4.0),
+        abs(e(2, 3, 1) + 6.0),
+        max(abs(e(0, n, 0)) for n in range(4)),
+        abs(e(1, 0, 0) - e(1, 1, 0) - 1.0),
     )
     return (resid, 1e-12,
             "hand-computed levels at ladder 5, coupling 1: "
@@ -341,13 +341,13 @@ def _check_dfs_zero_class() -> _Measured:
     for _ in range(5):
         eff = _kerr_effective(rng.uniform(0.5, 3.0), rng.uniform(0.05, 0.8))
         res = spectrum.dfs_find(eff, cut)
-        cls = res.class_of(TensorBasisLabel(0, 0, 0))
-        members = set(cls.members)
+        k = next(k for k, c in enumerate(res.classes)
+                 if cut.flat_indices(0, 0, 0) in c)
         for n in range(cut.dim_b):
-            if TensorBasisLabel(0, n, 0) not in members:
+            if cut.flat_indices(0, n, 0) not in res.classes[k]:
                 return (math.inf, 1e-8,
                         f"label (0,{n},0) missing from the zero class")
-        worst = max(worst, abs(cls.energy))
+        worst = max(worst, abs(float(res.energies[k])))
     return (worst, 1e-8,
             "the m = 0, i = 0 column always lands in one zero-energy "
             "class, for every parameter draw")
@@ -358,9 +358,7 @@ def _check_dfs_rescaling() -> _Measured:
 
     def partition(eff):
         res = spectrum.dfs_find(eff, cut)
-        return frozenset(
-            frozenset(lab.flat_index(cut) for lab in c.members) for c in res
-        )
+        return frozenset(frozenset(c.tolist()) for c in res.classes)
 
     same = partition(_kerr_effective(0.9, 0.3)) == partition(_kerr_effective(4.5, 1.5))
     return (0.0 if same else 1.0, 0.5,
@@ -527,9 +525,9 @@ def _check_dfs_constant_modulus() -> _Measured:
     eff = _kerr_effective(0.9, 0.3)
     cut = FockCutoff(2, 3)
     res = spectrum.dfs_find(eff, cut, ratio=Fraction(3))
-    cls = res.class_of(TensorBasisLabel(1, 3, 0))
-    lab_a, lab_b = cls.members[0], cls.members[-1]
-    ia, ib = lab_a.flat_index(cut), lab_b.flat_index(cut)
+    cls = next(c for c in res.classes if cut.flat_indices(1, 3, 0) in c)
+    ia, ib = int(cls[0]), int(cls[-1])
+    (ma, mb), (na, nb), (qa, qb) = (x[[ia, ib]].tolist() for x in cut.numbers())
     amp = np.zeros(cut.dim, dtype=complex)
     amp[ia] = amp[ib] = 1.0
     rho0 = StateVector.normalized(amp, cut).density()
@@ -538,8 +536,8 @@ def _check_dfs_constant_modulus() -> _Measured:
     mods = np.abs(traj.element[:, 0])
     resid = np.max(np.abs(mods - mods[0]))
     return (resid, 1e-12,
-            f"coherence between degenerate labels ({lab_a.m},{lab_a.n},"
-            f"{lab_a.i}) and ({lab_b.m},{lab_b.n},{lab_b.i}) keeps "
+            f"coherence between degenerate labels ({ma},{na},{qa}) and "
+            f"({mb},{nb},{qb}) keeps "
             "constant modulus over the whole grid")
 
 
@@ -602,8 +600,7 @@ def _check_dispersive_fidelity() -> _Measured:
                           chi=0.0)
     cut = FockCutoff(4, 2)
     amp = np.zeros(cut.dim, dtype=complex)
-    amp[TensorBasisLabel(0, 0, 0).flat_index(cut)] = 1.0
-    amp[TensorBasisLabel(0, 0, 1).flat_index(cut)] = 1.0
+    amp[cut.flat_indices(0, 0, [0, 1])] = 1.0
     psi0 = StateVector.normalized(amp, cut)
     ts = np.linspace(1e-3, 2.0 * 2.0 * np.pi / 0.8, 80)
     with warnings.catch_warnings():

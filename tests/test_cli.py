@@ -346,19 +346,71 @@ def test_level_span_whose_square_overflows_is_a_config_error(tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_cutoff_over_the_dense_cap_is_refused_before_any_level_is_built(
-        tmp_path, capsys):
-    # dim 2e10: the load-time span check must not build the level vector,
-    # so the run refuses the cutoff at once, as it does with a small span
+SHIPPED_SPECTRUM = os.path.join(os.path.dirname(SHIPPED_DEPHASING),
+                                "spectrum_dfs.cfg")
+
+
+@pytest.mark.parametrize("spectrum, chi", [
+    ("tol = 1e-9", "0.3"),
+    ("ratio = 3", "3.3333333333333333e307"),
+    ("", "0.3"),
+], ids=["tol", "ratio", "default-tol"])
+def test_spectrum_levels_past_the_float_range_are_a_config_error(
+        tmp_path, capsys, spectrum, chi):
+    # omega_a_prime = 1e308 puts levels at +-inf: with a tol, report.json
+    # ended in a ValueError traceback after config_echo.cfg and a levels.csv
+    # of inf rows were written, and without one the default tolerance was
+    # refused as an inf tol, which the config never set
+    with open(SHIPPED_SPECTRUM, encoding="utf-8") as f:
+        text = f.read()
+    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e308 Hz_rad", text)
+    text = re.sub(r"(?m)^chi = .*$", f"chi = {chi} Hz_rad", text)
+    text = re.sub(r"(?m)^ratio = .*$", spectrum, text)
+    header = text.splitlines().index("[effective]") + 1
+    cfg = _write(tmp_path, text)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["spectrum", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"cqdeph: config error: line {header}: [effective]: "
+                          "the level energies over [cutoff] span inf rad/s")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not (tmp_path / "o").exists()
+
+
+def _over_the_dense_cap(tmp_path, omega_a_prime):
+    """Run the shipped dephasing config at cutoff (100000, 100000), dim
+    2e10, with warnings as errors; return the exit code."""
     with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
         text = f.read()
-    text = re.sub(r"(?m)^omega_a_prime = .*$", "omega_a_prime = 1e300 Hz_rad", text)
+    text = re.sub(r"(?m)^omega_a_prime = .*$",
+                  f"omega_a_prime = {omega_a_prime} Hz_rad", text)
     text = re.sub(r"(?m)^n_max_(a|b) = .*$", r"n_max_\1 = 100000", text)
     cfg = _write(tmp_path, text)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        code = main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
-    assert code == 2
+        return main(["dephasing", "--config", cfg, "--out", str(tmp_path / "o")])
+
+
+def test_cutoff_over_the_dense_cap_is_refused_before_any_level_is_built(
+        tmp_path, capsys):
+    # the load-time span check reads the corner levels, not the level
+    # vector, so a span whose square overflows is refused at once even at
+    # dim 2e10, before the run
+    with open(SHIPPED_DEPHASING, encoding="utf-8") as f:
+        header = f.read().splitlines().index("[effective]") + 1
+    assert _over_the_dense_cap(tmp_path, "1e300") == 1
+    assert capsys.readouterr().err == (
+        f"cqdeph: config error: line {header}: [effective]: the level "
+        "energies over [cutoff] span 2.0000100000000002e+305 rad/s, whose "
+        "square is not finite\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cutoff_over_the_dense_cap_with_a_finite_span_is_refused_by_the_run(
+        tmp_path, capsys):
+    assert _over_the_dense_cap(tmp_path, "0.9") == 2
     assert capsys.readouterr().err == (
         "cqdeph: numeric error: dimension 20000400002 exceeds the "
         "dense-matrix cap 5000\n")

@@ -30,11 +30,10 @@ from cqdeph.hilbert import (
     FockCutoff,
     OperatorMatrix,
     StateVector,
-    TensorBasisLabel,
     coherent_state,
 )
 from cqdeph.kernels import dephasing_multipliers
-from cqdeph.spectrum import eigenvalue, energies_vector
+from cqdeph.spectrum import energies_vector
 
 OHMIC = OhmicSpectralDensity(coupling=0.1, exponent=1.0, omega_c=1.0)
 
@@ -47,15 +46,14 @@ def _eff(omega_a_prime=0.9, chi=0.3) -> EffectiveParams:
 def _plus_state(cut: FockCutoff, labels) -> StateVector:
     amp = np.zeros(cut.dim, dtype=complex)
     for lab in labels:
-        amp[lab.flat_index(cut)] = 1.0
+        amp[cut.flat_indices(*lab)] = 1.0
     return StateVector.normalized(amp, cut)
 
 
 def test_populations_frozen_coherences_damped():
     cut = FockCutoff(1, 1)
     eff = _eff()
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0),
-                             TensorBasisLabel(1, 0, 0)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0), (1, 0, 0)]).density()
     t = np.linspace(0.0, 12.0, 7)
     traj = evolve_reduced(rho0, eff, OHMIC, BathState(), t)
     diag0 = np.real(np.diagonal(traj.snapshots[0]))
@@ -69,14 +67,14 @@ def test_populations_frozen_coherences_damped():
 def test_element_matches_scalar_closed_form():
     cut = FockCutoff(1, 1)
     eff = _eff()
-    hi, lo = TensorBasisLabel(1, 1, 0), TensorBasisLabel(0, 0, 0)
+    hi, lo = (1, 1, 0), (0, 0, 0)
     rho0 = _plus_state(cut, [hi, lo]).density()
     state = BathState(beta=2.0)
     t_grid = np.array([0.5, 3.0, 9.0])
-    k_hi, k_lo = hi.flat_index(cut), lo.flat_index(cut)
+    k_hi, k_lo = cut.flat_indices(*hi), cut.flat_indices(*lo)
     traj = evolve_reduced(rho0, eff, OHMIC, state, t_grid,
                           pairs=[(k_hi, k_lo)])
-    e1, e2 = eigenvalue(hi, eff), eigenvalue(lo, eff)
+    e1, e2 = energies_vector(eff, cut)[[k_hi, k_lo]]
     for k, t in enumerate(t_grid):
         q1c = float(q1_grid(OHMIC, [t])[0])
         q2c = float(q2_grid(OHMIC, state, [t])[0])
@@ -91,11 +89,12 @@ def test_element_matches_scalar_closed_form():
 def test_protected_pair_keeps_modulus():
     cut = FockCutoff(2, 3)
     eff = _eff()  # ratio exactly 3
-    hi, lo = TensorBasisLabel(0, 1, 0), TensorBasisLabel(0, 0, 0)
-    assert eigenvalue(hi, eff) == eigenvalue(lo, eff) == 0.0
+    hi, lo = (0, 1, 0), (0, 0, 0)
+    row, col = cut.flat_indices(*hi), cut.flat_indices(*lo)
+    levels = energies_vector(eff, cut)
+    assert levels[row] == levels[col] == 0.0
     rho0 = _plus_state(cut, [hi, lo]).density()
     t = np.linspace(0.0, 50.0, 11)
-    row, col = hi.flat_index(cut), lo.flat_index(cut)
     for state in (BathState(), BathState(beta=1.0)):
         traj = evolve_reduced(rho0, eff, OHMIC, state, t, pairs=[(row, col)])
         mods = np.abs(traj.snapshots[:, row, col])
@@ -104,12 +103,11 @@ def test_protected_pair_keeps_modulus():
 
 def test_default_pairs_cover_upper_triangle():
     cut = FockCutoff(1, 1)
-    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 0, 0),
-              TensorBasisLabel(0, 1, 1)]
+    labels = [(0, 0, 0), (1, 0, 0), (0, 1, 1)]
     rho0 = _plus_state(cut, labels).density()
     traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(),
                           np.array([0.0, 1.0]))
-    idx = sorted(lab.flat_index(cut) for lab in labels)
+    idx = sorted(cut.flat_indices(*lab) for lab in labels)
     want = [[a, b] for a in idx for b in idx if a < b]
     assert traj.pairs.dtype == np.intp and traj.pairs.tolist() == want
     assert traj.element.shape == (2, len(want))
@@ -131,7 +129,7 @@ def test_default_pairs_capped_at_the_largest_elements(rng):
     # equal amplitudes: 23 labels give 253 pairs, all tracked; 24 give 276,
     # every one a tie, so the 256 lowest flat indices
     for n, warned in ((23, 0), (24, 1)):
-        labels = [TensorBasisLabel.from_flat(k, cut) for k in range(n)]
+        labels = list(zip(*(x[:n].tolist() for x in cut.numbers())))
         got, caught = _default_pairs(_plus_state(cut, labels).density())
         upper = [(a, b) for a in range(n) for b in range(a + 1, n)]
         assert got == upper[:DEFAULT_PAIR_CAP]
@@ -150,10 +148,10 @@ def test_default_pairs_capped_at_the_largest_elements(rng):
 
 def test_pairs_take_flat_indices_only():
     cut = FockCutoff(1, 1)
-    hi, lo = TensorBasisLabel(1, 0, 0), TensorBasisLabel(0, 0, 0)
+    hi, lo = (1, 0, 0), (0, 0, 0)
     rho0 = _plus_state(cut, [hi, lo]).density()
     t = np.array([2.0])
-    flat = [lo.flat_index(cut), hi.flat_index(cut)]
+    flat = [cut.flat_indices(*lo), cut.flat_indices(*hi)]
     given = evolve_reduced(rho0, _eff(), OHMIC, BathState(), t, pairs=[flat])
     default = evolve_reduced(rho0, _eff(), OHMIC, BathState(), t)
     assert given.pairs.tolist() == default.pairs.tolist() == [flat]
@@ -183,7 +181,7 @@ def test_no_pairs_track_nothing_and_leave_the_observables(rng):
 
 def test_t_grid_validation():
     cut = FockCutoff(1, 1)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0)]).density()
     with pytest.raises(InvalidArgumentError):
         evolve_reduced(rho0, _eff(), OHMIC, BathState(), np.array([1.0, 1.0]))
     with pytest.raises(InvalidArgumentError):
@@ -192,7 +190,7 @@ def test_t_grid_validation():
 
 def test_t_grid_rejects_non_finite_entries():
     cut = FockCutoff(1, 1)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0)]).density()
     for bad in ([0.0, np.nan], [0.0, np.inf]):
         with pytest.raises(InvalidArgumentError, match="finite"):
             evolve_reduced(rho0, _eff(), OHMIC, BathState(), bad)
@@ -203,7 +201,7 @@ def test_t_grid_rejects_non_finite_entries():
 def test_pair_index_outside_space_rejected(pair):
     # a negative index would wrap to the end of the space
     cut = FockCutoff(1, 1)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0)]).density()
     with pytest.raises(InvalidArgumentError, match="outside dimension 8"):
         evolve_reduced(rho0, _eff(), OHMIC, BathState(), [1.0],
                        pairs=[pair])
@@ -212,7 +210,7 @@ def test_pair_index_outside_space_rejected(pair):
 def test_capacity_guard_on_snapshots():
     # 40 snapshots of dim 1250 exceed the cap; only reading them allocates
     cut = FockCutoff(24, 24)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0)]).density()
     traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(),
                           np.linspace(0.0, 1.0, 40))
     assert np.allclose(traj.purity, 1.0)
@@ -223,8 +221,7 @@ def test_capacity_guard_on_snapshots():
 def test_observables_behave():
     cut = FockCutoff(1, 1)
     eff = _eff()
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0),
-                             TensorBasisLabel(0, 0, 1)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0), (0, 0, 1)]).density()
     t = np.linspace(0.0, 10.0, 6)
     traj = evolve_reduced(rho0, eff, OHMIC, BathState(), t)
     purity = observables(traj, "purity")
@@ -256,7 +253,7 @@ def _uhlmann(rho_a, rho_b):
 def _mixed(cut, rng, rank, labels=None):
     """Random density matrix of the given rank on labels (default: all)."""
     idx = (np.arange(cut.dim) if labels is None
-           else [lab.flat_index(cut) for lab in labels])
+           else [cut.flat_indices(*lab) for lab in labels])
     g = np.zeros((cut.dim, rank), dtype=complex)
     g[idx] = rng.normal(size=(len(idx), rank)) \
         + 1j * rng.normal(size=(len(idx), rank))
@@ -309,9 +306,7 @@ def _law_reference(rho0, energies, t, q1_vals, q2_vals):
 
 def test_support_restriction_matches_snapshots(rng):
     cut = FockCutoff(2, 3)
-    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
-              TensorBasisLabel(2, 1, 0), TensorBasisLabel(0, 0, 1),
-              TensorBasisLabel(1, 2, 1)]
+    labels = [(0, 0, 0), (1, 2, 0), (2, 1, 0), (0, 0, 1), (1, 2, 1)]
     rho0 = _mixed(cut, rng, rank=3, labels=labels)
     traj = evolve_reduced(rho0, _eff(), OHMIC, BathState(beta=2.0),
                           np.linspace(0.0, 20.0, 9))
@@ -381,9 +376,7 @@ def _random_pure(cut, rng):
 
 
 # E = (w' - chi n)(m - i (2 m + 1)) is exactly 0 for m = i = 0
-_PARTIAL = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(0, 2, 0),
-            TensorBasisLabel(1, 2, 0), TensorBasisLabel(0, 0, 1),
-            TensorBasisLabel(1, 2, 1), TensorBasisLabel(0, 3, 0)]
+_PARTIAL = [(0, 0, 0), (0, 2, 0), (1, 2, 0), (0, 0, 1), (1, 2, 1), (0, 3, 0)]
 
 
 @pytest.mark.parametrize("case, omega_a_prime, t_stop, classes", [
@@ -457,12 +450,10 @@ def test_density_state_is_read_from_its_vector(rng, monkeypatch):
     matrix without its vector takes the detected rank-1 exit, still without
     an eigh, and gives the same observables."""
     cut = FockCutoff(2, 3)
-    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(0, 1, 0),
-              TensorBasisLabel(0, 0, 1), TensorBasisLabel(2, 3, 1),
-              TensorBasisLabel(2, 3, 0)]
+    labels = [(0, 0, 0), (0, 1, 0), (0, 0, 1), (2, 3, 1), (2, 3, 0)]
     amp = np.zeros(cut.dim, dtype=complex)
     for lab in labels:
-        amp[lab.flat_index(cut)] = rng.normal() + 1j * rng.normal()
+        amp[cut.flat_indices(*lab)] = rng.normal() + 1j * rng.normal()
     psi = StateVector.normalized(amp, cut)
     state = BathState(beta=2.0)
     t = np.linspace(0.0, 30.0, 7)
@@ -487,8 +478,8 @@ def test_density_state_is_read_from_its_vector(rng, monkeypatch):
     assert np.array_equal(traj.rho0, np.outer(psi.vec, psi.vec.conj()))
     # a requested element off the support stays 0
     off = evolve_reduced(rho0, _eff(), OHMIC, state, t,
-                         pairs=[(labels[0].flat_index(cut),
-                                 TensorBasisLabel(1, 0, 0).flat_index(cut))])
+                         pairs=[(cut.flat_indices(*labels[0]),
+                                 cut.flat_indices(1, 0, 0))])
     assert not np.any(off.element)
 
 
@@ -514,8 +505,7 @@ def test_density_state_costs_no_dense_pass():
     # three labels of a dim-968 space: evolve_reduced allocates far less
     # than one dim x dim complex array (15 MB), which the dense path copied
     cut = FockCutoff(21, 21)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
-                             TensorBasisLabel(1, 2, 1)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0), (1, 2, 0), (1, 2, 1)]).density()
     args = (rho0, _eff(), OHMIC, BathState(beta=2.0), np.linspace(0.0, 30.0, 30))
     evolve_reduced(*args)
     tracemalloc.start()
@@ -668,8 +658,7 @@ def test_finite_bath_oracle_matches_dense_reference(spec, t_grid):
 def test_finite_bath_no_composite_cap():
     # composite dimension 32000; the factored propagation never forms it
     cut = FockCutoff(3, 3)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0),
-                             TensorBasisLabel(1, 0, 0)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0), (1, 0, 0)]).density()
     spec = FiniteBathSpec(frequencies=(1.0, 2.0, 3.0),
                           couplings=(0.01, 0.01, 0.01),
                           cutoffs=(9, 9, 9))
@@ -688,9 +677,7 @@ def test_finite_bath_continuum_limit():
     spec = FiniteBathSpec(tuple(ws), tuple(cs), (3,) * 120)
     cut = FockCutoff(1, 1)
     eff = _eff(omega_a_prime=1.0, chi=0.3)
-    rho0 = _plus_state(cut, [TensorBasisLabel(0, 0, 0),
-                             TensorBasisLabel(1, 1, 0),
-                             TensorBasisLabel(1, 0, 1)]).density()
+    rho0 = _plus_state(cut, [(0, 0, 0), (1, 1, 0), (1, 0, 1)]).density()
     t = np.linspace(0.5, 6.0, 6)
     rep = finite_bath_oracle(rho0, eff, spec, t)
     assert rep.total_dim == cut.dim * 4 ** 120
@@ -745,8 +732,7 @@ def test_evolve_reduced_makes_one_ohmic_kernel_pass(monkeypatch):
 
     monkeypatch.setattr(bath, "_thermal_images", counted)
     cut = FockCutoff(2, 2)
-    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
-              TensorBasisLabel(2, 1, 1)]
+    labels = [(0, 0, 0), (1, 2, 0), (2, 1, 1)]
     for state, kernel_calls in ((BathState(), []), (BathState(beta=2.0), [2.0])):
         del calls[:]
         evolve_reduced(_plus_state(cut, labels).density(), _eff(), OHMIC, state,
@@ -756,8 +742,7 @@ def test_evolve_reduced_makes_one_ohmic_kernel_pass(monkeypatch):
 
 def test_evolve_reduced_eigendecomposes_only_mixed_states(rng, monkeypatch):
     cut = FockCutoff(2, 2)
-    labels = [TensorBasisLabel(0, 0, 0), TensorBasisLabel(1, 2, 0),
-              TensorBasisLabel(2, 1, 1), TensorBasisLabel(0, 1, 1)]
+    labels = [(0, 0, 0), (1, 2, 0), (2, 1, 1), (0, 1, 1)]
     calls = []
     for name in ("eigh", "eigvalsh"):
         def counted(a, *args, _inner=getattr(np.linalg, name), _name=name,
@@ -792,8 +777,7 @@ def test_dispersive_check_fidelity_high_in_regime():
     )
     cut = FockCutoff(4, 2)
     amp = np.zeros(cut.dim, dtype=complex)
-    amp[TensorBasisLabel(0, 0, 0).flat_index(cut)] = 1.0
-    amp[TensorBasisLabel(0, 0, 1).flat_index(cut)] = 1.0
+    amp[cut.flat_indices(0, 0, [0, 1])] = 1.0
     psi0 = StateVector.normalized(amp, cut)
     t_det = 2 * np.pi / 0.8
     # omega_q + omega_a = 1.2 against |detuning| 0.8 is outside the RWA
@@ -905,13 +889,13 @@ def test_dispersive_check_runs_past_the_dense_cap(monkeypatch):
     small, big = FockCutoff(4, 2), FockCutoff(60, 40)
     assert big.dim > hilbert.DENSE_DIM_CAP
     rng = np.random.default_rng(11)
-    labels = [TensorBasisLabel(m, n, i) for m in range(5) for n in range(3)
+    labels = [(m, n, i) for m in range(5) for n in range(3)
               for i in range(2) if (m, i) != (4, 1)]
     amp = rng.normal(size=len(labels)) + 1j * rng.normal(size=len(labels))
     states = []
     for cut in (small, big):
         vec = np.zeros(cut.dim, dtype=complex)
-        vec[[lab.flat_index(cut) for lab in labels]] = amp
+        vec[[cut.flat_indices(*lab) for lab in labels]] = amp
         states.append(StateVector.normalized(vec, cut))
 
     def refuse(*args, **kwargs):

@@ -20,8 +20,8 @@ from cqdeph.hamiltonians import (
     operator_cosine,
     sweet_spot_rotation,
 )
-from cqdeph.hilbert import FockCutoff, all_labels
-from cqdeph.spectrum import eigenvalue
+from cqdeph.hilbert import FockCutoff
+from cqdeph.spectrum import energies_vector
 
 
 def _device() -> DeviceParams:
@@ -224,10 +224,8 @@ def test_capacity_guard_comes_first_in_every_builder():
 def test_diagonal_matches_level_table():
     eff = _eff()
     cut = FockCutoff(3, 4)
-    diag = build_diagonal(eff, cut)
-    for lab in all_labels(cut):
-        k = lab.flat_index(cut)
-        assert diag[k] == pytest.approx(eigenvalue(lab, eff), abs=1e-15)
+    assert np.max(np.abs(build_diagonal(eff, cut)
+                         - energies_vector(eff, cut))) <= 1e-15
 
 
 def test_dispersive_splits_into_free_plus_diagonal():

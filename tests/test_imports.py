@@ -77,7 +77,8 @@ def test_classes_holding_arrays_compare_by_identity():
                 found.append(obj.__name__)
                 assert obj.__eq__ is object.__eq__, obj.__name__
                 assert obj.__hash__ is object.__hash__, obj.__name__
-    assert {"OperatorMatrix", "StateVector", "DephasingTrajectory"} <= set(found)
+    assert {"OperatorMatrix", "StateVector", "DephasingTrajectory",
+            "DfsResult"} <= set(found)
 
 
 def _references(source: str, strings: bool = False) -> set[str]:

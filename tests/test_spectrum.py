@@ -7,13 +7,8 @@ import pytest
 
 from cqdeph.device import EffectiveParams
 from cqdeph.errors import InvalidArgumentError
-from cqdeph.hilbert import FockCutoff, TensorBasisLabel, all_labels
-from cqdeph.spectrum import (
-    cluster_energies,
-    dfs_find,
-    eigenvalue,
-    energies_vector,
-)
+from cqdeph.hilbert import FockCutoff
+from cqdeph.spectrum import cluster_energies, dfs_find, energies_vector
 
 
 def _eff(omega_a_prime: float, chi: float) -> EffectiveParams:
@@ -21,25 +16,32 @@ def _eff(omega_a_prime: float, chi: float) -> EffectiveParams:
                            omega_a=1.0, omega_a_prime=omega_a_prime, chi=chi)
 
 
+def _members(res, k):
+    """The (m, n, i) labels of class k of a DfsResult."""
+    return {tuple(lab) for lab in
+            np.stack(res.cutoff.numbers(), axis=1)[res.classes[k]].tolist()}
+
+
+def _holding(res, m, n, i):
+    """The index of the class that holds the label (m, n, i)."""
+    flat = res.cutoff.flat_indices(m, n, i)
+    return next(k for k, c in enumerate(res.classes) if flat in c)
+
+
+def _partition(res):
+    return {frozenset(c.tolist()) for c in res.classes}
+
+
 def test_eigenvalue_closed_values():
-    eff = _eff(5.0, 1.0)
-    assert eigenvalue(TensorBasisLabel(2, 3, 0), eff) == pytest.approx(4.0)
-    assert eigenvalue(TensorBasisLabel(2, 3, 1), eff) == pytest.approx(-6.0)
-    assert eigenvalue(TensorBasisLabel(0, 7, 0), eff) == 0.0
+    cut = FockCutoff(2, 7)
+    levels = energies_vector(_eff(5.0, 1.0), cut)
+    assert levels[cut.flat_indices(2, 3, 0)] == pytest.approx(4.0)
+    assert levels[cut.flat_indices(2, 3, 1)] == pytest.approx(-6.0)
+    assert levels[cut.flat_indices(0, 7, 0)] == 0.0
     # one extra mode-A photon at fixed n adds omega' - chi n
-    eff2 = _eff(0.9, 0.3)
-    gap = (eigenvalue(TensorBasisLabel(2, 1, 0), eff2)
-           - eigenvalue(TensorBasisLabel(1, 1, 0), eff2))
+    levels = energies_vector(_eff(0.9, 0.3), cut)
+    gap = levels[cut.flat_indices(2, 1, 0)] - levels[cut.flat_indices(1, 1, 0)]
     assert gap == pytest.approx(0.9 - 0.3)
-
-
-def test_energies_vector_matches_labels():
-    eff = _eff(0.9, 0.3)
-    cut = FockCutoff(2, 3)
-    vec = energies_vector(eff, cut)
-    for lab in all_labels(cut):
-        assert vec[lab.flat_index(cut)] == pytest.approx(
-            eigenvalue(lab, eff), abs=1e-15)
 
 
 def test_exact_ratio_three_zero_class():
@@ -47,24 +49,24 @@ def test_exact_ratio_three_zero_class():
     cut = FockCutoff(3, 4)
     res = dfs_find(eff, cut, ratio=Fraction(3))
     assert res.exact
-    zero = res.class_of(TensorBasisLabel(0, 0, 0))
-    got = {(l.m, l.n, l.i) for l in zero.members}
+    zero = _holding(res, 0, 0, 0)
     want = {(0, n, 0) for n in range(5)}
     want |= {(m, 3, i) for m in range(4) for i in (0, 1)}
-    assert got == want
-    assert zero.energy == pytest.approx(0.0, abs=1e-300)
+    assert _members(res, zero) == want
+    assert res.energies[zero] == pytest.approx(0.0, abs=1e-300)
 
 
 def test_exact_path_immune_to_float_noise():
     # omega'/chi = 3 with chi values whose products round differently
     eff = _eff(0.3 * 3, 0.3)
-    cut = FockCutoff(4, 6)
-    exact = dfs_find(eff, cut, ratio=Fraction(3))
-    as_sets = lambda res: {
-        frozenset((l.m, l.n, l.i) for l in c.members) for c in res}
-    # float path at default tolerance agrees here; the exact path is the
-    # reference it is judged against
-    assert as_sets(dfs_find(eff, cut)) == as_sets(exact)
+    # (60, 60) is dim 7442, past the dense-matrix cap: neither path builds
+    # a matrix
+    for cut, count in ((FockCutoff(4, 6), None), (FockCutoff(60, 60), 2281)):
+        exact = dfs_find(eff, cut, ratio=Fraction(3))
+        # float path at default tolerance agrees here; the exact path is
+        # the reference it is judged against
+        assert _partition(dfs_find(eff, cut)) == _partition(exact)
+        assert count is None or len(exact.classes) == count
 
 
 def test_float_path_splits_detuned_ratio():
@@ -74,23 +76,19 @@ def test_float_path_splits_detuned_ratio():
     eff = _eff(chi * (3 + 1e-6), chi)
     cut = FockCutoff(3, 4)
     res = dfs_find(eff, cut)
-    zero = res.class_of(TensorBasisLabel(0, 0, 0))
-    got = {(l.m, l.n, l.i) for l in zero.members}
+    got = _members(res, _holding(res, 0, 0, 0))
     # the m = 0, i = 0 states stay exactly degenerate; the n = 3 towers drift
     assert {(0, n, 0) for n in range(5)} <= got
     assert (2, 3, 0) not in got
     # a coarse tolerance glues the near-degenerate towers back together
     coarse = dfs_find(eff, cut, 1e-3)
-    zero_c = coarse.class_of(TensorBasisLabel(0, 0, 0))
-    assert (2, 3, 0) in {(l.m, l.n, l.i) for l in zero_c.members}
+    assert (2, 3, 0) in _members(coarse, _holding(coarse, 0, 0, 0))
 
 
 def test_partition_is_scale_invariant():
     cut = FockCutoff(2, 3)
-    as_sets = lambda res: {
-        frozenset((l.m, l.n, l.i) for l in c.members) for c in res}
-    assert as_sets(dfs_find(_eff(0.9, 0.3), cut)) == \
-        as_sets(dfs_find(_eff(4.5, 1.5), cut))
+    assert _partition(dfs_find(_eff(0.9, 0.3), cut)) == \
+        _partition(dfs_find(_eff(4.5, 1.5), cut))
 
 
 def test_exact_path_requires_positive_chi():
@@ -118,17 +116,17 @@ def test_non_finite_tol_rejected(tol):
         cluster_energies([0.0, 1.0, 2.0], tol)
 
 
-def test_class_of_unknown_label_raises():
-    res = dfs_find(_eff(0.9, 0.3), FockCutoff(2, 2), ratio=Fraction(3))
-    with pytest.raises(InvalidArgumentError):
-        res.class_of(TensorBasisLabel(9, 9, 0))
-
-
-def test_classes_partition_all_labels():
+def test_classes_partition_every_label():
     cut = FockCutoff(3, 3)
-    res = dfs_find(_eff(0.7, 0.2), cut)
-    flat = [lab.flat_index(cut) for c in res for lab in c.members]
-    assert sorted(flat) == list(range(cut.dim))
+    for eff, ratio in ((_eff(0.7, 0.2), None), (_eff(0.9, -0.3), Fraction(-3))):
+        res = dfs_find(eff, cut, ratio=ratio)
+        # ascending flat-index arrays, one per class, in ascending energy
+        for c in res.classes:
+            assert c.dtype == np.intp and np.all(np.diff(c) > 0)
+        assert np.all(np.diff(res.energies) > 0)
+        assert len(res.energies) == len(res.classes)
+        flat = np.concatenate(res.classes)
+        assert sorted(flat.tolist()) == list(range(cut.dim))
 
 
 def test_report_text_mentions_index_convention():

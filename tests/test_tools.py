@@ -183,7 +183,7 @@ def test_cli_outputs_writes_one_run_per_config_and_workload(tmp_path):
     assert configs and workloads and variants == {
         "tabulated-bath", "subohmic-thermal", "temperature-log-grid",
         "coherent-mode-b", "pairs-edge", "device-flux", "device-overrides",
-        "spectrum-rational"}
+        "spectrum-rational", "spectrum-float"}
     expected = configs | workloads | variants
     assert {p.name for p in dest.iterdir()} == expected
     for name in expected:

@@ -11,8 +11,9 @@ to; between them the variants set every config key that no shipped config
 or benchmark input sets, so that the echoes hold a line of every key-table
 row, and ``pairs-edge`` gives the pairs that no shipped config does: one
 below the diagonal, one off the state's support, a repeated one and a
-diagonal one.  ``tabulated-bath`` reads a 60-point table of 0.1 w exp(-w) over
-[0.05, 10] rad/s.  The files of each run go into ``<dest>/<config stem,
+diagonal one, and ``spectrum-float`` runs the float clustering of the
+degeneracy classes, at cutoff (30, 30).  ``tabulated-bath`` reads a
+60-point table of 0.1 w exp(-w) over [0.05, 10] rad/s.  The files of each run go into ``<dest>/<config stem,
 workload or variant name>/``; each variant writes its inputs, ``run.cfg``
 and the table ``dens.txt``, there too, not under ``configs/``, whose every
 file the benchmark runs.  The table's absolute path is echoed in
@@ -62,6 +63,11 @@ VARIANTS = {
     "spectrum-rational": ("spectrum_dfs", {
         "effective": "omega_a = 1 Hz_rad\nomega_a_prime = 0.45 Hz_rad\nchi = 0.3 Hz_rad\n",
         "spectrum": "ratio = 3/2\ntol = 1e-10\n"}),
+    # no ratio: the float clustering path of dfs_find, which no shipped
+    # config runs
+    "spectrum-float": ("spectrum_dfs", {
+        "cutoff": "n_max_a = 30\nn_max_b = 30\n",
+        "spectrum": "tol = 1e-12\n"}),
 }
 
 
