@@ -27,7 +27,9 @@ at once.  Every config error names its line.
 
 Every successful run writes ``report.json`` plus ``config_echo.cfg`` into
 the output directory; the echo is normalized to base units and loads back
-into the identical RunConfig, and the report lists the warnings the run
+into the identical RunConfig.  A run reads nothing but its RunConfig, and
+the command line gives only the config and the output directory, so a run
+of the echo writes the same files.  The report lists the warnings the run
 raised under ``warnings``.  Scenario payloads: ``device`` adds nothing
 else, ``spectrum`` adds ``levels.csv``, ``dephasing`` adds
 ``trajectory.csv`` and ``observables.csv``.  CSV integer cells are plain
@@ -250,7 +252,7 @@ def _first_non_finite(header: list[str], columns: list) -> tuple[str, int] | Non
     return None
 
 
-def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
+def _run_device(cfg: RunConfig, out_dir: str) -> dict:
     eff = resolve_effective(cfg)
     rep = regime_report(_device(cfg), eff)
     regime = {**asdict(rep), "worst_flag": rep.worst_flag()}
@@ -266,12 +268,11 @@ def _run_device(cfg: RunConfig, out_dir: str, tol) -> dict:
     return payload
 
 
-def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
+def _run_spectrum(cfg: RunConfig, out_dir: str) -> dict:
     eff = resolve_effective(cfg)
     cut = FockCutoff(**cfg["cutoff"])
     spec = cfg["spectrum"]
-    cluster_tol = tol if tol is not None else spec.get("tol")
-    res = dfs_find(eff, cut, cluster_tol, ratio=spec.get("ratio"))
+    res = dfs_find(eff, cut, spec.get("tol"), ratio=spec.get("ratio"))
 
     _write_csv(os.path.join(out_dir, "levels.csv"),
                ["flat_index", "m", "n", "i", "energy"],
@@ -293,19 +294,21 @@ def _run_spectrum(cfg: RunConfig, out_dir: str, tol) -> dict:
     }
 
 
-def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
+def _run_dephasing(cfg: RunConfig, out_dir: str) -> dict:
     eff = resolve_effective(cfg)
     cut, bath, grid = FockCutoff(**cfg["cutoff"]), cfg["bath"], cfg["grid"]
     # refuse before materializing a dim x dim density matrix
     hilbert.check_dense_dim(cut)
     rho0 = _initial_state(cfg["state"], cut).density()
-    rtol = tol if tol is not None else DEFAULT_RTOL
     # (P, 2, 3): the (m, n, i) labels of each pair's row and column
     labels = np.array(cfg["pairs"].get("pair", ()), dtype=np.intp)
     pairs = cut.flat_indices(*labels.T).T if labels.size else None
-    traj = evolve_reduced(rho0, eff, _bath_model(bath),
-                          BathState(beta=bath["beta"]), _time_grid(grid),
-                          rtol=rtol, pairs=pairs)
+    # an overflow or invalid value reaches the tables as inf or NaN, which
+    # the guard below refuses, so numpy need not warn of it on the way
+    with np.errstate(over="ignore", invalid="ignore"):
+        traj = evolve_reduced(rho0, eff, _bath_model(bath),
+                              BathState(beta=bath["beta"]), _time_grid(grid),
+                              rtol=DEFAULT_RTOL, pairs=pairs)
 
     nt, count = traj.element.shape
     header = ["t"] + [f"{column}_p{k}" for k in range(count)
@@ -355,16 +358,16 @@ def _run_dephasing(cfg: RunConfig, out_dir: str, tol) -> dict:
             "beta": _json_float(bath["beta"]),
             "zero_temperature": math.isinf(bath["beta"]),
         },
-        "quadrature_rtol": rtol,
+        "quadrature_rtol": DEFAULT_RTOL,
         "tables": {"trajectory": "trajectory.csv",
                    "observables": "observables.csv"},
     }
 
 
-def _run_validate(cfg: RunConfig, out_dir: str, tol) -> dict:
+def _run_validate(cfg: RunConfig, out_dir: str) -> dict:
     from . import validation  # only this scenario loads the check suite
 
-    results = validation.run_all(tol_scale=tol if tol is not None else 1.0)
+    results = validation.run_all()
     return {
         "checks": [{**asdict(r), "residual": _json_float(r.residual)}
                    for r in results],
@@ -387,13 +390,13 @@ def _device_summary(report: dict) -> str:
 class _Scenario:
     """One scenario: its subcommand help, the sections it allows, the
     sections it requires, the runner that computes its report payload from
-    ``(cfg, out_dir, tol)``, and the summary line of its report.  Each entry
+    ``(cfg, out_dir)``, and the summary line of its report.  Each entry
     of ``requires`` lists alternatives, one of which must be present."""
 
     blurb: str
     sections: tuple[str, ...]
     requires: tuple[tuple[str, ...], ...]
-    runner: Callable[[RunConfig, str, float | None], dict]
+    runner: Callable[[RunConfig, str], dict]
     summary: Callable[[dict], str]
 
 
@@ -715,6 +718,10 @@ def _cross_key_rules(section: str, vals: dict, lines: dict,
                               lines.get("t_start", lines.get("spacing")))
         if vals["t_count"] > 1 and vals["t_stop"] <= start:
             raise ConfigError("t_stop must exceed t_start", lines["t_stop"])
+    elif section == "spectrum" and "ratio" in lines and "tol" in lines:
+        # the exact path groups the levels in integer arithmetic, with no tol
+        raise ConfigError("give either 'ratio' or 'tol', not both",
+                          lines["tol"])
     elif section == "state" and vals["kind"] == "labels":
         # StateVector.normalized refuses the zero vector; repeated labels add
         amp: dict = {}
@@ -917,23 +924,21 @@ def render_config(cfg: RunConfig) -> str:
 
 # ------------------------------------------------------------------ running
 
-def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
+def run(cfg: RunConfig, out_dir: str) -> dict:
     """Execute one scenario, writing report.json and config_echo.cfg.
 
     Returns the report tree.  Both files are written only after the
     scenario has computed its payload, so a run that raises leaves neither.
     The messages of the warnings raised on the way are kept, in order,
     under ``warnings``; a run that raises shows them on stderr instead.
-    A ``tol`` override must be finite and > 0, whatever the scenario.
+    The run reads nothing but ``cfg``, so the echo reproduces it.
     """
-    if tol is not None and not (math.isfinite(tol) and tol > 0):
-        raise InvalidArgumentError(f"tol must be finite and > 0, got {tol}")
     os.makedirs(out_dir, exist_ok=True)
     try:
         with warnings.catch_warnings(record=True) as caught:
             # "always": a repeated run in one process records the same list
             warnings.simplefilter("always")
-            payload = _SCENARIOS[cfg.scenario].runner(cfg, out_dir, tol)
+            payload = _SCENARIOS[cfg.scenario].runner(cfg, out_dir)
     except Exception:
         # no report will list them, so show them as Python would have
         for w in caught:
@@ -956,6 +961,9 @@ def run(cfg: RunConfig, out_dir: str, tol: float | None = None) -> dict:
 
 
 def main(argv=None) -> int:
+    """Run the subcommand of ``argv`` and return its exit code; a usage
+    error of the arguments returns 1, like a config error, after argparse's
+    message."""
     parser = argparse.ArgumentParser(
         prog="cqdeph",
         description="charge-qubit cross-Kerr dephasing toolkit",
@@ -966,12 +974,11 @@ def main(argv=None) -> int:
         p = sub.add_parser(name, help=scenario.blurb)
         p.add_argument("--config", required=True, help="path to the run config")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance override: quadrature rtol of a "
-                            "tabulated bath (dephasing), "
-                            "clustering tol (spectrum), tolerance scale "
-                            "(validate)")
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; --help and --version exit 0
+        return 1 if exc.code else 0
 
     try:
         cfg = load_config(args.config)
@@ -979,7 +986,7 @@ def main(argv=None) -> int:
             raise ConfigError(
                 f"config declares scenario {cfg.scenario!r} but subcommand "
                 f"{args.command!r} was invoked")
-        report = run(cfg, args.out, tol=args.tol)
+        report = run(cfg, args.out)
         for message in report["warnings"]:
             print(f"cqdeph: warning: {message}", file=sys.stderr)
         print(f"{args.command}: {_SCENARIOS[cfg.scenario].summary(report)}")

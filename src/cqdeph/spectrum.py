@@ -12,7 +12,7 @@ through operator products) so the two routes can certify each other.
 Coherences between equal-energy labels acquire no damping and no extra
 phase, so every multi-member degeneracy class is a protected subspace of
 the pure-dephasing dynamics.  The classes come by clustering the float
-energy line, or by exact grouping of the levels in rational arithmetic
+energy line, or by exact grouping of the levels in integer arithmetic
 when omega_a_prime/chi is given as a rational, not by a closed-form index
 condition (see INDEX_CONVENTION_NOTE); either way a class is the array of
 its labels' flat indices, and the classes are listed in ascending energy,
@@ -137,8 +137,8 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
 
     Float path: single-linkage clustering with ``tol`` (default
     1e-9 * max|E|; a given ``tol`` must be finite and > 0).  Exact path:
-    pass ``ratio`` as the rational value of omega_a_prime/chi and the labels
-    are grouped by their exact level E/chi in rational arithmetic -- immune
+    pass ``ratio`` = p/q as the rational value of omega_a_prime/chi and the
+    labels are grouped by their integer level q E/chi, exactly -- immune
     to the false splits float rounding can produce at, say,
     omega_a_prime = 3*chi with omega_a_prime - 3*chi = O(eps).  The ratio
     must be that value: chi != 0 and |ratio * chi - omega_a_prime| <=
@@ -153,14 +153,19 @@ def dfs_find(eff: EffectiveParams, cutoff: FockCutoff,
         from fractions import Fraction
 
         _check_ratio(eff, ratio)
-        ratio = Fraction(ratio)
-        groups: dict[Fraction, list[int]] = {}
-        for k, lab in enumerate(zip(*(x.tolist() for x in cutoff.numbers()))):
-            groups.setdefault(_level(*lab, ratio, 1), []).append(k)
-        # E = chi * key, so the keys sort in energy order reversed if chi < 0
-        found = sorted(groups.items(), reverse=eff.chi < 0)
-        energies = [float(key) * eff.chi for key, _ in found]
-        classes = [np.array(idxs, dtype=np.intp) for _, idxs in found]
+        p, q = Fraction(ratio).as_integer_ratio()
+        # E = chi K / q with the integer K = _level(m, n, i, p, q), a Python
+        # int past the int64 range
+        big = (abs(p) + q * cutoff.n_max_b) * (cutoff.n_max_a + 1) >= 2 ** 63
+        m, n, i = (x.astype(object) if big else x for x in cutoff.numbers())
+        keys, inverse = np.unique(_level(m, n, i, p, q), return_inverse=True)
+        # members ascend within a class, and the classes run in ascending K:
+        # in energy order, reversed if chi < 0
+        step = -1 if eff.chi < 0 else 1
+        classes = np.split(np.argsort(inverse, kind="stable"),
+                           np.cumsum(np.bincount(inverse))[:-1])[::step]
+        # int / int is correctly rounded, as float(Fraction(k, q)) is
+        energies = [k / q * eff.chi for k in keys.tolist()[::step]]
         ratio_f, tol = float(ratio), 0.0
     else:
         levels = energies_vector(eff, cutoff)

@@ -38,7 +38,6 @@ from .dynamics import (
     evolve_reduced,
     finite_bath_oracle,
 )
-from .errors import InvalidArgumentError
 from .hamiltonians import (
     build_diagonal,
     build_dispersive,
@@ -676,17 +675,7 @@ _CHECKS = (
 CHECK_NAMES = tuple(name for name, _ in _CHECKS)
 
 
-def run_all(tol_scale: float = 1.0) -> list[CheckResult]:
-    """Every check, in registry order, with its tolerance times ``tol_scale``.
-
-    ``tol_scale`` must be finite and > 0; a non-finite residual never passes.
-    """
-    if not (math.isfinite(tol_scale) and tol_scale > 0):
-        raise InvalidArgumentError(
-            f"tol_scale must be finite and > 0, got {tol_scale}")
-    results = []
-    for name, check in _CHECKS:
-        residual, tolerance, detail = check()
-        results.append(_row(name, residual, tolerance * tol_scale, detail))
-    return results
-
+def run_all() -> list[CheckResult]:
+    """Every check, in registry order, held to the tolerance it states; a
+    non-finite residual never passes."""
+    return [_row(name, *check()) for name, check in _CHECKS]

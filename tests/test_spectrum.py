@@ -8,7 +8,7 @@ import pytest
 from cqdeph.device import EffectiveParams
 from cqdeph.errors import InvalidArgumentError
 from cqdeph.hilbert import FockCutoff
-from cqdeph.spectrum import cluster_energies, dfs_find, energies_vector
+from cqdeph.spectrum import _level, cluster_energies, dfs_find, energies_vector
 
 
 def _eff(omega_a_prime: float, chi: float) -> EffectiveParams:
@@ -135,3 +135,40 @@ def test_report_text_mentions_index_convention():
     assert "Index convention" in text
     assert "truncat" in text.lower()
 
+
+
+def _exact_classes_by_label(eff, cut, ratio):
+    """The exact path one label at a time, in rational arithmetic: the
+    independent reference of dfs_find's grouping of the integer levels."""
+    ratio = Fraction(ratio)
+    groups = {}
+    for k, lab in enumerate(zip(*(x.tolist() for x in cut.numbers()))):
+        groups.setdefault(_level(*lab, ratio, 1), []).append(k)
+    found = sorted(groups.items(), reverse=eff.chi < 0)
+    return ([float(key) * eff.chi for key, _ in found],
+            [idxs for _, idxs in found])
+
+
+def _exact_draws():
+    rng = np.random.default_rng(30)
+    for _ in range(300):
+        ratio = Fraction(int(rng.integers(-40, 41)), int(rng.integers(1, 13)))
+        chi = float(rng.choice([-1.0, 1.0]) * rng.uniform(0.05, 2.0))
+        if ratio == 0:
+            continue
+        cut = FockCutoff(int(rng.integers(1, 13)), int(rng.integers(1, 13)))
+        yield ratio, chi, cut
+    # K = q E / chi beyond the int64 range
+    yield Fraction(10 ** 30, 7), 0.3, FockCutoff(3, 4)
+    yield Fraction(-10 ** 30, 7), -0.3, FockCutoff(3, 4)
+
+
+def test_exact_path_matches_the_rational_reference():
+    # same classes in the same order, same members, bit-identical energies
+    for ratio, chi, cut in _exact_draws():
+        eff = _eff(float(ratio) * chi, chi)
+        res = dfs_find(eff, cut, ratio=ratio)
+        energies, classes = _exact_classes_by_label(eff, cut, ratio)
+        assert res.energies.tolist() == energies, (ratio, chi, cut)
+        assert [c.tolist() for c in res.classes] == classes, (ratio, chi, cut)
+        assert all(c.dtype == np.intp for c in res.classes)

@@ -62,7 +62,7 @@ VARIANTS = {
                       "omega_a_prime = 6.05 GHz_cyc\nphi_b = 0.05\nphi_e = 0.2\n")}),
     "spectrum-rational": ("spectrum_dfs", {
         "effective": "omega_a = 1 Hz_rad\nomega_a_prime = 0.45 Hz_rad\nchi = 0.3 Hz_rad\n",
-        "spectrum": "ratio = 3/2\ntol = 1e-10\n"}),
+        "spectrum": "ratio = 3/2\n"}),
     # no ratio: the float clustering path of dfs_find, which no shipped
     # config runs
     "spectrum-float": ("spectrum_dfs", {
